@@ -9,6 +9,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== benchmark harness tests =="
+python3 -m pytest perfbench -q
+
 echo "== engine throughput smoke =="
 python benchmarks/bench_engine_throughput.py
 

@@ -53,6 +53,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from repro.core.benchmark import TaxoGlimpse
 from repro.core.report import format_engine_stats, format_rows
@@ -87,7 +88,7 @@ from repro.obs import (AlertEvaluator, CostLedger, LedgerFollower,
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
-                        execute_run, load_run, resume_run)
+                        engine_for, execute_run, load_run, resume_run)
 from repro.serve.views import (iter_question_records, run_cell_rows,
                                run_diff_payload, run_result_payload,
                                run_show_payload, run_trail_payload,
@@ -529,9 +530,10 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
                               "`repro obs why` / `repro obs grep`)")
 
 
-def _build_engine(args: argparse.Namespace) -> EvaluationEngine:
+def _engine_from_flags(args: argparse.Namespace) -> EvaluationEngine:
     """An engine from the shared --workers/--retries/--cache flags
-    (plus the batching/coalescing knobs when present)."""
+    (plus the batching/coalescing knobs when present) for the
+    in-memory commands; ledgered runs use :func:`_run_engine`."""
     cache = None
     if args.cache and os.path.exists(args.cache):
         cache = ResponseCache.load(args.cache)
@@ -543,6 +545,19 @@ def _build_engine(args: argparse.Namespace) -> EvaluationEngine:
         coalesce=bool(getattr(args, "coalesce", False)),
         trail=bool(getattr(args, "trail", False)))
     return EvaluationEngine(config, cache=cache)
+
+
+def _run_engine(args: argparse.Namespace,
+                request: RunRequest) -> EvaluationEngine | None:
+    """A ledgered run's engine: :func:`engine_for` the request, backed
+    by the ``--cache`` file when one is given (any worker count)."""
+    cache = ResponseCache.load(args.cache) if args.cache else None
+    engine = engine_for(request, cache=cache)
+    if engine is not None:
+        # The linger is a latency knob, not part of the request.
+        engine.config = replace(
+            engine.config, batch_linger_s=max(0.0, args.batch_linger))
+    return engine
 
 
 def _persist_cache(engine: EvaluationEngine,
@@ -601,7 +616,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
     config = ExperimentConfig(sample_size=args.sample,
                               models=tuple(args.models),
                               taxonomy_keys=tuple(args.taxonomies))
-    engine = _build_engine(args)
+    engine = _engine_from_flags(args)
     bench = TaxoGlimpse(sample_size=args.sample, engine=engine)
     result = run_overall(DatasetKind(args.dataset), config, bench=bench)
     _persist_cache(engine, args)
@@ -686,7 +701,7 @@ def _cmd_errors(args: argparse.Namespace) -> str:
 def _cmd_engine_stats(args: argparse.Namespace) -> str:
     from repro.core.runner import EvaluationRunner
     from repro.questions.model import DatasetKind as Kind
-    engine = _build_engine(args)
+    engine = _engine_from_flags(args)
     runner = EvaluationRunner(engine=engine)
     pool = build_pools(
         args.taxonomy,
@@ -784,9 +799,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
             title=f"Sharded run (x{args.shards}) on {args.dataset} "
                   f"datasets",
             as_json=args.json)
-    engine = (_build_engine(args)
-              if args.workers > 1 or args.batch_size > 1
-              or args.coalesce else None)
+    engine = _run_engine(args, request)
     result = execute_run(request, registry=_registry(args),
                          engine=engine)
     if engine is not None:
@@ -943,9 +956,15 @@ def _cmd_runs_resume(args: argparse.Namespace) -> str:
         return _run_result_report(
             result, title=f"Resumed sharded run {args.run_id}",
             as_json=args.json)
-    engine = (_build_engine(args)
-              if args.workers > 1 or args.batch_size > 1
-              or args.coalesce else None)
+    request = registry.request(args.run_id)
+    if args.workers > 1 or args.batch_size > 1 or args.coalesce:
+        # Shape flags override the stored engine shape; everything
+        # else (trail included) comes from the stored request.
+        request = replace(request, workers=max(1, args.workers),
+                          retries=max(0, args.retries),
+                          batch_size=max(1, args.batch_size),
+                          coalesce=args.coalesce)
+    engine = _run_engine(args, request)
     result = resume_run(args.run_id, registry=registry,
                         engine=engine)
     if engine is not None:

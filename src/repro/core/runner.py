@@ -201,30 +201,43 @@ class EvaluationRunner:
         return [(indexed[i][0], record)
                 for i, record in enumerate(records)]
 
-    def _evaluate_cell(self, model: ChatModel,
-                       questions: tuple[Question, ...],
-                       setting: PromptSetting, label: str,
-                       done: Mapping[int, QuestionRecord] | None = None
-                       ) -> PoolResult:
-        """One ledgered cell: skip ``done`` indices, merge, seal."""
+    def _slice(self, model: ChatModel,
+               questions: tuple[Question, ...],
+               setting: PromptSetting, label: str, indices,
+               done: Mapping[int, QuestionRecord] | None = None,
+               **span_attrs) -> dict[int, QuestionRecord]:
+        """Open the cell, ask ``indices`` minus ``done``, and return
+        every record by index (the cell stays unsealed)."""
         done = dict(done or {})
         cell = None
         if self.ledger is not None:
             cell = self.cell_id(model, label, setting)
             self.ledger.cell_started(cell, len(questions))
-        indexed = [(index, question)
-                   for index, question in enumerate(questions)
-                   if index not in done]
+        indexed = [(index, questions[index])
+                   for index in sorted(indices) if index not in done]
         with self.tracer.span("cell", model=model.name, label=label,
-                              setting=setting.value, n=len(indexed)):
+                              setting=setting.value, n=len(indexed),
+                              **span_attrs):
             for index, record in self._ask_indexed(
                     model, indexed, setting,
                     pool_questions=questions, cell=cell):
                 done[index] = record
+        return done
+
+    def _evaluate_cell(self, model: ChatModel,
+                       questions: tuple[Question, ...],
+                       setting: PromptSetting, label: str,
+                       done: Mapping[int, QuestionRecord] | None = None
+                       ) -> PoolResult:
+        """One ledgered cell: a slice over every index, then the
+        seal."""
+        done = self._slice(model, questions, setting, label,
+                           range(len(questions)), done)
         records = [done[index] for index in range(len(questions))]
         metrics = metrics_from_records(records)
         if self.ledger is not None:
-            self.ledger.cell_finished(cell, metrics)
+            self.ledger.cell_finished(
+                self.cell_id(model, label, setting), metrics)
         return PoolResult(
             pool_label=label,
             model=model.name,
@@ -269,22 +282,8 @@ class EvaluationRunner:
         holds records a previous shard attempt already persisted;
         only the holes are re-asked.
         """
-        done = dict(done or {})
-        cell = None
-        if self.ledger is not None:
-            cell = self.cell_id(model, pool.label, setting)
-            self.ledger.cell_started(cell, len(pool.questions))
-        indexed = [(index, pool.questions[index])
-                   for index in sorted(indices)
-                   if index not in done]
-        with self.tracer.span("cell", model=model.name,
-                              label=pool.label, setting=setting.value,
-                              n=len(indexed), sliced=True):
-            for index, record in self._ask_indexed(
-                    model, indexed, setting,
-                    pool_questions=pool.questions, cell=cell):
-                done[index] = record
-        return done
+        return self._slice(model, pool.questions, setting, pool.label,
+                           indices, done, sliced=True)
 
     def evaluate_questions(self, model: ChatModel,
                            questions: tuple[Question, ...],

@@ -29,20 +29,16 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.results import QuestionRecord
-from repro.core.runner import EvaluationRunner
 from repro.engine.cache import ResponseCache
-from repro.engine.config import EngineConfig, RetryPolicy
-from repro.engine.scheduler import EvaluationEngine
-from repro.engine.telemetry import EngineStats, Telemetry
+from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
-from repro.obs.export import JsonlSpanSink
 from repro.obs.tracer import NullTracer, Tracer
 from repro.runs.driver import (ModelResolver, _pool_for,
-                               _resolve_tracer, build_request_pools)
-from repro.runs.heartbeat import HeartbeatWriter
+                               build_request_pools)
 from repro.runs.ledger import CellState, RunLedger, replay_ledger
+from repro.runs.session import RunSession, engine_for
 from repro.obs.jsonl import iter_jsonl
 from repro.dist.planner import ShardPlan, load_shard_plan
 from repro.runs.registry import RunRegistry
@@ -136,28 +132,6 @@ class ShardResult:
                           if self.stats is not None else None)}
 
 
-def _shard_engine(request, cache: ResponseCache | None
-                  ) -> EvaluationEngine | None:
-    """The worker's engine: same policy as ``_build_engine``, plus an
-    explicit cache instance when the run is cache-backed (each shard's
-    cache is its own object persisted to its own file — no shared
-    mutable state crosses a process boundary)."""
-    if (request.workers <= 1 and cache is None
-            and request.batch_size <= 1 and not request.coalesce):
-        return None
-    # cache=True regardless of a warm seed: the driver's engine has an
-    # in-memory cache layer by default, and a shard's middleware stack
-    # must mirror it so the same request leaves the same provenance
-    # trail sharded or inline.
-    config = EngineConfig(
-        max_workers=max(1, request.workers),
-        retry=RetryPolicy(retries=max(0, request.retries)),
-        batch_size=request.batch_size,
-        coalesce=request.coalesce,
-        trail=request.trail)
-    return EvaluationEngine(config, cache=cache)
-
-
 def run_shard(run_id: str, shard: int,
               registry: RunRegistry | None = None,
               resolve_model: ModelResolver | None = None,
@@ -198,64 +172,36 @@ def run_shard(run_id: str, shard: int,
     pools = build_request_pools(request)
     cache = (ResponseCache.load(warm_cache)
              if warm_cache is not None else None)
-    engine = _shard_engine(request, cache)
-    tracer = _resolve_tracer(tracer, trace)
-    if (engine is not None and tracer.enabled
-            and not engine.tracer.enabled):
-        engine.tracer = tracer
-    telemetry = Telemetry() if engine is None else None
-    sink = None
-    if tracer.enabled and tracer.sink is None:
-        sink = JsonlSpanSink(registry.shard_spans_path(run_id, shard))
-        tracer.sink = sink
-
+    attempt = state.attempts + 1
     evaluated = 0
     replayed = 0
-    heartbeat = HeartbeatWriter(
-        registry.shard_heartbeat_path(run_id, shard))
-    try:
-        with ShardLedger(ledger_path, durability=durability) as ledger:
-            ledger.shard_started(run_id, shard,
-                                 attempt=state.attempts + 1)
-            runner = EvaluationRunner(variant=request.variant,
-                                      keep_records=False,
-                                      engine=engine, ledger=ledger,
-                                      tracer=tracer,
-                                      telemetry=telemetry,
-                                      trail=request.trail)
-            started = time.perf_counter()
-            with tracer.span("shard", run_id=run_id, shard=shard,
-                             tasks=len(tasks),
-                             attempt=state.attempts + 1):
-                for task in tasks:
-                    pool = _pool_for(task.cell, pools)
-                    if len(pool) != task.n:
-                        raise RunError(
-                            f"shard plan sized cell "
-                            f"{task.cell.cell_id} at {task.n} "
-                            f"questions but the request now builds "
-                            f"{len(pool)} — the plan predates a "
-                            f"generator change")
-                    done = state.done_for(task.cell.cell_id,
-                                          task.indices)
-                    replayed += len(done)
-                    evaluated += task.size - len(done)
-                    runner.evaluate_slice(
-                        resolve(task.cell.model), pool,
-                        PromptSetting(task.cell.setting),
-                        task.indices, done=done)
-            if telemetry is not None:
-                telemetry.record_run(time.perf_counter() - started, 1)
-            stats = (engine.stats() if engine is not None
-                     else telemetry.snapshot())
-            ledger.shard_finished(shard, stats.to_dict())
-        if cache is not None:
-            cache.save(registry.shard_cache_path(run_id, shard))
-    finally:
-        heartbeat.close()
-        if sink is not None:
-            tracer.sink = None
-            sink.close()
+    with RunSession(request, registry.shard_dir(run_id, shard),
+                    engine=engine_for(request, cache), tracer=tracer,
+                    trace=trace, durability=durability,
+                    keep_records=False,
+                    ledger_type=ShardLedger) as session:
+        session.ledger.shard_started(run_id, shard, attempt=attempt)
+        with session.span("shard", run_id=run_id, shard=shard,
+                          tasks=len(tasks), attempt=attempt):
+            for task in tasks:
+                pool = _pool_for(task.cell, pools)
+                if len(pool) != task.n:
+                    raise RunError(
+                        f"shard plan sized cell {task.cell.cell_id} "
+                        f"at {task.n} questions but the request now "
+                        f"builds {len(pool)} — the plan predates a "
+                        f"generator change")
+                done = state.done_for(task.cell.cell_id, task.indices)
+                replayed += len(done)
+                evaluated += task.size - len(done)
+                session.runner.evaluate_slice(
+                    resolve(task.cell.model), pool,
+                    PromptSetting(task.cell.setting), task.indices,
+                    done=done)
+        stats = session.stats()
+        session.ledger.shard_finished(shard, stats.to_dict())
+    if cache is not None:
+        cache.save(registry.shard_cache_path(run_id, shard))
     return ShardResult(run_id=run_id, shard=shard,
                        evaluated=evaluated, replayed=replayed,
                        stats=stats)

@@ -18,6 +18,9 @@ between the experiment drivers and the evaluation runner:
   bit-identically (only missing question indices are re-asked), or
   rebuild every :class:`repro.core.results.PoolResult` from disk with
   zero model calls;
+* :class:`RunSession` / :func:`engine_for` — the one per-attempt setup
+  (engine, tracer + span sink, heartbeat, ledger, runner) that
+  execute, resume and shard workers share;
 * :func:`diff_runs` — per-cell metric deltas and per-question answer
   flips between any two runs.
 
@@ -47,6 +50,7 @@ from repro.runs.registry import (HISTORY_FILENAME, MANIFEST_FILENAME,
                                  default_runs_root)
 from repro.runs.request import LEDGER_SCHEMA_VERSION, RunRequest
 from repro.runs.resume import resume_run
+from repro.runs.session import RunSession, engine_for
 
 __all__ = [
     "CellDiff",
@@ -64,6 +68,7 @@ __all__ = [
     "RunRegistry",
     "RunRequest",
     "RunResult",
+    "RunSession",
     "RunState",
     "RunSummary",
     "RUNS_ENV",
@@ -72,6 +77,7 @@ __all__ = [
     "create_run",
     "default_runs_root",
     "diff_runs",
+    "engine_for",
     "execute_run",
     "load_run",
     "pid_alive",

@@ -14,30 +14,26 @@ finished sweep free to re-report and cheap to diff.
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.results import PoolResult
-from repro.core.runner import EvaluationRunner
-from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
-from repro.engine.telemetry import EngineStats, Telemetry
+from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.llm.base import ChatModel
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
 from repro.core.metrics import Metrics
 from repro.obs.cost import BudgetGuard, BudgetStop
-from repro.obs.export import JsonlSpanSink
 from repro.obs.history import append_entry, entry_from_result
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NullTracer, Tracer
 from repro.questions.model import DatasetKind, level_label
 from repro.questions.pools import QuestionPool, build_pools
-from repro.runs.heartbeat import HeartbeatWriter
-from repro.runs.ledger import RunLedger
+from repro.runs.ledger import CellState, RunState
 from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
+from repro.runs.session import RunSession
 
 #: ``level N-M`` / ``level N-root`` scope suffix of per-level pools.
 _LEVEL_SCOPE = re.compile(r"^level (\d+)-")
@@ -164,48 +160,13 @@ def _pool_for(cell: CellKey, pools: dict[str, object]) -> QuestionPool:
     return taxonomy_pools.level_pool(cell.level, kind)
 
 
-def _build_engine(request: RunRequest) -> EvaluationEngine | None:
-    """Engine matching the request's shape (``None`` = sequential).
-
-    Batching or coalescing forces an engine even at one worker — both
-    live in the engine's middleware stack, and the batched path needs
-    the engine's widened fan-out pool to fill batches.
-    """
-    if (request.workers <= 1 and request.batch_size <= 1
-            and not request.coalesce):
-        return None
-    config = EngineConfig(
-        max_workers=request.workers,
-        retry=RetryPolicy(retries=max(0, request.retries)),
-        batch_size=request.batch_size,
-        coalesce=request.coalesce,
-        trail=request.trail)
-    return EvaluationEngine(config)
-
-
-def _spent_since(engine: EvaluationEngine | None,
-                 telemetry: Telemetry | None,
-                 base: EngineStats | None) -> EngineStats:
-    """Live stats net of ``base`` (a reused engine keeps counting
-    across runs; the budget guard must see only *this* run's spend)."""
-    live = (engine.stats() if engine is not None
-            else telemetry.snapshot())
-    if base is None:
-        return live
-    return replace(
-        live,
-        prompt_tokens=live.prompt_tokens - base.prompt_tokens,
-        completion_tokens=(live.completion_tokens
-                           - base.completion_tokens),
-        cost_nanos=live.cost_nanos - base.cost_nanos)
-
-
-def _resolve_tracer(tracer: "Tracer | NullTracer | None",
-                    trace: bool) -> "Tracer | NullTracer":
-    """Explicit tracer wins; else a fresh one (or the no-op)."""
-    if tracer is not None:
-        return tracer
-    return Tracer() if trace else NULL_TRACER
+def _sealed_result(cell: CellKey, cell_state: CellState,
+                   keep_records: bool) -> PoolResult:
+    """A sealed cell decoded from the ledger (zero model calls)."""
+    records = cell_state.ordered_records()
+    return PoolResult(pool_label=cell.pool_label, model=cell.model,
+                      setting=cell.setting, metrics=cell_state.metrics,
+                      records=records if keep_records else ())
 
 
 # ----------------------------------------------------------------------
@@ -243,84 +204,103 @@ def execute_run(request: RunRequest,
     spans elsewhere (its own sink is then left untouched).
     """
     registry = registry if registry is not None else RunRegistry()
-    resolve = resolve_model if resolve_model is not None else get_model
     pools = build_request_pools(request)
     cells = plan_cells(request, pools)
     if run_id is None:
         run_id = registry.create(request, cells=len(cells))
-    if engine is None:
-        engine = _build_engine(request)
-    tracer = _resolve_tracer(tracer, trace)
-    if (engine is not None and tracer.enabled
-            and not engine.tracer.enabled):
-        engine.tracer = tracer
-    telemetry = Telemetry() if engine is None else None
-    sink = None
-    if tracer.enabled and tracer.sink is None:
-        sink = JsonlSpanSink(registry.spans_path(run_id))
-        tracer.sink = sink
-    guard = BudgetGuard(max_cost_usd=request.max_cost_usd,
-                        max_tokens=request.max_tokens)
+    session = RunSession(request, registry.run_dir(run_id),
+                         engine=engine, tracer=tracer, trace=trace,
+                         durability=durability,
+                         keep_records=keep_records)
+    return run_attempt(session, registry, run_id, pools, cells,
+                       RunState(), resolve_model, resumed=False)
+
+
+def run_attempt(session: RunSession, registry: RunRegistry,
+                run_id: str, pools: dict[str, object],
+                cells: list[CellKey], state: RunState,
+                resolve_model: ModelResolver | None,
+                resumed: bool) -> RunResult:
+    """Drive the cell plan over ``state`` inside ``session`` (entered
+    and closed here).
+
+    Sealed cells decode straight from ``state``, a partially recorded
+    cell re-enters at exactly its missing question indices, and every
+    other cell runs in full — over an empty state that is a fresh
+    run.  A fresh attempt enforces the request's spend ceilings at
+    cell boundaries; a resumed one deliberately does not, so the
+    finished run is bit-identical to an unbudgeted one.
+    """
+    request = session.request
+    resolve = resolve_model if resolve_model is not None else get_model
+    attempt = state.attempts + 1
+    guard = (BudgetGuard() if resumed else
+             BudgetGuard(max_cost_usd=request.max_cost_usd,
+                         max_tokens=request.max_tokens))
     budget_stop: BudgetStop | None = None
     results: dict[CellKey, PoolResult] = {}
     evaluated = 0
-    heartbeat = HeartbeatWriter(registry.heartbeat_path(run_id))
-    try:
-        with RunLedger(registry.ledger_path(run_id),
-                       durability=durability) as ledger:
-            ledger.run_started(run_id)
-            runner = EvaluationRunner(variant=request.variant,
-                                      keep_records=keep_records,
-                                      engine=engine, ledger=ledger,
-                                      tracer=tracer,
-                                      telemetry=telemetry,
-                                      trail=request.trail)
-            started = time.perf_counter()
-            base = engine.stats() if engine is not None else None
-            with tracer.span("run", run_id=run_id,
-                             dataset=request.dataset,
-                             workers=request.workers):
-                for cell in cells:
-                    if guard.enabled:
-                        budget_stop = guard.stop_reason(
-                            _spent_since(engine, telemetry, base),
-                            completed_cells=len(results))
-                        if budget_stop is not None:
-                            break
-                    pool = _pool_for(cell, pools)
-                    results[cell] = runner.evaluate(
-                        resolve(cell.model), pool,
-                        PromptSetting(cell.setting))
-                    evaluated += len(pool)
-            if telemetry is not None:
-                telemetry.record_run(
-                    time.perf_counter() - started, 1)
-            stats = (engine.stats() if engine is not None
-                     else telemetry.snapshot())
-            if budget_stop is not None:
-                # Not run-finished: the run stays resumable, and the
-                # completed cells' records are already sealed — resume
-                # finishes the rest bit-identically to an unbudgeted
-                # run.
-                ledger.budget_exhausted(budget_stop.to_dict(),
-                                        stats.to_dict())
-            else:
-                ledger.run_finished(len(cells), stats.to_dict())
-        if budget_stop is None:
-            # Partial runs never enter the history: their aggregate
-            # metrics would skew every regression baseline.
-            append_entry(entry_from_result(
-                run_id, request.dataset,
-                {key.cell_id: result.metrics
-                 for key, result in results.items()},
-                stats=stats), registry)
-    finally:
-        heartbeat.close()
-        if sink is not None:
-            tracer.sink = None
-            sink.close()
+    replayed = 0
+    resumed_cells: list[str] = []
+    span_attrs = {"resumed": True, "attempt": attempt} if resumed else {}
+    with session:
+        session.ledger.run_started(run_id, resumed=resumed,
+                                   attempt=attempt)
+        with session.span("run", run_id=run_id,
+                          dataset=request.dataset,
+                          workers=request.workers, **span_attrs):
+            for cell in cells:
+                if guard.enabled:
+                    budget_stop = guard.stop_reason(
+                        session.spent(), completed_cells=len(results))
+                    if budget_stop is not None:
+                        break
+                pool = _pool_for(cell, pools)
+                cell_state = state.cells.get(cell.cell_id)
+                if cell_state is not None and cell_state.complete:
+                    if cell_state.expected_n != len(pool):
+                        raise RunError(
+                            f"cell {cell.cell_id} recorded "
+                            f"{cell_state.expected_n} questions but "
+                            f"the request now plans {len(pool)} — the "
+                            f"run predates a generator change and "
+                            f"cannot be resumed")
+                    replayed += cell_state.expected_n
+                    results[cell] = _sealed_result(
+                        cell, cell_state, session.keep_records)
+                    continue
+                done = ({} if cell_state is None else
+                        {index: record
+                         for index, record in cell_state.records.items()
+                         if 0 <= index < len(pool)})
+                if done:
+                    resumed_cells.append(cell.cell_id)
+                replayed += len(done)
+                evaluated += len(pool) - len(done)
+                results[cell] = session.runner.complete_cell(
+                    resolve(cell.model), pool,
+                    PromptSetting(cell.setting), done)
+        stats = session.stats()
+        if budget_stop is not None:
+            # Not run-finished: the run stays resumable, and the
+            # completed cells' records are already sealed — resume
+            # finishes the rest bit-identically to an unbudgeted run.
+            session.ledger.budget_exhausted(budget_stop.to_dict(),
+                                            stats.to_dict())
+        else:
+            session.ledger.run_finished(len(cells), stats.to_dict())
+    if budget_stop is None:
+        # Partial runs never enter the history: their aggregate
+        # metrics would skew every regression baseline.
+        append_entry(entry_from_result(
+            run_id, request.dataset,
+            {key.cell_id: result.metrics
+             for key, result in results.items()},
+            stats=stats, attempts=attempt), registry)
     return RunResult(run_id=run_id, request=request, cells=results,
                      stats=stats, evaluated=evaluated,
+                     replayed=replayed,
+                     resumed_cells=tuple(resumed_cells),
                      budget=(None if budget_stop is None
                              else budget_stop.to_dict()))
 
@@ -349,15 +329,8 @@ def load_run(run_id: str,
         key = CellKey.parse(cell_id)
         if key is None:         # ad-hoc label outside the sweep space
             continue
-        records = cell_state.ordered_records()
-        replayed += len(records)
-        cells[key] = PoolResult(
-            pool_label=key.pool_label,
-            model=key.model,
-            setting=key.setting,
-            metrics=cell_state.metrics,
-            records=records if keep_records else (),
-        )
+        replayed += cell_state.expected_n
+        cells[key] = _sealed_result(key, cell_state, keep_records)
     stats = (EngineStats.from_dict(state.stats)
              if state.stats else None)
     return RunResult(run_id=run_id, request=request, cells=cells,

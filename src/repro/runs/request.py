@@ -17,7 +17,7 @@ silently diffing incomparable sweeps against each other.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import RunError
 from repro.llm.prompting import PromptSetting
@@ -153,13 +153,3 @@ class RunRequest:
         except (KeyError, TypeError) as exc:
             raise RunError(
                 f"malformed run-request payload: {exc}") from exc
-
-    def with_engine(self, workers: int, retries: int,
-                    batch_size: int | None = None,
-                    coalesce: bool | None = None) -> "RunRequest":
-        """The same sweep under a different engine shape (resume)."""
-        return replace(
-            self, workers=workers, retries=retries,
-            batch_size=(self.batch_size if batch_size is None
-                        else batch_size),
-            coalesce=self.coalesce if coalesce is None else coalesce)

@@ -16,30 +16,20 @@ of the request, the merged records — part decoded, part freshly asked
 — are bit-identical to an uninterrupted run's, at any worker count.
 The resumed attempt appends to the *same* ledger (a ``run-started``
 event with an incremented attempt count marks the seam), so the file
-remains the complete, append-only history of the run.
+remains the complete, append-only history of the run.  The cell loop
+is :func:`repro.runs.driver.run_attempt`, the one ``execute_run`` runs
+over an empty state.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.core.results import PoolResult
-from repro.core.runner import EvaluationRunner
 from repro.engine.scheduler import EvaluationEngine
-from repro.engine.telemetry import Telemetry
-from repro.errors import RunError
-from repro.llm.prompting import PromptSetting
-from repro.llm.registry import get_model
-from repro.obs.export import JsonlSpanSink
-from repro.obs.history import append_entry, entry_from_result
 from repro.obs.tracer import NullTracer, Tracer
-from repro.runs.driver import (CellKey, ModelResolver, RunResult,
-                               _build_engine, _pool_for,
-                               _resolve_tracer, build_request_pools,
-                               plan_cells)
-from repro.runs.heartbeat import HeartbeatWriter
-from repro.runs.ledger import RunLedger
+from repro.runs.driver import (ModelResolver, RunResult,
+                               build_request_pools, plan_cells,
+                               run_attempt)
 from repro.runs.registry import RunRegistry
+from repro.runs.session import RunSession
 
 
 def resume_run(run_id: str,
@@ -63,100 +53,13 @@ def resume_run(run_id: str,
     as its ledger events append to the existing ledger.
     """
     registry = registry if registry is not None else RunRegistry()
-    resolve = resolve_model if resolve_model is not None else get_model
     request = registry.request(run_id)
     state = registry.state(run_id)
     pools = build_request_pools(request)
-    cells = plan_cells(request, pools)
-    if engine is None:
-        engine = _build_engine(request)
-    tracer = _resolve_tracer(tracer, trace)
-    if (engine is not None and tracer.enabled
-            and not engine.tracer.enabled):
-        engine.tracer = tracer
-    telemetry = Telemetry() if engine is None else None
-    sink = None
-    if tracer.enabled and tracer.sink is None:
-        sink = JsonlSpanSink(registry.spans_path(run_id))
-        tracer.sink = sink
-
-    results: dict[CellKey, PoolResult] = {}
-    evaluated = 0
-    replayed = 0
-    resumed_cells: list[str] = []
-    heartbeat = HeartbeatWriter(registry.heartbeat_path(run_id))
-    try:
-        with RunLedger(registry.ledger_path(run_id),
-                       durability=durability) as ledger:
-            ledger.run_started(run_id, resumed=True,
-                               attempt=state.attempts + 1)
-            runner = EvaluationRunner(variant=request.variant,
-                                      keep_records=keep_records,
-                                      engine=engine, ledger=ledger,
-                                      tracer=tracer,
-                                      telemetry=telemetry,
-                                      trail=request.trail)
-            started = time.perf_counter()
-            with tracer.span("run", run_id=run_id,
-                             dataset=request.dataset,
-                             workers=request.workers, resumed=True,
-                             attempt=state.attempts + 1):
-                for cell in cells:
-                    pool = _pool_for(cell, pools)
-                    cell_state = state.cells.get(cell.cell_id)
-                    setting = PromptSetting(cell.setting)
-                    if cell_state is not None and cell_state.complete:
-                        if cell_state.expected_n != len(pool):
-                            raise RunError(
-                                f"cell {cell.cell_id} recorded "
-                                f"{cell_state.expected_n} questions "
-                                f"but the request now plans "
-                                f"{len(pool)} — the run predates a "
-                                f"generator change and cannot be "
-                                f"resumed")
-                        records = cell_state.ordered_records()
-                        replayed += len(records)
-                        results[cell] = PoolResult(
-                            pool_label=cell.pool_label,
-                            model=cell.model,
-                            setting=cell.setting,
-                            metrics=cell_state.metrics,
-                            records=records if keep_records else (),
-                        )
-                        continue
-                    model = resolve(cell.model)
-                    if cell_state is not None and cell_state.records:
-                        done = {
-                            index: record
-                            for index, record
-                            in cell_state.records.items()
-                            if 0 <= index < len(pool)}
-                        resumed_cells.append(cell.cell_id)
-                        replayed += len(done)
-                        evaluated += len(pool) - len(done)
-                        results[cell] = runner.complete_cell(
-                            model, pool, setting, done)
-                    else:
-                        evaluated += len(pool)
-                        results[cell] = runner.evaluate(model, pool,
-                                                        setting)
-            if telemetry is not None:
-                telemetry.record_run(
-                    time.perf_counter() - started, 1)
-            stats = (engine.stats() if engine is not None
-                     else telemetry.snapshot())
-            ledger.run_finished(len(cells), stats.to_dict())
-        append_entry(entry_from_result(
-            run_id, request.dataset,
-            {key.cell_id: result.metrics
-             for key, result in results.items()},
-            stats=stats, attempts=state.attempts + 1), registry)
-    finally:
-        heartbeat.close()
-        if sink is not None:
-            tracer.sink = None
-            sink.close()
-    return RunResult(run_id=run_id, request=request, cells=results,
-                     stats=stats, evaluated=evaluated,
-                     replayed=replayed,
-                     resumed_cells=tuple(resumed_cells))
+    session = RunSession(request, registry.run_dir(run_id),
+                         engine=engine, tracer=tracer, trace=trace,
+                         durability=durability,
+                         keep_records=keep_records)
+    return run_attempt(session, registry, run_id, pools,
+                       plan_cells(request, pools), state,
+                       resolve_model, resumed=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -254,7 +255,7 @@ class TestExecuteAndLoad:
         base = RunRequest(**SMALL)
         assert base.fingerprint() == RunRequest(**SMALL).fingerprint()
         assert base.fingerprint() != \
-            base.with_engine(workers=8, retries=1).fingerprint()
+            replace(base, workers=8, retries=1).fingerprint()
 
 
 # ----------------------------------------------------------------------
