@@ -119,7 +119,8 @@ def _parser() -> argparse.ArgumentParser:
 
     build = commands.add_parser(
         "build-datasets", help="build (or warm-load) every question "
-                               "pool through the artifact store")
+                               "pool, and the simulated models' ten "
+                               "taxonomies, through the artifact store")
     _add_scope(build, models=False)
     build.add_argument("--seed", default="",
                        help="sampling seed (default: paper pools)")
@@ -584,7 +585,7 @@ def _cmd_build_datasets(args: argparse.Namespace) -> str:
     import time
 
     from repro.store import ArtifactStore, build_all_datasets, \
-        default_store
+        build_taxonomy_artifacts, default_store
 
     store = (ArtifactStore(args.store) if args.store
              else default_store() or ArtifactStore())
@@ -594,22 +595,35 @@ def _cmd_build_datasets(args: argparse.Namespace) -> str:
     built = build_all_datasets(keys, sample_size=args.sample,
                                seed=args.seed, jobs=args.jobs,
                                store=store, force=args.force)
+    # The simulated models' oracle probes every registry taxonomy,
+    # whatever the scope of the pools.
+    taxonomies = build_taxonomy_artifacts(store, jobs=args.jobs,
+                                          force=args.force)
     elapsed = time.perf_counter() - started
     for key, pools in built.items():
-        path = store.path_for(key, args.sample, args.seed)
-        total = sum(row["easy"] + row["mcq"]
-                    for row in pools.statistics()[:-1])
-        rows.append({
-            "taxonomy": key,
-            "questions": total,
-            "artifact": path.name,
-            "kb": path.stat().st_size // 1024 if path.exists() else 0,
-        })
+        rows.append(_artifact_row(
+            key, "pools", sum(row["easy"] + row["mcq"]
+                              for row in pools.statistics()[:-1]),
+            store.path_for(key, args.sample, args.seed)))
+    for key, payload in taxonomies.items():
+        column = payload["taxonomy"]
+        rows.append(_artifact_row(
+            key, "taxonomy",
+            len(column["ids"]) + len(column.get("titles", ())),
+            store.taxonomy_path(key)))
     stats = store.stats
-    footer = (f"\n{len(built)} taxonomies in {elapsed:.2f}s "
-              f"(loads={stats.hits}, builds={stats.builds}, "
+    footer = (f"\n{len(built)} pool and {len(taxonomies)} taxonomy "
+              f"artifacts in {elapsed:.2f}s (loads={stats.hits}, "
+              f"builds={stats.builds}, "
+              f"save_failures={stats.save_failures}, "
               f"store={store.root})")
     return format_rows(rows, title="Dataset artifacts") + footer
+
+
+def _artifact_row(key: str, kind: str, entries: int, path) -> dict:
+    return {"taxonomy": key, "artifact": kind, "entries": entries,
+            "file": path.name,
+            "kb": path.stat().st_size // 1024 if path.exists() else 0}
 
 
 def _cmd_table(args: argparse.Namespace) -> str:

@@ -19,6 +19,11 @@ from repro.taxonomy.taxonomy import Taxonomy
 
 _MODEL_LETTERS = "ABCDEFGHJKLMNPQRSTUVWX"
 
+#: Taxonomies whose deepest-level categories hold product instances
+#: (Amazon Browsenodes, Google Shopping), and how many each holds.
+PRODUCT_KEYS: tuple[str, ...] = ("amazon", "google")
+PRODUCTS_PER_CATEGORY = 3
+
 
 def _brand(rng: random.Random) -> str:
     return WordForge(rng).proper(2, 2)
@@ -55,3 +60,16 @@ def products_for_node(taxonomy: Taxonomy, node_id: str, count: int,
                       seed: str = "") -> list[str]:
     """Product titles for the category node ``node_id``."""
     return product_names(taxonomy.node(node_id).name, count, seed=seed)
+
+
+def product_titles(taxonomy_key: str,
+                   taxonomy: Taxonomy) -> list[tuple[str, str]]:
+    """``(title, category node id)`` for every product instance of a
+    shopping taxonomy: :data:`PRODUCTS_PER_CATEGORY` titles under each
+    deepest-level category, in level order.  Other keys have none."""
+    if taxonomy_key not in PRODUCT_KEYS:
+        return []
+    return [(title, node.node_id)
+            for node in taxonomy.nodes_at_level(taxonomy.num_levels - 1)
+            for title in products_for_node(taxonomy, node.node_id,
+                                           PRODUCTS_PER_CATEGORY)]

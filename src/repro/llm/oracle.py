@@ -8,20 +8,26 @@ about, the question kind (positive / easy negative / hard negative),
 the level being probed, and the ground truth — everything the
 calibrated answering policy conditions on.
 
-Product instances (Amazon / Google instance typing) resolve through a
-lazily built product-title index, since those names are instances
-rather than taxonomy nodes.
+The registry taxonomies are read from the artifact store
+(:meth:`repro.store.ArtifactStore.get_or_build_taxonomy`) one key at a
+time, as a prompt first probes them.  The name index and the
+product-title index (Amazon / Google instance typing: those names are
+instances rather than taxonomy nodes) come straight from the artifact's
+columns; the :class:`Taxonomy` node graph is decoded only for a
+taxonomy that a prompt's names occur in.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.data.paper_figures import LEVEL_SHAPES
-from repro.generators.products import products_for_node
-from repro.generators.registry import TAXONOMY_KEYS, build_taxonomy
+from repro.generators.registry import TAXONOMY_KEYS
 from repro.llm.prompt_parsing import ParsedPrompt
 from repro.questions.model import QuestionKind, QuestionType
+from repro.store.artifacts import build_taxonomy_artifact, default_store
+from repro.store.codec import decode_taxonomy, taxonomy_columns
 from repro.taxonomy.node import Domain, TaxonomyNode
 from repro.taxonomy.taxonomy import Taxonomy
 
@@ -36,9 +42,6 @@ _DOMAIN_KEYS: dict[Domain, tuple[str, ...]] = {
     Domain.LANGUAGE: ("glottolog",),
     Domain.MEDICAL: ("oae",),
 }
-
-_PRODUCT_KEYS = ("amazon", "google")
-_PRODUCTS_PER_CATEGORY = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,13 +65,23 @@ class Resolution:
 
 
 class TaxonomyOracle:
-    """Resolves concept names against a set of taxonomies."""
+    """Resolves concept names against a set of taxonomies.
+
+    Without explicit ``taxonomies`` the oracle covers the registry and
+    loads each key at most once, even when engine worker threads share
+    it: loads and decodes run under one lock, and lookups of an
+    already-loaded key take no lock.
+    """
 
     def __init__(self, taxonomies: dict[str, Taxonomy] | None = None):
         self._taxonomies: dict[str, Taxonomy] = dict(taxonomies or {})
         self._lazy = taxonomies is None
-        self._name_index: dict[str, dict[str, str]] = {}
-        self._instance_index: dict[str, dict[str, str]] = {}
+        #: key -> (name -> node id, product title -> anchor node id).
+        self._indexes: dict[str, tuple[dict[str, str],
+                                       dict[str, str]]] = {}
+        #: Taxonomy columns of loaded but not yet decoded keys.
+        self._columns: dict[str, dict] = {}
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -79,32 +92,51 @@ class TaxonomyOracle:
         return tuple(self._taxonomies)
 
     def taxonomy(self, key: str) -> Taxonomy:
-        if key not in self._taxonomies:
+        """The node graph of ``key``, decoded from its columns on first
+        use (after which the columns are dropped)."""
+        taxonomy = self._taxonomies.get(key)
+        if taxonomy is None:
             if not self._lazy:
                 raise KeyError(key)
-            self._taxonomies[key] = build_taxonomy(key)
-        return self._taxonomies[key]
+            with self._lock:
+                taxonomy = self._taxonomies.get(key)
+                if taxonomy is None:
+                    self._index(key)
+                    taxonomy = decode_taxonomy(self._columns.pop(key))
+                    self._taxonomies[key] = taxonomy
+        return taxonomy
+
+    def _index(self, key: str) -> tuple[dict[str, str], dict[str, str]]:
+        indexes = self._indexes.get(key)
+        if indexes is None:
+            with self._lock:
+                indexes = self._indexes.get(key)
+                if indexes is None:
+                    indexes = self._indexes[key] = self._load(key)
+        return indexes
+
+    def _load(self, key: str) -> tuple[dict[str, str], dict[str, str]]:
+        """Name and product-title indexes of ``key``, from its columns."""
+        if self._lazy:
+            store = default_store()
+            payload = (build_taxonomy_artifact(key) if store is None
+                       else store.get_or_build_taxonomy(key))
+            columns = payload["taxonomy"]
+        else:
+            columns = taxonomy_columns(self.taxonomy(key), key)
+        ids = columns["ids"]
+        titles = {title: ids[row] for title, row in
+                  zip(columns.pop("titles", ()), columns.pop("anchors", ()))}
+        if key not in self._taxonomies:
+            self._columns[key] = columns
+        return dict(zip(columns["names"], ids)), titles
 
     def _names(self, key: str) -> dict[str, str]:
-        if key not in self._name_index:
-            self._name_index[key] = {
-                node.name: node.node_id for node in self.taxonomy(key)}
-        return self._name_index[key]
+        return self._index(key)[0]
 
     def _instances(self, key: str) -> dict[str, str]:
         """Product-title -> anchor-node-id index (shopping only)."""
-        if key not in self._instance_index:
-            index: dict[str, str] = {}
-            if key in _PRODUCT_KEYS:
-                taxonomy = self.taxonomy(key)
-                deepest = taxonomy.num_levels - 1
-                for node in taxonomy.nodes_at_level(deepest):
-                    for title in products_for_node(
-                            taxonomy, node.node_id,
-                            _PRODUCTS_PER_CATEGORY):
-                        index[title] = node.node_id
-            self._instance_index[key] = index
-        return self._instance_index[key]
+        return self._index(key)[1]
 
     def _candidate_keys(self, hint: Domain | None) -> tuple[str, ...]:
         if hint is None:
@@ -253,11 +285,14 @@ class TaxonomyOracle:
 
 
 _default_oracle: TaxonomyOracle | None = None
+_default_lock = threading.Lock()
 
 
 def default_oracle() -> TaxonomyOracle:
     """Process-wide oracle over the default synthetic taxonomies."""
     global _default_oracle
     if _default_oracle is None:
-        _default_oracle = TaxonomyOracle()
+        with _default_lock:
+            if _default_oracle is None:
+                _default_oracle = TaxonomyOracle()
     return _default_oracle

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import QuestionGenerationError
-from repro.generators.products import products_for_node
+from repro.generators.products import PRODUCT_KEYS, product_titles
 from repro.generators.registry import build_taxonomy
 from repro.questions.model import (DatasetKind, Question, QuestionKind,
                                    QuestionType)
@@ -40,10 +40,6 @@ from repro.taxonomy.taxonomy import Taxonomy
 #: Taxonomies with instance typing experiments (paper Figure 6).
 INSTANCE_TYPING_KEYS: tuple[str, ...] = (
     "amazon", "google", "glottolog", "icd10cm", "oae", "ncbi")
-
-#: Keys whose instances are synthetic products under leaf categories.
-_PRODUCT_KEYS = ("amazon", "google")
-_PRODUCTS_PER_CATEGORY = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,14 +79,10 @@ def collect_instances(taxonomy_key: str, taxonomy: Taxonomy,
                       rng: random.Random) -> list[Instance]:
     """Materialize the instance population for a taxonomy."""
     deepest = taxonomy.num_levels - 1
-    if taxonomy_key in _PRODUCT_KEYS:
-        instances = []
-        for node in taxonomy.nodes_at_level(deepest):
-            for title in products_for_node(taxonomy, node.node_id,
-                                           _PRODUCTS_PER_CATEGORY):
-                instances.append(Instance(title, node.node_id,
-                                          node.level))
-        return instances
+    if taxonomy_key in PRODUCT_KEYS:
+        return [Instance(title, anchor_id, deepest)
+                for title, anchor_id in product_titles(taxonomy_key,
+                                                       taxonomy)]
     # Leaf-entity taxonomies: the deepest level *is* the instance set,
     # typed against ancestors starting at the parent level.
     return [Instance(node.name, node.node_id, node.level)
@@ -145,7 +137,7 @@ def build_instance_typing_pools(
         anchor = taxonomy.node(instance.anchor_id)
         # Targets: the anchor itself for product instances (products sit
         # *under* the category), else the ancestor chain only.
-        targets = ([anchor] if taxonomy_key in _PRODUCT_KEYS else [])
+        targets = ([anchor] if taxonomy_key in PRODUCT_KEYS else [])
         targets += taxonomy.ancestors(instance.anchor_id)
         for truth in targets:
             slot = by_level.setdefault(truth.level, {

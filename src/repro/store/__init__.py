@@ -8,11 +8,15 @@ once and serves them from disk afterwards:
   taxonomies + question pools (compact columnar JSON); warm loads do
   zero generation work and stale artifacts self-invalidate because the
   cache key fingerprints the spec, the request, the schema version and
-  the generator source code.
+  the generator source code.  It also holds one taxonomy artifact per
+  registry taxonomy, which the simulated models' oracle reads
+  (:meth:`ArtifactStore.get_or_build_taxonomy`).
 * :func:`build_all_datasets` — fans cold builds out across processes
-  with results bit-identical to a sequential build.
-* :func:`spec_fingerprint` / :func:`code_fingerprint` — the cache-key
-  material.
+  with results bit-identical to a sequential build;
+  :func:`build_taxonomy_artifacts` does the same for the taxonomy
+  artifacts.
+* :func:`spec_fingerprint` / :func:`taxonomy_fingerprint` /
+  :func:`code_fingerprint` — the cache-key material.
 
 ``repro.questions.pools.build_pools`` routes through the default store
 automatically; set ``REPRO_STORE_DIR`` to relocate it or to ``off`` to
@@ -20,12 +24,14 @@ disable caching.
 """
 
 from repro.store.artifacts import (STORE_ENV, ArtifactStore, StoreStats,
-                                   default_store)
+                                   build_taxonomy_artifact, default_store)
 from repro.store.codec import (ArtifactDecodeError, decode_pools,
-                               encode_pools)
+                               decode_taxonomy, encode_pools)
 from repro.store.fingerprint import (SCHEMA_VERSION, code_fingerprint,
-                                     spec_fingerprint)
-from repro.store.parallel import build_all_datasets
+                                     spec_fingerprint,
+                                     taxonomy_fingerprint)
+from repro.store.parallel import (build_all_datasets,
+                                  build_taxonomy_artifacts)
 
 __all__ = [
     "ArtifactStore",
@@ -34,9 +40,13 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_ENV",
     "build_all_datasets",
+    "build_taxonomy_artifact",
+    "build_taxonomy_artifacts",
     "code_fingerprint",
     "decode_pools",
+    "decode_taxonomy",
     "default_store",
     "encode_pools",
     "spec_fingerprint",
+    "taxonomy_fingerprint",
 ]

@@ -1,17 +1,23 @@
 """Content-addressed on-disk store for built datasets.
 
-Layout: ``<root>/<taxonomy_key>/<fingerprint>.json`` where the
-fingerprint covers the taxonomy spec, the build request
-(sample_size/seed), the artifact schema version and the generator code
-fingerprint (:mod:`repro.store.fingerprint`).  A spec edit, seed
-change, schema bump or generator code change therefore lands on a new
-path and the stale artifact is simply never read again — invalidation
-is automatic, no manifest to maintain.
+Layout: ``<root>/<taxonomy_key>/<fingerprint>.json`` holds question
+pools, where the fingerprint covers the taxonomy spec, the build
+request (sample_size/seed), the artifact schema version and the
+generator code fingerprint (:mod:`repro.store.fingerprint`).  A spec
+edit, seed change, schema bump or generator code change therefore lands
+on a new path and the stale artifact is simply never read again —
+invalidation is automatic, no manifest to maintain.  Beside the pools,
+``<root>/<taxonomy_key>/taxonomy-<fingerprint>.json`` holds the
+taxonomy alone (plus product titles), keyed without sample or seed;
+the simulated models' oracle reads it.
 
 Corrupted or truncated artifacts are treated as misses: the store
 rebuilds and rewrites them instead of crashing.  Writes go through a
 temp file + ``os.replace`` so concurrent builders (the parallel driver,
-multiple test processes) never observe half-written JSON.
+multiple test processes) never observe half-written JSON.  A write
+that fails (read-only store, full disk) is logged and counted, and the
+built value is still returned: the store is a cache, never a reason
+for a caller to fail.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.generators.registry import get_spec
-from repro.store.codec import ArtifactDecodeError, decode_pools, encode_pools
-from repro.store.fingerprint import spec_fingerprint
+from repro.generators.registry import build_taxonomy, get_spec
+from repro.store.codec import (ArtifactDecodeError,
+                               check_taxonomy_artifact, decode_pools,
+                               encode_pools, encode_taxonomy_artifact)
+from repro.store.fingerprint import spec_fingerprint, taxonomy_fingerprint
 
 _log = logging.getLogger("repro.store.artifacts")
 
@@ -44,10 +52,12 @@ class StoreStats:
     misses: int = 0
     builds: int = 0
     invalid: int = 0          # artifacts present but unreadable/stale
+    save_failures: int = 0    # built values the store could not write
 
     def as_row(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "builds": self.builds, "invalid": self.invalid}
+                "builds": self.builds, "invalid": self.invalid,
+                "save_failures": self.save_failures}
 
 
 class ArtifactStore:
@@ -74,13 +84,16 @@ class ArtifactStore:
     def load(self, taxonomy_key: str, sample_size: int | None = None,
              seed: str = ""):
         """Decoded pools on a warm hit, else ``None`` (miss/corrupt)."""
-        path = self.path_for(taxonomy_key, sample_size, seed)
+        return self._read(self.path_for(taxonomy_key, sample_size, seed),
+                          decode_pools)
+
+    def _read(self, path: Path, decode):
+        """``decode(payload)`` of the artifact at ``path``, or ``None``."""
         if not path.exists():
             self.stats.misses += 1
             return None
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            pools = decode_pools(payload)
+            value = decode(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, ValueError, ArtifactDecodeError) as exc:
             # Corrupted / truncated / stale-schema artifact: drop it and
             # report a miss so the caller rebuilds.
@@ -94,24 +107,13 @@ class ArtifactStore:
                 pass
             return None
         self.stats.hits += 1
-        return pools
+        return value
 
     def save_payload(self, payload: dict) -> Path:
-        """Atomically persist an encoded artifact payload."""
+        """Persist an encoded pools payload (see :meth:`_write`)."""
         path = self.root / payload["taxonomy_key"] / \
             f"{payload['fingerprint']}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self._write(path, payload)
         return path
 
     def save(self, pools, sample_size: int | None = None,
@@ -121,6 +123,29 @@ class ArtifactStore:
                                        seed)
         return self.save_payload(
             encode_pools(pools, fingerprint, sample_size, seed))
+
+    def _write(self, path: Path, payload: dict) -> None:
+        """Atomically write ``payload`` as JSON at ``path``.  A failed
+        write is logged and counted instead of raised: the caller
+        still holds the built value."""
+        tmp = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                json.dump(payload, stream, separators=(",", ":"))
+            os.replace(tmp, path)
+            tmp = None
+        except OSError as exc:
+            _log.warning("artifact-save-failed path=%s error=%s", path,
+                         type(exc).__name__)
+            self.stats.save_failures += 1
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------
     def get_or_build(self, taxonomy_key: str,
@@ -135,6 +160,44 @@ class ArtifactStore:
         self.stats.builds += 1
         self.save(pools, sample_size, seed)
         return pools
+
+    # ------------------------------------------------------------------
+    # Taxonomy artifacts
+    # ------------------------------------------------------------------
+    def taxonomy_path(self, taxonomy_key: str) -> Path:
+        spec = get_spec(taxonomy_key)
+        return (self.root / spec.key /
+                f"taxonomy-{taxonomy_fingerprint(spec)}.json")
+
+    def load_taxonomy(self, taxonomy_key: str) -> dict | None:
+        """A taxonomy artifact payload on a warm hit, else ``None``."""
+        return self._read(self.taxonomy_path(taxonomy_key),
+                          check_taxonomy_artifact)
+
+    def save_taxonomy(self, payload: dict) -> Path:
+        """Persist a :func:`build_taxonomy_artifact` payload."""
+        path = self.root / payload["taxonomy_key"] / \
+            f"taxonomy-{payload['fingerprint']}.json"
+        self._write(path, payload)
+        return path
+
+    def get_or_build_taxonomy(self, taxonomy_key: str) -> dict:
+        """One taxonomy's artifact payload: loaded warm, else built and
+        persisted."""
+        payload = self.load_taxonomy(taxonomy_key)
+        if payload is None:
+            payload = build_taxonomy_artifact(taxonomy_key)
+            self.stats.builds += 1
+            self.save_taxonomy(payload)
+        return payload
+
+
+def build_taxonomy_artifact(taxonomy_key: str) -> dict:
+    """Generate one registry taxonomy's artifact payload in memory:
+    its columns plus, for a shopping taxonomy, its product titles."""
+    spec = get_spec(taxonomy_key)
+    return encode_taxonomy_artifact(build_taxonomy(spec.key), spec.key,
+                                    taxonomy_fingerprint(spec))
 
 
 def _default_root() -> Path:

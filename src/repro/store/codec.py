@@ -9,11 +9,17 @@ list comprehensions.  Everything a :class:`Question` carries (uids,
 names, levels, MCQ options and answer positions) is reconstructed
 bit-for-bit from the columns — round-trip equality is enforced by the
 test suite and the dataset-build benchmark.
+
+A taxonomy artifact (:func:`encode_taxonomy_artifact`) carries the same
+three taxonomy columns on their own, plus — for taxonomies whose leaf
+categories hold product instances — the product titles and their
+anchor rows as two more parallel columns.
 """
 
 from __future__ import annotations
 
 from repro.errors import ReproError
+from repro.generators.products import product_titles
 from repro.questions.generation import LevelQuestions
 from repro.questions.model import (Question, QuestionKind, QuestionType)
 from repro.questions.pools import TaxonomyPools
@@ -30,16 +36,11 @@ class ArtifactDecodeError(ReproError):
 # Taxonomy columns
 # ----------------------------------------------------------------------
 def _encode_taxonomy(taxonomy: Taxonomy) -> dict:
-    ids: list[str] = []
-    names: list[str] = []
-    parents: list[int] = []
-    index: dict[str, int] = {}
-    for node in taxonomy:
-        index[node.node_id] = len(ids)
-        ids.append(node.node_id)
-        names.append(node.name)
-        parents.append(-1 if node.parent_id is None
-                       else index[node.parent_id])
+    ids = [node.node_id for node in taxonomy]
+    names = [node.name for node in taxonomy]
+    index = {node_id: row for row, node_id in enumerate(ids)}
+    parents = [-1 if node.parent_id is None else index[node.parent_id]
+               for node in taxonomy]
     return {
         "name": taxonomy.name,
         "domain": taxonomy.domain.value,
@@ -50,7 +51,8 @@ def _encode_taxonomy(taxonomy: Taxonomy) -> dict:
     }
 
 
-def _decode_taxonomy(payload: dict) -> Taxonomy:
+def decode_taxonomy(payload: dict) -> Taxonomy:
+    """The :class:`Taxonomy` a taxonomy column describes."""
     ids = payload["ids"]
     names = payload["names"]
     parents = payload["parents"]
@@ -58,14 +60,15 @@ def _decode_taxonomy(payload: dict) -> Taxonomy:
     rows: list[TaxonomyNode] = []
     # Builders append children after their parent, so one ordered pass
     # resolves parent ids, levels and children order simultaneously.
+    # Positional arguments and an explicit children list halve the
+    # node construction cost, which dominates an NCBI-scale decode.
     for node_id, name, parent_row in zip(ids, names, parents):
         if parent_row < 0:
-            node = TaxonomyNode(node_id=node_id, name=name, level=0)
+            node = TaxonomyNode(node_id, name, 0, None, [])
         else:
             parent = rows[parent_row]
-            node = TaxonomyNode(node_id=node_id, name=name,
-                                level=parent.level + 1,
-                                parent_id=parent.node_id)
+            node = TaxonomyNode(node_id, name, parent.level + 1,
+                                parent.node_id, [])
             parent.children_ids.append(node_id)
         rows.append(node)
         nodes[node_id] = node
@@ -259,9 +262,63 @@ def decode_pools(payload: dict) -> TaxonomyPools:
         # ``pools.taxonomy`` — question decoding never needs it.
         return TaxonomyPools(
             taxonomy_key,
-            lambda: _decode_taxonomy(taxonomy_column),
+            lambda: decode_taxonomy(taxonomy_column),
             per_level)
     except ArtifactDecodeError:
         raise
     except Exception as exc:
         raise ArtifactDecodeError(f"malformed artifact: {exc!r}") from exc
+
+
+# ----------------------------------------------------------------------
+# Taxonomy artifacts
+# ----------------------------------------------------------------------
+def taxonomy_columns(taxonomy: Taxonomy, taxonomy_key: str) -> dict:
+    """The taxonomy column, plus the product titles of a shopping
+    taxonomy (:func:`~repro.generators.products.product_titles`) as
+    ``titles`` with their ``anchors`` rows."""
+    column = _encode_taxonomy(taxonomy)
+    products = product_titles(taxonomy_key, taxonomy)
+    if products:
+        rows = {node_id: row for row, node_id in enumerate(column["ids"])}
+        column["titles"] = [title for title, _ in products]
+        column["anchors"] = [rows[anchor_id] for _, anchor_id in products]
+    return column
+
+
+def encode_taxonomy_artifact(taxonomy: Taxonomy, taxonomy_key: str,
+                             fingerprint: str) -> dict:
+    """Serialize one taxonomy's :func:`taxonomy_columns`."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "fingerprint": fingerprint,
+        "taxonomy_key": taxonomy_key,
+        "taxonomy": taxonomy_columns(taxonomy, taxonomy_key),
+    }
+
+
+def check_taxonomy_artifact(payload: dict) -> dict:
+    """``payload`` once it is known to be well-formed
+    :func:`encode_taxonomy_artifact` output.
+
+    Raises :class:`ArtifactDecodeError` on any malformed payload so the
+    store can fall back to regeneration.
+    """
+    try:
+        schema = payload["schema"]
+        column = payload["taxonomy"]
+        rows = len(column["ids"])
+        Domain(column["domain"])
+        consistent = (isinstance(column["name"], str)
+                      and isinstance(column["concept_noun"], str)
+                      and len(column["names"]) == rows
+                      and len(column["parents"]) == rows
+                      and len(column.get("titles", ()))
+                      == len(column.get("anchors", ())))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactDecodeError(f"malformed artifact: {exc!r}") from exc
+    if schema != SCHEMA_VERSION:
+        raise ArtifactDecodeError(f"schema {schema} != {SCHEMA_VERSION}")
+    if not consistent:
+        raise ArtifactDecodeError("taxonomy columns disagree")
+    return payload

@@ -53,12 +53,8 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def spec_fingerprint(spec: TaxonomySpec,
-                     sample_size: int | None,
-                     seed: str,
-                     schema_version: int = SCHEMA_VERSION,
-                     code: str | None = None) -> str:
-    """Content-address for one (spec, build request) artifact."""
+def _digest(spec: TaxonomySpec, schema_version: int, code: str | None,
+            *request: str) -> str:
     material = "|".join((
         f"schema={schema_version}",
         f"code={code if code is not None else code_fingerprint()}",
@@ -69,7 +65,26 @@ def spec_fingerprint(spec: TaxonomySpec,
         f"widths={','.join(map(str, spec.level_widths))}",
         f"genseed={spec.seed}",
         f"cap={DEFAULT_LEVEL_CAP}",
-        f"sample={'cochran' if sample_size is None else sample_size}",
-        f"seed={seed}",
+        *request,
     ))
     return hashlib.sha256(material.encode()).hexdigest()[:24]
+
+
+def spec_fingerprint(spec: TaxonomySpec,
+                     sample_size: int | None,
+                     seed: str,
+                     schema_version: int = SCHEMA_VERSION,
+                     code: str | None = None) -> str:
+    """Content-address for one (spec, build request) artifact."""
+    return _digest(
+        spec, schema_version, code,
+        f"sample={'cochran' if sample_size is None else sample_size}",
+        f"seed={seed}")
+
+
+def taxonomy_fingerprint(spec: TaxonomySpec,
+                         schema_version: int = SCHEMA_VERSION,
+                         code: str | None = None) -> str:
+    """Content-address for one taxonomy artifact (no sample or seed:
+    the taxonomy and its product titles do not depend on them)."""
+    return _digest(spec, schema_version, code)

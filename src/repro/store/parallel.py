@@ -22,6 +22,8 @@ question.
 Workers return *encoded payload chunks* rather than writing artifacts
 themselves, so a crashed worker can never leave a torn file, and the
 driver also works with persistence disabled (``store=False``).
+:func:`build_taxonomy_artifacts` fans the simulated models' taxonomy
+artifacts out the same way, one whole taxonomy per task.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from repro.generators.registry import (TAXONOMY_KEYS, build_taxonomy,
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.questions.generation import generate_level_questions
 from repro.questions.pools import TaxonomyPools, generate_pools
-from repro.store.artifacts import ArtifactStore, default_store
+from repro.store.artifacts import (ArtifactStore, build_taxonomy_artifact,
+                                   default_store)
 from repro.store.codec import (_encode_taxonomy, decode_pools,
                                encode_level, encode_pools,
                                taxonomy_index)
@@ -230,3 +233,41 @@ def build_all_datasets(keys: tuple[str, ...] | list[str] | None = None,
                     decode_pools(payload)
 
     return {key: results[key] for key in keys}
+
+
+def build_taxonomy_artifacts(store: ArtifactStore,
+                             jobs: int | None = None,
+                             force: bool = False) -> dict[str, dict]:
+    """Load (or build) the ten taxonomy artifacts in ``store``.
+
+    Only the missing (or, under ``force``, all) artifacts are
+    generated, across ``jobs`` processes as in
+    :func:`build_all_datasets`; returns ``{key: payload}`` (see
+    :func:`~repro.store.artifacts.build_taxonomy_artifact`) in registry
+    order.
+    """
+    payloads: dict[str, dict] = {}
+    if not force:
+        for key in TAXONOMY_KEYS:
+            payload = store.load_taxonomy(key)
+            if payload is not None:
+                payloads[key] = payload
+    # Costliest first, so the small taxonomies pack around the large.
+    missing = sorted((key for key in TAXONOMY_KEYS if key not in payloads),
+                     key=lambda key: get_spec(key).num_entities,
+                     reverse=True)
+    if missing:
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        jobs = max(1, min(jobs, len(missing)))
+        if jobs == 1:
+            built = [build_taxonomy_artifact(key) for key in missing]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as executor:
+                built = list(executor.map(build_taxonomy_artifact,
+                                          missing))
+        for payload in built:
+            store.stats.builds += 1
+            store.save_taxonomy(payload)
+            payloads[payload["taxonomy_key"]] = payload
+    return {key: payloads[key] for key in TAXONOMY_KEYS}

@@ -7,6 +7,7 @@ reduced sample sizes so the suite stays fast.
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
@@ -52,6 +53,17 @@ def _hermetic_runs(tmp_path_factory):
         os.environ.pop(RUNS_ENV, None)
     else:
         os.environ[RUNS_ENV] = previous
+
+
+@pytest.fixture()
+def propagating_logs():
+    """Let ``repro.*`` records reach caplog's root handler (the CLI's
+    ``configure_logging`` turns propagation off)."""
+    root = logging.getLogger("repro")
+    before = root.propagate
+    root.propagate = True
+    yield
+    root.propagate = before
 
 
 @pytest.fixture()

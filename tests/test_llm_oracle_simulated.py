@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 
 from repro.data.paper_tables import MODEL_ORDER
 from repro.errors import UnknownModelError
+from repro.generators.products import products_for_node
+from repro.generators.registry import (TAXONOMY_KEYS, build_taxonomy,
+                                       get_spec)
+from repro.llm import oracle as oracle_module
 from repro.llm.oracle import TaxonomyOracle, default_oracle
 from repro.llm.parsing import parse_answer
 from repro.llm.prompt_parsing import parse_prompt
 from repro.llm.prompting import PromptSetting, build_prompt
 from repro.llm.registry import (MODEL_NAMES, SERIES, all_models,
-                                get_model, get_profile)
+                                get_model, get_profile, make_model)
 from repro.llm.rng import stable_choice, stable_index, unit_float
+from repro.questions.instance_typing import build_instance_typing_pools
 from repro.questions.model import (DatasetKind, QuestionKind,
                                    QuestionType)
-from repro.questions.pools import default_pools
-from repro.questions.templates import render_question
+from repro.questions.pools import build_pools, default_pools
+from repro.questions.templates import render_question, true_false_prompt
+from repro.runs import RunRegistry, RunRequest, execute_run
+from repro.runs.driver import build_request_pools
+from repro.store import STORE_ENV, default_store
+from repro.taxonomy.io import taxonomy_from_dict, taxonomy_to_dict
 
 
 class TestHashRng:
@@ -129,6 +143,218 @@ class TestOracle:
         assert resolution is not None
         assert resolution.taxonomy_key == "toy"
         assert resolution.truth
+
+    def test_custom_oracle_accepts_children_listed_first(
+            self, toy_taxonomy):
+        # A loaded dump may list a child before its parent.
+        payload = taxonomy_to_dict(toy_taxonomy)
+        payload["nodes"].reverse()
+        oracle = TaxonomyOracle({"toy": taxonomy_from_dict(payload)})
+        resolution = oracle.resolve(parse_prompt(
+            "Are Headphones products a type of Audio products? "
+            "answer with (Yes/No/I don't know)"))
+        assert resolution is not None and resolution.truth
+
+
+def _build_calls() -> int:
+    info = build_taxonomy.cache_info()
+    return info.hits + info.misses
+
+
+def _pool_prompts(sample_size: int = 4) -> list[str]:
+    """Hard, easy and MCQ prompts of every taxonomy, plus Amazon and
+    Google instance-typing prompts."""
+    prompts = []
+    for key in TAXONOMY_KEYS:
+        pools = build_pools(key, sample_size=sample_size)
+        for kind in DatasetKind:
+            prompts += [render_question(question) for question
+                        in pools.total_pool(kind).questions]
+    for key in ("amazon", "google"):
+        typing = build_instance_typing_pools(key, sample_size=sample_size)
+        for kind in (DatasetKind.HARD, DatasetKind.EASY):
+            prompts += [render_question(question)
+                        for question in typing.total(kind)]
+    return prompts
+
+
+def _shared_name_prompts() -> list[str]:
+    """A positive prompt for every node whose name also occurs in
+    another taxonomy of its group: the shopping taxonomies share
+    thousands of names, and NCBI shares a few with Glottolog."""
+    prompts = []
+    for group in (("ebay", "amazon", "google"), ("ncbi", "glottolog")):
+        names = {key: {node.name for node in build_taxonomy(key)}
+                 for key in group}
+        for key in group:
+            others = set().union(*(names[other] for other in group
+                                   if other != key))
+            taxonomy = build_taxonomy(key)
+            prompts += [
+                true_false_prompt(taxonomy.domain, node.name,
+                                  taxonomy.parent(node.node_id).name)
+                for node in taxonomy
+                if node.parent_id is not None and node.name in others]
+    return prompts
+
+
+def _fill_store() -> None:
+    store = default_store()
+    for key in TAXONOMY_KEYS:
+        store.get_or_build_taxonomy(key)
+
+
+class TestStoreBackedOracle:
+    """The oracle reads taxonomy artifacts from the store and decodes
+    only the taxonomies a prompt's names occur in; every answer must
+    equal that of an oracle over the generated taxonomies."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        return TaxonomyOracle({key: build_taxonomy(key)
+                               for key in TAXONOMY_KEYS})
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        _fill_store()                   # on disk before the oracle reads
+        return TaxonomyOracle()
+
+    @pytest.mark.parametrize("prompts", [_pool_prompts,
+                                         _shared_name_prompts])
+    def test_parity_with_generated_taxonomies(self, generated, stored,
+                                              prompts):
+        parsed = [parse_prompt(prompt) for prompt in prompts()]
+        calls = _build_calls()
+        answers = [stored.resolve(prompt) for prompt in parsed]
+        assert _build_calls() == calls, "the store serves every key"
+        assert answers == [generated.resolve(prompt) for prompt in parsed]
+        assert len(parsed) > 500 and all(answers)
+
+    def test_indexes_equal_the_generated_ones(self, stored):
+        for key in ("ebay", "amazon", "google", "ncbi"):
+            taxonomy = build_taxonomy(key)
+            assert stored._names(key) == {
+                node.name: node.node_id for node in taxonomy}
+        amazon = build_taxonomy("amazon")
+        assert stored._instances("amazon") == {
+            title: node.node_id
+            for node in amazon.nodes_at_level(amazon.num_levels - 1)
+            for title in products_for_node(amazon, node.node_id, 3)}
+        assert stored._instances("ebay") == {}
+
+    def test_warm_w1_run_builds_nothing_and_decodes_four(
+            self, tmp_path, monkeypatch):
+        _fill_store()
+        request = RunRequest(models=("GPT-4", "LLMs4OL", "Llama-2-7B"),
+                             taxonomy_keys=("ebay", "ncbi", "google"),
+                             sample_size=3)
+        build_request_pools(request)
+        oracle = TaxonomyOracle()
+        decoded = []
+        decode = oracle_module.decode_taxonomy
+        monkeypatch.setattr(
+            oracle_module, "decode_taxonomy",
+            lambda column: decoded.append(get_spec(column["name"]).key)
+            or decode(column))
+        models = {name: make_model(name, oracle)
+                  for name in request.models}
+        calls = _build_calls()
+        result = execute_run(request, registry=RunRegistry(tmp_path),
+                             resolve_model=models.__getitem__)
+        assert result.evaluated > 0
+        assert _build_calls() == calls
+        assert sorted(decoded) == ["amazon", "ebay", "google", "ncbi"]
+
+    def test_store_off_answers_identically(self, stored, monkeypatch,
+                                           tmp_path):
+        prompts = _pool_prompts(sample_size=2)
+        on = make_model("GPT-4", stored)
+        expected = [on.generate(prompt) for prompt in prompts]
+        monkeypatch.setenv(STORE_ENV, "off")
+        off = make_model("GPT-4", TaxonomyOracle())
+        assert [off.generate(prompt) for prompt in prompts] == expected
+
+
+def _run_threads(target, count: int) -> None:
+    """Run ``count`` threads of ``target`` with frequent switches."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestOracleConcurrency:
+    def test_threads_load_and_decode_each_taxonomy_once(
+            self, monkeypatch):
+        loads: Counter = Counter()
+        decodes: Counter = Counter()
+        lock = threading.Lock()
+        load, decode = (TaxonomyOracle._load,
+                        oracle_module.decode_taxonomy)
+
+        def counting_load(oracle, key):
+            with lock:
+                loads[key] += 1
+            time.sleep(0.01)            # widen any race window
+            return load(oracle, key)
+
+        def counting_decode(column):
+            with lock:
+                decodes[column["name"]] += 1
+            time.sleep(0.01)
+            return decode(column)
+
+        monkeypatch.setattr(TaxonomyOracle, "_load", counting_load)
+        monkeypatch.setattr(oracle_module, "decode_taxonomy",
+                            counting_decode)
+        # NCBI prompts carry no domain hint, so one cold prompt probes
+        # every taxonomy.
+        question = default_pools("ncbi", sample_size=5).total_pool(
+            DatasetKind.HARD).questions[0]
+        parsed = parse_prompt(render_question(question))
+        oracle = TaxonomyOracle()
+        threads_n = 6
+        barrier = threading.Barrier(threads_n, timeout=60)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append(oracle.resolve(parsed))
+
+        _run_threads(worker, threads_n)
+        assert len(results) == threads_n and results[0] is not None
+        assert results.count(results[0]) == threads_n
+        assert loads == Counter(TAXONOMY_KEYS)
+        assert decodes and set(decodes.values()) == {1}
+
+    def test_default_oracle_is_created_once(self, monkeypatch):
+        created = []
+
+        class SlowOracle(TaxonomyOracle):
+            def __init__(self):
+                created.append(self)
+                time.sleep(0.05)
+                super().__init__()
+
+        monkeypatch.setattr(oracle_module, "_default_oracle", None)
+        monkeypatch.setattr(oracle_module, "TaxonomyOracle", SlowOracle)
+        barrier = threading.Barrier(4, timeout=60)
+        seen = []
+
+        def worker():
+            barrier.wait()
+            seen.append(default_oracle())
+
+        _run_threads(worker, 4)
+        assert len(created) == 1
+        assert all(oracle is created[0] for oracle in seen)
 
 
 class TestProfilesAndRegistry:

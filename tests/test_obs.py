@@ -50,16 +50,6 @@ class FakeClock:
         return self.now
 
 
-@pytest.fixture()
-def propagating_logs():
-    """Let ``repro.*`` records reach caplog's root handler."""
-    root = logging.getLogger("repro")
-    before = root.propagate
-    root.propagate = True
-    yield
-    root.propagate = before
-
-
 # ----------------------------------------------------------------------
 # Tracer
 # ----------------------------------------------------------------------

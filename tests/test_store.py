@@ -4,22 +4,34 @@ The store's contract is that a warm load is indistinguishable from
 regeneration: same question uids, same order, same MCQ options and
 answer indices.  These tests pin that contract for every build path
 (sequential, parallel workers, disk round-trip), plus the
-cache-invalidation rules and the corrupted-artifact recovery path.
+cache-invalidation rules, the corrupted-artifact recovery path, the
+taxonomy artifacts the oracle reads, and failed writes (which must
+never fail the caller).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import random
 
 import pytest
 
-from repro.generators.registry import get_spec
+from repro.cli import main
+from repro.generators.products import products_for_node
+from repro.generators.registry import (TAXONOMY_KEYS, build_taxonomy,
+                                       get_spec)
+from repro.llm.oracle import TaxonomyOracle
+from repro.llm.prompt_parsing import parse_prompt
 from repro.questions.generation import _sample_easy_negative
+from repro.questions.instance_typing import collect_instances
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools, generate_pools
-from repro.store import (ArtifactStore, build_all_datasets,
-                         decode_pools, encode_pools, spec_fingerprint)
+from repro.questions.templates import render_question
+from repro.store import (STORE_ENV, ArtifactStore, build_all_datasets,
+                         build_taxonomy_artifact, build_taxonomy_artifacts,
+                         decode_pools, decode_taxonomy, encode_pools,
+                         spec_fingerprint, taxonomy_fingerprint)
 from repro.store.codec import ArtifactDecodeError
 from repro.store.fingerprint import SCHEMA_VERSION, code_fingerprint
 
@@ -216,3 +228,163 @@ def test_easy_negative_needs_two_parent_level_nodes(toy_taxonomy):
     assert picked is not None
     assert picked.node_id != child.parent_id
     assert picked.level == 0
+
+
+# ----------------------------------------------------------------------
+# Taxonomy artifacts (read by the simulated models' oracle)
+# ----------------------------------------------------------------------
+def _build_calls() -> int:
+    info = build_taxonomy.cache_info()
+    return info.hits + info.misses
+
+
+def _graph(taxonomy) -> list[tuple]:
+    return [(node.node_id, node.name, node.level, node.parent_id)
+            for node in taxonomy]
+
+
+def test_taxonomy_artifact_layout_and_warm_round_trip(store):
+    built = store.get_or_build_taxonomy("ebay")
+    path = store.root / "ebay" / \
+        f"taxonomy-{taxonomy_fingerprint(get_spec('ebay'))}.json"
+    assert store.taxonomy_path("ebay") == path
+    assert path.exists() and store.stats.builds == 1
+
+    warm_store = ArtifactStore(store.root)
+    calls = _build_calls()
+    warm = warm_store.get_or_build_taxonomy("ebay")
+    assert _build_calls() == calls, "a warm load generates nothing"
+    assert (warm_store.stats.hits, warm_store.stats.builds) == (1, 0)
+    assert warm == built
+    assert _graph(decode_taxonomy(warm["taxonomy"])) == \
+        _graph(build_taxonomy("ebay"))
+
+
+def test_taxonomy_artifact_carries_product_titles(store):
+    # Three titles per deepest-level category, as instance typing uses.
+    column = store.get_or_build_taxonomy("google")["taxonomy"]
+    taxonomy = build_taxonomy("google")
+    deepest = taxonomy.nodes_at_level(taxonomy.num_levels - 1)
+    expected = [(title, node.node_id) for node in deepest
+                for title in products_for_node(taxonomy, node.node_id, 3)]
+    assert list(zip(column["titles"],
+                    [column["ids"][row] for row in column["anchors"]])) \
+        == expected
+    assert [(instance.name, instance.anchor_id) for instance in
+            collect_instances("google", taxonomy, random.Random(0))] \
+        == expected
+    assert "titles" not in store.get_or_build_taxonomy("ebay")["taxonomy"]
+
+
+def test_taxonomy_fingerprint_inputs():
+    spec = get_spec("amazon")
+    base = taxonomy_fingerprint(spec)
+    assert taxonomy_fingerprint(spec) == base
+    assert taxonomy_fingerprint(spec,
+                                schema_version=SCHEMA_VERSION + 1) != base
+    assert taxonomy_fingerprint(spec, code="0" * 16) != base
+    assert taxonomy_fingerprint(get_spec("google")) != base
+    # Pools and taxonomy artifacts never share an address.
+    assert base not in {spec_fingerprint(spec, None, ""),
+                        spec_fingerprint(spec, 3, "")}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "short-column",
+                                    "schema"])
+def test_corrupt_taxonomy_artifact_is_rebuilt_with_warning(
+        store, caplog, propagating_logs, damage):
+    built = store.get_or_build_taxonomy("geonames")
+    path = store.taxonomy_path("geonames")
+    if damage == "truncate":
+        path.write_text(path.read_text(encoding="utf-8")[:100],
+                        encoding="utf-8")
+    else:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "schema":
+            payload["schema"] = SCHEMA_VERSION + 1
+        else:
+            payload["taxonomy"]["names"].pop()
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="repro.store.artifacts"):
+        rebuilt = store.get_or_build_taxonomy("geonames")
+    assert "artifact-corrupt" in caplog.text
+    assert rebuilt == built
+    assert (store.stats.invalid, store.stats.builds) == (1, 2)
+    assert ArtifactStore(store.root).get_or_build_taxonomy("geonames") \
+        == built
+
+
+def test_parallel_taxonomy_artifacts_equal_sequential(store):
+    built = build_taxonomy_artifacts(store, jobs=2)
+    assert list(built) == list(TAXONOMY_KEYS)
+    assert built == {key: build_taxonomy_artifact(key)
+                     for key in TAXONOMY_KEYS}
+    assert store.stats.builds == len(TAXONOMY_KEYS)
+    warm_store = ArtifactStore(store.root)
+    assert build_taxonomy_artifacts(warm_store, jobs=2) == built
+    assert (warm_store.stats.hits, warm_store.stats.builds) == \
+        (len(TAXONOMY_KEYS), 0)
+
+
+# ----------------------------------------------------------------------
+# Failed writes: the store is a cache, never a reason to fail
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def blocked_root(tmp_path):
+    """A store root under a regular file: every write fails."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    return blocker / "store"
+
+
+def test_failed_pools_write_returns_the_built_pools(
+        blocked_root, monkeypatch, caplog, propagating_logs):
+    store = ArtifactStore(blocked_root)
+    with caplog.at_level(logging.WARNING, logger="repro.store.artifacts"):
+        built = store.get_or_build("ebay", sample_size=5)
+    _assert_pools_equal(generate_pools("ebay", sample_size=5), built)
+    assert "artifact-save-failed" in caplog.text
+    assert (store.stats.builds, store.stats.save_failures) == (1, 1)
+    # The default store under REPRO_STORE_DIR behaves the same.
+    monkeypatch.setenv(STORE_ENV, str(blocked_root))
+    _assert_pools_equal(built, build_pools("ebay", sample_size=5))
+
+
+def test_failed_taxonomy_write_returns_the_payload(
+        blocked_root, monkeypatch, caplog, propagating_logs):
+    store = ArtifactStore(blocked_root)
+    with caplog.at_level(logging.WARNING, logger="repro.store.artifacts"):
+        payload = store.get_or_build_taxonomy("ebay")
+    assert "artifact-save-failed" in caplog.text
+    assert store.stats.save_failures == 1
+    assert payload["taxonomy"]["ids"] == \
+        [node.node_id for node in build_taxonomy("ebay")]
+    # ...so a simulated model on such a store still answers.
+    monkeypatch.setenv(STORE_ENV, str(blocked_root))
+    question = generate_pools("ebay", sample_size=5).total_pool(
+        DatasetKind.HARD).questions[0]
+    resolution = TaxonomyOracle().resolve(
+        parse_prompt(render_question(question)))
+    assert resolution is not None and resolution.taxonomy_key == "ebay"
+
+
+# ----------------------------------------------------------------------
+# CLI
+# ----------------------------------------------------------------------
+def test_build_datasets_also_builds_the_taxonomy_artifacts(tmp_path,
+                                                           capsys):
+    argv = ["build-datasets", "--store", str(tmp_path / "store"),
+            "--taxonomies", "ebay", "--sample", "5", "--jobs", "1"]
+
+    def run(*extra: str) -> str:
+        assert main(argv + list(extra)) == 0
+        return capsys.readouterr().out
+
+    cold = run()
+    assert "1 pool and 10 taxonomy artifacts" in cold
+    assert "loads=0, builds=11," in cold
+    for key in TAXONOMY_KEYS:
+        assert ArtifactStore(tmp_path / "store").taxonomy_path(
+            key).name in cold
+    assert "loads=11, builds=0," in run()
+    assert "loads=0, builds=11," in run("--force")
