@@ -9,6 +9,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== serve tests in dev mode (a leaked socket or file fails) =="
+python -X dev -m pytest -q tests/test_serve.py \
+    -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning
+
 echo "== benchmark harness tests =="
 python3 -m pytest perfbench -q
 

@@ -11,6 +11,11 @@ the identical request.
 
 ``REPRO_RUNS_DIR`` relocates the default root (the tests point it at
 a per-session scratch directory).
+
+Replayed ledgers are kept in a :class:`StateCache` and reused while
+the ledger file is unchanged, so repeated reads of one run (``repro
+serve`` answering ``runs show``/``diff``/``obs trails`` for many
+clients) replay it once per version instead of once per read.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +52,12 @@ SHARD_PLAN_FILENAME = "shards.json"
 
 #: Directory of per-shard state inside a sharded run directory.
 SHARDS_DIRNAME = "shards"
+
+#: Ledger bytes a :class:`StateCache` may hold.  A replayed state
+#: takes about twice its ledger's bytes in memory; two W1 trail-on
+#: ledgers (6.4 MB each) fit together, so diffing them replays
+#: neither.
+STATE_CACHE_BYTES = 16 * 1024 * 1024
 
 
 def default_runs_root() -> Path:
@@ -124,12 +137,82 @@ class RunSummary:
         }
 
 
-class RunRegistry:
-    """Create, enumerate and load ledgered runs under one root."""
+class StateCache:
+    """Replayed ledgers, reused while the ledger file is unchanged.
 
-    def __init__(self, root: str | Path | None = None):
+    Entries are keyed by ledger path and remember the file's
+    ``(st_dev, st_ino, st_size, st_mtime_ns)`` at replay time; a read
+    reuses an entry only when a fresh ``os.stat`` matches.  Every
+    writer in the repository changes that key: ledger appends grow
+    the size, merge's ``os.replace`` swaps the inode, gc deletes the
+    file.  The stat is taken *before* the replay opens the file, so a
+    write racing the read costs one extra replay later, never a stale
+    hit.  The one change it cannot see is an in-place rewrite to the
+    same size within one mtime tick, which no writer here does.
+
+    The cache is an LRU bounded by :data:`STATE_CACHE_BYTES` of ledger
+    bytes; a ledger larger than the whole budget is replayed but not
+    kept.  The lock covers lookup, insert and evict, never a replay,
+    so a cold replay of one run does not block cached reads of
+    another; two threads that miss together may both replay, and the
+    later insert wins.  Errors propagate and are never cached.
+
+    A returned :class:`RunState` is shared by every caller that reads
+    the same ledger version: treat it as read-only.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: path -> ((st_dev, st_ino, st_size, st_mtime_ns), state),
+        #: least recently used first.
+        self._entries: OrderedDict[
+            Path, tuple[tuple[int, int, int, int], RunState]] = \
+            OrderedDict()
+        #: Ledger bytes behind the cached states.
+        self.bytes = 0
+
+    def replay(self, path: Path) -> RunState:
+        """The ledger at ``path`` folded into a :class:`RunState`.
+
+        Raises ``FileNotFoundError`` for a missing ledger and
+        :class:`repro.errors.LedgerCorruptError` for a corrupt one.
+        """
+        stat = os.stat(path)
+        version = (stat.st_dev, stat.st_ino, stat.st_size,
+                   stat.st_mtime_ns)
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is not None and entry[0] == version:
+                self._entries.move_to_end(path)
+                return entry[1]
+        state = replay_ledger(path)
+        with self._lock:
+            stale = self._entries.pop(path, None)
+            if stale is not None:
+                self.bytes -= stale[0][2]
+            if stat.st_size <= STATE_CACHE_BYTES:
+                self._entries[path] = (version, state)
+                self.bytes += stat.st_size
+            while self.bytes > STATE_CACHE_BYTES:
+                _, (evicted, _) = self._entries.popitem(last=False)
+                self.bytes -= evicted[2]
+        return state
+
+
+class RunRegistry:
+    """Create, enumerate and load ledgered runs under one root.
+
+    ``state_cache`` lets several registries share one
+    :class:`StateCache` (the server shares one across tenants); a
+    registry built without one keeps its own.
+    """
+
+    def __init__(self, root: str | Path | None = None,
+                 state_cache: StateCache | None = None):
         self.root = (Path(root) if root is not None
                      else default_runs_root())
+        self.state_cache = (state_cache if state_cache is not None
+                            else StateCache())
 
     # ------------------------------------------------------------------
     def run_dir(self, run_id: str) -> Path:
@@ -263,12 +346,16 @@ class RunRegistry:
         return RunRequest.from_dict(self.manifest(run_id)["request"])
 
     def state(self, run_id: str) -> RunState:
-        """Replay the run's ledger (empty state if never started)."""
+        """The run's replayed ledger (empty state if never started).
+
+        Served from :attr:`state_cache` while the ledger file is
+        unchanged, so the state may be shared with other callers and
+        must not be mutated.
+        """
         if not self.manifest_path(run_id).exists():
             raise UnknownRunError(run_id, str(self.root))
-        path = self.ledger_path(run_id)
         try:
-            return replay_ledger(path)
+            return self.state_cache.replay(self.ledger_path(run_id))
         except FileNotFoundError:
             # Never started, or the run vanished mid-read (gc race);
             # either way the ledger says nothing about the run.

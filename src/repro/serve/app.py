@@ -54,7 +54,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import ReproError, RunError, UnknownRunError
+from repro.errors import (LedgerCorruptError, ReproError, RunError,
+                          UnknownRunError)
 from repro.serve.hub import FollowerHub
 from repro.serve.jobs import JobManager
 from repro.serve.views import (run_diff_payload, run_result_payload,
@@ -73,6 +74,12 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Default request-body ceiling (a RunRequest is < 1 KiB).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds a connection may sit in one socket read or write before
+#: the server drops it, so an idle or stalled client cannot hold a
+#: handler thread forever.  SSE streams write a ping at least every
+#: 10 s, well inside it.
+CONNECTION_TIMEOUT_S = 30.0
 
 
 class _HTTPError(Exception):
@@ -103,6 +110,11 @@ class _ReproHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    timeout = CONNECTION_TIMEOUT_S
+    # A response goes out as two writes (headers, then body); with
+    # Nagle on, the body waits for the client's delayed ACK of the
+    # headers (~40 ms) on every keep-alive request.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
@@ -180,9 +192,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(exc.status, exc.code, exc.message)
         except UnknownRunError as exc:
             self._send_error_json(404, "unknown-run", str(exc))
+        except LedgerCorruptError as exc:
+            # The run's own files are damaged: not the client's fault.
+            self._send_error_json(500, "corrupt-ledger", str(exc))
         except ReproError as exc:
             self._send_error_json(400, "bad-request", str(exc))
-        except (BrokenPipeError, ConnectionResetError):
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
             self.close_connection = True
         except Exception as exc:  # pragma: no cover - last resort
             _log.exception("unhandled error serving %s %s",
@@ -331,7 +346,7 @@ class _Handler(BaseHTTPRequestHandler):
                         break
                 if kind == "done":
                     break
-        except (BrokenPipeError, ConnectionResetError):
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
             pass
         finally:
             subscription.close()
@@ -353,9 +368,12 @@ class ReproServer:
                  idle_grace_s: float = 5.0,
                  job_workers: int = 2,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES):
-        from repro.runs.registry import default_runs_root
+        from repro.runs.registry import StateCache, default_runs_root
         self.root = (Path(root) if root is not None
                      else default_runs_root())
+        #: Replayed ledgers shared by every tenant's registry, so a
+        #: run is replayed once per ledger version, not per request.
+        self.state_cache = StateCache()
         self.hub = FollowerHub(interval_s=poll_interval_s,
                                idle_grace_s=idle_grace_s)
         self.jobs = JobManager(max_workers=job_workers)
@@ -410,9 +428,9 @@ class ReproServer:
     # -- tenancy -------------------------------------------------------
     def registry_for(self, tenant: str):
         from repro.runs.registry import RunRegistry
-        if tenant == DEFAULT_TENANT:
-            return RunRegistry(self.root)
-        return RunRegistry(self.root / "tenants" / tenant)
+        root = (self.root if tenant == DEFAULT_TENANT
+                else self.root / "tenants" / tenant)
+        return RunRegistry(root, state_cache=self.state_cache)
 
     # -- payload builders ---------------------------------------------
     def index_payload(self) -> tuple[int, dict]:

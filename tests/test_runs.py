@@ -22,8 +22,8 @@ from repro.experiments.overall import (overall_from_run, run_overall)
 from repro.llm.registry import get_model
 from repro.questions.model import Answer, DatasetKind
 from repro.runs import (CellKey, RunLedger, RunRegistry, RunRequest,
-                        create_run, diff_runs, execute_run, load_run,
-                        replay_ledger, resume_run)
+                        RunState, create_run, diff_runs, execute_run,
+                        load_run, replay_ledger, resume_run)
 from repro.cli import main
 
 SMALL = dict(models=("GPT-4", "LLMs4OL"),
@@ -584,3 +584,179 @@ class TestRegistryRaceConsistency:
             stop.set()
             writer.join(timeout=30)
         assert not errors
+
+
+# ----------------------------------------------------------------------
+# Registry state cache: one replay per ledger version, never stale
+# ----------------------------------------------------------------------
+class TestStateCache:
+    TINY = dict(models=("GPT-4",), taxonomy_keys=("ebay",),
+                sample_size=6)
+
+    @pytest.fixture()
+    def replays(self, monkeypatch) -> list:
+        """Paths the registry replays (the real fold still runs)."""
+        paths = []
+
+        def counting(path):
+            paths.append(path)
+            return replay_ledger(path)
+
+        monkeypatch.setattr("repro.runs.registry.replay_ledger",
+                            counting)
+        return paths
+
+    @staticmethod
+    def _fresh(registry, run_id):
+        return replay_ledger(registry.ledger_path(run_id))
+
+    def test_unchanged_ledger_replays_once(self, registry, replays):
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        first = registry.state(run_id)
+        assert registry.state(run_id) is first
+        assert len(replays) == 1
+        # A second registry over the same cache shares the entry.
+        shared = RunRegistry(registry.root,
+                             state_cache=registry.state_cache)
+        assert shared.state(run_id) is first
+        assert len(replays) == 1
+
+    def test_append_is_seen(self, registry):
+        run_id = execute_run(RunRequest(**SMALL, max_tokens=1),
+                             registry=registry).run_id
+        stopped = registry.state(run_id)
+        assert stopped.budget is not None and stopped.attempts == 1
+        resume_run(run_id, registry=registry)
+        state = registry.state(run_id)
+        assert state == self._fresh(registry, run_id)
+        assert state.attempts == 2 and state.finished
+        assert stopped.attempts == 1      # the old version is intact
+
+    def test_replace_is_seen(self, registry):
+        from repro.dist import execute_run_sharded, merge_run
+        from repro.dist.worker import ShardLedger
+        run_id = execute_run_sharded(RunRequest(**self.TINY), shards=2,
+                                     registry=registry,
+                                     procs=0).run_id
+        assert registry.state(run_id).attempts == 1
+        # A second shard attempt makes the re-merge write attempt 2.
+        with ShardLedger(registry.shard_ledger_path(run_id, 0)) as ledger:
+            ledger.shard_started(run_id, 0, attempt=2)
+            ledger.shard_finished(0)
+        merge_run(run_id, registry=registry, force=True)
+        state = registry.state(run_id)
+        assert state == self._fresh(registry, run_id)
+        assert state.attempts == 2
+
+    def test_delete_is_seen(self, registry):
+        import shutil
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        assert registry.state(run_id).finished
+        registry.ledger_path(run_id).unlink()
+        assert registry.state(run_id) == RunState(run_id=run_id)
+        # The manifest check comes first: a swept run is unknown even
+        # while its last state is still cached.
+        shutil.rmtree(registry.run_dir(run_id))
+        with pytest.raises(UnknownRunError):
+            registry.state(run_id)
+
+    def test_torn_tail_is_seen(self, registry):
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        assert registry.state(run_id).finished
+        path = registry.ledger_path(run_id)
+        path.write_bytes(path.read_bytes()[:-17])
+        state = registry.state(run_id)
+        assert state == self._fresh(registry, run_id)
+        assert not state.finished
+
+    def test_corruption_raises_on_every_read(self, registry, replays):
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        registry.state(run_id)
+        path = registry.ledger_path(run_id)
+        path.write_bytes(b"{garbage\n" + path.read_bytes())
+        for attempt in (1, 2):
+            with pytest.raises(LedgerCorruptError):
+                registry.state(run_id)
+            assert len(replays) == 1 + attempt     # never cached
+
+    def test_lru_eviction_by_ledger_bytes(self, registry, replays,
+                                          monkeypatch):
+        runs = [execute_run(RunRequest(**self.TINY),
+                            registry=registry).run_id
+                for _ in range(3)]
+        a, b, c = (registry.ledger_path(run_id) for run_id in runs)
+        sizes = [path.stat().st_size for path in (a, b, c)]
+        budget = 2 * max(sizes)          # any two fit, three do not
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            budget)
+        cache = registry.state_cache
+        for run_id in runs:
+            registry.state(run_id)
+            assert cache.bytes <= budget
+        assert replays == [a, b, c]      # a, the oldest, went first
+        registry.state(runs[2])
+        registry.state(runs[1])
+        assert replays == [a, b, c]
+        registry.state(runs[0])          # evicts c, now least recent
+        registry.state(runs[1])
+        registry.state(runs[2])
+        assert replays == [a, b, c, a, c]
+        assert cache.bytes <= budget
+
+    def test_over_budget_ledger_is_not_kept(self, registry, replays,
+                                            monkeypatch):
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        size = registry.ledger_path(run_id).stat().st_size
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            size - 1)
+        first = registry.state(run_id)
+        assert registry.state(run_id) == first
+        assert len(replays) == 2
+        assert registry.state_cache.bytes == 0
+
+    def test_readers_racing_an_appender_converge(self, registry):
+        import sys
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        stop = threading.Event()
+        finals: list[RunState] = []
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                seen = 0
+                while not stop.is_set():
+                    events = registry.state(run_id).events
+                    # The file only grows, so no reader may go back.
+                    assert events >= seen
+                    seen = events
+                finals.append(registry.state(run_id))
+            except BaseException as exc:
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
+                thread.start()
+            with RunLedger(registry.ledger_path(run_id)) as ledger:
+                for attempt in range(2, 102):
+                    ledger.run_started(run_id, resumed=True,
+                                       attempt=attempt)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors
+        fresh = self._fresh(registry, run_id)
+        assert fresh.attempts == 101
+        assert len(finals) == 8
+        assert all(state == fresh for state in finals)

@@ -11,7 +11,9 @@ every shape produce structured JSON errors instead of stack traces.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -20,7 +22,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.runs import RunRequest, execute_run, load_run
+from repro.runs import RunRequest, execute_run, load_run, replay_ledger
 from repro.serve import (DEFAULT_TENANT, TENANT_HEADER, ReproServer,
                          run_result_payload)
 
@@ -438,6 +440,40 @@ class TestFlowControl:
 
 
 # ----------------------------------------------------------------------
+# Served reads replay each ledger once per version
+# ----------------------------------------------------------------------
+class TestStateCache:
+    def test_repeat_reads_replay_nothing(self, server, monkeypatch):
+        registry = server.registry_for(DEFAULT_TENANT)
+        first, second = (
+            execute_run(RunRequest(**SMALL, trail=True),
+                        registry=registry).run_id
+            for _ in range(2))
+        replays = []
+
+        def counting(path):
+            replays.append(path)
+            return replay_ledger(path)
+
+        monkeypatch.setattr("repro.runs.registry.replay_ledger",
+                            counting)
+        for path in ("/runs", f"/runs/{first}",
+                     f"/runs/{first}/diff/{second}",
+                     f"/runs/{first}/trails",
+                     f"/runs/{first}/trail/3"):
+            status, cold = _get(server, path)
+            assert status == 200
+            replays.clear()
+            status, warm = _get(server, path)
+            assert status == 200 and warm == cold
+            assert replays == [], path
+            # No view mutates the shared state it was handed.
+            for run_id in (first, second):
+                assert registry.state(run_id) == replay_ledger(
+                    registry.ledger_path(run_id))
+
+
+# ----------------------------------------------------------------------
 # Tenancy
 # ----------------------------------------------------------------------
 class TestTenancy:
@@ -464,7 +500,11 @@ class TestTenancy:
     def test_tenant_registry_nests_under_root(self, server):
         registry = server.registry_for("team-a")
         assert registry.root == server.root / "tenants" / "team-a"
-        assert server.registry_for(DEFAULT_TENANT).root == server.root
+        default = server.registry_for(DEFAULT_TENANT)
+        assert default.root == server.root
+        # Every tenant's registry reads through the server's one cache.
+        assert registry.state_cache is default.state_cache \
+            is server.state_cache
 
     def test_jobs_are_tenant_scoped(self, server):
         _, accepted = _post(server, "/runs", body=SMALL_BODY,
@@ -518,6 +558,7 @@ class TestHardening:
                                          method="PUT", data=b"{}")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 405
         assert excinfo.value.headers["Allow"] == "GET"
 
@@ -551,3 +592,54 @@ class TestHardening:
         for name in ("../escape", "a/b", ".hidden", "x" * 65):
             self._expect_error(server, "/runs", 400, "bad-request",
                                headers={TENANT_HEADER: name})
+
+    def test_corrupt_ledger_500_on_every_read(self, server):
+        first, second = (_seed_run(server).run_id for _ in range(2))
+        show = f"/runs/{first}"
+        assert _get(server, show)[0] == 200          # now cached
+        path = server.registry_for(DEFAULT_TENANT).ledger_path(first)
+        lines = path.read_bytes().splitlines(keepends=True)
+        middle = len(lines) // 2
+        lines[middle] = lines[middle][:len(lines[middle]) // 2] + b"\n"
+        path.write_bytes(b"".join(lines))
+        for _ in range(2):            # a failure is never cached
+            for endpoint in (show, f"{show}/trails", f"{show}/trail/0",
+                             f"{show}/diff/{second}"):
+                self._expect_error(server, endpoint, 500,
+                                   "corrupt-ledger")
+        status, listing = _get(server, "/runs")
+        assert status == 200
+        assert {run["run_id"]: run["status"]
+                for run in listing}[first] == "invalid"
+
+
+# ----------------------------------------------------------------------
+# Connections: no client holds a thread, no response waits on an ACK
+# ----------------------------------------------------------------------
+class TestConnections:
+    def test_idle_connection_is_closed(self, server, monkeypatch):
+        from repro.serve import app
+        assert app._Handler.timeout == app.CONNECTION_TIMEOUT_S
+        monkeypatch.setattr(app._Handler, "timeout", 0.2)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""       # the server hung up
+            assert time.monotonic() - started < 5.0
+
+    def test_keep_alive_requests_skip_delayed_acks(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        # A response held back for the client's delayed ACK costs at
+        # least 40 ms; twenty of them would take 0.8 s.
+        assert elapsed < 0.4
