@@ -9,8 +9,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== serve tests in dev mode (a leaked socket or file fails) =="
-python -X dev -m pytest -q tests/test_serve.py \
+echo "== serve, dist and runs tests in dev mode (a leaked socket or file fails) =="
+python -X dev -m pytest -q tests/test_serve.py tests/test_dist.py \
+    tests/test_runs.py \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 

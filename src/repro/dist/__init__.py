@@ -23,13 +23,15 @@ from repro.dist.planner import (ShardPlan, ShardTask, load_shard_plan,
 from repro.dist.status import (ShardStatus, render_shard_dashboard,
                                shard_statuses, sharded_run_status,
                                watch_shards)
-from repro.dist.worker import (ShardLedger, ShardResult, ShardState,
-                               replay_shard, run_shard, shard_entry)
+from repro.dist.worker import (MERGED_RUN_SPAN_ID, ShardLedger,
+                               ShardResult, ShardState, replay_shard,
+                               run_shard, shard_entry)
 
 __all__ = [
     "DEFAULT_MIN_AGE_S",
     "GcCandidate",
     "GcReport",
+    "MERGED_RUN_SPAN_ID",
     "ShardLedger",
     "ShardPlan",
     "ShardResult",

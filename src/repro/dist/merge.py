@@ -3,14 +3,16 @@
 The merge is the counterpart of the planner's disjoint-exact-cover
 invariant: it folds every shard's ``record`` events back together,
 proves the union covers every planned cell exactly (no holes, no
-conflicting duplicates), and then *re-emits the sequential event
+conflicting duplicates), and then writes the *sequential event
 stream* — walking the plan's cell order, writing ``cell-started``,
-the records in index order, and ``cell-finished`` with metrics
-computed from the merged records — into the run's top-level
-``ledger.jsonl``.  Because records carry no timestamps and metrics
-are pure functions of records, the merged ledger's cell and record
-events are byte-identical to a single-process run of the same
-request, which is the contract the scaling benchmark gates.
+the cell's record lines in index order, and ``cell-finished`` with
+metrics computed from the merged records — into the run's top-level
+``ledger.jsonl``.  Records carry no timestamps, so a shard's record
+line is already the line a single-process run writes: the merge
+copies it verbatim, and metrics are pure functions of records.  The
+merged ledger's cell and record events are therefore byte-identical
+to a single-process run of the same request, which is the contract
+the scaling benchmark gates.
 
 Order-insensitivity falls out of the shape: shard ledgers are folded
 into an index-keyed map, so the merge result cannot depend on which
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from repro.core.results import (PoolResult, QuestionRecord,
@@ -36,15 +40,18 @@ from repro.core.results import (PoolResult, QuestionRecord,
 from repro.engine.cache import ResponseCache, merge_caches
 from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
-from repro.obs.export import JsonlSpanSink
+from repro.obs.export import write_spans_jsonl
 from repro.obs.history import append_entry, entry_from_result
-from repro.obs.jsonl import iter_jsonl
 from repro.obs.tracer import Tracer
 from repro.runs.driver import CellKey, RunResult, load_run
 from repro.runs.ledger import RunLedger
 from repro.runs.registry import RunRegistry
 from repro.dist.planner import ShardPlan, load_shard_plan
-from repro.dist.worker import ShardState, replay_shard
+from repro.dist.worker import (MERGED_RUN_SPAN_ID, ShardState,
+                               replay_shard)
+
+#: A cell's merged ``(record, ledger line)`` pairs, in index order.
+_MergedCell = list[tuple[QuestionRecord, str]]
 
 
 def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
@@ -102,11 +109,13 @@ def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
 
 
 def _fold_records(run_id: str, plan: ShardPlan,
-                  states: list[ShardState]
-                  ) -> dict[str, dict[int, QuestionRecord]]:
-    """Union every shard's records, proving exact disjoint coverage."""
+                  states: list[ShardState]) -> dict[str, _MergedCell]:
+    """Union every shard's records, proving exact disjoint coverage.
+
+    An index recorded by several shards keeps the last one's line.
+    """
     expected = dict(plan.cells)
-    merged: dict[str, dict[int, QuestionRecord]] = {
+    merged: dict[str, dict[int, tuple[QuestionRecord, str]]] = {
         cell_id: {} for cell_id, _ in plan.cells}
     for state in states:
         for cell_id, cell in state.cells.items():
@@ -120,15 +129,16 @@ def _fold_records(run_id: str, plan: ShardPlan,
                     f"{cell_id} at {cell.expected_n} questions but "
                     f"the plan says {expected[cell_id]}")
             bucket = merged[cell_id]
+            lines = state.lines.get(cell_id, {})
             for index, record in cell.records.items():
                 previous = bucket.get(index)
-                if previous is not None and previous != record:
+                if previous is not None and previous[0] != record:
                     raise RunError(
                         f"run {run_id} cell {cell_id} question "
                         f"{index} has conflicting records across "
                         f"shards — the shard plan overlapped or a "
                         f"backend is non-deterministic")
-                bucket[index] = record
+                bucket[index] = record, lines[index]
     incomplete = []
     for cell_id, n in plan.cells:
         missing = [i for i in range(n) if i not in merged[cell_id]]
@@ -143,80 +153,69 @@ def _fold_records(run_id: str, plan: ShardPlan,
             f"run {run_id} cannot be merged yet: {preview}{more}. "
             f"Resume the unfinished shards first "
             f"(repro runs resume {run_id}).")
-    return merged
+    return {cell_id: [merged[cell_id][i] for i in range(n)]
+            for cell_id, n in plan.cells}
+
+
+@contextmanager
+def _swapped_in(target: Path, suffix: str) -> Iterator[str]:
+    """A temp file beside ``target`` that replaces it when the block
+    succeeds and is removed when it fails."""
+    handle, tmp = tempfile.mkstemp(dir=target.parent, suffix=suffix)
+    os.close(handle)
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_merged_ledger(registry: RunRegistry, run_id: str,
-                         plan: ShardPlan,
-                         merged: dict[str, dict[int, QuestionRecord]],
-                         attempt: int,
+                         merged: dict[str, _MergedCell], attempt: int,
                          stats: EngineStats | None) -> dict:
-    """Emit the sequential event stream to a temp file, then swap it
-    into place.  Returns cell id -> metrics."""
-    target = registry.ledger_path(run_id)
-    handle, tmp = tempfile.mkstemp(dir=target.parent,
-                                   suffix=".ledger.tmp")
-    os.close(handle)
+    """Emit the sequential event stream.  Returns cell id -> metrics."""
     cell_metrics: dict[str, object] = {}
-    try:
-        with RunLedger(tmp, durability="close") as ledger:
-            ledger.run_started(run_id, attempt=attempt)
-            for cell_id, n in plan.cells:
-                ledger.cell_started(cell_id, n)
-                records = [merged[cell_id][i] for i in range(n)]
-                for index, record in enumerate(records):
-                    ledger.record(cell_id, index, record)
-                metrics = metrics_from_records(records)
-                cell_metrics[cell_id] = metrics
-                ledger.cell_finished(cell_id, metrics)
-            ledger.run_finished(
-                len(plan.cells),
-                stats.to_dict() if stats is not None else None)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with _swapped_in(registry.ledger_path(run_id), ".ledger.tmp") \
+            as tmp, RunLedger(tmp, durability="close") as ledger:
+        ledger.run_started(run_id, attempt=attempt)
+        for cell_id, pairs in merged.items():
+            ledger.cell_started(cell_id, len(pairs))
+            ledger.record_lines(line for _, line in pairs)
+            metrics = metrics_from_records(
+                [record for record, _ in pairs])
+            cell_metrics[cell_id] = metrics
+            ledger.cell_finished(cell_id, metrics)
+        ledger.run_finished(
+            len(merged), stats.to_dict() if stats is not None else None)
     return cell_metrics
 
 
 def _merge_spans(registry: RunRegistry, run_id: str,
                  plan: ShardPlan, dataset: str) -> None:
-    """Adopt every shard's span log under one top-level ``run`` span.
+    """Concatenate the shard span logs under one ``run`` span.
 
-    Shard span files are read tolerantly (a missing file means the
-    shard ran untraced; a torn tail is the usual crash signature) and
-    re-homed with :meth:`Tracer.adopt`, so ``repro obs trace``
-    renders one tree spanning all K processes.
+    Shards hand out span ids from disjoint ranges and hang their
+    ``shard`` spans under :data:`MERGED_RUN_SPAN_ID`, so each shard
+    log's complete lines are copied as they are (a missing log is a
+    shard that ran untraced; bytes after the last newline are a torn
+    append).  Nothing is decoded: a damaged span line reaches the
+    merged log for ``repro obs trace`` to report.
     """
-    target = registry.spans_path(run_id)
-    handle, tmp = tempfile.mkstemp(dir=target.parent,
-                                   suffix=".spans.tmp")
-    os.close(handle)
-    try:
-        Path(tmp).write_text("", encoding="utf-8")
-        sink = JsonlSpanSink(tmp)
-        tracer = Tracer(sink=sink)
+    tracer = Tracer(first_id=MERGED_RUN_SPAN_ID)
+    with _swapped_in(registry.spans_path(run_id), ".spans.tmp") as tmp:
         with tracer.span("run", run_id=run_id, dataset=dataset,
-                         shards=plan.num_shards,
-                         merged=True) as run_span:
+                         shards=plan.num_shards, merged=True), \
+                open(tmp, "wb") as stream:
             for shard in range(plan.num_shards):
-                path = registry.shard_spans_path(run_id, shard)
                 try:
-                    payloads = iter_jsonl(path).payloads
+                    data = registry.shard_spans_path(
+                        run_id, shard).read_bytes()
                 except OSError:
                     continue
-                tracer.adopt(payloads, parent=run_span.span_id)
-        sink.close()
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+                stream.write(data[:data.rfind(b"\n") + 1])
+        write_spans_jsonl(tracer.spans(), tmp, append=True)
 
 
 def merge_run(run_id: str,
@@ -244,8 +243,8 @@ def merge_run(run_id: str,
     stats = merge_stats([
         EngineStats.from_dict(state.stats)
         for state in states if state.stats])
-    cell_metrics = _write_merged_ledger(registry, run_id, plan,
-                                        merged, attempt, stats)
+    cell_metrics = _write_merged_ledger(registry, run_id, merged,
+                                        attempt, stats)
     _merge_spans(registry, run_id, plan, request.dataset)
     append_entry(entry_from_result(
         run_id, request.dataset, cell_metrics, stats=stats,
@@ -253,16 +252,16 @@ def merge_run(run_id: str,
 
     cells: dict[CellKey, PoolResult] = {}
     replayed = 0
-    for cell_id, n in plan.cells:
+    for cell_id, pairs in merged.items():
         key = CellKey.parse(cell_id)
         if key is None:  # pragma: no cover - planner emits only keys
             continue
-        records = tuple(merged[cell_id][i] for i in range(n))
-        replayed += n
+        replayed += len(pairs)
         cells[key] = PoolResult(
             pool_label=key.pool_label, model=key.model,
             setting=key.setting, metrics=cell_metrics[cell_id],
-            records=records if keep_records else ())
+            records=(tuple(record for record, _ in pairs)
+                     if keep_records else ()))
     return RunResult(run_id=run_id, request=request, cells=cells,
                      stats=stats, replayed=replayed)
 

@@ -21,6 +21,12 @@ have no record yet, exactly the ``resume_run`` contract scoped down to
 one shard.  Because pools, prompts and the simulated backends are pure
 functions of the request, a shard's records are bit-identical whether
 it ran clean, crashed and resumed, or ran inline in the driver.
+
+Span ids are partitioned so the merge can concatenate shard span logs
+without remapping them: shard ``k``'s tracer hands out ids from
+``(k + 1) << 32`` up (:func:`shard_first_span_id`), and its ``shard``
+span names :data:`MERGED_RUN_SPAN_ID`, the id of the merged run's
+``run`` span, as its parent.
 """
 
 from __future__ import annotations
@@ -37,11 +43,18 @@ from repro.llm.registry import get_model
 from repro.obs.tracer import NullTracer, Tracer
 from repro.runs.driver import (ModelResolver, _pool_for,
                                build_request_pools)
-from repro.runs.ledger import CellState, RunLedger, replay_ledger
+from repro.runs.ledger import RunLedger, RunState, _apply, fold_ledger
 from repro.runs.session import RunSession, engine_for
-from repro.obs.jsonl import iter_jsonl
 from repro.dist.planner import ShardPlan, load_shard_plan
 from repro.runs.registry import RunRegistry
+
+#: Span id of a merged run's ``run`` span, below every shard's range.
+MERGED_RUN_SPAN_ID = 1
+
+
+def shard_first_span_id(shard: int) -> int:
+    """First span id of shard ``shard``'s id range (2**32 ids wide)."""
+    return (shard + 1) << 32
 
 
 class ShardLedger(RunLedger):
@@ -61,18 +74,18 @@ class ShardLedger(RunLedger):
 
 
 @dataclass
-class ShardState:
-    """One shard ledger folded back into state."""
+class ShardState(RunState):
+    """One shard ledger folded back into state.
 
-    shard: int
-    attempts: int = 0
-    finished: bool = False
-    stats: dict | None = None
-    cells: dict[str, CellState] = field(default_factory=dict)
+    ``attempts``/``finished``/``stats`` follow the shard brackets.
+    :attr:`lines` keeps, for each record, the text of the line it was
+    decoded from, so the merge copies record lines instead of
+    re-encoding them.
+    """
 
-    @property
-    def recorded_questions(self) -> int:
-        return sum(len(cell.records) for cell in self.cells.values())
+    shard: int = 0
+    #: cell id -> question index -> record line (no newline).
+    lines: dict[str, dict[int, str]] = field(default_factory=dict)
 
     def done_for(self, cell_id: str,
                  indices) -> dict[int, QuestionRecord]:
@@ -84,34 +97,40 @@ class ShardState:
                 if index in cell.records}
 
 
-def replay_shard(path, shard: int) -> ShardState:
-    """Fold a shard ledger into :class:`ShardState`.
+def _apply_shard(state: ShardState, event: dict, text: str) -> None:
+    kind = event["event"]
+    if kind == "shard-started":
+        try:
+            attempt = int(event.get("attempt", 1))
+        except (TypeError, ValueError):
+            attempt = 1
+        state.attempts = max(state.attempts, attempt)
+        state.finished = False      # a new attempt reopens it
+    elif kind == "shard-finished":
+        state.finished = True
+        stats = event.get("stats")
+        state.stats = stats if isinstance(stats, dict) else None
+    else:
+        _apply(state, event)
+        if kind == "record":
+            state.lines.setdefault(event["cell"], {})[
+                int(event["i"])] = text
 
-    Cell/record folding is delegated to the run ledger's replayer
-    (shard brackets are unknown events to it, skipped by design); the
-    brackets themselves are folded in a second tolerant pass.  A
-    missing file is simply a shard that never started.
+
+def replay_shard(path, shard: int) -> ShardState:
+    """Fold a shard ledger into :class:`ShardState` in one pass.
+
+    Cell and record events fold through the run ledger's own
+    :func:`~repro.runs.ledger.fold_ledger` loop and ``_apply``, so the
+    torn-tail and corruption rules are the run ledger's; the shard
+    brackets fold in the same pass.  A missing file is simply a shard
+    that never started.
     """
     state = ShardState(shard=shard)
     try:
-        run_state = replay_ledger(path)
+        return fold_ledger(path, state, _apply_shard)
     except FileNotFoundError:
         return state
-    state.cells = run_state.cells
-    for _, event in iter_jsonl(path).records:
-        kind = event.get("event") if isinstance(event, dict) else None
-        if kind == "shard-started":
-            try:
-                attempt = int(event.get("attempt", 1))
-            except (TypeError, ValueError):
-                attempt = 1
-            state.attempts = max(state.attempts, attempt)
-            state.finished = False      # a new attempt reopens it
-        elif kind == "shard-finished":
-            state.finished = True
-            stats = event.get("stats")
-            state.stats = stats if isinstance(stats, dict) else None
-    return state
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,6 +169,10 @@ def run_shard(run_id: str, shard: int,
     shard's response cache from (read-only — concurrent shards may
     all load it); the shard's final cache (seed + its own responses)
     is persisted to the shard directory, never to the shared path.
+
+    With ``trace`` and no ``tracer``, the shard's tracer hands out ids
+    from :func:`shard_first_span_id` up; a caller's ``tracer`` keeps
+    its own ids, which the merge copies as they are.
     """
     registry = registry if registry is not None else RunRegistry()
     resolve = resolve_model if resolve_model is not None else get_model
@@ -168,6 +191,8 @@ def run_shard(run_id: str, shard: int,
             replayed=state.recorded_questions,
             stats=(EngineStats.from_dict(state.stats)
                    if state.stats else None))
+    if tracer is None and trace:
+        tracer = Tracer(first_id=shard_first_span_id(shard))
 
     pools = build_request_pools(request)
     cache = (ResponseCache.load(warm_cache)
@@ -181,7 +206,8 @@ def run_shard(run_id: str, shard: int,
                     keep_records=False,
                     ledger_type=ShardLedger) as session:
         session.ledger.shard_started(run_id, shard, attempt=attempt)
-        with session.span("shard", run_id=run_id, shard=shard,
+        with session.span("shard", parent=MERGED_RUN_SPAN_ID,
+                          run_id=run_id, shard=shard,
                           tasks=len(tasks), attempt=attempt):
             for task in tasks:
                 pool = _pool_for(task.cell, pools)

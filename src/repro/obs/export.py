@@ -28,7 +28,7 @@ import math
 import threading
 from pathlib import Path
 
-from repro.obs.jsonl import JsonlCorruptError, iter_jsonl
+from repro.obs.jsonl import JsonlCorruptError, cut_torn_tail, iter_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
 
@@ -43,12 +43,14 @@ class JsonlSpanSink:
 
     Designed to hang off ``Tracer.sink``: every append is one
     ``write()`` + ``flush()`` under a lock, so a crashed process
-    keeps every span that finished before it died.
+    keeps every span that finished before it died.  Reopening a log
+    whose last append was torn cuts the torn bytes first.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        cut_torn_tail(self.path)
         self._file = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
         self._closed = False
@@ -116,6 +118,27 @@ def read_spans_jsonl(path: str | Path) -> tuple[Span, ...]:
                 f"corrupt span log {path} at line {number}: "
                 f"{exc!r}") from exc
     return tuple(spans)
+
+
+def last_span_id(path: str | Path) -> int:
+    """The largest span id in a span log (0 for a missing one).
+
+    A resumed attempt's tracer starts above it, so the ids of every
+    attempt appended to one log stay distinct.  Lines that do not
+    decode to a span are skipped: a damaged span log must not stop a
+    resume.
+    """
+    top = 0
+    try:
+        with open(path, "rb") as stream:
+            for line in stream:
+                try:
+                    top = max(top, int(json.loads(line)["id"]))
+                except (ValueError, KeyError, TypeError):
+                    continue
+    except FileNotFoundError:
+        pass
+    return top
 
 
 # ----------------------------------------------------------------------

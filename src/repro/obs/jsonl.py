@@ -18,6 +18,9 @@ implementation of that contract:
 
 :func:`iter_jsonl` is the stateless one-shot form; :class:`JsonlTail`
 keeps the ``(offset, line number)`` cursor between polls.
+:func:`cut_torn_tail` is the writer's side of the same rule: before a
+log is reopened for append, the bytes after its last newline go, so
+a resumed writer's first line can never be glued onto a torn one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class JsonlBatch:
 
     #: ``(line number, decoded payload)`` pairs, in file order.
     records: list[tuple[int, dict]] = field(default_factory=list)
+    #: The text of each consumed line, without its newline, parallel
+    #: to :attr:`records` (a merge copies lines without re-encoding).
+    lines: list[str] = field(default_factory=list)
     #: Byte offset just past the last *consumed* line.
     offset: int = 0
     #: Line number the next consumed line will carry.
@@ -109,6 +115,7 @@ def iter_jsonl(path: str | Path, offset: int = 0,
         if pending is not None:
             raise JsonlCorruptError(str(path), pending[0], pending[2])
         batch.records.append((line_number, payload))
+        batch.lines.append(text)
         batch.offset = end
         batch.next_line += 1
         position = newline + 1
@@ -121,6 +128,26 @@ def iter_jsonl(path: str | Path, offset: int = 0,
         batch.torn = True
         batch.torn_line = batch.next_line
     return batch
+
+
+def cut_torn_tail(path: str | Path) -> None:
+    """Truncate ``path`` just after its last newline (a missing file
+    is left missing).
+
+    Appending to a log whose last append died partway would glue the
+    next line onto the torn one and turn the crash signature into
+    mid-file corruption, so every writer that reopens a log for
+    append cuts it first.
+    """
+    try:
+        stream = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with stream:
+        data = stream.read()
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            stream.truncate(keep)
 
 
 class JsonlTail:

@@ -18,7 +18,10 @@ one attribute dict and one method call when tracing is off, which the
 Spans cross process boundaries by value: a worker process runs its own
 tracer, serializes the finished spans with :meth:`Span.to_dict`, and
 the driver re-homes the batch under its own tree with
-:meth:`Tracer.adopt` (ids are remapped, roots are re-parented).  The
+:meth:`Tracer.adopt` (ids are remapped, roots are re-parented).  A
+worker whose ids must not collide with its siblings' without a remap
+— a shard, whose span log the merge copies line for line — instead
+starts its tracer at ``first_id`` inside an id range of its own.  The
 default clock is ``time.time`` precisely so timestamps from different
 processes on one machine stay comparable; tests inject a fake clock
 for deterministic durations.
@@ -120,18 +123,20 @@ class Tracer:
         sink: Optional callback invoked with every *finished* span —
             the run driver hangs a JSONL appender here so a crash
             still leaves every completed span on disk.
+        first_id: The first span id to hand out.
     """
 
     enabled = True
 
     def __init__(self, clock: Clock = time.time,
-                 sink: Callable[[Span], None] | None = None):
+                 sink: Callable[[Span], None] | None = None,
+                 first_id: int = 1):
         self._clock = clock
         self.sink = sink
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._next_id = 1
+        self._next_id = first_id
 
     # ------------------------------------------------------------------
     def _stack(self) -> list[Span]:
@@ -177,6 +182,12 @@ class Tracer:
             self._spans.append(span)
         if self.sink is not None:
             self.sink(span)
+
+    def skip_past(self, span_id: int) -> None:
+        """Hand out only ids above ``span_id`` from now on (a resumed
+        attempt appends to a span log that already holds ids)."""
+        with self._lock:
+            self._next_id = max(self._next_id, span_id + 1)
 
     # ------------------------------------------------------------------
     def spans(self) -> tuple[Span, ...]:

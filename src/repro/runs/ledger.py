@@ -20,7 +20,9 @@ state, keying records by question index so out-of-order streaming
 (engine workers finish in any order) and resumed attempts (later
 events win) both converge to the same state.  A torn final line is the
 expected crash signature and is dropped; corruption anywhere else
-raises :class:`repro.errors.LedgerCorruptError`.
+raises :class:`repro.errors.LedgerCorruptError`.  The writer cuts a
+torn tail off before it appends, so a resumed attempt never buries
+one mid-file.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from repro.core.metrics import Metrics
 from repro.core.results import (QuestionRecord, metrics_from_dict,
                                 metrics_to_dict, record_from_dict,
                                 record_to_dict)
 from repro.errors import LedgerCorruptError, RunError
-from repro.obs.jsonl import JsonlCorruptError, iter_jsonl
+from repro.obs.jsonl import JsonlCorruptError, cut_torn_tail, iter_jsonl
 
 #: File name of the event log inside a run directory.
 LEDGER_FILENAME = "ledger.jsonl"
@@ -65,17 +69,21 @@ class RunLedger:
         self.path = Path(path)
         self.durability = durability
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        cut_torn_tail(self.path)
         self._file = open(self.path, "a", encoding="utf-8")
         self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
     def _append(self, payload: dict, sync: bool = False) -> None:
-        line = json.dumps(payload, separators=(",", ":")) + "\n"
+        self._write(json.dumps(payload, separators=(",", ":")) + "\n",
+                    sync=sync)
+
+    def _write(self, text: str, sync: bool = False) -> None:
         with self._lock:
             if self._closed:
                 raise RunError("ledger is closed")
-            self._file.write(line)
+            self._file.write(text)
             self._file.flush()
             if sync or self.durability == "record":
                 os.fsync(self._file.fileno())
@@ -98,6 +106,12 @@ class RunLedger:
                record: QuestionRecord) -> None:
         self._append({"event": "record", "cell": cell_id, "i": index,
                       **record_to_dict(record)})
+
+    def record_lines(self, lines: Iterable[str]) -> None:
+        """Append ``record`` events already encoded by :meth:`record`
+        (each line without its newline) in one write — the shard
+        merge copies shard lines verbatim instead of re-encoding."""
+        self._write("".join(line + "\n" for line in lines))
 
     def cell_finished(self, cell_id: str, metrics: Metrics) -> None:
         self._append({"event": "cell-finished", "cell": cell_id,
@@ -201,7 +215,23 @@ def replay_ledger(path: str | Path) -> RunState:
     :class:`LedgerCorruptError`.  Unknown event types are skipped so
     old readers survive new writers.
     """
-    state = RunState()
+    return fold_ledger(path, RunState(), _apply)
+
+
+_State = TypeVar("_State", bound=RunState)
+
+
+def fold_ledger(path: str | Path, state: _State,
+                apply: Callable[[_State, dict, str], None]) -> _State:
+    """The one fold loop over a ledger file, shared by
+    :func:`replay_ledger` and the shard replayer.
+
+    ``apply(state, event, text)`` folds one decoded event; ``text`` is
+    the event's line as written, without its newline.  A torn final
+    line is dropped with a warning, and so is a decoded final event
+    ``apply`` rejects; any earlier failure raises
+    :class:`LedgerCorruptError`.
+    """
     try:
         batch = iter_jsonl(path)
     except JsonlCorruptError as exc:
@@ -213,7 +243,7 @@ def replay_ledger(path: str | Path) -> RunState:
     last = len(batch.records) - 1
     for index, (number, event) in enumerate(batch.records):
         try:
-            _apply(state, event)
+            apply(state, event, batch.lines[index])
         except (ValueError, KeyError, TypeError) as exc:
             if index == last and not batch.torn:
                 # Decoded but unappliable tail: same crash signature.
@@ -226,7 +256,9 @@ def replay_ledger(path: str | Path) -> RunState:
     return state
 
 
-def _apply(state: RunState, event: dict) -> None:
+def _apply(state: RunState, event: dict, text: str = "") -> None:
+    """Fold one run-ledger event (``text``, its line, is unused: a
+    run state keeps decoded records only)."""
     kind = event["event"]
     if kind == "run-started":
         state.run_id = event["run_id"]

@@ -29,7 +29,7 @@ from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
-from repro.obs.export import JsonlSpanSink
+from repro.obs.export import JsonlSpanSink, last_span_id
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.runs.heartbeat import HEARTBEAT_FILENAME, HeartbeatWriter
 from repro.runs.ledger import LEDGER_FILENAME, RunLedger
@@ -69,7 +69,8 @@ class RunSession:
     ``engine`` defaults to :func:`engine_for` the request; a caller's
     engine gets its own tracer back on exit.  An explicit ``tracer``
     wins over ``trace``; a tracer without a sink gets a
-    ``spans.jsonl`` appender for the session's lifetime.
+    ``spans.jsonl`` appender for the session's lifetime, and hands
+    out only ids above the largest one already in that log.
     """
 
     def __init__(self, request: RunRequest, directory: str | Path,
@@ -100,8 +101,12 @@ class RunSession:
                 stack.callback(setattr, engine, "tracer", engine.tracer)
                 engine.tracer = self.tracer
             if self.tracer.enabled and self.tracer.sink is None:
+                spans_path = self.directory / SPANS_FILENAME
+                # A resumed attempt appends to its predecessors' log:
+                # keep every id in it distinct.
+                self.tracer.skip_past(last_span_id(spans_path))
                 self.tracer.sink = stack.enter_context(
-                    JsonlSpanSink(self.directory / SPANS_FILENAME))
+                    JsonlSpanSink(spans_path))
                 stack.callback(setattr, self.tracer, "sink", None)
             stack.enter_context(
                 HeartbeatWriter(self.directory / HEARTBEAT_FILENAME))

@@ -14,11 +14,11 @@ import threading
 import pytest
 
 from repro.engine.cache import ResponseCache, merge_caches
-from repro.errors import RunError
+from repro.errors import LedgerCorruptError, RunError
 from repro.llm.registry import get_model
 from repro.obs.export import read_spans_jsonl
-from repro.runs import (RunRegistry, RunRequest, execute_run,
-                        load_run)
+from repro.runs import (RunRegistry, RunRequest, create_run,
+                        execute_run, load_run, resume_run)
 from repro.runs.driver import CellKey
 from repro.dist import (execute_run_sharded, gc_runs, load_shard_plan,
                         merge_run, merge_shard_caches, plan_shards,
@@ -37,13 +37,23 @@ def registry(tmp_path) -> RunRegistry:
     return RunRegistry(tmp_path / "runs")
 
 
-def _events(registry: RunRegistry, run_id: str) -> list[str]:
-    """The determinism-contract slice of a run's ledger lines."""
+def _events(registry: RunRegistry, run_id: str,
+            drop_trail: bool = False) -> list[str]:
+    """The determinism-contract slice of a run's ledger lines
+    (``drop_trail`` strips the trails, whose placement fields vary
+    with an engine's scheduling)."""
     lines = registry.ledger_path(run_id).read_text(
         encoding="utf-8").splitlines()
-    return [line for line in lines
-            if json.loads(line).get("event") in
-            ("record", "cell-started", "cell-finished")]
+    kept = []
+    for line in lines:
+        payload = json.loads(line)
+        if payload.get("event") not in ("record", "cell-started",
+                                        "cell-finished"):
+            continue
+        if drop_trail and payload.pop("trail", None) is not None:
+            line = json.dumps(payload, separators=(",", ":"))
+        kept.append(line)
+    return kept
 
 
 class _BudgetedModel:
@@ -140,14 +150,23 @@ class TestPlanner:
 # Sharded execution == single-process execution
 # ----------------------------------------------------------------------
 class TestShardedDeterminism:
-    def test_inline_shards_match_single_process(self, registry):
-        request = RunRequest(**SMALL)
-        single = execute_run(request, registry=registry)
-        sharded = execute_run_sharded(request, shards=4,
-                                      registry=registry, procs=0)
+    @pytest.mark.parametrize("shape, drop_trail", [
+        ({}, False),
+        ({"trail": True}, False),
+        ({"workers": 2, "batch_size": 4, "coalesce": True,
+          "trail": True}, True),
+    ], ids=["plain", "trail", "engine"])
+    def test_inline_shards_match_single_process(self, registry, shape,
+                                                drop_trail):
+        single = execute_run(
+            RunRequest(**SMALL, trail=shape.get("trail", False)),
+            registry=registry)
+        sharded = execute_run_sharded(RunRequest(**SMALL, **shape),
+                                      shards=4, registry=registry,
+                                      procs=0)
         assert sharded.run_id != single.run_id
-        assert _events(registry, sharded.run_id) \
-            == _events(registry, single.run_id)
+        assert _events(registry, sharded.run_id, drop_trail) \
+            == _events(registry, single.run_id, drop_trail)
         assert sharded.cells.keys() == single.cells.keys()
         for key, expected in single.cells.items():
             got = sharded.cells[key]
@@ -197,6 +216,30 @@ class TestShardedDeterminism:
 # ----------------------------------------------------------------------
 # Crash / resume
 # ----------------------------------------------------------------------
+def _crash(request: RunRequest, registry: RunRegistry,
+           shards: int) -> str:
+    """Kill a run of ``request`` 13 model calls in, single-process
+    (``shards=0``) or sharded; returns its id."""
+    run_id = create_run(request, registry=registry)
+    if shards:
+        with pytest.raises(RunError, match="shard"):
+            execute_run_sharded(request, shards=shards,
+                                registry=registry, run_id=run_id,
+                                procs=0,
+                                resolve_model=budgeted_resolver(13))
+    else:
+        with pytest.raises(RuntimeError, match="injected crash"):
+            execute_run(request, registry=registry, run_id=run_id,
+                        resolve_model=budgeted_resolver(13))
+    return run_id
+
+
+def _resume(registry: RunRegistry, run_id: str, shards: int):
+    if shards:
+        return resume_run_sharded(run_id, registry=registry, procs=0)
+    return resume_run(run_id, registry=registry)
+
+
 class TestCrashResume:
     def test_killed_worker_resumes_bit_identical(self, registry):
         request = RunRequest(**SMALL)
@@ -221,6 +264,54 @@ class TestCrashResume:
                    for result in single.cells.values())
         assert resumed.evaluated > 0       # fresh work happened
         assert resumed.replayed > 0        # durable work was reused
+
+    @pytest.mark.parametrize("shards", [0, 2],
+                             ids=["single", "sharded"])
+    def test_resume_after_torn_appends_matches_single_process(
+            self, registry, shards):
+        request = RunRequest(**SMALL)
+        single = execute_run(request, registry=registry)
+        record = next(line for line in _events(registry, single.run_id)
+                      if '"event":"record"' in line)
+        run_id = _crash(request, registry, shards)
+        logs = ([(registry.ledger_path(run_id),
+                  registry.spans_path(run_id))] if not shards else
+                [(registry.shard_ledger_path(run_id, shard),
+                  registry.shard_spans_path(run_id, shard))
+                 for shard in range(shards)])
+        # A kill mid-append leaves half a line at the end of each log.
+        for ledger, spans in logs:
+            span = spans.read_text(encoding="utf-8").splitlines()[-1]
+            for path, line in ((ledger, record), (spans, span)):
+                with open(path, "a", encoding="utf-8") as stream:
+                    stream.write(line[:len(line) // 2])
+        _resume(registry, run_id, shards)
+        if shards:      # a single-process ledger keeps both attempts
+            assert _events(registry, run_id) \
+                == _events(registry, single.run_id)
+        loaded = load_run(run_id, registry=registry)
+        assert loaded.cells.keys() == single.cells.keys()
+        for key, expected in single.cells.items():
+            assert loaded.cells[key].metrics == expected.metrics
+            assert loaded.cells[key].records == expected.records
+        assert read_spans_jsonl(registry.spans_path(run_id))
+
+    @pytest.mark.parametrize("shards", [0, 2],
+                             ids=["single", "sharded"])
+    def test_resumed_span_ids_are_distinct_and_nested(self, registry,
+                                                      shards):
+        run_id = _crash(RunRequest(**SMALL), registry, shards)
+        _resume(registry, run_id, shards)
+        spans = read_spans_jsonl(registry.spans_path(run_id))
+        by_id = {span.span_id: span for span in spans}
+        assert len(by_id) == len(spans)
+        questions = [span for span in spans if span.name == "question"]
+        assert questions
+        for span in questions:
+            cell = by_id[span.parent_id]
+            assert cell.name == "cell"
+            assert cell.start_s <= span.start_s <= span.end_s \
+                <= cell.end_s
 
     def test_resume_of_finished_run_is_pure_replay(self, registry):
         request = RunRequest(**SMALL)
@@ -482,6 +573,102 @@ class TestCliDist:
 # Cross-cell integrity checks in the merge
 # ----------------------------------------------------------------------
 class TestMergeValidation:
+    @staticmethod
+    def _unmerged(registry: RunRegistry) -> str:
+        """A 2-shard run whose shards finished but were not merged."""
+        from repro.dist import save_shard_plan
+        request = RunRequest(**SMALL)
+        run_id = registry.create(request, cells=8)
+        plan = plan_shards(request, 2)
+        save_shard_plan(registry, run_id, plan)
+        for shard in range(2):
+            run_shard(run_id, shard, registry=registry, plan=plan)
+        return run_id
+
+    @staticmethod
+    def _lines(path) -> list[str]:
+        return path.read_text(encoding="utf-8").splitlines(
+            keepends=True)
+
+    @staticmethod
+    def _first_record(lines: list[str]) -> tuple[int, dict]:
+        return next((number, json.loads(line))
+                    for number, line in enumerate(lines)
+                    if '"event":"record"' in line)
+
+    def test_cell_outside_the_plan_is_refused(self, registry):
+        run_id = self._unmerged(registry)
+        ledger = registry.shard_ledger_path(run_id, 0)
+        _, event = self._first_record(self._lines(ledger))
+        event["cell"] = "hard|GPT-4|nowhere|zero-shot"
+        with open(ledger, "a", encoding="utf-8") as stream:
+            stream.write(json.dumps(event) + "\n")
+        with pytest.raises(RunError, match="not in the shard plan"):
+            merge_run(run_id, registry=registry)
+
+    def test_conflicting_shard_records_are_refused(self, registry):
+        run_id = self._unmerged(registry)
+        _, event = self._first_record(
+            self._lines(registry.shard_ledger_path(run_id, 0)))
+        event["response"] += " (answered differently)"
+        with open(registry.shard_ledger_path(run_id, 1), "a",
+                  encoding="utf-8") as stream:
+            stream.write(json.dumps(event) + "\n")
+        with pytest.raises(RunError, match="conflicting records"):
+            merge_run(run_id, registry=registry)
+        assert not registry.state(run_id).finished
+
+    def test_corrupt_middle_shard_line_is_refused(self, registry):
+        run_id = self._unmerged(registry)
+        ledger = registry.shard_ledger_path(run_id, 1)
+        lines = self._lines(ledger)
+        lines.insert(len(lines) // 2, "{not json\n")
+        ledger.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(LedgerCorruptError):
+            merge_run(run_id, registry=registry)
+
+    def test_torn_only_copy_of_a_record_is_a_hole(self, registry):
+        run_id = self._unmerged(registry)
+        ledger = registry.shard_ledger_path(run_id, 0)
+        lines = self._lines(ledger)
+        number, event = self._first_record(lines)
+        torn = lines.pop(number)
+        ledger.write_text("".join(lines) + torn[:len(torn) // 2],
+                          encoding="utf-8")
+        with pytest.raises(RunError, match="cannot be merged yet") \
+                as excinfo:
+            merge_run(run_id, registry=registry)
+        assert f"{event['cell']} (missing 1 of" in str(excinfo.value)
+
+    def test_torn_shard_span_tail_stays_out_of_merged_log(self,
+                                                          registry):
+        run_id = self._unmerged(registry)
+        logs = [registry.shard_spans_path(run_id, shard)
+                for shard in range(2)]
+        complete = sum(len(self._lines(path)) for path in logs)
+        with open(logs[0], "a", encoding="utf-8") as stream:
+            stream.write('{"name":"question","id":')
+        merge_run(run_id, registry=registry)
+        spans = read_spans_jsonl(registry.spans_path(run_id))
+        assert len(spans) == complete + 1
+        assert spans[-1].name == "run"
+
+    def test_garbled_span_line_does_not_abort_merge(self, registry):
+        from repro.obs import read_history
+        run_id = self._unmerged(registry)
+        spans = registry.shard_spans_path(run_id, 0)
+        lines = self._lines(spans)
+        lines.insert(1, "{garbled\n")
+        spans.write_text("".join(lines), encoding="utf-8")
+        merge_run(run_id, registry=registry)
+        assert registry.state(run_id).finished
+        assert any(entry.run_id == run_id
+                   for entry in read_history(registry))
+        with pytest.raises(ValueError,
+                           match="corrupt span log .* at line 2"):
+            main(["obs", "trace", run_id,
+                  "--runs-dir", str(registry.root)])
+
     def test_plan_size_mismatch_detected(self, registry):
         from repro.dist import save_shard_plan
         request = RunRequest(**SMALL)

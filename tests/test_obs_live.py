@@ -25,6 +25,7 @@ from repro.obs import (HistoryEntry, JsonlCorruptError, JsonlTail,
                        entry_from_result, iter_jsonl, latest_for,
                        load_entry, read_history, render_dashboard,
                        write_entry)
+from repro.obs.jsonl import cut_torn_tail
 from repro.runs import (HeartbeatWriter, RunRegistry, RunRequest,
                         create_run, execute_run, load_run,
                         pid_alive, read_heartbeat, replay_ledger,
@@ -139,6 +140,20 @@ class TestIterJsonl:
         with pytest.raises(JsonlCorruptError) as excinfo:
             iter_jsonl(path)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("content, kept", [
+        ('{"a": 1}\n', '{"a": 1}\n'),
+        ('{"a": 1}\n{"b":', '{"a": 1}\n'),
+        ('{"b":', ""),
+    ], ids=["clean", "torn", "only-torn"])
+    def test_cut_torn_tail_keeps_complete_lines(self, tmp_path,
+                                                content, kept):
+        path = tmp_path / "log.jsonl"
+        path.write_text(content, encoding="utf-8")
+        cut_torn_tail(path)
+        assert path.read_text(encoding="utf-8") == kept
+        cut_torn_tail(tmp_path / "missing.jsonl")
+        assert not (tmp_path / "missing.jsonl").exists()
 
     def test_tail_polls_only_the_appended_bytes(self, tmp_path):
         path = tmp_path / "log.jsonl"
