@@ -13,8 +13,10 @@ hand-built record, a future codec change) must score the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.core.metrics import Metrics, summarize
+from repro.obs.jsonl import dumps_line
 from repro.obs.trail import Trail, trail_from_dict, trail_to_dict
 from repro.questions.model import Answer
 
@@ -69,10 +71,25 @@ class PoolResult:
                 f"M={self.metrics.miss_rate:.3f} (n={self.metrics.n})")
 
 
+#: Answer value -> whether it is a miss, for plain strings and enum
+#: members alike (a member hashes and compares as its value).
+_IS_MISS = {answer.value: answer.is_miss for answer in Answer}
+
+
 def metrics_from_records(records: list[QuestionRecord]) -> Metrics:
-    """Score a batch of interaction records."""
-    correct = sum(1 for record in records if record.correct)
-    missed = sum(1 for record in records if record.missed)
+    """Score a batch of interaction records in one pass: the counts
+    of :attr:`QuestionRecord.correct` and :attr:`QuestionRecord.missed`
+    (an unknown ``parsed`` answer raises :class:`ValueError` as they
+    do)."""
+    correct = missed = 0
+    for record in records:
+        miss = _IS_MISS.get(record.parsed)
+        if miss is None:
+            miss = Answer(record.parsed).is_miss
+        if miss:
+            missed += 1
+        elif record.parsed == record.expected:
+            correct += 1
     return summarize(correct, missed, len(records))
 
 
@@ -94,6 +111,41 @@ def record_to_dict(record: QuestionRecord) -> dict[str, object]:
     if record.trail is not None:
         payload["trail"] = trail_to_dict(record.trail)
     return payload
+
+
+def record_line(cell_id: str, index: int,
+                record: QuestionRecord) -> str:
+    """The ledger's ``record`` event for ``record``, newline included.
+
+    Byte-equal to ``json.dumps({"event": "record", "cell": cell_id,
+    "i": index, **record_to_dict(record)}, separators=(",", ":"))``
+    plus a newline, but written straight from the fields: a record
+    without a trail whose fields have exactly the types the runner
+    gives them (``str``, and ``int`` index and token counts — a
+    ``bool`` or an ``IntEnum`` prints differently) skips the dict and
+    the encoder.  Anything else goes through the shared encoder.
+    """
+    prompt_tokens = record.prompt_tokens
+    completion_tokens = record.completion_tokens
+    if (record.trail is None and type(cell_id) is str
+            and type(index) is int
+            and type(prompt_tokens) is int
+            and type(completion_tokens) is int
+            and type(record.question_uid) is str
+            and type(record.model) is str
+            and type(record.setting) is str
+            and type(record.response) is str):
+        return (f'{{"event":"record","cell":{_quote(cell_id)},'
+                f'"i":{index},"uid":{_quote(record.question_uid)},'
+                f'"model":{_quote(record.model)},'
+                f'"setting":{_quote(record.setting)},'
+                f'"response":{_quote(record.response)},'
+                f'"parsed":{_quote(Answer(record.parsed).value)},'
+                f'"expected":{_quote(Answer(record.expected).value)},'
+                f'"prompt_tokens":{prompt_tokens},'
+                f'"completion_tokens":{completion_tokens}}}\n')
+    return dumps_line({"event": "record", "cell": cell_id, "i": index,
+                       **record_to_dict(record)})
 
 
 def record_from_dict(payload: dict) -> QuestionRecord:

@@ -144,14 +144,14 @@ class EvaluationRunner:
         parent = self.tracer.current_id()
         if self.engine is None:
             out: list[tuple[int, QuestionRecord]] = []
+            # No call_site_scope here: only the engine's model_call
+            # spans read it.
             for index, question in indexed:
                 started = time.perf_counter()
                 with self.tracer.span(
                         "question", parent=parent,
                         kind=question.kind.value,
-                        level=question.level, uid=question.uid), \
-                        call_site_scope(question=question.uid,
-                                        cell=cell):
+                        level=question.level, uid=question.uid):
                     if self.trail:
                         with trail_scope():
                             record = self.ask(
@@ -162,14 +162,12 @@ class EvaluationRunner:
                             model, question, setting,
                             pool_questions=pool_questions)
                 if self.telemetry is not None:
-                    self.telemetry.record_call()
-                    self.telemetry.record_tokens(
+                    self.telemetry.record_question(
                         record.prompt_tokens,
                         record.completion_tokens,
                         call_cost_nanos(record.model,
                                         record.prompt_tokens,
-                                        record.completion_tokens))
-                    self.telemetry.record_work(
+                                        record.completion_tokens),
                         time.perf_counter() - started)
                 if ledger is not None:
                     ledger.record(cell, index, record)

@@ -266,6 +266,19 @@ class Telemetry:
         self._records.add(1)
         self._latency.observe(seconds)
 
+    def record_question(self, prompt_tokens: int,
+                        completion_tokens: int, cost_nanos: int,
+                        seconds: float) -> None:
+        """One question scored by one backend call and no middleware
+        (the sequential path): :meth:`record_call`,
+        :meth:`record_tokens` and :meth:`record_work` in one call."""
+        self._calls.add(1)
+        self._prompt_tokens.add(prompt_tokens)
+        self._completion_tokens.add(completion_tokens)
+        self._cost_nanos.add(cost_nanos)
+        self._records.add(1)
+        self._latency.observe(seconds)
+
     def record_run(self, wall_time_s: float, workers: int) -> None:
         """Account one scheduler pass (called once per run)."""
         self._wall.add(wall_time_s)

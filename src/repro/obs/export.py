@@ -56,8 +56,7 @@ class JsonlSpanSink:
         self._closed = False
 
     def __call__(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(),
-                          separators=(",", ":")) + "\n"
+        line = span.to_line()
         with self._lock:
             if self._closed:
                 return
@@ -87,8 +86,7 @@ def write_spans_jsonl(spans, path: str | Path,
     mode = "a" if append else "w"
     with open(target, mode, encoding="utf-8") as stream:
         for span in spans:
-            stream.write(json.dumps(span.to_dict(),
-                                    separators=(",", ":")) + "\n")
+            stream.write(span.to_line())
     return target
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import RunError
-from repro.obs.jsonl import iter_jsonl
+from repro.obs.jsonl import dumps_line, iter_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.runs.registry import RunRegistry
@@ -232,7 +232,7 @@ def append_entry(entry: HistoryEntry,
                 else _default_registry())
     path = registry.history_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(entry.to_dict(), separators=(",", ":")) + "\n"
+    line = dumps_line(entry.to_dict())
     with open(path, "a", encoding="utf-8") as stream:
         stream.write(line)
         stream.flush()

@@ -21,6 +21,12 @@ keeps the ``(offset, line number)`` cursor between polls.
 :func:`cut_torn_tail` is the writer's side of the same rule: before a
 log is reopened for append, the bytes after its last newline go, so
 a resumed writer's first line can never be glued onto a torn one.
+
+The writers' side also owns the line format: :func:`dumps_line` is the
+one compact encoder of every log line (the ledger's bracket events,
+history entries, and the fallback of the record and span line
+encoders), byte-equal to ``json.dumps(payload, separators=(",", ":"))``
+plus a newline.
 """
 
 from __future__ import annotations
@@ -28,6 +34,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+#: ``json.dumps(payload, separators=(",", ":"))`` builds an encoder
+#: per call; this one is built once (it keeps no state between calls).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: How far :func:`cut_torn_tail` reads back per step.
+_TAIL_BLOCK = 1 << 16
+
+
+def dumps_line(payload: object) -> str:
+    """``payload`` as one compact JSONL line, newline included."""
+    return _ENCODER.encode(payload) + "\n"
 
 
 class JsonlCorruptError(ValueError):
@@ -137,17 +155,26 @@ def cut_torn_tail(path: str | Path) -> None:
     Appending to a log whose last append died partway would glue the
     next line onto the torn one and turn the crash signature into
     mid-file corruption, so every writer that reopens a log for
-    append cuts it first.
+    append cuts it first.  The log is read backwards from its end in
+    fixed-size blocks until a newline shows up, so a resume does not
+    load a whole span log to keep all of it.
     """
     try:
         stream = open(path, "r+b")
     except FileNotFoundError:
         return
     with stream:
-        data = stream.read()
-        keep = data.rfind(b"\n") + 1
-        if keep < len(data):
-            stream.truncate(keep)
+        size = end = stream.seek(0, 2)
+        while end > 0:
+            start = max(0, end - _TAIL_BLOCK)
+            stream.seek(start)
+            newline = stream.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                end = start + newline + 1
+                break
+            end = start
+        if end < size:
+            stream.truncate(end)
 
 
 class JsonlTail:

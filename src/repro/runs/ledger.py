@@ -12,8 +12,14 @@ bytes within a line.  Durability is tiered:
 * ``fsync`` runs at cell boundaries by default (``durability="cell"``)
   so a power loss costs at most one in-flight cell, or on every append
   with ``durability="record"`` when each question must survive the
-  machine dying (~190us per append on ext4 — two-thirds of a simulated
-  model call — which is why it is opt-in).
+  machine dying (~75us per append on ext4 on a virtio disk — about
+  1.7 times the ~44us a whole question takes at p50 on the sequential
+  path — which is why it is opt-in).
+
+A ``record`` line is written straight from the record's fields
+(:func:`repro.core.results.record_line`), byte-equal to ``json.dumps``
+of its dict form; every other event goes through the shared compact
+encoder, :func:`repro.obs.jsonl.dumps_line`.
 
 The replayer is the inverse: it folds a ledger back into per-cell
 state, keying records by question index so out-of-order streaming
@@ -27,7 +33,6 @@ one mid-file.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
@@ -40,9 +45,10 @@ from typing import TypeVar
 from repro.core.metrics import Metrics
 from repro.core.results import (QuestionRecord, metrics_from_dict,
                                 metrics_to_dict, record_from_dict,
-                                record_to_dict)
+                                record_line)
 from repro.errors import LedgerCorruptError, RunError
-from repro.obs.jsonl import JsonlCorruptError, cut_torn_tail, iter_jsonl
+from repro.obs.jsonl import (JsonlCorruptError, cut_torn_tail,
+                             dumps_line, iter_jsonl)
 
 #: File name of the event log inside a run directory.
 LEDGER_FILENAME = "ledger.jsonl"
@@ -76,8 +82,7 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def _append(self, payload: dict, sync: bool = False) -> None:
-        self._write(json.dumps(payload, separators=(",", ":")) + "\n",
-                    sync=sync)
+        self._write(dumps_line(payload), sync=sync)
 
     def _write(self, text: str, sync: bool = False) -> None:
         with self._lock:
@@ -104,8 +109,7 @@ class RunLedger:
 
     def record(self, cell_id: str, index: int,
                record: QuestionRecord) -> None:
-        self._append({"event": "record", "cell": cell_id, "i": index,
-                      **record_to_dict(record)})
+        self._write(record_line(cell_id, index, record))
 
     def record_lines(self, lines: Iterable[str]) -> None:
         """Append ``record`` events already encoded by :meth:`record`

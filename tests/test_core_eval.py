@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.benchmark import TaxoGlimpse
 from repro.core.metrics import (Metrics, combine, retrieval_metrics,
@@ -94,6 +96,33 @@ class TestRecords:
         metrics = metrics_from_records(records)
         assert metrics.accuracy == 0.5
         assert metrics.miss_rate == 0.25
+
+    @staticmethod
+    def _two_pass(records):
+        """The fold metrics_from_records replaced: the reference."""
+        correct = sum(1 for record in records if record.correct)
+        missed = sum(1 for record in records if record.missed)
+        return summarize(correct, missed, len(records))
+
+    _answers = st.sampled_from(list(Answer)).flatmap(
+        lambda answer: st.sampled_from([answer, answer.value]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        _answers, st.one_of(_answers, st.just("maybe"))), min_size=1))
+    def test_one_pass_metrics_equal_the_two_pass_fold(self, pairs):
+        """Enum members and plain strings score alike (IDK and
+        UNPARSEABLE miss, MCQ letters compare by value)."""
+        records = [self._record(parsed, expected)
+                   for parsed, expected in pairs]
+        assert metrics_from_records(records) == self._two_pass(records)
+
+    def test_unknown_parsed_answer_raises_like_missed(self):
+        records = [self._record(Answer.YES), self._record("maybe")]
+        with pytest.raises(ValueError):
+            records[1].missed
+        with pytest.raises(ValueError):
+            metrics_from_records(records)
 
 
 class TestRunner:

@@ -16,6 +16,7 @@ from repro.cli import main
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
+from repro.engine.telemetry import LATENCY, Telemetry
 from repro.errors import RunError
 from repro.llm.base import StaticResponder
 from repro.obs import (AlertEvaluator, AlertRule, BudgetGuard,
@@ -26,7 +27,9 @@ from repro.obs.cost import (CostCell, TokenCounter, call_cost_nanos,
                             nanos_to_usd)
 from repro.obs.history import HistoryEntry
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
-                        execute_run, load_run, resume_run)
+                        execute_run, load_run, replay_ledger,
+                        resume_run)
+from repro.runs import session as session_module
 from repro.dist import execute_run_sharded
 
 SMALL = dict(models=("GPT-4", "GPT-3.5"), taxonomy_keys=("ebay",),
@@ -283,6 +286,39 @@ class TestShardedCost:
                                        registry=registry)
         assert ledger_a.total_cost_nanos == ledger_b.total_cost_nanos
         assert ledger_a.total_cost_nanos > 0
+
+
+class TestSequentialStats:
+    def test_run_finished_stats_match_the_records(self, registry,
+                                                   monkeypatch):
+        """The engineless path books, per question, one call, its
+        tokens, its spend and one latency observation."""
+        made = []
+
+        class Recording(Telemetry):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(session_module, "Telemetry", Recording)
+        result = execute_run(RunRequest(**SMALL), registry=registry)
+        records = [record for cell in load_run(
+            result.run_id, registry=registry).cells.values()
+            for record in cell.records]
+        stats = replay_ledger(registry.ledger_path(result.run_id)).stats
+        n = len(records)
+        assert n > 0
+        assert stats["calls"] == stats["records"] == n
+        assert stats["prompt_tokens"] == sum(
+            record.prompt_tokens for record in records)
+        assert stats["completion_tokens"] == sum(
+            record.completion_tokens for record in records)
+        assert stats["cost_nanos"] == sum(
+            call_cost_nanos(record.model, record.prompt_tokens,
+                            record.completion_tokens)
+            for record in records)
+        [telemetry] = made
+        assert telemetry.registry.metrics()[LATENCY].count == n
 
 
 # ----------------------------------------------------------------------

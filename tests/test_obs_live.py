@@ -25,6 +25,7 @@ from repro.obs import (HistoryEntry, JsonlCorruptError, JsonlTail,
                        entry_from_result, iter_jsonl, latest_for,
                        load_entry, read_history, render_dashboard,
                        write_entry)
+from repro.obs import jsonl
 from repro.obs.jsonl import cut_torn_tail
 from repro.runs import (HeartbeatWriter, RunRegistry, RunRequest,
                         create_run, execute_run, load_run,
@@ -145,7 +146,11 @@ class TestIterJsonl:
         ('{"a": 1}\n', '{"a": 1}\n'),
         ('{"a": 1}\n{"b":', '{"a": 1}\n'),
         ('{"b":', ""),
-    ], ids=["clean", "torn", "only-torn"])
+        ('{"a": 1}\n' + "x" * (2 * jsonl._TAIL_BLOCK + 7), '{"a": 1}\n'),
+        ("x" * (2 * jsonl._TAIL_BLOCK + 7), ""),
+        ("", ""),
+    ], ids=["clean", "torn", "only-torn", "newline-blocks-back",
+            "no-newline", "empty"])
     def test_cut_torn_tail_keeps_complete_lines(self, tmp_path,
                                                 content, kept):
         path = tmp_path / "log.jsonl"
