@@ -89,10 +89,11 @@ from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
                         engine_for, execute_run, load_run, resume_run)
-from repro.serve.views import (iter_question_records, run_cell_rows,
-                               run_diff_payload, run_result_payload,
-                               run_show_payload, run_trail_payload,
-                               run_trails_payload, runs_list_payload)
+from repro.serve.views import (dumps_view, iter_question_records,
+                               run_cell_rows, run_diff_payload,
+                               run_result_payload, run_show_payload,
+                               run_trail_payload, run_trails_payload,
+                               runs_list_payload)
 from repro.dist import (DEFAULT_MIN_AGE_S, execute_run_sharded,
                         gc_runs, merge_run, render_shard_dashboard,
                         resume_run_sharded, shard_statuses,
@@ -753,7 +754,7 @@ def _registry(args: argparse.Namespace) -> RunRegistry:
 def _run_result_report(result, title: str,
                        as_json: bool = False) -> str:
     if as_json:
-        return json.dumps(run_result_payload(result), indent=1)
+        return dumps_view(run_result_payload(result))
     if result.request.per_level:
         rows = [{
             "cell": key.cell_id,
@@ -848,7 +849,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> str:
     registry = _registry(args)
     if args.json:
         # Same builder the HTTP API serves from (GET /runs).
-        return json.dumps(runs_list_payload(registry), indent=1)
+        return dumps_view(runs_list_payload(registry))
     summaries = registry.list_runs()
     if not summaries:
         return "no runs in registry"
@@ -870,7 +871,7 @@ def _watch(registry: RunRegistry, run_id: str, once: bool = False,
             run_id, registry=registry,
             stall_deadline_s=stall_after).poll()
         if as_json:
-            return json.dumps(progress.to_dict(), indent=1)
+            return dumps_view(progress.to_dict())
         return render_dashboard(progress)
     render = ((lambda progress: json.dumps(progress.to_dict()))
               if as_json else render_dashboard)
@@ -902,8 +903,7 @@ def _watch_sharded(registry: RunRegistry, run_id: str,
     if once:
         statuses = shard_statuses(run_id, registry=registry, **kwargs)
         if as_json:
-            return json.dumps(
-                [status.to_dict() for status in statuses], indent=1)
+            return dumps_view([status.to_dict() for status in statuses])
         return render_shard_dashboard(run_id, statuses)
     try:
         statuses = watch_shards(run_id, registry=registry,
@@ -931,8 +931,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> str:
         return _watch(registry, args.run_id, as_json=args.json)
     if args.json:
         # Same builder the HTTP API serves from (GET /runs/<id>).
-        return json.dumps(run_show_payload(registry, args.run_id),
-                          indent=1)
+        return dumps_view(run_show_payload(registry, args.run_id))
     manifest = registry.manifest(args.run_id)
     state = registry.state(args.run_id)
     cell_rows = run_cell_rows(state)
@@ -999,7 +998,7 @@ def _cmd_runs_gc(args: argparse.Namespace) -> str:
     report = gc_runs(registry=_registry(args), dry_run=args.dry_run,
                      min_age_s=args.min_age)
     if args.json:
-        return json.dumps(report.to_dict(), indent=1)
+        return dumps_view(report.to_dict())
     verb = "would remove" if report.dry_run else "removed"
     if not report.removed:
         return f"{verb} nothing — registry is clean"
@@ -1015,9 +1014,8 @@ def _cmd_runs_diff(args: argparse.Namespace) -> str:
     if args.json:
         # Same builder the HTTP API serves from
         # (GET /runs/<a>/diff/<b>).
-        return json.dumps(
-            run_diff_payload(registry, args.run_a, args.run_b),
-            indent=1)
+        return dumps_view(
+            run_diff_payload(registry, args.run_a, args.run_b))
     diff = diff_runs(load_run(args.run_a, registry=registry),
                      load_run(args.run_b, registry=registry))
     table = format_rows(
@@ -1063,8 +1061,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
 
 
 def _cmd_obs_trace(args: argparse.Namespace) -> str:
-    document = json.dumps(chrome_trace(_load_run_spans(args)),
-                          indent=1)
+    document = dumps_view(chrome_trace(_load_run_spans(args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(document + "\n")
@@ -1089,8 +1086,7 @@ def _cmd_obs_history(args: argparse.Namespace) -> str:
     if args.last is not None and args.last >= 0:
         entries = entries[-args.last:] if args.last else []
     if args.json:
-        return json.dumps([entry.to_dict() for entry in entries],
-                          indent=1)
+        return dumps_view([entry.to_dict() for entry in entries])
     if not entries:
         return "no history entries"
     return format_rows([entry.as_row() for entry in entries],
@@ -1129,7 +1125,7 @@ def _cmd_obs_check(args: argparse.Namespace) -> "str | tuple[str, int]":
         cache_hit_drop_pts=args.max_cache_hit_drop))
     code = 0 if report.passed else 1
     if args.json:
-        return json.dumps(report.to_dict(), indent=1), code
+        return dumps_view(report.to_dict()), code
     table = format_rows(
         report.rows(),
         title=(f"Regression gate: {report.candidate_id} vs "
@@ -1144,7 +1140,7 @@ def _cmd_obs_cost(args: argparse.Namespace) -> str:
     ledger = CostLedger.from_run(args.run_id,
                                  registry=_registry(args))
     if args.json:
-        return json.dumps(ledger.to_dict(), indent=1)
+        return dumps_view(ledger.to_dict())
     if args.prometheus:
         return ledger.to_prometheus().rstrip("\n")
     if not ledger.cells:
@@ -1159,7 +1155,7 @@ def _cmd_obs_why(args: argparse.Namespace) -> str:
     payload = run_trail_payload(_registry(args), args.run_id,
                                 args.index)
     if args.json:
-        return json.dumps(payload, indent=1)
+        return dumps_view(payload)
     outcome = ("correct" if payload["correct"]
                else "missed" if payload["missed"] else "wrong")
     lines = [
@@ -1293,7 +1289,7 @@ def _cmd_obs_trails(args: argparse.Namespace) -> str:
     # Same builder the HTTP API serves (GET /runs/<id>/trails).
     payload = run_trails_payload(_registry(args), args.run_id)
     if args.json:
-        return json.dumps(payload, indent=1)
+        return dumps_view(payload)
     if not payload["cells"]:
         return (f"run {args.run_id} has no recorded questions yet — "
                 f"nothing to summarize")

@@ -14,16 +14,23 @@ calls no matter how large the sweeps were.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.metrics import Metrics
 from repro.engine.telemetry import EngineStats
+from repro.questions.model import Answer
 from repro.runs.driver import CellKey, RunResult, coerce_run
 from repro.runs.registry import RunRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class QuestionFlip:
-    """One question whose parsed answer differs between the runs."""
+class QuestionFlip(NamedTuple):
+    """One question whose parsed answer differs between the runs.
+
+    A named tuple, not a dataclass: a diff builds one per flipped
+    question, and a frozen dataclass costs about twice as much to
+    construct.  So a flip also equals a plain tuple of the same four
+    values; copy one with ``_replace``, not ``dataclasses.replace``.
+    """
 
     question_uid: str
     parsed_a: str
@@ -157,19 +164,33 @@ class RunDiff:
         }
 
 
+class _AnswerText(dict):
+    """Answer -> its value as a plain string, for enum members and
+    plain strings alike (a member hashes and compares as its value),
+    without the ``Enum.value`` descriptor; a string that is no answer
+    raises :class:`ValueError`, as ``Answer(text)`` does."""
+
+    def __missing__(self, answer: object) -> str:
+        return Answer(answer).value
+
+
+_ANSWER_TEXT = _AnswerText((answer.value, answer.value)
+                           for answer in Answer)
+
+
 def _flips(result_a, result_b) -> tuple[QuestionFlip, ...]:
     by_uid = {record.question_uid: record
               for record in result_b.records}
+    text = _ANSWER_TEXT
     flips = []
     for record in result_a.records:
         other = by_uid.get(record.question_uid)
         if other is None or record.parsed == other.parsed:
             continue
-        flips.append(QuestionFlip(
-            question_uid=record.question_uid,
-            parsed_a=record.parsed.value,
-            parsed_b=other.parsed.value,
-            expected=record.expected.value))
+        flips.append(QuestionFlip(record.question_uid,
+                                  text[record.parsed],
+                                  text[other.parsed],
+                                  text[record.expected]))
     return tuple(flips)
 
 

@@ -180,13 +180,16 @@ class CellState:
 
     def ordered_records(self) -> tuple[QuestionRecord, ...]:
         """Records in question order (raises on holes)."""
-        missing = [i for i in range(self.expected_n)
-                   if i not in self.records]
-        if missing:
+        try:
+            return tuple(map(self.records.__getitem__,
+                             range(self.expected_n)))
+        except KeyError:
+            missing = [i for i in range(self.expected_n)
+                       if i not in self.records]
             raise RunError(
                 f"cell {self.cell_id} is missing record indices "
-                f"{missing[:5]}{'...' if len(missing) > 5 else ''}")
-        return tuple(self.records[i] for i in range(self.expected_n))
+                f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
+            ) from None
 
 
 @dataclass

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -52,6 +53,11 @@ SHARD_PLAN_FILENAME = "shards.json"
 
 #: Directory of per-shard state inside a sharded run directory.
 SHARDS_DIRNAME = "shards"
+
+#: One plain path segment: no traversal, no separators.  Every run id
+#: must be one (the registry's own are ``<12 hex>-<NN>``), and so must
+#: every tenant name ``repro serve`` accepts.
+PLAIN_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
 #: Ledger bytes a :class:`StateCache` may hold.  A replayed state
 #: takes about twice its ledger's bytes in memory; two W1 trail-on
@@ -216,6 +222,14 @@ class RunRegistry:
 
     # ------------------------------------------------------------------
     def run_dir(self, run_id: str) -> Path:
+        """The run's directory; every per-run path starts here.
+
+        Raises :class:`UnknownRunError` for an id that is not one
+        plain name (``../x``, ``a/b``), so no caller ever opens a
+        path outside the root.
+        """
+        if not PLAIN_NAME_RE.fullmatch(run_id):
+            raise UnknownRunError(run_id, str(self.root))
         return self.root / run_id
 
     def ledger_path(self, run_id: str) -> Path:
@@ -366,7 +380,7 @@ class RunRegistry:
         try:
             return sorted(
                 entry.name for entry in self.root.iterdir()
-                if entry.is_dir()
+                if entry.is_dir() and PLAIN_NAME_RE.fullmatch(entry.name)
                 and (entry / MANIFEST_FILENAME).exists())
         except FileNotFoundError:
             return []

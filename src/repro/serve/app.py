@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,10 +55,13 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.errors import (LedgerCorruptError, ReproError, RunError,
                           UnknownRunError)
+from repro.obs.jsonl import dumps_line
+from repro.runs.registry import PLAIN_NAME_RE
 from repro.serve.hub import FollowerHub
 from repro.serve.jobs import JobManager
-from repro.serve.views import (run_diff_payload, run_result_payload,
-                               run_show_payload, runs_list_payload)
+from repro.serve.views import (dumps_view, run_diff_payload,
+                               run_result_payload, run_show_payload,
+                               runs_list_payload)
 
 _log = logging.getLogger("repro.serve")
 
@@ -68,9 +70,6 @@ TENANT_HEADER = "X-Repro-Tenant"
 
 #: The tenant name that maps to the registry root itself.
 DEFAULT_TENANT = "default"
-
-#: Conservative tenant names: no traversal, no separators.
-_TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Default request-body ceiling (a RunRequest is < 1 KiB).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024
@@ -118,20 +117,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
-        _log.debug("%s %s", self.address_string(), format % args)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: object) -> None:
-        body = json.dumps(payload, indent=1).encode("utf-8")
+    def _send_json(self, status: int, payload: object,
+                   allow: str | None = None) -> None:
+        body = dumps_view(payload).encode("utf-8")
         self.send_response(status)
+        if allow is not None:
+            self.send_header("Allow", allow)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, code: str,
-                         message: str) -> None:
+    def _send_error_json(self, status: int, code: str, message: str,
+                         allow: str | None = None) -> None:
         self._send_json(status, {"error": {
-            "status": status, "code": code, "message": message}})
+            "status": status, "code": code, "message": message}},
+            allow=allow)
 
     def _read_body(self) -> dict:
         """The request's JSON object body, size- and shape-checked."""
@@ -163,7 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
         name = (self.headers.get(TENANT_HEADER) or "").strip()
         if not name:
             return DEFAULT_TENANT
-        if not _TENANT_RE.match(name):
+        if not PLAIN_NAME_RE.fullmatch(name):
             raise _bad_request(f"bad tenant name: {name!r}")
         return name
 
@@ -240,16 +244,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _require(self, method: str, wanted: str, build) -> None:
         if method != wanted:
-            self.send_response(405)
-            self.send_header("Allow", wanted)
-            body = json.dumps({"error": {
-                "status": 405, "code": "method-not-allowed",
-                "message": f"use {wanted}"}}).encode("utf-8")
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
+            return self._send_error_json(405, "method-not-allowed",
+                                         f"use {wanted}", allow=wanted)
         status, payload = build()
         self._send_json(status, payload)
 
@@ -336,9 +332,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self.wfile.write(b": ping\n\n")
                     self.wfile.flush()
                     continue
-                data = json.dumps(payload, separators=(",", ":"))
-                self.wfile.write(
-                    f"event: {kind}\ndata: {data}\n\n".encode("utf-8"))
+                frame = f"event: {kind}\ndata: {dumps_line(payload)}\n"
+                self.wfile.write(frame.encode("utf-8"))
                 self.wfile.flush()
                 if kind == "snapshot":
                     sent += 1

@@ -8,11 +8,18 @@ surfaces call the builders in this module — there is one codepath, so
 the payloads cannot drift.  ``run_result_payload`` is the machine
 form of a finished :class:`repro.runs.RunResult` (the ``repro run
 --json`` summary and the server's ``GET /runs/<id>/result``).
+
+Both surfaces also share one encoder, :func:`dumps_view`: the bytes
+of ``json.dumps(payload, indent=1)``, written mostly in C.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from collections.abc import Iterator
+from json.encoder import c_make_encoder
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.core.results import QuestionRecord, metrics_to_dict
 from repro.errors import RunError
@@ -21,6 +28,122 @@ from repro.runs.diff import diff_runs
 from repro.runs.driver import RunResult, load_run
 from repro.runs.ledger import RunState
 from repro.runs.registry import RunRegistry
+
+
+#: Container levels the fast path of :func:`dumps_view` encodes.  A
+#: deeper payload, or a reference cycle (which never ends), goes to
+#: ``json.dumps`` whole.
+_DEPTHS = 32
+
+_CONTAINERS = (dict, list, tuple)
+
+#: Value types a flat container may hold for one C encoder call.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+class _Fallback(Exception):
+    """The fast path cannot encode the payload; ``json.dumps`` must."""
+
+
+def _refuse(obj: object) -> object:
+    raise _Fallback
+
+
+def _flat_encoder(level: int):
+    """The C encoder for a flat container at ``level``: no ``indent``
+    (so it runs in C), and the item separator ``indent=1`` writes
+    inside such a container."""
+    return c_make_encoder(None, _refuse, _quote, None, ": ",
+                          ",\n" + " " * (level + 1), False, False, True)
+
+
+#: One C encoder per level, built once and never changed, so handler
+#: threads share them safely.  Empty where ``json.dumps`` writes
+#: ``indent`` in C itself (CPython 3.13+) or ``_json`` is missing.
+_FLAT_ENCODERS = (
+    () if sys.version_info >= (3, 13) or c_make_encoder is None
+    else tuple(_flat_encoder(level) for level in range(_DEPTHS)))
+
+#: A newline plus the indentation of each level.
+_NEWLINES = tuple("\n" + " " * level for level in range(_DEPTHS + 1))
+
+
+def dumps_view(payload: object) -> str:
+    """``json.dumps(payload, indent=1)``, byte for byte: the encoding
+    of every CLI ``--json`` view and every REST body.
+
+    Before CPython 3.13, ``indent`` forces json's pure-Python encoder.
+    Here every flat container (a dict, list or tuple holding no dict,
+    list or tuple) is written by one C encoder call instead, and only
+    the containers around them are walked in Python.  Anything the
+    fast path does not handle — a non-``str`` key in a nested dict, a
+    container subclass, a type json does not know, a payload deeper
+    than the encoder table, a cycle — goes to ``json.dumps`` whole,
+    which coerces or raises as it always did.  From 3.13 on, json
+    writes ``indent`` in C itself, and this is ``json.dumps``.
+    """
+    if not _FLAT_ENCODERS or not isinstance(payload, _CONTAINERS):
+        return json.dumps(payload, indent=1)
+    parts: list[str] = []
+    try:
+        _encode_container(payload, 0, parts)
+    except (_Fallback, TypeError, ValueError):
+        return json.dumps(payload, indent=1)
+    return "".join(parts)
+
+
+def _encode_container(obj: object, level: int, parts: list[str]) -> None:
+    """Append the ``indent=1`` text of the container ``obj`` at
+    ``level`` to ``parts``."""
+    kind = type(obj)
+    if kind is dict:
+        values = obj.values()
+    elif kind is list or kind is tuple:
+        values = obj
+    else:
+        raise _Fallback     # json sizes and walks a subclass its own way
+    if not obj:
+        parts.append("{}" if kind is dict else "[]")
+        return
+    if _SCALARS.issuperset(map(type, values)):
+        # One C call writes the items and their separators; only the
+        # outer brackets get the newlines ``indent`` puts inside them.
+        text = _FLAT_ENCODERS[level](obj, 0)[0]
+        parts += (text[0], _NEWLINES[level + 1], text[1:-1],
+                  _NEWLINES[level], text[-1])
+        return
+    if level + 1 >= _DEPTHS:
+        raise _Fallback
+    scalar = _FLAT_ENCODERS[0]
+    lead = _NEWLINES[level + 1]
+    separator = "," + lead
+    append = parts.append
+    if kind is dict:
+        append("{")
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise _Fallback         # json.dumps coerces keys itself
+            append(lead)
+            lead = separator
+            append(_quote(key))
+            append(": ")
+            if isinstance(value, _CONTAINERS):
+                _encode_container(value, level + 1, parts)
+            else:
+                append(scalar(value, 0)[0])
+        append(_NEWLINES[level])
+        append("}")
+    else:
+        append("[")
+        for value in obj:
+            append(lead)
+            lead = separator
+            if isinstance(value, _CONTAINERS):
+                _encode_container(value, level + 1, parts)
+            else:
+                append(scalar(value, 0)[0])
+        append(_NEWLINES[level])
+        append("]")
 
 
 def run_cell_rows(state: RunState) -> list[dict[str, object]]:

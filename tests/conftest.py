@@ -66,6 +66,24 @@ def propagating_logs():
     root.propagate = before
 
 
+@pytest.fixture(autouse=True)
+def _restored_logs():
+    """Put the ``repro`` logger back as it was before each test.
+
+    A CLI ``main()`` call runs ``configure_logging``, which binds a
+    handler to the sys.stderr of that moment: in a test, its capture
+    stream, closed when the test ends.  A later test's server threads
+    would log into that closed stream.
+    """
+    root = logging.getLogger("repro")
+    handlers, level, propagate = (root.handlers[:], root.level,
+                                  root.propagate)
+    yield
+    root.handlers[:] = handlers
+    root.setLevel(level)
+    root.propagate = propagate
+
+
 @pytest.fixture()
 def toy_taxonomy():
     """A tiny 3-level shopping taxonomy with known structure.

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.results import (QuestionRecord, metrics_from_dict,
                                 metrics_to_dict, record_from_dict,
@@ -24,6 +27,7 @@ from repro.questions.model import Answer, DatasetKind
 from repro.runs import (CellKey, RunLedger, RunRegistry, RunRequest,
                         RunState, create_run, diff_runs, execute_run,
                         load_run, replay_ledger, resume_run)
+from repro.runs.diff import _flips
 from repro.cli import main
 
 SMALL = dict(models=("GPT-4", "LLMs4OL"),
@@ -126,6 +130,17 @@ class TestLedger:
         assert cell.complete
         assert [r.question_uid for r in cell.ordered_records()] == \
             ["q0", "q1"]
+
+    def test_ordered_records_name_holes(self):
+        from repro.runs.ledger import CellState
+        cell = CellState("c1", expected_n=3,
+                         records={i: self._record(i) for i in (0, 2, 5)})
+        with pytest.raises(RunError, match=r"c1 .*indices \[1\]"):
+            cell.ordered_records()
+        # An index past the cell does not hide a complete one.
+        cell.records[1] = self._record(1)
+        assert [r.question_uid for r in cell.ordered_records()] == \
+            ["q0", "q1", "q2"]
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -350,7 +365,83 @@ class _EveryNthFlipped:
         return "I don't know." if flip else response
 
 
+def _reference_flips(result_a, result_b) -> list[tuple[str, ...]]:
+    """``runs.diff._flips`` as it read before it stopped going through
+    the ``Enum.value`` descriptor (it only takes enum members)."""
+    by_uid = {record.question_uid: record
+              for record in result_b.records}
+    flips = []
+    for record in result_a.records:
+        other = by_uid.get(record.question_uid)
+        if other is None or record.parsed == other.parsed:
+            continue
+        flips.append((record.question_uid, record.parsed.value,
+                      other.parsed.value, record.expected.value))
+    return flips
+
+
+def _fields(flips) -> list[tuple[str, ...]]:
+    return [(flip.question_uid, flip.parsed_a, flip.parsed_b,
+             flip.expected) for flip in flips]
+
+
+def _cell(records) -> SimpleNamespace:
+    """The one part of a cell result ``_flips`` reads."""
+    return SimpleNamespace(records=tuple(records))
+
+
+def _record(uid: str, parsed: Answer, expected: Answer,
+            plain: tuple[bool, bool] = (False, False)) -> QuestionRecord:
+    """A record whose answers are enum members, or plain strings where
+    ``plain`` says so (parsed, expected)."""
+    return QuestionRecord(
+        question_uid=uid, model="m", setting="zero-shot", response="",
+        parsed=parsed.value if plain[0] else parsed,
+        expected=expected.value if plain[1] else expected)
+
+
+#: One question: in run A?, in run B?, parsed A, parsed B, expected,
+#: and which of A's and B's answers are stored as plain strings.
+_answers = st.sampled_from(list(Answer))
+_question = st.tuples(st.booleans(), st.booleans(), _answers, _answers,
+                      _answers, st.tuples(st.booleans(), st.booleans()),
+                      st.tuples(st.booleans(), st.booleans()))
+
+
 class TestDiff:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_question, max_size=30), st.randoms())
+    def test_flips_match_the_enum_value_reference(self, questions,
+                                                  rng):
+        """Members and plain strings alike, uids on one side only,
+        changed and unchanged answers: the same flips, in the same
+        order, with the same plain-string values."""
+        side_a, side_b, members_a, members_b = [], [], [], []
+        for index, (in_a, in_b, parsed_a, parsed_b, expected,
+                    plain_a, plain_b) in enumerate(questions):
+            uid = f"q{index}"
+            if in_a:
+                side_a.append(_record(uid, parsed_a, expected, plain_a))
+                members_a.append(_record(uid, parsed_a, expected))
+            if in_b:
+                side_b.append(_record(uid, parsed_b, expected, plain_b))
+                members_b.append(_record(uid, parsed_b, expected))
+        # Run B's order does not matter: flips follow run A's.
+        rng.shuffle(side_b)
+        flips = _fields(_flips(_cell(side_a), _cell(side_b)))
+        assert flips == _reference_flips(_cell(members_a),
+                                         _cell(members_b))
+        assert all(type(value) is str
+                   for flip in flips for value in flip)
+
+    def test_a_non_answer_string_is_refused(self):
+        good = _record("q", Answer.NO, Answer.YES)
+        bad = QuestionRecord(question_uid="q", model="m",
+                             setting="zero-shot", response="",
+                             parsed="maybe", expected=Answer.YES)
+        with pytest.raises(ValueError, match="maybe"):
+            _flips(_cell([bad]), _cell([good]))
+
     def test_identical_runs_diff_clean(self, registry):
         request = RunRequest(dataset="easy", models=("GPT-4",),
                              taxonomy_keys=("ebay",), sample_size=8)
@@ -372,6 +463,9 @@ class TestDiff:
         assert not diff.identical
         assert diff.total_flips > 0
         (cell,) = diff.cells
+        (cell_a,) = load_run(a.run_id, registry=registry).cells.values()
+        (cell_b,) = load_run(b_id, registry=registry).cells.values()
+        assert _fields(cell.flips) == _reference_flips(cell_a, cell_b)
         assert cell.changed
         assert any(flip.regression for flip in cell.flips)
         assert cell.miss_delta > 0
@@ -553,6 +647,36 @@ class TestRegistryRaceConsistency:
             registry.manifest("ghost-01")
         with pytest.raises(UnknownRunError):
             registry.state("ghost-01")
+
+    def test_run_ids_are_plain_names(self, registry, capsys):
+        """A run id that climbs out of its root (a tenant's registry
+        nests under the server root) is an unknown run, before any
+        file is opened."""
+        run_id = execute_run(RunRequest(**self.TINY),
+                             registry=registry).run_id
+        nested = RunRegistry(registry.root / "tenants" / "t1")
+        nested.root.mkdir(parents=True)
+        for bad in (f"../../{run_id}", "../x", "a/b", "..", ".", "",
+                    f"{run_id}/../{run_id}", "-01", "x" * 65):
+            with pytest.raises(UnknownRunError):
+                nested.run_dir(bad)
+            with pytest.raises(UnknownRunError):
+                nested.state(bad)
+        with pytest.raises(UnknownRunError):
+            main(["runs", "show", f"../../{run_id}", "--json",
+                  "--runs-dir", str(nested.root)])
+        with pytest.raises(UnknownRunError):
+            main(["runs", "show", "../x", "--runs-dir",
+                  str(registry.root)])
+        # The ids the registry creates still resolve, and a directory
+        # whose name is no run id is not listed.
+        (registry.root / "not a run").mkdir()
+        (registry.root / "not a run" / "manifest.json").write_text("{}")
+        assert registry.list_ids() == [run_id]
+        assert registry.manifest(run_id)["run_id"] == run_id
+        assert main(["runs", "show", run_id, "--json", "--runs-dir",
+                     str(registry.root)]) == 0
+        assert json.loads(capsys.readouterr().out)["finished"] is True
 
     def test_listing_survives_create_delete_churn(self, registry):
         import shutil

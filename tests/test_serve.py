@@ -22,6 +22,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.llm.registry import get_model
 from repro.runs import RunRequest, execute_run, load_run, replay_ledger
 from repro.serve import (DEFAULT_TENANT, TENANT_HEADER, ReproServer,
                          run_result_payload)
@@ -63,6 +64,17 @@ def _request(server, path, method="GET", body=None, headers=None,
 
 def _get(server, path, headers=None):
     return _request(server, path, headers=headers)
+
+
+def _get_raw(server, path) -> tuple[int, bytes]:
+    """(status, body bytes) of one GET, undecoded."""
+    try:
+        with urllib.request.urlopen(server.url + path,
+                                    timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
 
 
 def _post(server, path, body=None, headers=None, raw=None):
@@ -120,6 +132,18 @@ def _seed_run(server, tenant=DEFAULT_TENANT):
     return execute_run(RunRequest(**SMALL), registry=registry)
 
 
+class _Rebuilt:
+    """Another model's answers under the same name: a rebuilt
+    endpoint, so a diff against the original run has answer flips."""
+
+    def __init__(self, inner, name: str):
+        self.inner = inner
+        self.name = name
+
+    def generate(self, prompt: str) -> str:
+        return self.inner.generate(prompt)
+
+
 # ----------------------------------------------------------------------
 # REST payloads == CLI --json payloads (shared builders, end to end)
 # ----------------------------------------------------------------------
@@ -153,6 +177,35 @@ class TestRestMatchesCli:
             "runs", "diff", first.run_id, second.run_id, "--json",
             "--runs-dir", str(server.root)])
         assert payload["identical"] is True
+
+    def test_rest_bodies_are_the_cli_json_bytes(self, server, capsys):
+        """Byte for byte, not only the decoded payloads: each REST body
+        is what the CLI's ``--json`` prints, minus print's newline."""
+        registry = server.registry_for(DEFAULT_TENANT)
+        request = RunRequest(**SMALL, trail=True)
+        first = execute_run(request, registry=registry).run_id
+        rebuilt = _Rebuilt(get_model("Llama-2-7B"), "GPT-4")
+        second = execute_run(request, registry=registry,
+                             resolve_model=lambda name: rebuilt).run_id
+        runs_dir = ["--runs-dir", str(server.root)]
+        views = [
+            ("/runs", ["runs", "list", "--json"]),
+            (f"/runs/{first}", ["runs", "show", first, "--json"]),
+            (f"/runs/{first}/diff/{second}",
+             ["runs", "diff", first, second, "--json"]),
+            (f"/runs/{first}/trails", ["obs", "trails", first, "--json"]),
+            (f"/runs/{first}/trail/5", ["obs", "why", first, "5",
+                                        "--json"]),
+        ]
+        for path, argv in views:
+            status, body = _get_raw(server, path)
+            assert status == 200, path
+            assert main(argv + runs_dir) == 0
+            printed = capsys.readouterr().out
+            assert printed.endswith("\n")
+            assert body == printed[:-1].encode("utf-8"), path
+        diff = json.loads(_get_raw(server, views[2][0])[1])
+        assert diff["total_flips"] > 0
 
     def test_run_result_endpoint_matches_run_json_summary(
             self, server, capsys, tmp_path):
@@ -546,6 +599,31 @@ class TestHardening:
                            "unknown-run")
         self._expect_error(server, "/runs/zzz/resume", 404,
                            "unknown-run", method="POST")
+
+    def test_run_ids_cannot_leave_the_tenant(self, server):
+        """``%2F`` decodes inside one path segment, so a run id like
+        ``..%2F..%2F<id>`` would climb from a tenant's registry to the
+        default one: every run route answers 404 instead, and no job
+        starts."""
+        team = {TENANT_HEADER: "t1"}
+        ours = _seed_run(server).run_id
+        theirs = execute_run(RunRequest(**{**SMALL, "sample_size": 6}),
+                             registry=server.registry_for("t1")).run_id
+        up = f"..%2F..%2F{ours}"
+        gets = [f"/runs/{up}", f"/runs/{up}/result",
+                f"/runs/{up}/progress", f"/runs/{up}/alerts",
+                f"/runs/{up}/trails", f"/runs/{up}/trail/0",
+                f"/runs/{up}/diff/{up}", f"/runs/{theirs}/diff/{up}",
+                f"/runs/{up}/events"]
+        for path in gets:
+            self._expect_error(server, path, 404, "unknown-run",
+                               headers=team)
+        self._expect_error(server, f"/runs/{up}/resume", 404,
+                           "unknown-run", method="POST", headers=team)
+        assert server.jobs.list_jobs() == []
+        # The tenant's own runs, and the default tenant's, still read.
+        assert _get(server, f"/runs/{theirs}", headers=team)[0] == 200
+        assert _get(server, f"/runs/{ours}")[0] == 200
 
     def test_unknown_taxonomy_pool_job_404(self, server):
         self._expect_error(server, "/taxonomies/zzz", 404,
