@@ -20,19 +20,15 @@ worker finished first, how a shard's engine interleaved questions, or
 how many times a shard crashed and resumed.
 
 Crash safety: the merged ledger and span log are written to temp
-files in the run directory and ``os.replace``d into place, so a merge
-that dies mid-write leaves the run in the mergeable "all shards
-finished" state it started in (stale ``*.tmp`` files are ``repro
-runs gc`` food).  A re-merge of an already merged run is a no-op
-load unless forced.
+files in the run directory and swapped into place
+(:func:`repro.obs.jsonl.replacing`), so a merge that dies mid-write
+leaves the run in the mergeable "all shards finished" state it
+started in (stale ``*.tmp`` files are ``repro runs gc`` food).  A
+re-merge of an already merged run is a no-op load unless forced.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from collections.abc import Iterator
-from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from repro.core.results import (PoolResult, QuestionRecord,
@@ -42,6 +38,7 @@ from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.obs.export import write_spans_jsonl
 from repro.obs.history import append_entry, entry_from_result
+from repro.obs.jsonl import replacing
 from repro.obs.tracer import Tracer
 from repro.runs.driver import CellKey, RunResult, load_run
 from repro.runs.ledger import RunLedger
@@ -157,28 +154,13 @@ def _fold_records(run_id: str, plan: ShardPlan,
             for cell_id, n in plan.cells}
 
 
-@contextmanager
-def _swapped_in(target: Path, suffix: str) -> Iterator[str]:
-    """A temp file beside ``target`` that replaces it when the block
-    succeeds and is removed when it fails."""
-    handle, tmp = tempfile.mkstemp(dir=target.parent, suffix=suffix)
-    os.close(handle)
-    try:
-        yield tmp
-        os.replace(tmp, target)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _write_merged_ledger(registry: RunRegistry, run_id: str,
                          merged: dict[str, _MergedCell], attempt: int,
                          stats: EngineStats | None) -> dict:
     """Emit the sequential event stream.  Returns cell id -> metrics."""
     cell_metrics: dict[str, object] = {}
-    with _swapped_in(registry.ledger_path(run_id), ".ledger.tmp") \
-            as tmp, RunLedger(tmp, durability="close") as ledger:
+    with replacing(registry.ledger_path(run_id)) as tmp, \
+            RunLedger(tmp, durability="close") as ledger:
         ledger.run_started(run_id, attempt=attempt)
         for cell_id, pairs in merged.items():
             ledger.cell_started(cell_id, len(pairs))
@@ -204,7 +186,7 @@ def _merge_spans(registry: RunRegistry, run_id: str,
     merged log for ``repro obs trace`` to report.
     """
     tracer = Tracer(first_id=MERGED_RUN_SPAN_ID)
-    with _swapped_in(registry.spans_path(run_id), ".spans.tmp") as tmp:
+    with replacing(registry.spans_path(run_id)) as tmp:
         with tracer.span("run", run_id=run_id, dataset=dataset,
                          shards=plan.num_shards, merged=True), \
                 open(tmp, "wb") as stream:
@@ -243,9 +225,11 @@ def merge_run(run_id: str,
     stats = merge_stats([
         EngineStats.from_dict(state.stats)
         for state in states if state.stats])
+    # The merged ledger is the merge's commit point, so it goes in
+    # last: a merge that dies before it leaves the run unmerged.
+    _merge_spans(registry, run_id, plan, request.dataset)
     cell_metrics = _write_merged_ledger(registry, run_id, merged,
                                         attempt, stats)
-    _merge_spans(registry, run_id, plan, request.dataset)
     append_entry(entry_from_result(
         run_id, request.dataset, cell_metrics, stats=stats,
         attempts=attempt, shards=plan.num_shards), registry)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import RunError
+from repro.obs.jsonl import replace_text
 from repro.runs.driver import (CellKey, _pool_for, build_request_pools,
                                plan_cells)
 from repro.runs.request import RunRequest
@@ -229,20 +228,8 @@ def plan_shards(request: RunRequest, shards: int,
 def save_shard_plan(registry: "RunRegistry", run_id: str,
                     plan: ShardPlan) -> Path:
     """Atomically persist the plan inside the run directory."""
-    target = registry.shard_plan_path(run_id)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(plan.to_dict(), stream, indent=1)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return target
+    return replace_text(registry.shard_plan_path(run_id),
+                        json.dumps(plan.to_dict(), indent=1))
 
 
 def load_shard_plan(registry: "RunRegistry", run_id: str) -> ShardPlan:

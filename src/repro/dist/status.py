@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.obs.jsonl import last_advanced
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   read_heartbeat, run_status)
 from repro.runs.registry import RunRegistry
@@ -69,20 +70,6 @@ class ShardStatus:
         }
 
 
-def _shard_progress_ts(registry: RunRegistry, run_id: str,
-                       shard: int) -> float | None:
-    """Last time the shard's ledger or span log visibly advanced."""
-    latest: float | None = None
-    for path in (registry.shard_ledger_path(run_id, shard),
-                 registry.shard_spans_path(run_id, shard)):
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            continue
-        latest = mtime if latest is None else max(latest, mtime)
-    return latest
-
-
 def shard_statuses(run_id: str,
                    registry: RunRegistry | None = None,
                    plan: ShardPlan | None = None,
@@ -103,7 +90,8 @@ def shard_statuses(run_id: str,
         else:
             status = run_status(
                 state.finished, heartbeat,
-                _shard_progress_ts(registry, run_id, shard),
+                last_advanced(ledger_path,
+                              registry.shard_spans_path(run_id, shard)),
                 stall_deadline_s=stall_deadline_s)
         # Count only records inside this shard's own task ranges —
         # a resumed shard replays foreign cell-started events, never

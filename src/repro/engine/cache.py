@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -26,6 +24,7 @@ from pathlib import Path
 from repro.engine.telemetry import Telemetry
 from repro.errors import ModelError
 from repro.llm.base import ChatModel
+from repro.obs.jsonl import replace_text
 from repro.obs.metrics import global_registry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import current_trail
@@ -186,24 +185,12 @@ class ResponseCache:
     def save(self, path: str | Path) -> None:
         """Atomically write the cache as JSON (creating parent dirs).
 
-        Temp file + ``os.replace``, the same protocol as
-        ``repro.store.artifacts``: a crash mid-persistence leaves the
-        previous file intact instead of a truncated document.
+        Through :func:`repro.obs.jsonl.replace_text`, like every other
+        whole document the harness writes: a crash mid-persistence
+        leaves the previous file intact instead of a truncated
+        document.
         """
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp = tempfile.mkstemp(dir=target.parent,
-                                       suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(self.to_dict(), stream, indent=1)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        target = replace_text(path, json.dumps(self.to_dict(), indent=1))
         self.saves += 1
         global_registry().counter(
             PERSIST_SAVES, "response caches persisted").add(1)

@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from pathlib import Path
 
-from repro.obs.jsonl import JsonlCorruptError, cut_torn_tail, iter_jsonl
+from repro.obs.jsonl import JsonlAppender, fold_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
 
@@ -38,44 +37,18 @@ _log = logging.getLogger("repro.obs.export")
 # ----------------------------------------------------------------------
 # Span JSONL
 # ----------------------------------------------------------------------
-class JsonlSpanSink:
+class JsonlSpanSink(JsonlAppender):
     """Append finished spans to a JSONL file as they complete.
 
     Designed to hang off ``Tracer.sink``: every append is one
     ``write()`` + ``flush()`` under a lock, so a crashed process
     keeps every span that finished before it died.  Reopening a log
-    whose last append was torn cuts the torn bytes first.
+    whose last append was torn cuts the torn bytes first.  A span
+    that finishes after :meth:`close` is dropped.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        cut_torn_tail(self.path)
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._closed = False
-
     def __call__(self, span: Span) -> None:
-        line = span.to_line()
-        with self._lock:
-            if self._closed:
-                return
-            self._file.write(line)
-            self._file.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._file.flush()
-            self._file.close()
-            self._closed = True
-
-    def __enter__(self) -> "JsonlSpanSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._put(span.to_line())
 
 
 def write_spans_jsonl(spans, path: str | Path,
@@ -93,29 +66,17 @@ def write_spans_jsonl(spans, path: str | Path,
 def read_spans_jsonl(path: str | Path) -> tuple[Span, ...]:
     """Load a span log; a torn final line (crash signature) is dropped
     with one log line, corruption anywhere else raises."""
-    try:
-        batch = iter_jsonl(path)
-    except JsonlCorruptError as exc:
-        raise ValueError(
-            f"corrupt span log {exc.path} at line "
-            f"{exc.line_number}: {exc.reason}") from exc
-    if batch.torn:
-        _log.warning("torn-span-line dropped path=%s line=%d", path,
-                     batch.torn_line)
     spans: list[Span] = []
-    last = len(batch.records) - 1
-    for index, (number, payload) in enumerate(batch.records):
-        try:
-            spans.append(Span.from_dict(payload))
-        except (ValueError, KeyError, TypeError) as exc:
-            if index == last and not batch.torn:
-                _log.warning("torn-span-line dropped path=%s "
-                             "line=%d", path, number)
-                break
-            raise ValueError(
-                f"corrupt span log {path} at line {number}: "
-                f"{exc!r}") from exc
+    fold_jsonl(path,
+               lambda payload, _: spans.append(Span.from_dict(payload)),
+               _log, "torn-span-line", _corrupt_span_log)
     return tuple(spans)
+
+
+def _corrupt_span_log(path: str, line_number: int,
+                      reason: str) -> ValueError:
+    return ValueError(f"corrupt span log {path} at line {line_number}: "
+                      f"{reason}")
 
 
 def last_span_id(path: str | Path) -> int:

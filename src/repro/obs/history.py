@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import RunError
-from repro.obs.jsonl import dumps_line, iter_jsonl
+from repro.obs.jsonl import (append_shared, dumps_line, fold_jsonl,
+                             replace_text)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.runs.registry import RunRegistry
@@ -225,38 +226,40 @@ def append_entry(entry: HistoryEntry,
                  registry: "RunRegistry | None" = None) -> Path:
     """Append one entry to the registry's ``history.jsonl``.
 
-    Single ``write()`` of one line in append mode — the same
-    torn-line crash contract as the ledger itself.
+    Other processes append to the same file, so a torn append is never
+    cut: the entry starts on a fresh line instead
+    (:func:`repro.obs.jsonl.append_shared`), and a torn append costs
+    only its own entry.
     """
     registry = (registry if registry is not None
                 else _default_registry())
     path = registry.history_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = dumps_line(entry.to_dict())
-    with open(path, "a", encoding="utf-8") as stream:
-        stream.write(line)
-        stream.flush()
+    append_shared(path, dumps_line(entry.to_dict()))
     return path
 
 
 def read_history(registry: "RunRegistry | None" = None
                  ) -> list[HistoryEntry]:
-    """Every history entry, oldest first; torn tail tolerated."""
+    """Every history entry, oldest first.
+
+    A line that does not decode — torn, wherever it sits — is dropped
+    with a warning; an entry of an unknown shape is skipped.
+    """
     registry = (registry if registry is not None
                 else _default_registry())
     path = registry.history_path()
     if not path.exists():
         return []
-    batch = iter_jsonl(path)
-    if batch.torn:
-        _log.warning("torn-history-line dropped path=%s line=%d",
-                     path, batch.torn_line)
     entries = []
-    for _, payload in batch.records:
+
+    def add(payload: dict, _: str) -> None:
         try:
             entries.append(HistoryEntry.from_dict(payload))
         except RunError:
-            continue        # forward-compatible skip of alien shapes
+            pass        # forward-compatible skip of alien shapes
+
+    fold_jsonl(path, add, _log, "torn-history-line")
     return entries
 
 
@@ -271,12 +274,9 @@ def load_entry(path: str | Path) -> HistoryEntry:
 
 
 def write_entry(entry: HistoryEntry, path: str | Path) -> Path:
-    """Persist one entry as a standalone baseline file."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(entry.to_dict(), indent=1) + "\n",
-                      encoding="utf-8")
-    return target
+    """Atomically persist one entry as a standalone baseline file."""
+    return replace_text(path,
+                        json.dumps(entry.to_dict(), indent=1) + "\n")
 
 
 def latest_for(entries: list[HistoryEntry],

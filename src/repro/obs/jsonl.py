@@ -1,39 +1,45 @@
-"""Shared offset-aware JSONL reading with torn-tail tolerance.
+"""The crash contract of every file the harness writes, in one place.
 
-Three consumers read append-only JSONL logs written one ``write()``
-per line: the run ledger's replayer, the span log reader and the live
-:class:`repro.obs.live.LedgerFollower`.  All three face the same crash
-signature — a final line whose append died partway — and the follower
-additionally has to resume from a byte offset so each poll reads only
-what was appended since the last one.  This module is the single
-implementation of that contract:
+Whole documents (manifest, heartbeat, shard plan, response cache,
+store artifacts, merged ledger and span log, ``obs check`` baseline)
+are replaced atomically by :func:`replacing`: a temp file beside the
+target, named ``*.tmp`` so ``repro runs gc`` finds a kill's debris,
+swapped in by ``os.replace`` only when the block succeeds.  Neither
+the temp file nor its directory is fsynced.
 
-* a *complete* line (newline-terminated, with more complete lines
-  after it) that fails to decode is corruption and raises
-  :class:`JsonlCorruptError`;
-* the *final* line — torn mid-append (no trailing newline) or
-  undecodable — is never consumed: the returned offset stops right
-  before it, so a one-shot reader can drop it with a warning while a
-  follower simply retries once the writer's append completes.
+Append-only JSONL logs are written one ``write()`` per line, so a
+kill leaves at most one torn final line.  A log one process owns (run
+and shard ledgers, span logs) is written through
+:class:`JsonlAppender`, which cuts a torn tail off before it appends;
+a log several processes append to (``history.jsonl``) is never cut,
+and :func:`append_shared` starts on a fresh line instead.
 
-:func:`iter_jsonl` is the stateless one-shot form; :class:`JsonlTail`
-keeps the ``(offset, line number)`` cursor between polls.
-:func:`cut_torn_tail` is the writer's side of the same rule: before a
-log is reopened for append, the bytes after its last newline go, so
-a resumed writer's first line can never be glued onto a torn one.
+Every one-shot reader goes through :func:`fold_jsonl` and a live
+follower through :class:`JsonlTail`, both over :func:`iter_jsonl`: an
+undecodable *complete* line with more lines after it is corruption
+(:class:`JsonlCorruptError`), skipped only in a shared log; the
+*final* line, torn or undecodable, is never consumed, so a one-shot
+reader drops it with a warning and a follower retries it.
+:func:`last_advanced` is the one freshness probe of a run's logs.
+DESIGN.md tabulates every file under "Files and their crash contract".
 
-The writers' side also owns the line format: :func:`dumps_line` is the
-one compact encoder of every log line (the ledger's bracket events,
-history entries, and the fallback of the record and span line
-encoders), byte-equal to ``json.dumps(payload, separators=(",", ":"))``
-plus a newline.
+:func:`dumps_line` is the one compact encoder of every log line,
+byte-equal to ``json.dumps(payload, separators=(",", ":"))`` plus a
+newline.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import os
+import tempfile
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Self
 
 #: ``json.dumps(payload, separators=(",", ":"))`` builds an encoder
 #: per call; this one is built once (it keeps no state between calls).
@@ -48,104 +54,101 @@ def dumps_line(payload: object) -> str:
     return _ENCODER.encode(payload) + "\n"
 
 
-class JsonlCorruptError(ValueError):
-    """A non-final line of a JSONL log failed to decode."""
-
-    def __init__(self, path: str, line_number: int, reason: str):
-        self.path = path
-        self.line_number = line_number
-        self.reason = reason
-        super().__init__(
-            f"corrupt JSONL log {path} at line {line_number}: "
-            f"{reason}")
-
-
-@dataclass(slots=True)
-class JsonlBatch:
-    """One read of a JSONL log from a byte offset to EOF."""
-
-    #: ``(line number, decoded payload)`` pairs, in file order.
-    records: list[tuple[int, dict]] = field(default_factory=list)
-    #: The text of each consumed line, without its newline, parallel
-    #: to :attr:`records` (a merge copies lines without re-encoding).
-    lines: list[str] = field(default_factory=list)
-    #: Byte offset just past the last *consumed* line.
-    offset: int = 0
-    #: Line number the next consumed line will carry.
-    next_line: int = 1
-    #: An unconsumed tail exists (torn append or undecodable final
-    #: line); it starts at :attr:`offset`.
-    torn: bool = False
-    #: Line number of the unconsumed tail, when ``torn``.
-    torn_line: int | None = None
-
-    @property
-    def payloads(self) -> list[dict]:
-        return [payload for _, payload in self.records]
-
-
-def iter_jsonl(path: str | Path, offset: int = 0,
-               start_line: int = 1) -> JsonlBatch:
-    """Read ``path`` from byte ``offset``, decoding complete lines.
-
-    ``start_line`` seeds the reported line numbers so a resumed read
-    keeps file-absolute positions in its error messages.  Raises
-    :class:`JsonlCorruptError` for an undecodable line that has
-    complete lines after it; the final line is instead left
-    unconsumed (``torn=True``).
+# ----------------------------------------------------------------------
+# Whole documents: atomic replace
+# ----------------------------------------------------------------------
+@contextmanager
+def replacing(target: str | Path) -> Iterator[Path]:
+    """A temp file beside ``target`` (parents created) that replaces
+    it when the block succeeds and is removed when the block raises.
     """
-    with open(path, "rb") as stream:
-        stream.seek(offset)
-        data = stream.read()
-    batch = JsonlBatch(offset=offset, next_line=start_line)
-    position = 0
-    pending: tuple[int, int, str] | None = None  # line, end, reason
-    while True:
-        newline = data.find(b"\n", position)
-        if newline < 0:
-            break
-        line = data[position:newline]
-        end = offset + newline + 1
-        line_number = batch.next_line
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            if pending is not None:
-                raise JsonlCorruptError(str(path), pending[0],
-                                        pending[2])
-            batch.offset = end
-            batch.next_line += 1
-            position = newline + 1
-            continue
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError(f"expected object, got "
-                                 f"{type(payload).__name__}")
-        except ValueError as exc:
-            # Defer the verdict: only corruption if a later complete
-            # line proves the log continued past this one.
-            if pending is not None:
-                raise JsonlCorruptError(str(path), pending[0],
-                                        pending[2])
-            pending = (line_number, end, repr(exc))
-            position = newline + 1
-            continue
-        if pending is not None:
-            raise JsonlCorruptError(str(path), pending[0], pending[2])
-        batch.records.append((line_number, payload))
-        batch.lines.append(text)
-        batch.offset = end
-        batch.next_line += 1
-        position = newline + 1
-    if pending is not None:
-        batch.torn = True
-        batch.torn_line = pending[0]
-    elif position < len(data):
-        # Trailing bytes without a newline: an append in flight (or
-        # the crash signature).  Never consumed.
-        batch.torn = True
-        batch.torn_line = batch.next_line
-    return batch
+    target = Path(target)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    handle, tmp = tempfile.mkstemp(dir=target.parent,
+                                   prefix=f"{target.name}.",
+                                   suffix=".tmp")
+    os.close(handle)
+    try:
+        yield Path(tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def replace_text(target: str | Path, text: str) -> Path:
+    """Atomically replace ``target`` with ``text`` (UTF-8)."""
+    with replacing(target) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+    return Path(target)
+
+
+# ----------------------------------------------------------------------
+# Append-only logs: the writers
+# ----------------------------------------------------------------------
+class JsonlAppender:
+    """The only writer of an append-only JSONL log.
+
+    Opening cuts a torn tail off; each :meth:`_put` is one ``write()``
+    and one ``flush()`` under one lock, so threads never interleave
+    bytes within a line and a crashed process keeps every line it
+    wrote.  Subclasses decide what a write after :meth:`close` means.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        cut_torn_tail(self.path)
+        self._file = open(self.path, "a", encoding="utf-8")
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def _put(self, text: str, sync: bool = False) -> bool:
+        """Write and flush ``text`` (whole lines), and fsync it when
+        ``sync``; False, with nothing written, once closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._file.write(text)
+            self._file.flush()
+            if sync:
+                os.fsync(self._file.fileno())
+            return True
+
+    def close(self, sync: bool = False) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._file.flush()
+            if sync:
+                os.fsync(self._file.fileno())
+            self._file.close()
+            self._closed = True
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def append_shared(path: str | Path, line: str) -> None:
+    """Append one line to a log other processes append to as well.
+
+    Never cuts (another writer's line may be in flight): when the log
+    ends mid-line, ``line`` starts on a fresh one, and the torn line
+    becomes a complete line readers skip.
+    """
+    data = line.encode("utf-8")
+    with open(path, "a+b") as stream:
+        end = stream.seek(0, os.SEEK_END)
+        if end:
+            stream.seek(end - 1)
+            if stream.read(1) != b"\n":
+                data = b"\n" + data
+        stream.write(data)
+        stream.flush()
 
 
 def cut_torn_tail(path: str | Path) -> None:
@@ -177,6 +180,145 @@ def cut_torn_tail(path: str | Path) -> None:
             stream.truncate(end)
 
 
+# ----------------------------------------------------------------------
+# Append-only logs: the readers
+# ----------------------------------------------------------------------
+class JsonlCorruptError(ValueError):
+    """A non-final line of a JSONL log failed to decode."""
+
+    def __init__(self, path: str, line_number: int, reason: str):
+        self.path = path
+        self.line_number = line_number
+        self.reason = reason
+        super().__init__(
+            f"corrupt JSONL log {path} at line {line_number}: "
+            f"{reason}")
+
+
+@dataclass(slots=True)
+class JsonlBatch:
+    """One read of a JSONL log from a byte offset to EOF."""
+
+    #: ``(line number, decoded payload)`` pairs, in file order.
+    records: list[tuple[int, dict]] = field(default_factory=list)
+    #: The text of each consumed line, without its newline, parallel
+    #: to :attr:`records` (a merge copies lines without re-encoding).
+    lines: list[str] = field(default_factory=list)
+    #: Byte offset just past the last *consumed* line.
+    offset: int = 0
+    #: Line number the next consumed line will carry.
+    next_line: int = 1
+    #: An unconsumed tail exists (torn append or undecodable final
+    #: line); it starts at :attr:`offset`.
+    torn: bool = False
+    #: Line number of the unconsumed tail, when ``torn``.
+    torn_line: int | None = None
+    #: Line numbers of undecodable complete lines a non-strict read
+    #: skipped.
+    garbled: list[int] = field(default_factory=list)
+
+    @property
+    def payloads(self) -> list[dict]:
+        return [payload for _, payload in self.records]
+
+
+def iter_jsonl(path: str | Path, offset: int = 0,
+               start_line: int = 1, strict: bool = True) -> JsonlBatch:
+    """Read ``path`` from byte ``offset``, decoding complete lines.
+
+    ``start_line`` seeds the reported line numbers so a resumed read
+    keeps file-absolute positions in its error messages.  Raises
+    :class:`JsonlCorruptError` for an undecodable line that has
+    complete lines after it (a non-``strict`` read skips it into
+    :attr:`JsonlBatch.garbled`); the final line is instead left
+    unconsumed (``torn=True``).
+    """
+    with open(path, "rb") as stream:
+        stream.seek(offset)
+        data = stream.read()
+    batch = JsonlBatch(offset=offset, next_line=start_line)
+    position = 0
+    pending: tuple[int, int, str] | None = None  # line, end, reason
+    while True:
+        newline = data.find(b"\n", position)
+        if newline < 0:
+            break
+        if pending is not None:
+            # A later line proves the log continued past the pending
+            # one: it is corruption, not a torn tail.
+            if strict:
+                raise JsonlCorruptError(str(path), pending[0],
+                                        pending[2])
+            batch.garbled.append(pending[0])
+            batch.offset = pending[1]
+            batch.next_line += 1
+            pending = None
+        line = data[position:newline]
+        end = offset + newline + 1
+        position = newline + 1
+        text = line.decode("utf-8", errors="replace").strip()
+        if text:
+            try:
+                payload = json.loads(text)
+                if not isinstance(payload, dict):
+                    raise ValueError(f"expected object, got "
+                                     f"{type(payload).__name__}")
+            except ValueError as exc:
+                # Defer the verdict until a later line shows up.
+                pending = (batch.next_line, end, repr(exc))
+                continue
+            batch.records.append((batch.next_line, payload))
+            batch.lines.append(text)
+        batch.offset = end
+        batch.next_line += 1
+    if pending is not None:
+        batch.torn = True
+        batch.torn_line = pending[0]
+    elif position < len(data):
+        # Trailing bytes without a newline: an append in flight (or
+        # the crash signature).  Never consumed.
+        batch.torn = True
+        batch.torn_line = batch.next_line
+    return batch
+
+
+def fold_jsonl(path: str | Path, apply: Callable[[dict, str], object],
+               log: logging.Logger, dropped: str,
+               corrupt: Callable[[str, int, str], Exception] | None
+               = None) -> int:
+    """Feed every line of a one-shot read of ``path`` to
+    ``apply(payload, text)`` in file order (``text`` is the line as
+    written, without its newline); returns how many lines it took.
+
+    A torn final line, or a decoded final line ``apply`` rejects with
+    ``ValueError``, ``KeyError`` or ``TypeError``, is dropped with a
+    ``<dropped> dropped`` warning.  Any earlier line that does not
+    decode or apply raises ``corrupt(path, line number, reason)``; with
+    no ``corrupt``, for a log several processes append to, it is
+    dropped with the same warning instead.
+    """
+    try:
+        batch = iter_jsonl(path, strict=corrupt is not None)
+    except JsonlCorruptError as exc:
+        raise corrupt(exc.path, exc.line_number, exc.reason) from exc
+    torn = [batch.torn_line] if batch.torn else []
+    for number in batch.garbled + torn:
+        log.warning("%s dropped path=%s line=%d", dropped, path, number)
+    last = len(batch.records) - 1
+    taken = 0
+    for index, (number, payload) in enumerate(batch.records):
+        try:
+            apply(payload, batch.lines[index])
+            taken += 1
+        except (ValueError, KeyError, TypeError) as exc:
+            if corrupt is not None and (index < last or batch.torn):
+                raise corrupt(str(path), number, repr(exc)) from exc
+            # Decoded but unappliable tail: the same crash signature.
+            log.warning("%s dropped path=%s line=%d", dropped, path,
+                        number)
+    return taken
+
+
 class JsonlTail:
     """Stateful cursor over a growing JSONL log.
 
@@ -201,3 +343,16 @@ class JsonlTail:
         self.next_line = batch.next_line
         self.torn = batch.torn
         return batch.payloads
+
+
+def last_advanced(*paths: str | Path) -> float | None:
+    """When the newest of ``paths`` last changed (its mtime), or
+    ``None`` when none exists: how a run's logs show progress."""
+    latest: float | None = None
+    for path in paths:
+        try:
+            mtime = os.stat(path).st_mtime
+        except OSError:
+            continue
+        latest = mtime if latest is None else max(latest, mtime)
+    return latest

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
+
+from repro.obs.jsonl import replace_text
 
 #: File name of the liveness marker inside a run directory.
 HEARTBEAT_FILENAME = "heartbeat.json"
@@ -81,19 +82,7 @@ class HeartbeatWriter:
             "started_ts": self._started_ts,
             "interval_s": self.interval_s,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp = tempfile.mkstemp(dir=self.path.parent,
-                                       suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        replace_text(self.path, json.dumps(payload))
 
     def close(self) -> None:
         self._stop.set()

@@ -34,11 +34,10 @@ one mid-file.
 from __future__ import annotations
 
 import logging
-import os
-import threading
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TypeVar
 
@@ -47,8 +46,7 @@ from repro.core.results import (QuestionRecord, metrics_from_dict,
                                 metrics_to_dict, record_from_dict,
                                 record_line)
 from repro.errors import LedgerCorruptError, RunError
-from repro.obs.jsonl import (JsonlCorruptError, cut_torn_tail,
-                             dumps_line, iter_jsonl)
+from repro.obs.jsonl import JsonlAppender, dumps_line, fold_jsonl
 
 #: File name of the event log inside a run directory.
 LEDGER_FILENAME = "ledger.jsonl"
@@ -58,7 +56,7 @@ _log = logging.getLogger("repro.runs.ledger")
 _DURABILITY_MODES = ("record", "cell", "close")
 
 
-class RunLedger:
+class RunLedger(JsonlAppender):
     """Thread-safe append-only JSONL event writer for one run.
 
     The runner calls :meth:`cell_started` / :meth:`record` /
@@ -72,26 +70,16 @@ class RunLedger:
         if durability not in _DURABILITY_MODES:
             raise RunError(f"durability must be one of "
                            f"{_DURABILITY_MODES}, got {durability!r}")
-        self.path = Path(path)
         self.durability = durability
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        cut_torn_tail(self.path)
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._closed = False
+        super().__init__(path)
 
     # ------------------------------------------------------------------
     def _append(self, payload: dict, sync: bool = False) -> None:
         self._write(dumps_line(payload), sync=sync)
 
     def _write(self, text: str, sync: bool = False) -> None:
-        with self._lock:
-            if self._closed:
-                raise RunError("ledger is closed")
-            self._file.write(text)
-            self._file.flush()
-            if sync or self.durability == "record":
-                os.fsync(self._file.fileno())
+        if not self._put(text, sync or self.durability == "record"):
+            raise RunError("ledger is closed")
 
     def _sync_boundary(self) -> bool:
         return self.durability in ("record", "cell")
@@ -109,7 +97,9 @@ class RunLedger:
 
     def record(self, cell_id: str, index: int,
                record: QuestionRecord) -> None:
-        self._write(record_line(cell_id, index, record))
+        if not self._put(record_line(cell_id, index, record),
+                         self.durability == "record"):
+            raise RunError("ledger is closed")
 
     def record_lines(self, lines: Iterable[str]) -> None:
         """Append ``record`` events already encoded by :meth:`record`
@@ -143,19 +133,7 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._file.close()
-            self._closed = True
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().close(sync=True)
 
 
 # ----------------------------------------------------------------------
@@ -230,36 +208,16 @@ _State = TypeVar("_State", bound=RunState)
 
 def fold_ledger(path: str | Path, state: _State,
                 apply: Callable[[_State, dict, str], None]) -> _State:
-    """The one fold loop over a ledger file, shared by
+    """The one fold over a ledger file, shared by
     :func:`replay_ledger` and the shard replayer.
 
     ``apply(state, event, text)`` folds one decoded event; ``text`` is
-    the event's line as written, without its newline.  A torn final
-    line is dropped with a warning, and so is a decoded final event
-    ``apply`` rejects; any earlier failure raises
-    :class:`LedgerCorruptError`.
+    the event's line as written, without its newline.  The torn-line
+    and corruption rules are :func:`repro.obs.jsonl.fold_jsonl`'s;
+    corruption raises :class:`LedgerCorruptError`.
     """
-    try:
-        batch = iter_jsonl(path)
-    except JsonlCorruptError as exc:
-        raise LedgerCorruptError(exc.path, exc.line_number,
-                                 exc.reason) from exc
-    if batch.torn:
-        _log.warning("ledger-torn-line dropped path=%s line=%d",
-                     path, batch.torn_line)
-    last = len(batch.records) - 1
-    for index, (number, event) in enumerate(batch.records):
-        try:
-            apply(state, event, batch.lines[index])
-        except (ValueError, KeyError, TypeError) as exc:
-            if index == last and not batch.torn:
-                # Decoded but unappliable tail: same crash signature.
-                _log.warning("ledger-torn-line dropped path=%s "
-                             "line=%d", path, number)
-                break
-            raise LedgerCorruptError(str(path), number,
-                                     repr(exc)) from exc
-        state.events += 1
+    state.events += fold_jsonl(path, partial(apply, state), _log,
+                               "ledger-torn-line", LedgerCorruptError)
     return state
 
 

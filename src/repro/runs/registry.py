@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import RunError, UnknownRunError
+from repro.obs.jsonl import last_advanced, replace_text
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   HEARTBEAT_FILENAME, read_heartbeat,
                                   run_status)
@@ -53,6 +53,10 @@ SHARD_PLAN_FILENAME = "shards.json"
 
 #: Directory of per-shard state inside a sharded run directory.
 SHARDS_DIRNAME = "shards"
+
+#: Directory of the per-tenant registries ``repro serve`` keeps under
+#: its root (``<root>/tenants/<name>``); never a run directory.
+TENANTS_DIRNAME = "tenants"
 
 #: One plain path segment: no traversal, no separators.  Every run id
 #: must be one (the registry's own are ``<12 hex>-<NN>``), and so must
@@ -318,19 +322,8 @@ class RunRegistry:
             "cells": cells,
             "request": request.to_dict(),
         }
-        target = self.manifest_path(run_id)
-        handle, tmp = tempfile.mkstemp(dir=target.parent,
-                                       suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, indent=1)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        replace_text(self.manifest_path(run_id),
+                     json.dumps(payload, indent=1))
 
     # ------------------------------------------------------------------
     def manifest(self, run_id: str) -> dict:
@@ -391,11 +384,12 @@ class RunRegistry:
         These are invisible to :meth:`list_ids` — a ``create`` that
         died between its exclusive ``mkdir`` and the manifest write
         leaves one behind — and are what ``repro runs gc`` prunes.
+        The tenants directory of a served root is not one.
         """
         try:
             return sorted(
                 entry for entry in self.root.iterdir()
-                if entry.is_dir()
+                if entry.is_dir() and entry.name != TENANTS_DIRNAME
                 and not (entry / MANIFEST_FILENAME).exists())
         except FileNotFoundError:
             return []
@@ -428,15 +422,8 @@ class RunRegistry:
 
     def progress_ts(self, run_id: str) -> float | None:
         """Last time the run's ledger or span log visibly advanced."""
-        latest: float | None = None
-        for path in (self.ledger_path(run_id),
-                     self.spans_path(run_id)):
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            latest = mtime if latest is None else max(latest, mtime)
-        return latest
+        return last_advanced(self.ledger_path(run_id),
+                             self.spans_path(run_id))
 
     def status(self, run_id: str, finished: bool | None = None,
                stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S

@@ -422,9 +422,9 @@ class ReproServer:
 
     # -- tenancy -------------------------------------------------------
     def registry_for(self, tenant: str):
-        from repro.runs.registry import RunRegistry
+        from repro.runs.registry import TENANTS_DIRNAME, RunRegistry
         root = (self.root if tenant == DEFAULT_TENANT
-                else self.root / "tenants" / tenant)
+                else self.root / TENANTS_DIRNAME / tenant)
         return RunRegistry(root, state_cache=self.state_cache)
 
     # -- payload builders ---------------------------------------------

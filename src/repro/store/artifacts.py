@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.generators.registry import build_taxonomy, get_spec
+from repro.obs.jsonl import replace_text
 from repro.store.codec import (ArtifactDecodeError,
                                check_taxonomy_artifact, decode_pools,
                                encode_pools, encode_taxonomy_artifact)
@@ -128,24 +128,13 @@ class ArtifactStore:
         """Atomically write ``payload`` as JSON at ``path``.  A failed
         write is logged and counted instead of raised: the caller
         still holds the built value."""
-        tmp = None
+        text = json.dumps(payload, separators=(",", ":"))
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, separators=(",", ":"))
-            os.replace(tmp, path)
-            tmp = None
+            replace_text(path, text)
         except OSError as exc:
             _log.warning("artifact-save-failed path=%s error=%s", path,
                          type(exc).__name__)
             self.stats.save_failures += 1
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
 
     # ------------------------------------------------------------------
     def get_or_build(self, taxonomy_key: str,

@@ -142,8 +142,12 @@ class TestSameBytes:
 
 
 class TestSameErrors:
+    # An object's repr holds its address; a fixed id keeps the name
+    # the same from run to run.
     @pytest.mark.parametrize("payload", [
-        object(), [object()], {"a": {1, 2}}, {"a": [1, b"bytes"]},
+        pytest.param(object(), id="object()"),
+        pytest.param([object()], id="[object()]"),
+        {"a": {1, 2}}, {"a": [1, b"bytes"]},
         {(1, 2): "tuple key"}, {"a": {(1, 2): [1]}},
         [{"flat": 1}, [complex(1, 2)]],
     ], ids=repr)
