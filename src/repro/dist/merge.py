@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.core.results import (PoolResult, QuestionRecord,
                                 metrics_from_records)
 from repro.engine.cache import ResponseCache, merge_caches
-from repro.engine.telemetry import EngineStats
+from repro.engine.telemetry import STAT_FIELDS, EngineStats
 from repro.errors import RunError
 from repro.obs.export import write_spans_jsonl
 from repro.obs.history import append_entry, entry_from_result
@@ -54,17 +54,22 @@ _MergedCell = list[tuple[QuestionRecord, str]]
 def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
     """Aggregate per-shard engine stats into one run-level snapshot.
 
-    Counters sum; wall time is the max (shards ran concurrently) and
-    busy time the sum; workers sum across processes.  The latency
-    quantiles are record-weighted means of the shard quantiles — an
-    approximation (exact quantiles would need the raw histograms),
-    which is fine because stats are observability, explicitly outside
-    the bit-identical determinism contract.
+    Every field sums (counters, busy time, workers across processes)
+    except seven.  Wall time and the AIMD high water are the max
+    (shards ran concurrently); the latency quantiles are
+    record-weighted means of the shard quantiles, and the latency
+    extremes the min and max over the shards that scored a question.
+    The quantile means are an approximation (exact quantiles would
+    need the raw histograms), which is fine because latency is
+    observability, outside the bit-identical determinism contract.
+    Integer nano-dollar sums are associative, so cost stays inside it.
     """
     stats_list = [stats for stats in stats_list if stats is not None]
     if not stats_list:
         return None
-    records = sum(stats.records for stats in stats_list)
+    merged = {name: sum(getattr(stats, name) for stats in stats_list)
+              for name in STAT_FIELDS}
+    records = merged["records"]
 
     def weighted(attr: str) -> float:
         if records == 0:
@@ -73,26 +78,10 @@ def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
                    for stats in stats_list) / records
 
     with_latency = [stats for stats in stats_list if stats.records]
-    return EngineStats(
-        records=records,
-        calls=sum(stats.calls for stats in stats_list),
-        retries=sum(stats.retries for stats in stats_list),
-        faults=sum(stats.faults for stats in stats_list),
-        timeouts=sum(stats.timeouts for stats in stats_list),
-        cache_hits=sum(stats.cache_hits for stats in stats_list),
-        cache_misses=sum(stats.cache_misses for stats in stats_list),
+    merged.update(
         wall_time_s=max(stats.wall_time_s for stats in stats_list),
-        busy_time_s=sum(stats.busy_time_s for stats in stats_list),
-        workers=sum(stats.workers for stats in stats_list),
-        # Integer nano-dollar sums are associative, so the merged
-        # totals are bit-identical to the single-process run's —
-        # unlike the latency quantiles, cost is *inside* the
-        # determinism contract.
-        prompt_tokens=sum(stats.prompt_tokens
-                          for stats in stats_list),
-        completion_tokens=sum(stats.completion_tokens
-                              for stats in stats_list),
-        cost_nanos=sum(stats.cost_nanos for stats in stats_list),
+        adaptive_high_water=max(stats.adaptive_high_water
+                                for stats in stats_list),
         latency_p50_s=weighted("latency_p50_s"),
         latency_p90_s=weighted("latency_p90_s"),
         latency_p99_s=weighted("latency_p99_s"),
@@ -103,6 +92,7 @@ def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
                            for stats in with_latency)
                        if with_latency else 0.0),
     )
+    return EngineStats(**merged)
 
 
 def _fold_records(run_id: str, plan: ShardPlan,

@@ -13,7 +13,7 @@ experiment, the run ledger and the ``repro engine-stats`` CLI consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -57,6 +57,14 @@ class EngineStats:
     ``hedged`` counts hedge requests a :class:`BackendPool` launched,
     and ``adaptive_high_water`` is the AIMD concurrency window's
     high-water mark.
+
+    The fields are the one list of run counters: :meth:`to_dict`,
+    :meth:`from_dict` and the shard merge
+    (:func:`repro.dist.merge.merge_stats`) follow from them, and
+    :func:`repro.obs.history.entry_from_result` copies each one the
+    history entry also declares.  A new counter is one field here
+    plus the :class:`Telemetry` counter :meth:`Telemetry.snapshot`
+    reads it from.
     """
 
     records: int
@@ -124,53 +132,24 @@ class EngineStats:
         return self.records / self.wall_time_s
 
     def to_dict(self) -> dict[str, object]:
-        """Raw counters, JSON-compatible (run-finished ledger events)."""
-        return {
-            "records": self.records,
-            "calls": self.calls,
-            "retries": self.retries,
-            "faults": self.faults,
-            "timeouts": self.timeouts,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "wall_time_s": self.wall_time_s,
-            "busy_time_s": self.busy_time_s,
-            "workers": self.workers,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p90_s": self.latency_p90_s,
-            "latency_p99_s": self.latency_p99_s,
-            "latency_min_s": self.latency_min_s,
-            "latency_max_s": self.latency_max_s,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "hedged": self.hedged,
-            "adaptive_high_water": self.adaptive_high_water,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "cost_nanos": self.cost_nanos,
-            "cost_usd": self.cost_usd,
-        }
+        """Raw counters, JSON-compatible (run-finished ledger events):
+        every field in declaration order, then ``cost_usd``."""
+        payload = {name: getattr(self, name) for name in STAT_FIELDS}
+        payload["cost_usd"] = self.cost_usd
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EngineStats":
         """Rebuild a snapshot persisted by :meth:`to_dict`.
 
-        The histogram fields default to 0.0 — and the batched-engine
-        counters to 0 — so ledgers written before they existed still
-        load.
+        A field without a default is read as is (a missing one raises
+        ``KeyError``); a field with one falls back to it when absent,
+        so ledgers written before the field existed still load, and is
+        coerced to the default's type.
         """
-        stats = {key: payload[key] for key in (
-            "records", "calls", "retries", "faults", "timeouts",
-            "cache_hits", "cache_misses", "wall_time_s", "busy_time_s",
-            "workers")}
-        for key in ("latency_p50_s", "latency_p90_s", "latency_p99_s",
-                    "latency_min_s", "latency_max_s"):
-            stats[key] = float(payload.get(key, 0.0))
-        for key in ("batches", "coalesced", "hedged",
-                    "adaptive_high_water", "prompt_tokens",
-                    "completion_tokens", "cost_nanos"):
-            stats[key] = int(payload.get(key, 0))
-        return cls(**stats)
+        return cls(**{name: (payload[name] if kind is None
+                             else kind(payload.get(name, default)))
+                      for name, kind, default in _STAT_DECODE})
 
     def as_row(self) -> dict[str, object]:
         """One report row (``repro.core.report.format_rows`` shape)."""
@@ -196,6 +175,14 @@ class EngineStats:
             "p50_ms": f"{self.latency_p50_s * 1e3:.2f}",
             "p99_ms": f"{self.latency_p99_s * 1e3:.2f}",
         }
+
+
+#: Every :class:`EngineStats` field, in declaration order.
+STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(EngineStats))
+#: ``(name, type of the default or None when required, default)``.
+_STAT_DECODE = tuple(
+    (f.name, None if f.default is MISSING else type(f.default), f.default)
+    for f in fields(EngineStats))
 
 
 class Telemetry:

@@ -23,10 +23,10 @@ import json
 import logging
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 from repro.errors import RunError
 from repro.obs.jsonl import (append_shared, dumps_line, fold_jsonl,
@@ -45,27 +45,31 @@ def _default_registry() -> "RunRegistry":
     return RunRegistry()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class HistoryEntry:
-    """One completed run, folded to the metrics worth trending."""
+    """One completed run, folded to the metrics worth trending.
+
+    Each default is what an entry written before its field existed
+    decodes to (:meth:`from_dict`), so the schema stays
+    backward-compatible.
+    """
 
     run_id: str
     finished_at: float
-    dataset: str
-    attempts: int
+    dataset: str = ""
+    attempts: int = 1
     cells: int
     questions: int
     #: Question-weighted accuracy over every cell.
     accuracy: float
-    wall_time_s: float
-    throughput: float
-    latency_p50_s: float
-    latency_p99_s: float
-    cache_hit_rate: float
+    wall_time_s: float = 0.0
+    throughput: float = 0.0
+    latency_p50_s: float = 0.0
+    latency_p99_s: float = 0.0
+    cache_hit_rate: float = 0.0
     retries: int = 0
     faults: int = 0
-    #: Batched-engine counters (0 on runs and ledgers that predate
-    #: the batching core — the schema is backward-compatible).
+    #: Batched-engine counters.
     batches: int = 0
     coalesced: int = 0
     hedged: int = 0
@@ -73,9 +77,8 @@ class HistoryEntry:
     #: check baselines recorded at different fan-outs stay
     #: distinguishable even though their metrics must be identical.
     shards: int = 1
-    #: Token/cost accounting (0 on entries and ledgers that predate
-    #: cost metering — the schema is backward-compatible and the
-    #: gate skips a cost check whose baseline is zero).
+    #: Token/cost accounting (the gate skips a cost check whose
+    #: baseline is zero).
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cost_nanos: int = 0
@@ -88,63 +91,23 @@ class HistoryEntry:
         return self.cost_nanos / 1e9
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "finished_at": self.finished_at,
-            "dataset": self.dataset,
-            "attempts": self.attempts,
-            "cells": self.cells,
-            "questions": self.questions,
-            "accuracy": self.accuracy,
-            "wall_time_s": self.wall_time_s,
-            "throughput": self.throughput,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "cache_hit_rate": self.cache_hit_rate,
-            "retries": self.retries,
-            "faults": self.faults,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "hedged": self.hedged,
-            "shards": self.shards,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "cost_nanos": self.cost_nanos,
-            "cell_accuracy": dict(self.cell_accuracy),
-        }
+        payload = {name: getattr(self, name) for name in _ENTRY_FIELDS}
+        payload["cell_accuracy"] = dict(self.cell_accuracy)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HistoryEntry":
+        """Decode one entry: an absent field takes its default, and
+        every scalar is coerced to its declared type."""
         try:
-            return cls(
-                run_id=str(payload["run_id"]),
-                finished_at=float(payload["finished_at"]),
-                dataset=str(payload.get("dataset", "")),
-                attempts=int(payload.get("attempts", 1)),
-                cells=int(payload["cells"]),
-                questions=int(payload["questions"]),
-                accuracy=float(payload["accuracy"]),
-                wall_time_s=float(payload.get("wall_time_s", 0.0)),
-                throughput=float(payload.get("throughput", 0.0)),
-                latency_p50_s=float(payload.get("latency_p50_s", 0.0)),
-                latency_p99_s=float(payload.get("latency_p99_s", 0.0)),
-                cache_hit_rate=float(payload.get("cache_hit_rate",
-                                                 0.0)),
-                retries=int(payload.get("retries", 0)),
-                faults=int(payload.get("faults", 0)),
-                batches=int(payload.get("batches", 0)),
-                coalesced=int(payload.get("coalesced", 0)),
-                hedged=int(payload.get("hedged", 0)),
-                shards=int(payload.get("shards", 1)),
-                prompt_tokens=int(payload.get("prompt_tokens", 0)),
-                completion_tokens=int(payload.get("completion_tokens",
-                                                  0)),
-                cost_nanos=int(payload.get("cost_nanos", 0)),
-                cell_accuracy={
-                    str(cell): float(acc)
-                    for cell, acc in dict(
-                        payload.get("cell_accuracy") or {}).items()},
-            )
+            values = {name: kind(payload[name] if default is MISSING
+                                 else payload.get(name, default))
+                      for name, kind, default in _ENTRY_SCALARS}
+            values["cell_accuracy"] = {
+                str(cell): float(acc)
+                for cell, acc in dict(
+                    payload.get("cell_accuracy") or {}).items()}
+            return cls(**values)
         except (KeyError, TypeError, ValueError) as exc:
             raise RunError(
                 f"malformed history entry: {exc}") from exc
@@ -173,6 +136,16 @@ class HistoryEntry:
         }
 
 
+#: Every :class:`HistoryEntry` field, in declaration order (the
+#: ``history.jsonl`` key order).
+_ENTRY_FIELDS = tuple(f.name for f in fields(HistoryEntry))
+_ENTRY_TYPES = get_type_hints(HistoryEntry)
+#: ``(name, declared type, default or MISSING)`` of every scalar field.
+_ENTRY_SCALARS = tuple(
+    (f.name, _ENTRY_TYPES[f.name], f.default)
+    for f in fields(HistoryEntry) if f.name != "cell_accuracy")
+
+
 # ----------------------------------------------------------------------
 # Building and persisting entries
 # ----------------------------------------------------------------------
@@ -184,13 +157,17 @@ def entry_from_result(run_id: str, dataset: str,
     """Fold a completed run into one history entry.
 
     ``cell_metrics`` maps cell id -> :class:`repro.core.metrics
-    .Metrics`; ``stats`` is the run's :class:`EngineStats` snapshot
-    (``None`` degrades the perf fields to zero rather than failing —
-    the accuracy series must survive stats-less ledgers).
+    .Metrics`; ``stats`` is the run's :class:`EngineStats` snapshot,
+    which supplies every entry field it has as a field or a property
+    (``None`` leaves those at their zero defaults rather than failing
+    — the accuracy series must survive stats-less ledgers).
     """
     questions = sum(metrics.n for metrics in cell_metrics.values())
     weighted = sum(metrics.accuracy * metrics.n
                    for metrics in cell_metrics.values())
+    copied = ({} if stats is None
+              else {name: getattr(stats, name)
+                    for name in _fields_from_stats()})
     return HistoryEntry(
         run_id=run_id,
         finished_at=(time.time() if finished_at is None
@@ -200,26 +177,22 @@ def entry_from_result(run_id: str, dataset: str,
         cells=len(cell_metrics),
         questions=questions,
         accuracy=(weighted / questions if questions else 0.0),
-        wall_time_s=(stats.wall_time_s if stats else 0.0),
-        throughput=(stats.throughput if stats else 0.0),
-        latency_p50_s=(stats.latency_p50_s if stats else 0.0),
-        latency_p99_s=(stats.latency_p99_s if stats else 0.0),
-        cache_hit_rate=(stats.cache_hit_rate if stats else 0.0),
-        retries=(stats.retries if stats else 0),
-        faults=(stats.faults if stats else 0),
-        batches=(getattr(stats, "batches", 0) if stats else 0),
-        coalesced=(getattr(stats, "coalesced", 0) if stats else 0),
-        hedged=(getattr(stats, "hedged", 0) if stats else 0),
         shards=max(1, shards),
-        prompt_tokens=(getattr(stats, "prompt_tokens", 0)
-                       if stats else 0),
-        completion_tokens=(getattr(stats, "completion_tokens", 0)
-                           if stats else 0),
-        cost_nanos=(getattr(stats, "cost_nanos", 0) if stats else 0),
         cell_accuracy={cell_id: metrics.accuracy
                        for cell_id, metrics
                        in sorted(cell_metrics.items())},
+        **copied,
     )
+
+
+@cache
+def _fields_from_stats() -> tuple[str, ...]:
+    """The entry fields :class:`EngineStats` has as a field or a
+    property."""
+    # Deferred: repro.engine imports repro.obs at package level.
+    from repro.engine.telemetry import EngineStats
+    return tuple(name for name in _ENTRY_FIELDS
+                 if hasattr(EngineStats, name))
 
 
 def append_entry(entry: HistoryEntry,

@@ -4,8 +4,9 @@ Whole documents (manifest, heartbeat, shard plan, response cache,
 store artifacts, merged ledger and span log, ``obs check`` baseline)
 are replaced atomically by :func:`replacing`: a temp file beside the
 target, named ``*.tmp`` so ``repro runs gc`` finds a kill's debris,
-swapped in by ``os.replace`` only when the block succeeds.  Neither
-the temp file nor its directory is fsynced.
+created with the mode the umask gives any new file and swapped in by
+``os.replace`` only when the block succeeds.  Neither the temp file
+nor its directory is fsynced.
 
 Append-only JSONL logs are written one ``write()`` per line, so a
 kill leaves at most one torn final line.  A log one process owns (run
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
@@ -61,15 +61,25 @@ def dumps_line(payload: object) -> str:
 def replacing(target: str | Path) -> Iterator[Path]:
     """A temp file beside ``target`` (parents created) that replaces
     it when the block succeeds and is removed when the block raises.
+
+    The temp file is created exclusively with mode 0666, so the
+    process umask sets the document's mode, as it does an appended
+    log's.
     """
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp = tempfile.mkstemp(dir=target.parent,
-                                   prefix=f"{target.name}.",
-                                   suffix=".tmp")
-    os.close(handle)
+    while True:
+        tmp = target.with_name(
+            f"{target.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            handle = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666)
+        except FileExistsError:
+            continue
+        os.close(handle)
+        break
     try:
-        yield Path(tmp)
+        yield tmp
         os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):

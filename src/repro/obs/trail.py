@@ -26,7 +26,8 @@ import hashlib
 import re
 import threading
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import ReproError
@@ -88,29 +89,10 @@ class Trail:
 
 
 #: Field name -> default, in declaration order (drives the codec).
-_TRAIL_DEFAULTS: dict[str, Any] = {
-    "attempts": 1,
-    "errors": (),
-    "injected": False,
-    "cache_hit": None,
-    "cache_source": None,
-    "coalesced": None,
-    "leader_key": None,
-    "rate_wait_s": 0.0,
-    "timeout_lost_s": 0.0,
-    "batch": None,
-    "batch_size": None,
-    "batch_cut": None,
-    "replica": None,
-    "fallbacks": (),
-    "hedged": False,
-    "hedge_won": False,
-    "billed_prompt_tokens": 0,
-    "billed_completion_tokens": 0,
-    "cost_nanos": 0,
-}
+_TRAIL_DEFAULTS: dict[str, Any] = {f.name: f.default for f in fields(Trail)}
 
-_TUPLE_FIELDS = frozenset({"errors", "fallbacks"})
+_TUPLE_FIELDS = frozenset(name for name, default in _TRAIL_DEFAULTS.items()
+                          if type(default) is tuple)
 
 
 def trail_to_dict(trail: Trail) -> dict[str, Any]:
@@ -135,37 +117,18 @@ def trail_from_dict(payload: Mapping[str, Any]) -> Trail:
     return Trail(**kwargs)
 
 
-class TrailContext:
-    """Mutable collector the middleware layers annotate in place."""
+_trail_values = attrgetter(*_TRAIL_DEFAULTS)
+#: Positions of the fields a context collects in a list.
+_LIST_POSITIONS = tuple(position for position, name
+                        in enumerate(_TRAIL_DEFAULTS)
+                        if name in _TUPLE_FIELDS)
 
-    __slots__ = (
-        "attempts", "errors", "injected", "cache_hit", "cache_source",
-        "coalesced", "leader_key", "rate_wait_s", "timeout_lost_s",
-        "batch", "batch_size", "batch_cut", "replica", "fallbacks",
-        "hedged", "hedge_won", "billed_prompt_tokens",
-        "billed_completion_tokens", "cost_nanos",
-    )
 
-    def __init__(self) -> None:
-        self.attempts = 1
-        self.errors: list[str] = []
-        self.injected = False
-        self.cache_hit: bool | None = None
-        self.cache_source: str | None = None
-        self.coalesced: str | None = None
-        self.leader_key: str | None = None
-        self.rate_wait_s = 0.0
-        self.timeout_lost_s = 0.0
-        self.batch: int | None = None
-        self.batch_size: int | None = None
-        self.batch_cut: str | None = None
-        self.replica: int | None = None
-        self.fallbacks: list[int] = []
-        self.hedged = False
-        self.hedge_won = False
-        self.billed_prompt_tokens = 0
-        self.billed_completion_tokens = 0
-        self.cost_nanos = 0
+class _TrailNotes:
+    """What a :class:`TrailContext` does (its attributes follow from
+    :class:`Trail`'s fields)."""
+
+    __slots__ = ()
 
     def note_error(self, name: str, *, injected: bool = False) -> None:
         self.errors.append(name)
@@ -179,27 +142,26 @@ class TrailContext:
         self.cost_nanos += nanos
 
     def freeze(self) -> Trail:
-        return Trail(
-            attempts=self.attempts,
-            errors=tuple(self.errors),
-            injected=self.injected,
-            cache_hit=self.cache_hit,
-            cache_source=self.cache_source,
-            coalesced=self.coalesced,
-            leader_key=self.leader_key,
-            rate_wait_s=self.rate_wait_s,
-            timeout_lost_s=self.timeout_lost_s,
-            batch=self.batch,
-            batch_size=self.batch_size,
-            batch_cut=self.batch_cut,
-            replica=self.replica,
-            fallbacks=tuple(self.fallbacks),
-            hedged=self.hedged,
-            hedge_won=self.hedge_won,
-            billed_prompt_tokens=self.billed_prompt_tokens,
-            billed_completion_tokens=self.billed_completion_tokens,
-            cost_nanos=self.cost_nanos,
-        )
+        values = list(_trail_values(self))
+        for position in _LIST_POSITIONS:
+            values[position] = tuple(values[position])
+        return Trail(*values)
+
+
+TrailContext = make_dataclass(
+    "TrailContext",
+    [(f.name, list, field(default_factory=list, init=False))
+     if f.name in _TUPLE_FIELDS
+     else (f.name, f.type, field(default=f.default, init=False))
+     for f in fields(Trail)],
+    bases=(_TrailNotes,), slots=True, eq=False,
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Mutable collector the middleware layers annotate
+    in place: one slotted attribute per :class:`Trail` field, starting
+    at the trail's default, and a fresh list where the trail holds a
+    tuple.""",
+    })
 
 
 # ----------------------------------------------------------------------

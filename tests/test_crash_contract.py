@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import os
+import stat
 import time
 from contextlib import contextmanager
 from functools import cache
@@ -300,6 +301,28 @@ def test_merge_killed_before_its_ledger_stays_mergeable(tmp_path,
     merge_run(writer.run_id, registry=writer.registry)
     assert _without_clock(writer.target.read_bytes()) == writer.reference
     assert load_run(writer.run_id, registry=writer.registry).cells
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077],
+                         ids=["umask-022", "umask-077"])
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_replaced_file_gets_the_mode_an_appended_log_gets(tmp_path,
+                                                          name, umask):
+    """The umask, not the temp file's creator, sets a replaced
+    document's mode, so a reader that can read a run's appended
+    ledger can read every document beside it."""
+    previous = os.umask(umask)
+    try:
+        writer = WRITERS[name](tmp_path)
+        writer.write(1)
+        appended = tmp_path / "appended" / "ledger.jsonl"
+        with RunLedger(appended) as ledger:
+            ledger.run_started("0123456789ab-01", attempt=1)
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(writer.target.stat().st_mode)
+    assert mode == stat.S_IMODE(appended.stat().st_mode)
+    assert mode == 0o666 & ~umask
 
 
 # ----------------------------------------------------------------------

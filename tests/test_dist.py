@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import fields
 
 import pytest
 
 from repro.engine.cache import ResponseCache, merge_caches
+from repro.engine.telemetry import EngineStats
 from repro.errors import LedgerCorruptError, RunError
 from repro.llm.registry import get_model
 from repro.obs.export import read_spans_jsonl
@@ -21,9 +23,9 @@ from repro.runs import (RunRegistry, RunRequest, create_run,
                         execute_run, load_run, resume_run)
 from repro.runs.driver import CellKey
 from repro.dist import (execute_run_sharded, gc_runs, load_shard_plan,
-                        merge_run, merge_shard_caches, plan_shards,
-                        render_shard_dashboard, resume_run_sharded,
-                        run_shard, shard_statuses,
+                        merge_run, merge_shard_caches, merge_stats,
+                        plan_shards, render_shard_dashboard,
+                        resume_run_sharded, run_shard, shard_statuses,
                         sharded_run_status)
 from repro.cli import main
 
@@ -211,6 +213,64 @@ class TestShardedDeterminism:
         entries = [entry for entry in read_history(registry)
                    if entry.run_id == sharded.run_id]
         assert entries and entries[-1].shards == 2
+
+
+class TestMergeStats:
+    """The merge keeps every counter: each field sums, except seven."""
+
+    QUANTILES = ("latency_p50_s", "latency_p90_s", "latency_p99_s")
+
+    @staticmethod
+    def _stats(start: int) -> EngineStats:
+        # Every field a different value, in both shards.
+        return EngineStats(**{
+            field.name: (float(start + index) if field.type == "float"
+                         else start + index)
+            for index, field in enumerate(fields(EngineStats))})
+
+    def test_every_field_sums_except_seven(self):
+        a, b = self._stats(1), self._stats(40)
+        merged = merge_stats([a, b])
+        records = a.records + b.records
+        for field in fields(EngineStats):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if field.name in self.QUANTILES:
+                expected = (x * a.records + y * b.records) / records
+            elif field.name in ("wall_time_s", "adaptive_high_water",
+                                "latency_max_s"):
+                expected = max(x, y)
+            elif field.name == "latency_min_s":
+                expected = min(x, y)
+            else:
+                expected = x + y
+            assert getattr(merged, field.name) == pytest.approx(
+                expected), field.name
+
+    def test_batched_sharded_run_records_its_shards_batches(
+            self, registry, capsys):
+        from repro.obs import read_history
+        request = RunRequest(**SMALL, workers=2, batch_size=4)
+        run_id = execute_run_sharded(request, shards=2,
+                                     registry=registry,
+                                     procs=0).run_id
+        shard_batches = []
+        for shard in range(2):
+            for line in registry.shard_ledger_path(
+                    run_id, shard).read_text("utf-8").splitlines():
+                event = json.loads(line)
+                if event["event"] == "shard-finished":
+                    shard_batches.append(event["stats"]["batches"])
+        assert len(shard_batches) == 2
+        batches = sum(shard_batches)
+        assert batches > 0
+        assert registry.state(run_id).stats["batches"] == batches
+        entry = [entry for entry in read_history(registry)
+                 if entry.run_id == run_id][-1]
+        assert entry.batches == batches
+        assert main(["runs", "show", run_id, "--json",
+                     "--runs-dir", str(registry.root)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["stats"]["batches"] == batches
 
 
 # ----------------------------------------------------------------------
