@@ -9,13 +9,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== serve, dist, runs, obs, store, engine, crash-contract, trail, cost, batching, line-codec and CLI tests in dev mode (a leaked socket or file fails) =="
-python -X dev -m pytest -q tests/test_serve.py tests/test_dist.py \
-    tests/test_runs.py tests/test_obs.py tests/test_run_session.py \
-    tests/test_obs_live.py tests/test_cli.py tests/test_store.py \
-    tests/test_engine.py tests/test_crash_contract.py \
-    tests/test_obs_trail.py tests/test_obs_cost.py \
-    tests/test_engine_batching.py tests/test_line_codec.py \
+echo "== the whole suite again in dev mode (a leaked socket or file fails) =="
+python -X dev -m pytest -q \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 

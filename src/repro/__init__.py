@@ -14,128 +14,39 @@ Quickstart:
     True
 """
 
-from repro.core import (EvaluationRunner, Metrics, PoolResult,
-                        QuestionRecord, RetrievalMetrics, TaxoGlimpse,
-                        TAXONOMY_LABELS)
-from repro.engine import (EngineConfig, EngineStats, EvaluationEngine,
-                          ResponseCache, RetryPolicy)
-from repro.errors import (CalibrationError, ExperimentError,
-                          LedgerCorruptError, ModelError,
-                          ModelTimeoutError, ModelTransientError,
-                          PromptError, QuestionGenerationError,
-                          ReproError, RunError, TaxonomyError,
-                          UnknownModelError, UnknownNodeError,
-                          UnknownRunError, ValidationError)
-from repro.generators import (ALL_SPECS, TAXONOMY_KEYS, build_all,
-                              build_taxonomy, get_spec)
-from repro.hybrid import (CaseStudyConfig, CaseStudyResult,
-                          HybridTaxonomy, MembershipModel,
-                          run_case_study)
-from repro.llm import (MODEL_NAMES, ChatModel, PromptSetting,
-                       SimulatedLLM, TaxonomyOracle, all_models,
-                       get_model, get_profile, surface_baseline)
-from repro.obs import (NULL_TRACER, MetricsRegistry, Tracer,
-                       chrome_trace, configure_logging)
-from repro.questions import (Answer, DatasetKind, Question,
-                             QuestionKind, QuestionPool, QuestionType,
-                             TaxonomyPools, build_pools,
-                             render_question)
-from repro.runs import (RunLedger, RunRegistry, RunRequest, RunResult,
-                        diff_runs, execute_run, load_run, resume_run)
-from repro.store import (ArtifactStore, build_all_datasets,
-                         default_store, spec_fingerprint)
-from repro.taxonomy import (Domain, Taxonomy, TaxonomyBuilder,
-                            TaxonomyNode, compute_statistics)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # facade
-    "TaxoGlimpse",
-    "TAXONOMY_LABELS",
-    "EvaluationRunner",
-    "Metrics",
-    "RetrievalMetrics",
-    "PoolResult",
-    "QuestionRecord",
-    # taxonomy
-    "Domain",
-    "Taxonomy",
-    "TaxonomyBuilder",
-    "TaxonomyNode",
-    "compute_statistics",
-    "TAXONOMY_KEYS",
-    "ALL_SPECS",
-    "build_taxonomy",
-    "build_all",
-    "get_spec",
-    # questions
-    "Question",
-    "QuestionKind",
-    "QuestionType",
-    "QuestionPool",
-    "TaxonomyPools",
-    "DatasetKind",
-    "Answer",
-    "build_pools",
-    "render_question",
-    # dataset store
-    "ArtifactStore",
-    "build_all_datasets",
-    "default_store",
-    "spec_fingerprint",
-    # llm
-    "ChatModel",
-    "SimulatedLLM",
-    "TaxonomyOracle",
-    "PromptSetting",
-    "MODEL_NAMES",
-    "get_model",
-    "get_profile",
-    "all_models",
-    "surface_baseline",
-    # engine
-    "EvaluationEngine",
-    "EngineConfig",
-    "EngineStats",
-    "RetryPolicy",
-    "ResponseCache",
-    # observability
-    "Tracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "chrome_trace",
-    "configure_logging",
-    # run ledger
-    "RunLedger",
-    "RunRegistry",
-    "RunRequest",
-    "RunResult",
-    "diff_runs",
-    "execute_run",
-    "load_run",
-    "resume_run",
-    # hybrid
-    "HybridTaxonomy",
-    "MembershipModel",
-    "CaseStudyConfig",
-    "CaseStudyResult",
-    "run_case_study",
-    # errors
-    "ReproError",
-    "TaxonomyError",
-    "UnknownNodeError",
-    "ValidationError",
-    "QuestionGenerationError",
-    "PromptError",
-    "ModelError",
-    "ModelTransientError",
-    "ModelTimeoutError",
-    "UnknownModelError",
-    "ExperimentError",
-    "CalibrationError",
-    "RunError",
-    "UnknownRunError",
-    "LedgerCorruptError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core": ("EvaluationRunner", "Metrics", "PoolResult",
+                   "QuestionRecord", "RetrievalMetrics", "TaxoGlimpse",
+                   "TAXONOMY_LABELS"),
+    "repro.engine": ("EngineConfig", "EngineStats", "EvaluationEngine",
+                     "ResponseCache", "RetryPolicy"),
+    "repro.errors": ("CalibrationError", "ExperimentError",
+                     "LedgerCorruptError", "ModelError", "ModelTimeoutError",
+                     "ModelTransientError", "PromptError",
+                     "QuestionGenerationError", "ReproError", "RunError",
+                     "TaxonomyError", "UnknownModelError", "UnknownNodeError",
+                     "UnknownRunError", "ValidationError"),
+    "repro.generators": ("ALL_SPECS", "TAXONOMY_KEYS", "build_all",
+                         "build_taxonomy", "get_spec"),
+    "repro.hybrid": ("CaseStudyConfig", "CaseStudyResult", "HybridTaxonomy",
+                     "MembershipModel", "run_case_study"),
+    "repro.llm": ("MODEL_NAMES", "ChatModel", "PromptSetting", "SimulatedLLM",
+                  "TaxonomyOracle", "all_models", "get_model", "get_profile",
+                  "surface_baseline"),
+    "repro.obs": ("NULL_TRACER", "MetricsRegistry", "Tracer", "chrome_trace",
+                  "configure_logging"),
+    "repro.questions": ("Answer", "DatasetKind", "Question", "QuestionKind",
+                        "QuestionPool", "QuestionType", "TaxonomyPools",
+                        "build_pools", "render_question"),
+    "repro.runs": ("RunLedger", "RunRegistry", "RunRequest", "RunResult",
+                   "diff_runs", "execute_run", "load_run", "resume_run"),
+    "repro.store": ("ArtifactStore", "build_all_datasets", "default_store",
+                    "spec_fingerprint"),
+    "repro.taxonomy": ("Domain", "Taxonomy", "TaxonomyBuilder", "TaxonomyNode",
+                       "compute_statistics"),
+})
+__all__.append("__version__")

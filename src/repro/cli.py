@@ -57,6 +57,11 @@ from dataclasses import replace
 
 from repro.core.benchmark import TaxoGlimpse
 from repro.core.report import format_engine_stats, format_rows
+from repro.dist.driver import execute_run_sharded, resume_run_sharded
+from repro.dist.gc import DEFAULT_MIN_AGE_S, gc_runs
+from repro.dist.merge import merge_run
+from repro.dist.status import (render_shard_dashboard, shard_statuses,
+                               watch_shards)
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
@@ -77,27 +82,29 @@ from repro.experiments.statistics import table1_rows
 from repro.hybrid.case_study import CaseStudyConfig, run_case_study
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
-from repro.obs import (AlertEvaluator, CostLedger, LedgerFollower,
-                       Thresholds, check_entries, chrome_trace,
-                       compile_predicate, configure_logging,
-                       flame_report, format_prometheus, latest_for,
-                       load_entry, phase_table, read_history,
-                       read_spans_jsonl, registry_from_spans,
-                       render_dashboard, trail_env, watch_run,
-                       write_entry)
+from repro.obs.alerts import AlertEvaluator
+from repro.obs.cost import CostLedger
+from repro.obs.export import (chrome_trace, format_prometheus,
+                              read_spans_jsonl, registry_from_spans)
+from repro.obs.history import (Thresholds, check_entries, latest_for,
+                               load_entry, read_history, write_entry)
+from repro.obs.live import LedgerFollower, render_dashboard, watch_run
+from repro.obs.logs import configure_logging
+from repro.obs.report import flame_report, phase_table
+from repro.obs.trail import compile_predicate, trail_env
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
-from repro.runs import (RunRegistry, RunRequest, diff_runs,
-                        engine_for, execute_run, load_run, resume_run)
+from repro.runs.diff import diff_runs
+from repro.runs.driver import execute_run, load_run
+from repro.runs.registry import RunRegistry
+from repro.runs.request import RunRequest
+from repro.runs.resume import resume_run
+from repro.runs.session import engine_for
 from repro.serve.views import (dumps_view, iter_question_records,
                                run_cell_rows, run_diff_payload,
                                run_result_payload, run_show_payload,
                                run_trail_payload, run_trails_payload,
                                runs_list_payload)
-from repro.dist import (DEFAULT_MIN_AGE_S, execute_run_sharded,
-                        gc_runs, merge_run, render_shard_dashboard,
-                        resume_run_sharded, shard_statuses,
-                        watch_shards)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -585,8 +592,9 @@ def _cmd_datasets(args: argparse.Namespace) -> str:
 def _cmd_build_datasets(args: argparse.Namespace) -> str:
     import time
 
-    from repro.store import ArtifactStore, build_all_datasets, \
-        build_taxonomy_artifacts, default_store
+    from repro.store.artifacts import ArtifactStore, default_store
+    from repro.store.parallel import (build_all_datasets,
+                                      build_taxonomy_artifacts)
 
     store = (ArtifactStore(args.store) if args.store
              else default_store() or ArtifactStore())
@@ -825,7 +833,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.serve import ReproServer
+    from repro.serve.app import ReproServer
     server = ReproServer(root=args.runs_dir, host=args.host,
                          port=args.port,
                          poll_interval_s=args.poll_interval,
@@ -887,7 +895,7 @@ def _watch(registry: RunRegistry, run_id: str, once: bool = False,
                              evaluator=evaluator)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return f"\nstopped watching {run_id}"
-    return (f"run {run_id} finished: accuracy "
+    return (f"run {run_id} {progress.status}: accuracy "
             f"{progress.accuracy:.3f}, "
             f"{progress.questions_done} questions in "
             f"{progress.elapsed_s:.1f}s")

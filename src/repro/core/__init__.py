@@ -1,38 +1,17 @@
 """Evaluation core: metrics, runner, results, reports, facade."""
 
-from repro.core.benchmark import TAXONOMY_LABELS, TaxoGlimpse
-from repro.core.export import (CellDrift, diff_matrices, load_matrix,
-                              matrix_from_payload, matrix_to_payload,
-                              pool_result_to_payload, save_matrix)
-from repro.core.metrics import (Metrics, RetrievalMetrics, combine,
-                                retrieval_metrics, summarize)
-from repro.core.report import (format_engine_stats, format_matrix,
-                               format_rows, matrix_to_csv)
-from repro.core.results import (PoolResult, QuestionRecord,
-                                metrics_from_records)
-from repro.core.runner import EvaluationRunner
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TaxoGlimpse",
-    "CellDrift",
-    "diff_matrices",
-    "save_matrix",
-    "load_matrix",
-    "matrix_to_payload",
-    "matrix_from_payload",
-    "pool_result_to_payload",
-    "TAXONOMY_LABELS",
-    "Metrics",
-    "RetrievalMetrics",
-    "summarize",
-    "combine",
-    "retrieval_metrics",
-    "EvaluationRunner",
-    "PoolResult",
-    "QuestionRecord",
-    "metrics_from_records",
-    "format_matrix",
-    "format_rows",
-    "format_engine_stats",
-    "matrix_to_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.benchmark": ("TAXONOMY_LABELS", "TaxoGlimpse"),
+    "repro.core.export": ("CellDrift", "diff_matrices", "load_matrix",
+                          "matrix_from_payload", "matrix_to_payload",
+                          "pool_result_to_payload", "save_matrix"),
+    "repro.core.metrics": ("Metrics", "RetrievalMetrics", "combine",
+                           "retrieval_metrics", "summarize"),
+    "repro.core.report": ("format_engine_stats", "format_matrix",
+                          "format_rows", "matrix_to_csv"),
+    "repro.core.results": ("PoolResult", "QuestionRecord",
+                           "metrics_from_records"),
+    "repro.core.runner": ("EvaluationRunner",),
+})

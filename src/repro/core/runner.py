@@ -45,7 +45,7 @@ from repro.obs.trail import (call_site_scope, current_trail,
 from repro.questions.model import Question
 from repro.questions.pools import QuestionPool
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.engine.scheduler import EvaluationEngine
     from repro.engine.telemetry import Telemetry
     from repro.runs.ledger import RunLedger

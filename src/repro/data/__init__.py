@@ -1,20 +1,11 @@
 """Embedded paper anchors: reported tables and figure trends."""
 
-from repro.data.paper_figures import (LEVEL_SHAPES, POPULARITY_LOG10_HITS,
-                                      PROMPTING_EFFECTS, SCALABILITY,
-                                      SERIES_MEMBERS, latent_accuracy)
-from repro.data.paper_tables import (MODEL_ORDER, PAPER_RESULTS,
-                                     TAXONOMY_ORDER, paper_anchor)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MODEL_ORDER",
-    "TAXONOMY_ORDER",
-    "PAPER_RESULTS",
-    "paper_anchor",
-    "LEVEL_SHAPES",
-    "PROMPTING_EFFECTS",
-    "SCALABILITY",
-    "SERIES_MEMBERS",
-    "POPULARITY_LOG10_HITS",
-    "latent_accuracy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.data.paper_figures": ("LEVEL_SHAPES", "POPULARITY_LOG10_HITS",
+                                 "PROMPTING_EFFECTS", "SCALABILITY",
+                                 "SERIES_MEMBERS", "latent_accuracy"),
+    "repro.data.paper_tables": ("MODEL_ORDER", "PAPER_RESULTS",
+                                "TAXONOMY_ORDER", "paper_anchor"),
+})

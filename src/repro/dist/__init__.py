@@ -12,47 +12,20 @@ status (:mod:`~repro.dist.status`), and prunes the leftovers
 entry points ``repro run --shards N`` drives.
 """
 
-from repro.dist.driver import execute_run_sharded, resume_run_sharded
-from repro.dist.gc import (DEFAULT_MIN_AGE_S, GcCandidate, GcReport,
-                           gc_runs)
-from repro.dist.merge import (merge_run, merge_shard_caches,
-                              merge_stats)
-from repro.dist.planner import (ShardPlan, ShardTask, load_shard_plan,
-                                partition_tasks, plan_shards,
-                                save_shard_plan)
-from repro.dist.status import (ShardStatus, render_shard_dashboard,
-                               shard_statuses, sharded_run_status,
-                               watch_shards)
-from repro.dist.worker import (MERGED_RUN_SPAN_ID, ShardLedger,
-                               ShardResult, ShardState, replay_shard,
-                               run_shard, shard_entry)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_MIN_AGE_S",
-    "GcCandidate",
-    "GcReport",
-    "MERGED_RUN_SPAN_ID",
-    "ShardLedger",
-    "ShardPlan",
-    "ShardResult",
-    "ShardState",
-    "ShardStatus",
-    "ShardTask",
-    "execute_run_sharded",
-    "gc_runs",
-    "load_shard_plan",
-    "merge_run",
-    "merge_shard_caches",
-    "merge_stats",
-    "partition_tasks",
-    "plan_shards",
-    "render_shard_dashboard",
-    "replay_shard",
-    "resume_run_sharded",
-    "run_shard",
-    "save_shard_plan",
-    "shard_entry",
-    "shard_statuses",
-    "sharded_run_status",
-    "watch_shards",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.dist.driver": ("execute_run_sharded", "resume_run_sharded"),
+    "repro.dist.gc": ("DEFAULT_MIN_AGE_S", "GcCandidate", "GcReport",
+                      "gc_runs"),
+    "repro.dist.merge": ("merge_run", "merge_shard_caches", "merge_stats"),
+    "repro.dist.planner": ("ShardPlan", "ShardTask", "load_shard_plan",
+                           "partition_tasks", "plan_shards",
+                           "save_shard_plan"),
+    "repro.dist.status": ("ShardStatus", "render_shard_dashboard",
+                          "shard_statuses", "sharded_run_status",
+                          "watch_shards"),
+    "repro.dist.worker": ("MERGED_RUN_SPAN_ID", "ShardLedger", "ShardResult",
+                          "ShardState", "replay_shard", "run_shard",
+                          "shard_entry"),
+})

@@ -29,16 +29,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.errors import RunError
 from repro.obs.jsonl import replace_text
 from repro.runs.driver import (CellKey, _pool_for, build_request_pools,
                                plan_cells)
+from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.runs.registry import RunRegistry
 
 #: Bump when the ``shards.json`` layout changes shape.
 SHARD_PLAN_VERSION = 1
@@ -225,14 +222,14 @@ def plan_shards(request: RunRequest, shards: int,
 # ----------------------------------------------------------------------
 # Persistence (``shards.json`` next to the manifest)
 # ----------------------------------------------------------------------
-def save_shard_plan(registry: "RunRegistry", run_id: str,
+def save_shard_plan(registry: RunRegistry, run_id: str,
                     plan: ShardPlan) -> Path:
     """Atomically persist the plan inside the run directory."""
     return replace_text(registry.shard_plan_path(run_id),
                         json.dumps(plan.to_dict(), indent=1))
 
 
-def load_shard_plan(registry: "RunRegistry", run_id: str) -> ShardPlan:
+def load_shard_plan(registry: RunRegistry, run_id: str) -> ShardPlan:
     """The persisted plan of a sharded run.
 
     Raises :class:`RunError` when the run was never sharded (or the

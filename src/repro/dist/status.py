@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 from repro.obs.jsonl import last_advanced
+from repro.obs.live import _bar
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   read_heartbeat, run_status)
 from repro.runs.registry import RunRegistry
@@ -131,7 +132,6 @@ def sharded_run_status(run_id: str,
 def render_shard_dashboard(run_id: str,
                            statuses: list[ShardStatus]) -> str:
     """One frame: run header plus a progress bar per shard."""
-    from repro.obs.live import _bar
     done = sum(shard.questions_done for shard in statuses)
     total = sum(shard.questions_total for shard in statuses)
     finished = sum(1 for shard in statuses

@@ -35,35 +35,17 @@ Quickstart::
     True
 """
 
-from repro.engine.batching import (AdaptiveLimiter, BatchingModel,
-                                   CoalescingModel, close_model_stack)
-from repro.engine.cache import CachedModel, ResponseCache
-from repro.engine.config import EngineConfig, RetryPolicy
-from repro.engine.middleware import (FaultInjectingModel,
-                                     RateLimitedModel, RetryingModel,
-                                     TimeoutModel, TokenBucket,
-                                     backoff_delay)
-from repro.engine.pool import BackendPool
-from repro.engine.scheduler import EvaluationEngine
-from repro.engine.telemetry import EngineStats, Telemetry
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EvaluationEngine",
-    "EngineConfig",
-    "RetryPolicy",
-    "EngineStats",
-    "Telemetry",
-    "ResponseCache",
-    "CachedModel",
-    "RetryingModel",
-    "TimeoutModel",
-    "RateLimitedModel",
-    "TokenBucket",
-    "FaultInjectingModel",
-    "BatchingModel",
-    "CoalescingModel",
-    "AdaptiveLimiter",
-    "BackendPool",
-    "close_model_stack",
-    "backoff_delay",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.engine.batching": ("AdaptiveLimiter", "BatchingModel",
+                              "CoalescingModel", "close_model_stack"),
+    "repro.engine.cache": ("CachedModel", "ResponseCache"),
+    "repro.engine.config": ("EngineConfig", "RetryPolicy"),
+    "repro.engine.middleware": ("FaultInjectingModel", "RateLimitedModel",
+                                "RetryingModel", "TimeoutModel", "TokenBucket",
+                                "backoff_delay"),
+    "repro.engine.pool": ("BackendPool",),
+    "repro.engine.scheduler": ("EvaluationEngine",),
+    "repro.engine.telemetry": ("EngineStats", "Telemetry"),
+})

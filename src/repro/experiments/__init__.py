@@ -1,78 +1,34 @@
 """Experiment package: one runner per paper table/figure."""
 
-from repro.experiments.analysis import (LLMS4OL_BASE, VICUNA_VS_LLAMA,
-                                        DomainGap, ScalingStep,
-                                        TuningEffect, domain_gaps,
-                                        size_scaling_steps,
-                                        tuning_effect)
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.consistency import (ConsistencyReport,
-                                           probe_consistency)
-from repro.experiments.errors_analysis import (ErrorBreakdown,
-                                               abstention_calibration,
-                                               error_breakdown)
-from repro.experiments.variants import VariantResult, run_variants
-from repro.experiments.datasets import table4_rows
-from repro.experiments.instances import TypingSeries, run_instance_typing
-from repro.experiments.levels import (FIGURE3_KEYS, LevelSeries,
-                                      levels_from_run, levels_request,
-                                      run_levels)
-from repro.experiments.overall import (CellComparison, OverallResult,
-                                       overall_from_run,
-                                       overall_request, run_overall)
-from repro.experiments.popularity import (common_beat_specialized,
-                                          figure2_rows)
-from repro.experiments.prompting import (REPRESENTATIVE_MODELS,
-                                         PromptingResult, RadarPoint,
-                                         run_prompting)
-from repro.experiments.registry import (EXPERIMENTS, ExperimentSpec,
-                                        run_experiment)
-from repro.experiments.scalability import (efficiency_summary,
-                                           figure7_rows,
-                                           well_scaling_series)
-from repro.experiments.statistics import table1_rows
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ConsistencyReport",
-    "probe_consistency",
-    "ErrorBreakdown",
-    "error_breakdown",
-    "abstention_calibration",
-    "VariantResult",
-    "run_variants",
-    "ExperimentSpec",
-    "EXPERIMENTS",
-    "run_experiment",
-    "table1_rows",
-    "table4_rows",
-    "figure2_rows",
-    "common_beat_specialized",
-    "run_overall",
-    "overall_from_run",
-    "overall_request",
-    "OverallResult",
-    "CellComparison",
-    "run_levels",
-    "levels_from_run",
-    "levels_request",
-    "LevelSeries",
-    "FIGURE3_KEYS",
-    "run_prompting",
-    "PromptingResult",
-    "RadarPoint",
-    "REPRESENTATIVE_MODELS",
-    "run_instance_typing",
-    "TypingSeries",
-    "figure7_rows",
-    "efficiency_summary",
-    "well_scaling_series",
-    "domain_gaps",
-    "DomainGap",
-    "size_scaling_steps",
-    "ScalingStep",
-    "tuning_effect",
-    "TuningEffect",
-    "VICUNA_VS_LLAMA",
-    "LLMS4OL_BASE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.experiments.analysis": ("LLMS4OL_BASE", "VICUNA_VS_LLAMA",
+                                   "DomainGap", "ScalingStep", "TuningEffect",
+                                   "domain_gaps", "size_scaling_steps",
+                                   "tuning_effect"),
+    "repro.experiments.config": ("ExperimentConfig",),
+    "repro.experiments.consistency": ("ConsistencyReport",
+                                      "probe_consistency"),
+    "repro.experiments.errors_analysis": ("ErrorBreakdown",
+                                          "abstention_calibration",
+                                          "error_breakdown"),
+    "repro.experiments.variants": ("VariantResult", "run_variants"),
+    "repro.experiments.datasets": ("table4_rows",),
+    "repro.experiments.instances": ("TypingSeries", "run_instance_typing"),
+    "repro.experiments.levels": ("FIGURE3_KEYS", "LevelSeries",
+                                 "levels_from_run", "levels_request",
+                                 "run_levels"),
+    "repro.experiments.overall": ("CellComparison", "OverallResult",
+                                  "overall_from_run", "overall_request",
+                                  "run_overall"),
+    "repro.experiments.popularity": ("common_beat_specialized",
+                                     "figure2_rows"),
+    "repro.experiments.prompting": ("REPRESENTATIVE_MODELS", "PromptingResult",
+                                    "RadarPoint", "run_prompting"),
+    "repro.experiments.registry": ("EXPERIMENTS", "ExperimentSpec",
+                                   "run_experiment"),
+    "repro.experiments.scalability": ("efficiency_summary", "figure7_rows",
+                                      "well_scaling_series"),
+    "repro.experiments.statistics": ("table1_rows",),
+})

@@ -9,16 +9,14 @@ species->genus uplift and the OAE leafward rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.benchmark import TaxoGlimpse
+from repro.engine.scheduler import EvaluationEngine
 from repro.experiments.config import ExperimentConfig
 from repro.questions.model import DatasetKind, level_label
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.engine.scheduler import EvaluationEngine
-    from repro.runs.driver import RunResult
-    from repro.runs.registry import RunRegistry
+from repro.runs.driver import RunResult, coerce_run, execute_run
+from repro.runs.registry import RunRegistry
+from repro.runs.request import RunRequest
 
 #: Figure 3 omits GeoNames (one question level only).
 FIGURE3_KEYS: tuple[str, ...] = (
@@ -62,8 +60,8 @@ class LevelSeries:
 def run_levels(config: ExperimentConfig | None = None,
                dataset: DatasetKind = DatasetKind.HARD,
                bench: TaxoGlimpse | None = None,
-               registry: "RunRegistry | None" = None,
-               engine: "EvaluationEngine | None" = None
+               registry: RunRegistry | None = None,
+               engine: EvaluationEngine | None = None
                ) -> list[LevelSeries]:
     """Per-level curves for every (model, taxonomy) pair.
 
@@ -74,7 +72,6 @@ def run_levels(config: ExperimentConfig | None = None,
     if config is None:
         config = ExperimentConfig()
     if registry is not None:
-        from repro.runs.driver import execute_run
         run = execute_run(levels_request(config, dataset),
                           registry=registry, engine=engine)
         return levels_from_run(run)
@@ -98,9 +95,9 @@ def run_levels(config: ExperimentConfig | None = None,
 
 
 def levels_request(config: ExperimentConfig,
-                   dataset: DatasetKind = DatasetKind.HARD):
+                   dataset: DatasetKind = DatasetKind.HARD
+                   ) -> RunRequest:
     """The per-level :class:`repro.runs.RunRequest` for Figure 3."""
-    from repro.runs.request import RunRequest
     keys = tuple(key for key in config.taxonomy_keys
                  if key in FIGURE3_KEYS)
     return RunRequest(dataset=dataset.value,
@@ -111,11 +108,10 @@ def levels_request(config: ExperimentConfig,
                       per_level=True)
 
 
-def levels_from_run(run: "RunResult | str",
-                    registry: "RunRegistry | None" = None
+def levels_from_run(run: RunResult | str,
+                    registry: RunRegistry | None = None
                     ) -> list[LevelSeries]:
     """Rebuild the Figure 3 curves from a run (or run id) — no models."""
-    from repro.runs.driver import coerce_run
     result = coerce_run(run, registry=registry)
     per_pair: dict[tuple[str, str], dict[int, object]] = {}
     for (model, key, level), metrics in result.level_metrics().items():

@@ -13,18 +13,16 @@ same table later from the ledger alone — zero model calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.benchmark import TaxoGlimpse
 from repro.core.metrics import Metrics
 from repro.data.paper_tables import paper_anchor
+from repro.engine.scheduler import EvaluationEngine
 from repro.experiments.config import ExperimentConfig
 from repro.questions.model import DatasetKind
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.engine.scheduler import EvaluationEngine
-    from repro.runs.driver import RunResult
-    from repro.runs.registry import RunRegistry
+from repro.runs.driver import RunResult, coerce_run, execute_run
+from repro.runs.registry import RunRegistry
+from repro.runs.request import RunRequest
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +74,8 @@ class OverallResult:
 def run_overall(dataset: DatasetKind,
                 config: ExperimentConfig | None = None,
                 bench: TaxoGlimpse | None = None,
-                registry: "RunRegistry | None" = None,
-                engine: "EvaluationEngine | None" = None
+                registry: RunRegistry | None = None,
+                engine: EvaluationEngine | None = None
                 ) -> OverallResult:
     """Regenerate Table 5 (hard), 6 (easy) or 7 (MCQ).
 
@@ -89,7 +87,6 @@ def run_overall(dataset: DatasetKind,
     if config is None:
         config = ExperimentConfig()
     if registry is not None:
-        from repro.runs.driver import execute_run
         run = execute_run(overall_request(dataset, config),
                           registry=registry, engine=engine)
         return overall_from_run(run)
@@ -102,9 +99,8 @@ def run_overall(dataset: DatasetKind,
 
 
 def overall_request(dataset: DatasetKind,
-                    config: ExperimentConfig):
+                    config: ExperimentConfig) -> RunRequest:
     """The :class:`repro.runs.RunRequest` this experiment sweeps."""
-    from repro.runs.request import RunRequest
     return RunRequest(dataset=dataset.value,
                       models=tuple(config.models),
                       taxonomy_keys=tuple(config.taxonomy_keys),
@@ -112,8 +108,8 @@ def overall_request(dataset: DatasetKind,
                       variant=config.variant)
 
 
-def overall_from_run(run: "RunResult | str",
-                     registry: "RunRegistry | None" = None
+def overall_from_run(run: RunResult | str,
+                     registry: RunRegistry | None = None
                      ) -> OverallResult:
     """Rebuild the overall table from a run (or run id) — no models.
 
@@ -121,7 +117,6 @@ def overall_from_run(run: "RunResult | str",
     run id, which is loaded back from its ledger; either way no model
     is queried, so a finished sweep's table is free forever.
     """
-    from repro.runs.driver import coerce_run
     result = coerce_run(run, registry=registry)
     return _compare(DatasetKind(result.request.dataset),
                     result.matrix())

@@ -15,6 +15,7 @@ raw ``prompts_served`` counters.
 
 from __future__ import annotations
 
+from repro.core.runner import EvaluationRunner
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import EvaluationEngine
 from repro.llm.costs import scaling_efficiency, series_cost_table
@@ -61,8 +62,6 @@ def harness_throughput_rows(model_name: str = "GPT-4",
     pool evaluation, so it reflects exactly that configuration's
     calls, cache traffic and worker utilization.
     """
-    from repro.core.runner import EvaluationRunner
-
     pool = build_pools(taxonomy_key,
                        sample_size=sample_size).total_pool(
         DatasetKind.HARD)

@@ -1,5 +1,7 @@
 """Terminal renderings of the paper's figures."""
 
-from repro.figures.ascii import bar_chart, line_chart, radar_table
+from repro._exports import lazy_exports
 
-__all__ = ["bar_chart", "line_chart", "radar_table"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.figures.ascii": ("bar_chart", "line_chart", "radar_table"),
+})

@@ -1,67 +1,23 @@
 """LLM substrate: interface, prompting, parsing, simulators, costs."""
 
-from repro.llm.base import BaseChatModel, ChatModel, StaticResponder
-from repro.llm.deployment import (DeploymentPlan, Gpu, Placement,
-                                  paper_fleet, plan_deployment)
-from repro.llm.costs import (CostEstimate, cost_estimate, fp16_ram_gb,
-                             scaling_efficiency, series_cost_table)
-from repro.llm.knowledge import (DEFAULT_THRESHOLD,
-                                 SurfaceHeuristicBaseline,
-                                 surface_similarity)
-from repro.llm.oracle import Resolution, TaxonomyOracle, default_oracle
-from repro.llm.parsing import parse_answer, parse_mcq, parse_true_false
-from repro.llm.profiles import ModelProfile, make_profile
-from repro.llm.prompt_parsing import ParsedPrompt, parse_prompt
-from repro.llm.prompting import (COT_SUFFIX, FEW_SHOT_COUNT,
-                                 PromptSetting, build_prompt,
-                                 few_shot_exemplars)
-from repro.llm.registry import (MODEL_NAMES, SERIES, all_models,
-                                get_model, get_profile, make_model,
-                                surface_baseline)
-from repro.llm.rng import stable_choice, stable_index, unit_float
-from repro.llm.simulated import SimulatedLLM
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChatModel",
-    "Gpu",
-    "Placement",
-    "DeploymentPlan",
-    "paper_fleet",
-    "plan_deployment",
-    "BaseChatModel",
-    "StaticResponder",
-    "PromptSetting",
-    "build_prompt",
-    "few_shot_exemplars",
-    "COT_SUFFIX",
-    "FEW_SHOT_COUNT",
-    "ParsedPrompt",
-    "parse_prompt",
-    "parse_answer",
-    "parse_true_false",
-    "parse_mcq",
-    "TaxonomyOracle",
-    "Resolution",
-    "default_oracle",
-    "ModelProfile",
-    "make_profile",
-    "SimulatedLLM",
-    "MODEL_NAMES",
-    "SERIES",
-    "get_model",
-    "get_profile",
-    "make_model",
-    "all_models",
-    "surface_baseline",
-    "SurfaceHeuristicBaseline",
-    "surface_similarity",
-    "DEFAULT_THRESHOLD",
-    "CostEstimate",
-    "cost_estimate",
-    "fp16_ram_gb",
-    "series_cost_table",
-    "scaling_efficiency",
-    "unit_float",
-    "stable_choice",
-    "stable_index",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.llm.base": ("BaseChatModel", "ChatModel", "StaticResponder"),
+    "repro.llm.deployment": ("DeploymentPlan", "Gpu", "Placement",
+                             "paper_fleet", "plan_deployment"),
+    "repro.llm.costs": ("CostEstimate", "cost_estimate", "fp16_ram_gb",
+                        "scaling_efficiency", "series_cost_table"),
+    "repro.llm.knowledge": ("DEFAULT_THRESHOLD", "SurfaceHeuristicBaseline",
+                            "surface_similarity"),
+    "repro.llm.oracle": ("Resolution", "TaxonomyOracle", "default_oracle"),
+    "repro.llm.parsing": ("parse_answer", "parse_mcq", "parse_true_false"),
+    "repro.llm.profiles": ("ModelProfile", "make_profile"),
+    "repro.llm.prompt_parsing": ("ParsedPrompt", "parse_prompt"),
+    "repro.llm.prompting": ("COT_SUFFIX", "FEW_SHOT_COUNT", "PromptSetting",
+                            "build_prompt", "few_shot_exemplars"),
+    "repro.llm.registry": ("MODEL_NAMES", "SERIES", "all_models", "get_model",
+                           "get_profile", "make_model", "surface_baseline"),
+    "repro.llm.rng": ("stable_choice", "stable_index", "unit_float"),
+    "repro.llm.simulated": ("SimulatedLLM",),
+})

@@ -5,24 +5,13 @@ synthetic generators do, so real data swaps in behind every downstream
 component (question generation, oracle, experiments) unchanged.
 """
 
-from repro.loaders.glottolog import (load_glottolog_taxonomy,
-                                     parse_languoid_csv)
-from repro.loaders.google import load_google_taxonomy, parse_path_lines
-from repro.loaders.ncbi import (RANK_LEVELS, build_ncbi_taxonomy,
-                                load_ncbi_taxonomy, parse_names,
-                                parse_nodes)
-from repro.loaders.schema_org import load_schema_taxonomy, parse_types_csv
+from repro._exports import lazy_exports
 
-__all__ = [
-    "parse_path_lines",
-    "load_google_taxonomy",
-    "parse_nodes",
-    "parse_names",
-    "build_ncbi_taxonomy",
-    "load_ncbi_taxonomy",
-    "RANK_LEVELS",
-    "parse_languoid_csv",
-    "load_glottolog_taxonomy",
-    "parse_types_csv",
-    "load_schema_taxonomy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.loaders.glottolog": ("load_glottolog_taxonomy",
+                                "parse_languoid_csv"),
+    "repro.loaders.google": ("load_google_taxonomy", "parse_path_lines"),
+    "repro.loaders.ncbi": ("RANK_LEVELS", "build_ncbi_taxonomy",
+                           "load_ncbi_taxonomy", "parse_names", "parse_nodes"),
+    "repro.loaders.schema_org": ("load_schema_taxonomy", "parse_types_csv"),
+})

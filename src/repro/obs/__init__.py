@@ -41,115 +41,37 @@ Quickstart::
     True
 """
 
-from repro.obs.alerts import (DEFAULT_RULES, AlertEvaluator,
-                              AlertEvent, AlertRule)
-from repro.obs.cost import (DEFAULT_TOKEN_COUNTER, BudgetGuard,
-                            BudgetStop, CostCell, CostLedger,
-                            CostMeter, ModelPrice, TokenCounter,
-                            call_cost_nanos, count_tokens,
-                            nanos_to_usd, price_for, pricing_table,
-                            usd_to_nanos)
-from repro.obs.export import (JsonlSpanSink, chrome_trace,
-                              escape_label_value, format_prometheus,
-                              read_spans_jsonl, registry_from_spans,
-                              span_tree, write_spans_jsonl)
-from repro.obs.history import (CheckResult, HistoryEntry,
-                               RegressionReport, Thresholds,
-                               append_entry, check_entries,
-                               entry_from_result, latest_for,
-                               load_entry, read_history, write_entry)
-from repro.obs.jsonl import (JsonlBatch, JsonlCorruptError, JsonlTail,
-                             iter_jsonl)
-from repro.obs.live import (CellProgress, LedgerFollower, RunProgress,
-                            render_dashboard, watch_run)
-from repro.obs.logs import configure_logging, get_logger
-from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
-                               Histogram, MetricsRegistry,
-                               global_registry)
-from repro.obs.report import (flame_report, phase_chart, phase_rows,
-                              phase_table)
-from repro.obs.tracer import (NULL_TRACER, NullTracer, Span, Tracer)
-from repro.obs.trail import (Trail, TrailContext, TrailQueryError,
-                             call_site, call_site_scope,
-                             compile_predicate, current_trail,
-                             prompt_key, trail_env, trail_from_dict,
-                             trail_scope, trail_summary,
-                             trail_to_dict)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AlertEvaluator",
-    "AlertEvent",
-    "AlertRule",
-    "BudgetGuard",
-    "BudgetStop",
-    "CellProgress",
-    "CheckResult",
-    "CostCell",
-    "CostLedger",
-    "CostMeter",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_RULES",
-    "DEFAULT_TOKEN_COUNTER",
-    "Gauge",
-    "Histogram",
-    "HistoryEntry",
-    "JsonlBatch",
-    "JsonlCorruptError",
-    "JsonlSpanSink",
-    "JsonlTail",
-    "LedgerFollower",
-    "MetricsRegistry",
-    "ModelPrice",
-    "NULL_TRACER",
-    "NullTracer",
-    "RegressionReport",
-    "RunProgress",
-    "Span",
-    "Thresholds",
-    "TokenCounter",
-    "Tracer",
-    "Trail",
-    "TrailContext",
-    "TrailQueryError",
-    "append_entry",
-    "call_cost_nanos",
-    "call_site",
-    "call_site_scope",
-    "check_entries",
-    "chrome_trace",
-    "compile_predicate",
-    "configure_logging",
-    "count_tokens",
-    "current_trail",
-    "entry_from_result",
-    "escape_label_value",
-    "flame_report",
-    "format_prometheus",
-    "get_logger",
-    "global_registry",
-    "iter_jsonl",
-    "latest_for",
-    "load_entry",
-    "nanos_to_usd",
-    "phase_chart",
-    "phase_rows",
-    "phase_table",
-    "price_for",
-    "pricing_table",
-    "prompt_key",
-    "read_history",
-    "read_spans_jsonl",
-    "registry_from_spans",
-    "render_dashboard",
-    "span_tree",
-    "trail_env",
-    "trail_from_dict",
-    "trail_scope",
-    "trail_summary",
-    "trail_to_dict",
-    "usd_to_nanos",
-    "watch_run",
-    "write_entry",
-    "write_spans_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.alerts": ("DEFAULT_RULES", "AlertEvaluator", "AlertEvent",
+                         "AlertRule"),
+    "repro.obs.cost": ("DEFAULT_TOKEN_COUNTER", "BudgetGuard", "BudgetStop",
+                       "CostCell", "CostLedger", "CostMeter", "ModelPrice",
+                       "TokenCounter", "call_cost_nanos", "count_tokens",
+                       "nanos_to_usd", "price_for", "pricing_table",
+                       "usd_to_nanos"),
+    "repro.obs.export": ("JsonlSpanSink", "chrome_trace", "escape_label_value",
+                         "format_prometheus", "read_spans_jsonl",
+                         "registry_from_spans", "span_tree",
+                         "write_spans_jsonl"),
+    "repro.obs.history": ("CheckResult", "HistoryEntry", "RegressionReport",
+                          "Thresholds", "append_entry", "check_entries",
+                          "entry_from_result", "latest_for", "load_entry",
+                          "read_history", "write_entry"),
+    "repro.obs.jsonl": ("JsonlBatch", "JsonlCorruptError", "JsonlTail",
+                        "iter_jsonl"),
+    "repro.obs.live": ("CellProgress", "LedgerFollower", "RunProgress",
+                       "render_dashboard", "watch_run"),
+    "repro.obs.logs": ("configure_logging", "get_logger"),
+    "repro.obs.metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
+                          "MetricsRegistry", "global_registry"),
+    "repro.obs.report": ("flame_report", "phase_chart", "phase_rows",
+                         "phase_table"),
+    "repro.obs.tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),
+    "repro.obs.trail": ("Trail", "TrailContext", "TrailQueryError",
+                        "call_site", "call_site_scope", "compile_predicate",
+                        "current_trail", "prompt_key", "trail_env",
+                        "trail_from_dict", "trail_scope", "trail_summary",
+                        "trail_to_dict"),
+})

@@ -35,7 +35,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.errors import ModelError
+from repro.llm.costs import cost_estimate
+from repro.obs.export import escape_label_value
 from repro.obs.trail import current_trail
+from repro.runs.registry import RunRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.engine.telemetry import EngineStats
@@ -214,8 +218,6 @@ def price_for(model: str) -> ModelPrice:
 
 def _gpu_seconds_price(model: str) -> ModelPrice:
     """Price an offline model from the paper's Figure 7 latency."""
-    from repro.errors import ModelError
-    from repro.llm.costs import cost_estimate
     try:
         estimate = cost_estimate(model)
     except ModelError:
@@ -434,6 +436,7 @@ class CostLedger:
     @classmethod
     def from_state(cls, run_id: str, state) -> "CostLedger":
         """Fold a replayed :class:`repro.runs.ledger.RunState`."""
+        # Call-time: repro.runs.driver imports this module (BudgetGuard).
         from repro.runs.driver import CellKey
         cells: list[CostCell] = []
         for cell_id in sorted(state.cells):
@@ -458,7 +461,6 @@ class CostLedger:
     @classmethod
     def from_run(cls, run_id: str, registry=None) -> "CostLedger":
         """Fold a registered run's ledger (pure disk read)."""
-        from repro.runs.registry import RunRegistry
         registry = (registry if registry is not None
                     else RunRegistry())
         registry.manifest(run_id)        # raises UnknownRunError
@@ -507,7 +509,6 @@ class CostLedger:
 
     def to_prometheus(self) -> str:
         """Labeled cost series in the text exposition format."""
-        from repro.obs.export import escape_label_value
         lines = [
             "# HELP repro_run_cost_usd accumulated cost per cell",
             "# TYPE repro_run_cost_usd counter",

@@ -24,25 +24,16 @@ import logging
 import time
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, get_type_hints
+from typing import get_type_hints
 
+from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.obs.jsonl import (append_shared, dumps_line, fold_jsonl,
                              replace_text)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.runs.registry import RunRegistry
+from repro.runs.registry import RunRegistry
 
 _log = logging.getLogger("repro.obs.history")
-
-
-def _default_registry() -> "RunRegistry":
-    # Deferred: repro.runs imports repro.obs at package level, so the
-    # dependency must stay call-time-only in this direction.
-    from repro.runs.registry import RunRegistry
-    return RunRegistry()
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -144,6 +135,9 @@ _ENTRY_TYPES = get_type_hints(HistoryEntry)
 _ENTRY_SCALARS = tuple(
     (f.name, _ENTRY_TYPES[f.name], f.default)
     for f in fields(HistoryEntry) if f.name != "cell_accuracy")
+#: The entry fields :class:`EngineStats` has as a field or a property.
+_FROM_STATS = tuple(name for name in _ENTRY_FIELDS
+                    if hasattr(EngineStats, name))
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +161,7 @@ def entry_from_result(run_id: str, dataset: str,
                    for metrics in cell_metrics.values())
     copied = ({} if stats is None
               else {name: getattr(stats, name)
-                    for name in _fields_from_stats()})
+                    for name in _FROM_STATS})
     return HistoryEntry(
         run_id=run_id,
         finished_at=(time.time() if finished_at is None
@@ -185,18 +179,8 @@ def entry_from_result(run_id: str, dataset: str,
     )
 
 
-@cache
-def _fields_from_stats() -> tuple[str, ...]:
-    """The entry fields :class:`EngineStats` has as a field or a
-    property."""
-    # Deferred: repro.engine imports repro.obs at package level.
-    from repro.engine.telemetry import EngineStats
-    return tuple(name for name in _ENTRY_FIELDS
-                 if hasattr(EngineStats, name))
-
-
 def append_entry(entry: HistoryEntry,
-                 registry: "RunRegistry | None" = None) -> Path:
+                 registry: RunRegistry | None = None) -> Path:
     """Append one entry to the registry's ``history.jsonl``.
 
     Other processes append to the same file, so a torn append is never
@@ -205,14 +189,14 @@ def append_entry(entry: HistoryEntry,
     only its own entry.
     """
     registry = (registry if registry is not None
-                else _default_registry())
+                else RunRegistry())
     path = registry.history_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     append_shared(path, dumps_line(entry.to_dict()))
     return path
 
 
-def read_history(registry: "RunRegistry | None" = None
+def read_history(registry: RunRegistry | None = None
                  ) -> list[HistoryEntry]:
     """Every history entry, oldest first.
 
@@ -220,7 +204,7 @@ def read_history(registry: "RunRegistry | None" = None
     with a warning; an entry of an unknown shape is skipped.
     """
     registry = (registry if registry is not None
-                else _default_registry())
+                else RunRegistry())
     path = registry.history_path()
     if not path.exists():
         return []

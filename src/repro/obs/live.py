@@ -18,7 +18,8 @@ uses (the snapshot therefore *converges to exactly the post-hoc
   off);
 * retry / fault counts streamed out of the span log;
 * a stall watchdog: a run whose ledger, span log and heartbeat have
-  all sat still past the deadline is flagged ``stalled``.
+  all sat still past the deadline is flagged ``stalled`` — unless a
+  spend ceiling stopped it, which reads ``budget-stopped``.
 
 ``repro watch <run-id>`` renders the snapshot as an in-place ASCII
 dashboard (``--once`` for a single frame, ``--json`` for machines).
@@ -32,16 +33,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.errors import LedgerCorruptError
 from repro.obs.cost import call_cost_nanos
 from repro.obs.jsonl import JsonlTail
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.tracer import Span
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.runs.registry import RunRegistry
+from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S, read_heartbeat
+from repro.runs.ledger import RunState, _apply
+from repro.runs.registry import RunRegistry
 
 #: Width of the dashboard's per-cell progress bars.
 BAR_WIDTH = 24
@@ -86,7 +86,7 @@ class RunProgress:
     """One follower snapshot of a (possibly still running) run."""
 
     run_id: str
-    status: str                       # running | stalled | finished
+    status: str        # running | stalled | budget-stopped | finished
     attempts: int
     finished: bool
     cells_planned: int
@@ -100,7 +100,7 @@ class RunProgress:
     spans: int
     elapsed_s: float
     throughput: float                 # questions / wall second so far
-    eta_s: float | None               # None once finished / no basis
+    eta_s: float | None               # None once settled / no basis
     latency_p50_s: float
     latency_p99_s: float
     heartbeat_age_s: float | None     # None when no heartbeat exists
@@ -123,6 +123,12 @@ class RunProgress:
         if self.questions_done == 0:
             return 0.0
         return self.correct / self.questions_done
+
+    @property
+    def settled(self) -> bool:
+        """Nothing more is written until a resume: the run finished or
+        a budget stopped it."""
+        return self.status in ("finished", "budget-stopped")
 
     @property
     def fraction(self) -> float:
@@ -186,23 +192,15 @@ class LedgerFollower:
     """
 
     def __init__(self, run_id: str,
-                 registry: "RunRegistry | None" = None,
+                 registry: RunRegistry | None = None,
                  stall_deadline_s: float | None = None,
                  clock=time.time):
-        # Deferred: repro.runs imports repro.obs at package level, so
-        # the dependency must stay call-time-only in this direction.
-        from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
-                                          read_heartbeat)
-        from repro.runs.ledger import RunState, _apply
-        from repro.runs.registry import RunRegistry
         self.registry = (registry if registry is not None
                          else RunRegistry())
         self.run_id = run_id
         self.stall_deadline_s = (DEFAULT_STALL_DEADLINE_S
                                  if stall_deadline_s is None
                                  else stall_deadline_s)
-        self._apply = _apply
-        self._read_heartbeat = read_heartbeat
         self._clock = clock
         self._lock = threading.Lock()
         manifest = self.registry.manifest(run_id)  # raises if unknown
@@ -214,7 +212,8 @@ class LedgerFollower:
         self._spans = JsonlTail(self.registry.spans_path(run_id))
         self.state = RunState(run_id=run_id)
         self._started_ts: float | None = None
-        self._finished_ts: float | None = None
+        #: ``ts`` of the last run-finished or budget-exhausted event.
+        self._ended_ts: float | None = None
         self._latency = Histogram("question_latency_s",
                                   bounds=DEFAULT_BUCKETS)
         self._retries = 0
@@ -227,10 +226,10 @@ class LedgerFollower:
             kind = payload.get("event")
             if kind == "run-started" and self._started_ts is None:
                 self._started_ts = float(payload.get("ts") or 0.0)
-            elif kind == "run-finished":
-                self._finished_ts = float(payload.get("ts") or 0.0)
+            elif kind in ("run-finished", "budget-exhausted"):
+                self._ended_ts = float(payload.get("ts") or 0.0)
             try:
-                self._apply(self.state, payload)
+                _apply(self.state, payload)
             except (KeyError, TypeError, ValueError) as exc:
                 raise LedgerCorruptError(
                     str(self._ledger.path), self._ledger.next_line,
@@ -310,12 +309,13 @@ class LedgerFollower:
             expected_started + remaining_cells * mean_expected))
 
         started = self._started_ts or self._created_at or now
-        end = self._finished_ts if self.state.finished else now
+        settled = self.state.finished or self.state.budget_stopped
+        end = self._ended_ts if settled else now
         elapsed = max(0.0, (end or now) - started)
         throughput = (questions_done / elapsed if elapsed > 0 else 0.0)
 
         eta: float | None = None
-        if not self.state.finished:
+        if not settled:
             remaining = max(0, questions_planned - questions_done)
             if self._latency.count > 0:
                 eta = (remaining * self._latency.mean
@@ -323,7 +323,7 @@ class LedgerFollower:
             elif throughput > 0:
                 eta = remaining / throughput
 
-        heartbeat = self._read_heartbeat(
+        heartbeat = read_heartbeat(
             self.registry.heartbeat_path(self.run_id))
         heartbeat_age = (now - float(heartbeat["ts"])
                          if heartbeat else None)
@@ -333,6 +333,8 @@ class LedgerFollower:
 
         if self.state.finished:
             status = "finished"
+        elif self.state.budget_stopped:
+            status = "budget-stopped"
         else:
             # Stalled only when *neither* the ledger nor the
             # heartbeat advances within the deadline.  No pid check
@@ -429,7 +431,7 @@ def render_dashboard(progress: RunProgress) -> str:
     return "\n".join(lines)
 
 
-def watch_run(run_id: str, registry: "RunRegistry | None" = None,
+def watch_run(run_id: str, registry: RunRegistry | None = None,
               interval_s: float = 1.0,
               stall_deadline_s: float | None = None,
               clock=time.time,
@@ -437,7 +439,8 @@ def watch_run(run_id: str, registry: "RunRegistry | None" = None,
               emit=None,
               until_finished: bool = True,
               evaluator=None) -> RunProgress:
-    """Poll + render in place until the run finishes (or forever).
+    """Poll + render in place until the run settles (finishes or
+    stops on its budget), or forever.
 
     ``emit`` receives each rendered frame (defaults to printing with
     an ANSI home+clear prefix so the dashboard redraws in place);
@@ -463,6 +466,6 @@ def watch_run(run_id: str, registry: "RunRegistry | None" = None,
             if banner:
                 frame = banner + "\n" + frame
         emit(frame)
-        if until_finished and progress.finished:
+        if until_finished and progress.settled:
             return progress
         time.sleep(interval_s)

@@ -1,15 +1,9 @@
 """Simulated taxonomy popularity (paper Figure 2)."""
 
-from repro.popularity.estimator import (DEFAULT_SAMPLE,
-                                        PopularityEstimate,
-                                        concept_hits,
-                                        estimate_popularity,
-                                        popularity_ranking)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PopularityEstimate",
-    "concept_hits",
-    "estimate_popularity",
-    "popularity_ranking",
-    "DEFAULT_SAMPLE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.popularity.estimator": ("DEFAULT_SAMPLE", "PopularityEstimate",
+                                   "concept_hits", "estimate_popularity",
+                                   "popularity_ranking"),
+})

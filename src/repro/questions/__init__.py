@@ -1,47 +1,20 @@
 """Question design: templates, generation, pools, instance typing."""
 
-from repro.questions.generation import (LevelQuestions,
-                                        generate_level_questions)
-from repro.questions.instance_typing import (INSTANCE_TYPING_KEYS,
-                                             Instance,
-                                             InstanceTypingPools,
-                                             build_instance_typing_pools,
-                                             collect_instances)
-from repro.questions.model import (MCQ_LETTERS, Answer, DatasetKind,
-                                   Question, QuestionKind, QuestionType,
-                                   letter_answer, level_label)
-from repro.questions.pools import (QuestionPool, TaxonomyPools,
-                                   build_pools, default_pools)
-from repro.questions.templates import (ADJECTIVE_VARIANTS,
-                                       RELATION_VARIANTS,
-                                       TF_ANSWER_SUFFIX, mcq_prompt,
-                                       render_question,
-                                       true_false_prompt)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Answer",
-    "DatasetKind",
-    "Question",
-    "QuestionKind",
-    "QuestionType",
-    "MCQ_LETTERS",
-    "letter_answer",
-    "level_label",
-    "LevelQuestions",
-    "generate_level_questions",
-    "QuestionPool",
-    "TaxonomyPools",
-    "build_pools",
-    "default_pools",
-    "Instance",
-    "InstanceTypingPools",
-    "INSTANCE_TYPING_KEYS",
-    "build_instance_typing_pools",
-    "collect_instances",
-    "RELATION_VARIANTS",
-    "ADJECTIVE_VARIANTS",
-    "TF_ANSWER_SUFFIX",
-    "true_false_prompt",
-    "mcq_prompt",
-    "render_question",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.questions.generation": ("LevelQuestions",
+                                   "generate_level_questions"),
+    "repro.questions.instance_typing": ("INSTANCE_TYPING_KEYS", "Instance",
+                                        "InstanceTypingPools",
+                                        "build_instance_typing_pools",
+                                        "collect_instances"),
+    "repro.questions.model": ("MCQ_LETTERS", "Answer", "DatasetKind",
+                              "Question", "QuestionKind", "QuestionType",
+                              "letter_answer", "level_label"),
+    "repro.questions.pools": ("QuestionPool", "TaxonomyPools", "build_pools",
+                              "default_pools"),
+    "repro.questions.templates": ("ADJECTIVE_VARIANTS", "RELATION_VARIANTS",
+                                  "TF_ANSWER_SUFFIX", "mcq_prompt",
+                                  "render_question", "true_false_prompt"),
+})

@@ -166,6 +166,8 @@ def build_pools(taxonomy_key: str, taxonomy: Taxonomy | None = None,
         return generate_pools(taxonomy_key, taxonomy,
                               sample_size=sample_size, seed=seed)
     if store is True:
+        # Call-time: repro.store.artifacts imports this module (its
+        # codec decodes TaxonomyPools and it builds with generate_pools).
         from repro.store.artifacts import default_store
         store = default_store()
     if not store:

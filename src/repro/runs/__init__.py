@@ -35,55 +35,20 @@ Quickstart::
     True
 """
 
-from repro.runs.diff import CellDiff, QuestionFlip, RunDiff, diff_runs
-from repro.runs.driver import (CellKey, RunResult, coerce_run,
-                               create_run, execute_run, load_run,
-                               plan_cells)
-from repro.runs.heartbeat import (HEARTBEAT_FILENAME, HeartbeatWriter,
-                                  pid_alive, read_heartbeat,
-                                  run_status)
-from repro.runs.ledger import (LEDGER_FILENAME, CellState, RunLedger,
-                               RunState, replay_ledger)
-from repro.runs.registry import (HISTORY_FILENAME, MANIFEST_FILENAME,
-                                 RUNS_ENV, SPANS_FILENAME,
-                                 RunRegistry, RunSummary,
-                                 default_runs_root)
-from repro.runs.request import LEDGER_SCHEMA_VERSION, RunRequest
-from repro.runs.resume import resume_run
-from repro.runs.session import RunSession, engine_for
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CellDiff",
-    "CellKey",
-    "CellState",
-    "HEARTBEAT_FILENAME",
-    "HISTORY_FILENAME",
-    "HeartbeatWriter",
-    "LEDGER_FILENAME",
-    "LEDGER_SCHEMA_VERSION",
-    "MANIFEST_FILENAME",
-    "QuestionFlip",
-    "RunDiff",
-    "RunLedger",
-    "RunRegistry",
-    "RunRequest",
-    "RunResult",
-    "RunSession",
-    "RunState",
-    "RunSummary",
-    "RUNS_ENV",
-    "SPANS_FILENAME",
-    "coerce_run",
-    "create_run",
-    "default_runs_root",
-    "diff_runs",
-    "engine_for",
-    "execute_run",
-    "load_run",
-    "pid_alive",
-    "plan_cells",
-    "read_heartbeat",
-    "replay_ledger",
-    "resume_run",
-    "run_status",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runs.diff": ("CellDiff", "QuestionFlip", "RunDiff", "diff_runs"),
+    "repro.runs.driver": ("CellKey", "RunResult", "coerce_run", "create_run",
+                          "execute_run", "load_run", "plan_cells"),
+    "repro.runs.heartbeat": ("HEARTBEAT_FILENAME", "HeartbeatWriter",
+                             "pid_alive", "read_heartbeat", "run_status"),
+    "repro.runs.ledger": ("LEDGER_FILENAME", "CellState", "RunLedger",
+                          "RunState", "replay_ledger"),
+    "repro.runs.registry": ("HISTORY_FILENAME", "MANIFEST_FILENAME",
+                            "RUNS_ENV", "SPANS_FILENAME", "RunRegistry",
+                            "RunSummary", "default_runs_root"),
+    "repro.runs.request": ("LEDGER_SCHEMA_VERSION", "RunRequest"),
+    "repro.runs.resume": ("resume_run",),
+    "repro.runs.session": ("RunSession", "engine_for"),
+})

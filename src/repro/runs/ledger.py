@@ -180,8 +180,15 @@ class RunState:
     finished: bool = False
     stats: dict | None = None
     events: int = 0
-    #: Last budget-exhausted event's payload (None = never stopped).
+    #: The budget-exhausted payload of the latest attempt (None = not
+    #: stopped; a run-started or run-finished event clears it).
     budget: dict | None = None
+
+    @property
+    def budget_stopped(self) -> bool:
+        """A spend ceiling stopped the latest attempt; a resume
+        finishes the run."""
+        return bool(self.budget) and not self.finished
 
     @property
     def completed_cells(self) -> int:
@@ -229,6 +236,7 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         state.run_id = event["run_id"]
         state.attempts = max(state.attempts, int(event["attempt"]))
         state.finished = False      # a new attempt reopens the run
+        state.budget = None
     elif kind == "cell-started":
         cell = state.cells.setdefault(
             event["cell"], CellState(cell_id=event["cell"]))

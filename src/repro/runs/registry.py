@@ -433,12 +433,12 @@ class RunRegistry:
         For a sharded run that has not been merged yet, the top-level
         ledger and heartbeat do not exist — the truth lives in the K
         shard directories, so status aggregation is delegated to
-        ``repro.dist`` (call-time import: ``dist`` imports ``runs`` at
-        module level, so this direction must stay lazy).
+        ``repro.dist.status``.
         """
         if finished is None:
             finished = self.state(run_id).finished
         if not finished and self.shard_count(run_id) > 0:
+            # Call-time: repro.dist.status imports this module.
             from repro.dist.status import sharded_run_status
             return sharded_run_status(
                 run_id, registry=self,
@@ -454,7 +454,7 @@ class RunRegistry:
         state = self.state(run_id)
         # A budget stop is a deliberate pause, not a crash: the
         # heartbeat is gone but the ledger says why.
-        if state.budget and not state.finished:
+        if state.budget_stopped:
             status = "budget-stopped"
         else:
             status = self.status(run_id, finished=state.finished)

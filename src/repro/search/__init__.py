@@ -1,19 +1,10 @@
 """Entity search over taxonomies: tree vs LLM vs hybrid routing."""
 
-from repro.search.engine import (HybridRouter, LlmRouter,
-                                 ProductCorpus, SearchResult,
-                                 TreeRouter, lexical_score)
-from repro.search.evaluation import (StrategyScore, evaluate_search,
-                                     make_queries)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProductCorpus",
-    "SearchResult",
-    "TreeRouter",
-    "LlmRouter",
-    "HybridRouter",
-    "lexical_score",
-    "StrategyScore",
-    "evaluate_search",
-    "make_queries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.search.engine": ("HybridRouter", "LlmRouter", "ProductCorpus",
+                            "SearchResult", "TreeRouter", "lexical_score"),
+    "repro.search.evaluation": ("StrategyScore", "evaluate_search",
+                                "make_queries"),
+})

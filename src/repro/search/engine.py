@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.generators.products import products_for_node
 from repro.hybrid.hybrid_taxonomy import HybridTaxonomy
 from repro.hybrid.membership import MembershipModel
+from repro.llm.rng import stable_choice, unit_float
 from repro.taxonomy.node import TaxonomyNode
 from repro.taxonomy.taxonomy import Taxonomy
 
@@ -147,8 +148,6 @@ class HybridRouter:
 
     def _route(self, query: str,
                truth_node_id: str | None) -> TaxonomyNode | None:
-        from repro.llm.rng import stable_choice, unit_float
-
         taxonomy = self.corpus.taxonomy
         frontier = self.hybrid.frontier()
         truth_ancestor = None

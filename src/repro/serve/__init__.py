@@ -25,27 +25,14 @@ Or from the shell: ``python -m repro serve --host 0.0.0.0 --port
 8080 --runs-dir ~/runs``.
 """
 
-from repro.serve.app import (DEFAULT_MAX_BODY_BYTES, DEFAULT_TENANT,
-                             TENANT_HEADER, ReproServer)
-from repro.serve.hub import FollowerHub, Subscription
-from repro.serve.jobs import JOB_STATES, Job, JobManager
-from repro.serve.views import (run_cell_rows, run_diff_payload,
-                               run_result_payload, run_show_payload,
-                               runs_list_payload)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_TENANT",
-    "FollowerHub",
-    "JOB_STATES",
-    "Job",
-    "JobManager",
-    "ReproServer",
-    "Subscription",
-    "TENANT_HEADER",
-    "run_cell_rows",
-    "run_diff_payload",
-    "run_result_payload",
-    "run_show_payload",
-    "runs_list_payload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.app": ("DEFAULT_MAX_BODY_BYTES", "DEFAULT_TENANT",
+                        "TENANT_HEADER", "ReproServer"),
+    "repro.serve.hub": ("FollowerHub", "Subscription"),
+    "repro.serve.jobs": ("JOB_STATES", "Job", "JobManager"),
+    "repro.serve.views": ("run_cell_rows", "run_diff_payload",
+                          "run_result_payload", "run_show_payload",
+                          "runs_list_payload"),
+})

@@ -492,7 +492,7 @@ class ReproServer:
 
     def _spec_detail(self, spec) -> dict[str, object]:
         from repro.generators import build_taxonomy
-        from repro.taxonomy import compute_statistics
+        from repro.taxonomy.stats import compute_statistics
         stats = compute_statistics(build_taxonomy(spec.key))
         return {
             **self._spec_row(spec),

@@ -13,13 +13,13 @@ to agree exactly.
 
 Flow-control contract: subscriber queues are bounded and drop their
 *oldest* pending snapshot when full, so one slow client can neither
-stall the broadcaster nor starve its peers; the final (``finished``)
-snapshot is always delivered because it is the last thing enqueued
-before the end-of-stream sentinel.  A broadcast with no subscribers
-left shuts itself down after a grace period, and a finished run's
-final snapshot is cached (keyed by ledger size, so a later resume
-invalidates it) to serve late subscribers without re-tailing the
-ledger.
+stall the broadcaster nor starve its peers; the final (``finished``
+or ``budget-stopped``) snapshot is always delivered because it is the
+last thing enqueued before the end-of-stream sentinel.  A broadcast
+with no subscribers left shuts itself down after a grace period, and
+a settled run's final snapshot is cached (keyed by ledger size, so a
+later resume invalidates it) to serve late subscribers without
+re-tailing the ledger.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class _Broadcast:
                 for event in self.alerts.observe(snapshot):
                     self._publish(_ALERT, {"run_id": self.run_id,
                                            **event.to_dict()})
-                if snapshot.finished:
+                if snapshot.settled:
                     final = payload
                     break
                 with self._lock:

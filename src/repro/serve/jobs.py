@@ -55,6 +55,8 @@ class Job:
     cells: int = 0
     #: EngineStats snapshot of the finished execution.
     stats: dict | None = None
+    #: Budget-exhausted payload when a spend ceiling stopped the run.
+    budget: dict | None = None
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -71,6 +73,7 @@ class Job:
             "replayed": self.replayed,
             "cells": self.cells,
             "stats": self.stats,
+            "budget": self.budget,
         }
 
 
@@ -138,6 +141,7 @@ class JobManager:
             job.cells = len(result.cells)
             job.stats = (result.stats.to_dict()
                          if result.stats is not None else None)
+            job.budget = result.budget
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job | None:

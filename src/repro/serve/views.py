@@ -22,6 +22,7 @@ from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 
 from repro.core.results import QuestionRecord, metrics_to_dict
+from repro.dist.status import shard_statuses
 from repro.errors import RunError
 from repro.obs.trail import trail_summary, trail_to_dict
 from repro.runs.diff import diff_runs
@@ -175,8 +176,6 @@ def run_show_payload(registry: RunRegistry,
     Raises :class:`repro.errors.UnknownRunError` for a bad id — the
     CLI prints it, the server maps it to a 404.
     """
-    # Deferred: repro.dist imports repro.runs at module level.
-    from repro.dist.status import shard_statuses
     manifest = registry.manifest(run_id)
     state = registry.state(run_id)
     shards = registry.shard_count(run_id)

@@ -1,14 +1,9 @@
 """Statistical utilities: sample sizes (Table 4) and bootstrap CIs."""
 
-from repro.stats.bootstrap import Interval, bootstrap_mean
-from repro.stats.sampling import (DEFAULT_MARGIN, DEFAULT_PROPORTION, Z_95,
-                                  cochran_sample_size)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Interval",
-    "bootstrap_mean",
-    "cochran_sample_size",
-    "DEFAULT_MARGIN",
-    "DEFAULT_PROPORTION",
-    "Z_95",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.stats.bootstrap": ("Interval", "bootstrap_mean"),
+    "repro.stats.sampling": ("DEFAULT_MARGIN", "DEFAULT_PROPORTION", "Z_95",
+                             "cochran_sample_size"),
+})

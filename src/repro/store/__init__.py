@@ -23,30 +23,14 @@ automatically; set ``REPRO_STORE_DIR`` to relocate it or to ``off`` to
 disable caching.
 """
 
-from repro.store.artifacts import (STORE_ENV, ArtifactStore, StoreStats,
-                                   build_taxonomy_artifact, default_store)
-from repro.store.codec import (ArtifactDecodeError, decode_pools,
-                               decode_taxonomy, encode_pools)
-from repro.store.fingerprint import (SCHEMA_VERSION, code_fingerprint,
-                                     spec_fingerprint,
-                                     taxonomy_fingerprint)
-from repro.store.parallel import (build_all_datasets,
-                                  build_taxonomy_artifacts)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "ArtifactDecodeError",
-    "StoreStats",
-    "SCHEMA_VERSION",
-    "STORE_ENV",
-    "build_all_datasets",
-    "build_taxonomy_artifact",
-    "build_taxonomy_artifacts",
-    "code_fingerprint",
-    "decode_pools",
-    "decode_taxonomy",
-    "default_store",
-    "encode_pools",
-    "spec_fingerprint",
-    "taxonomy_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.store.artifacts": ("STORE_ENV", "ArtifactStore", "StoreStats",
+                              "build_taxonomy_artifact", "default_store"),
+    "repro.store.codec": ("ArtifactDecodeError", "decode_pools",
+                          "decode_taxonomy", "encode_pools"),
+    "repro.store.fingerprint": ("SCHEMA_VERSION", "code_fingerprint",
+                                "spec_fingerprint", "taxonomy_fingerprint"),
+    "repro.store.parallel": ("build_all_datasets", "build_taxonomy_artifacts"),
+})

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.generators.registry import build_taxonomy, get_spec
 from repro.obs.jsonl import replace_text
+from repro.questions.pools import generate_pools
 from repro.store.codec import (ArtifactDecodeError,
                                check_taxonomy_artifact, decode_pools,
                                encode_pools, encode_taxonomy_artifact)
@@ -140,7 +141,6 @@ class ArtifactStore:
     def get_or_build(self, taxonomy_key: str,
                      sample_size: int | None = None, seed: str = ""):
         """Warm load when possible, else generate, persist and return."""
-        from repro.questions.pools import generate_pools
         pools = self.load(taxonomy_key, sample_size, seed)
         if pools is not None:
             return pools

@@ -16,6 +16,7 @@ import hashlib
 from functools import lru_cache
 from pathlib import Path
 
+import repro
 from repro.generators.base import DEFAULT_LEVEL_CAP, TaxonomySpec
 
 #: Bump when the artifact payload layout changes shape.
@@ -35,7 +36,6 @@ _CODE_PATHS = (
 
 
 def _package_root() -> Path:
-    import repro
     return Path(repro.__file__).resolve().parent
 
 

@@ -1,34 +1,16 @@
 """Taxonomy substrate: forest data structures, validation, stats, io."""
 
-from repro.taxonomy.builder import TaxonomyBuilder
-from repro.taxonomy.edit import (EditRecord, MaintenanceLog,
-                                 TaxonomyEditor)
-from repro.taxonomy.io import (load_edge_tsv, load_json, save_edge_tsv,
-                               save_json, taxonomy_from_dict,
-                               taxonomy_to_dict)
-from repro.taxonomy.node import Domain, TaxonomyNode
-from repro.taxonomy.stats import (TaxonomyStatistics, branching_factors,
-                                  compute_statistics)
-from repro.taxonomy.taxonomy import Taxonomy
-from repro.taxonomy.validate import collect_problems, validate_taxonomy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Domain",
-    "TaxonomyEditor",
-    "EditRecord",
-    "MaintenanceLog",
-    "TaxonomyNode",
-    "Taxonomy",
-    "TaxonomyBuilder",
-    "TaxonomyStatistics",
-    "branching_factors",
-    "compute_statistics",
-    "collect_problems",
-    "validate_taxonomy",
-    "taxonomy_to_dict",
-    "taxonomy_from_dict",
-    "save_json",
-    "load_json",
-    "save_edge_tsv",
-    "load_edge_tsv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.taxonomy.builder": ("TaxonomyBuilder",),
+    "repro.taxonomy.edit": ("EditRecord", "MaintenanceLog", "TaxonomyEditor"),
+    "repro.taxonomy.io": ("load_edge_tsv", "load_json", "save_edge_tsv",
+                          "save_json", "taxonomy_from_dict",
+                          "taxonomy_to_dict"),
+    "repro.taxonomy.node": ("Domain", "TaxonomyNode"),
+    "repro.taxonomy.stats": ("TaxonomyStatistics", "branching_factors",
+                             "compute_statistics"),
+    "repro.taxonomy.taxonomy": ("Taxonomy",),
+    "repro.taxonomy.validate": ("collect_problems", "validate_taxonomy"),
+})

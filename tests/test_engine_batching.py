@@ -180,8 +180,10 @@ class TestBatchingModel:
                 raise ModelTransientError("synthetic outage")
 
         model = Failing()
+        # Only the size cut may fire: a linger far past the joins'
+        # timeout cannot cut the batch before all four threads park.
         with BatchingModel(model, batch_size=4,
-                           linger_s=0.01) as batcher:
+                           linger_s=60.0) as batcher:
             errors: list[BaseException] = []
             lock = threading.Lock()
 

@@ -19,16 +19,16 @@ import pytest
 
 from repro.errors import RunError
 from repro.llm.registry import get_model
-from repro.obs import (HistoryEntry, JsonlCorruptError, JsonlTail,
-                       LedgerFollower,
+from repro.obs import (AlertEvaluator, HistoryEntry, JsonlCorruptError,
+                       JsonlTail, LedgerFollower,
                        Thresholds, append_entry, check_entries,
                        entry_from_result, iter_jsonl, latest_for,
                        load_entry, read_history, render_dashboard,
-                       write_entry)
+                       watch_run, write_entry)
 from repro.obs import jsonl
 from repro.obs.jsonl import cut_torn_tail
-from repro.runs import (HeartbeatWriter, RunRegistry, RunRequest,
-                        create_run, execute_run, load_run,
+from repro.runs import (HeartbeatWriter, RunLedger, RunRegistry,
+                        RunRequest, create_run, execute_run, load_run,
                         pid_alive, read_heartbeat, replay_ledger,
                         resume_run, run_status)
 from repro.cli import main
@@ -362,6 +362,66 @@ class TestLedgerFollower:
         assert "[########################]" in frame
         progress.status = "stalled"
         assert "stalled" in render_dashboard(progress)
+
+
+# ----------------------------------------------------------------------
+# A budget stop settles the run; it is not a stall
+# ----------------------------------------------------------------------
+#: Stops after the first of its two cells.
+BUDGETED = RunRequest(models=("GPT-4", "LLMs4OL"), taxonomy_keys=("ebay",),
+                      sample_size=6, max_tokens=1)
+
+
+class TestBudgetStop:
+    @pytest.fixture()
+    def stopped(self, registry) -> str:
+        result = execute_run(BUDGETED, registry=registry)
+        assert result.budget is not None and len(result.cells) == 1
+        return result.run_id
+
+    def test_follower_reports_the_stop_a_minute_later(self, registry,
+                                                      stopped):
+        later = LedgerFollower(stopped, registry=registry,
+                               clock=lambda: time.time() + 60.0).poll()
+        assert later.status == "budget-stopped"
+        assert not later.finished and later.eta_s is None
+        breached = {row["name"] for row in AlertEvaluator().assess(later)
+                    if row["breached"]}
+        assert not breached & {"run-stalled", "throughput-floor"}
+
+    def test_elapsed_time_ends_at_the_stop(self, registry, stopped):
+        ts = {event["event"]: event["ts"] for event in
+              iter_jsonl(registry.ledger_path(stopped)).payloads
+              if "ts" in event}
+        later = LedgerFollower(stopped, registry=registry,
+                               clock=lambda: time.time() + 60.0).poll()
+        assert later.elapsed_s == pytest.approx(
+            ts["budget-exhausted"] - ts["run-started"])
+
+    def test_a_new_attempt_clears_the_stop(self, registry, stopped):
+        ledger = RunLedger(registry.ledger_path(stopped))
+        ledger.run_started(stopped, resumed=True, attempt=2)
+        ledger.close()
+        with HeartbeatWriter(registry.heartbeat_path(stopped)):
+            assert replay_ledger(
+                registry.ledger_path(stopped)).budget is None
+            [summary] = registry.list_runs()
+            assert summary.status == "running"
+            progress = LedgerFollower(stopped, registry=registry).poll()
+        assert progress.status == "running"
+        assert progress.budget is None
+
+    def test_watch_run_returns_on_the_stop(self, registry, stopped):
+        frames: list[str] = []
+
+        def emit(frame: str) -> None:
+            frames.append(frame)
+            assert len(frames) < 5, "watch_run kept polling"
+
+        progress = watch_run(stopped, registry=registry, interval_s=0.01,
+                             emit=emit)
+        assert progress.status == "budget-stopped"
+        assert f"run {stopped} [budget-stopped]" in frames[-1]
 
 
 # ----------------------------------------------------------------------

@@ -439,6 +439,50 @@ class TestLiveStreaming:
 
 
 # ----------------------------------------------------------------------
+# A budget stop reads as one in the job and the live views
+# ----------------------------------------------------------------------
+#: Stops after the first of its two cells.
+BUDGET_BODY = {"models": ["GPT-4", "LLMs4OL"], "taxonomy_keys": ["ebay"],
+               "sample_size": 6, "max_tokens": 1}
+
+
+class TestBudgetStop:
+    def test_job_reports_the_budget(self, server):
+        _, capped = _post(server, "/runs", body=BUDGET_BODY)
+        _, plain = _post(server, "/runs", body=SMALL_BODY)
+        job = _wait_job(server, capped["job"]["job_id"])
+        assert (job["state"], job["cells"]) == ("finished", 1)
+        assert job["budget"]["limit"] == "max_tokens"
+        assert _wait_job(server, plain["job"]["job_id"])["budget"] is None
+        _, runs = _get(server, "/runs")
+        assert {row["run_id"]: row["status"] for row in runs}[
+            capped["run_id"]] == "budget-stopped"
+
+    @pytest.fixture()
+    def stopped(self, server) -> str:
+        _, accepted = _post(server, "/runs", body=BUDGET_BODY)
+        _wait_job(server, accepted["job"]["job_id"])
+        return accepted["run_id"]
+
+    def test_progress_reports_the_stop(self, server, stopped):
+        _, progress = _get(server, f"/runs/{stopped}/progress")
+        assert progress["status"] == "budget-stopped"
+        _, alerts = _get(server, f"/runs/{stopped}/alerts")
+        assert alerts["status"] == "budget-stopped"
+
+    def test_event_stream_ends_on_the_stop(self, server, stopped):
+        subscription = server.hub.subscribe(
+            DEFAULT_TENANT, stopped, server.registry_for(DEFAULT_TENANT))
+        kinds = []
+        for kind, _ in subscription.events(timeout_s=5.0):
+            kinds.append(kind)
+            if len(kinds) > 20:
+                break
+        subscription.close()
+        assert kinds[-1] == "done"
+
+
+# ----------------------------------------------------------------------
 # Flow control: one slow subscriber must never hurt the broadcast
 # ----------------------------------------------------------------------
 class TestFlowControl:
