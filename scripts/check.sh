@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Local CI mirror: the tier-1 test suite plus short smokes of the
-# engine throughput and dataset pipeline benchmarks.
+# Local CI mirror: the tier-1 test suite, the whole suite again under
+# `python -X dev`, the perfbench harness tests, ten benchmark smokes
+# (engine throughput, engine batching, dataset pipeline, run ledger,
+# shard scaling, tracing, live follower, cost metering, serve fan-out,
+# trail capture), then the `obs check` regression gate and the trail
+# analytics of its run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

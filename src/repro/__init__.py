@@ -25,7 +25,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.engine": ("EngineConfig", "EngineStats", "EvaluationEngine",
                      "ResponseCache", "RetryPolicy"),
     "repro.errors": ("CalibrationError", "ExperimentError",
-                     "LedgerCorruptError", "ModelError", "ModelTimeoutError",
+                     "LedgerCorruptError", "ManifestCorruptError",
+                     "ModelError", "ModelTimeoutError",
                      "ModelTransientError", "PromptError",
                      "QuestionGenerationError", "ReproError", "RunError",
                      "TaxonomyError", "UnknownModelError", "UnknownNodeError",

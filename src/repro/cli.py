@@ -101,10 +101,10 @@ from repro.runs.request import RunRequest
 from repro.runs.resume import resume_run
 from repro.runs.session import engine_for
 from repro.serve.views import (dumps_view, iter_question_records,
-                               run_cell_rows, run_diff_payload,
-                               run_result_payload, run_show_payload,
-                               run_trail_payload, run_trails_payload,
-                               runs_list_payload)
+                               run_cell_rows, run_diff_body,
+                               run_result_payload, run_show_body,
+                               run_trail_payload, run_trails_body,
+                               run_trails_payload, runs_list_payload)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -938,13 +938,14 @@ def _cmd_runs_show(args: argparse.Namespace) -> str:
     if args.follow:
         return _watch(registry, args.run_id, as_json=args.json)
     if args.json:
-        # Same builder the HTTP API serves from (GET /runs/<id>).
-        return dumps_view(run_show_payload(registry, args.run_id))
+        # Same bytes the HTTP API serves (GET /runs/<id>).
+        return run_show_body(registry, args.run_id).decode("utf-8")
     manifest = registry.manifest(args.run_id)
     state = registry.state(args.run_id)
     cell_rows = run_cell_rows(state)
     shards = registry.shard_count(args.run_id)
-    shard_rows = (shard_statuses(args.run_id, registry=registry)
+    shard_rows = (shard_statuses(args.run_id, registry=registry,
+                                 merged=state)
                   if shards else [])
     status = "finished" if state.finished else "partial"
     header = (f"run {args.run_id} [{status}, "
@@ -1020,10 +1021,9 @@ def _cmd_runs_gc(args: argparse.Namespace) -> str:
 def _cmd_runs_diff(args: argparse.Namespace) -> str:
     registry = _registry(args)
     if args.json:
-        # Same builder the HTTP API serves from
-        # (GET /runs/<a>/diff/<b>).
-        return dumps_view(
-            run_diff_payload(registry, args.run_a, args.run_b))
+        # Same bytes the HTTP API serves (GET /runs/<a>/diff/<b>).
+        return run_diff_body(registry, args.run_a,
+                             args.run_b).decode("utf-8")
     diff = diff_runs(load_run(args.run_a, registry=registry),
                      load_run(args.run_b, registry=registry))
     table = format_rows(
@@ -1294,10 +1294,11 @@ def _cmd_obs_grep(args: argparse.Namespace) -> str:
 
 
 def _cmd_obs_trails(args: argparse.Namespace) -> str:
-    # Same builder the HTTP API serves (GET /runs/<id>/trails).
-    payload = run_trails_payload(_registry(args), args.run_id)
     if args.json:
-        return dumps_view(payload)
+        # Same bytes the HTTP API serves (GET /runs/<id>/trails).
+        return run_trails_body(_registry(args),
+                               args.run_id).decode("utf-8")
+    payload = run_trails_payload(_registry(args), args.run_id)
     if not payload["cells"]:
         return (f"run {args.run_id} has no recorded questions yet — "
                 f"nothing to summarize")

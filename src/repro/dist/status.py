@@ -6,8 +6,10 @@ machinery (`run_status`, `repro runs list`, `repro watch`) needs this
 module to fold K liveness signals into one answer.  Each shard gets
 the standard four-state verdict from its own heartbeat + ledger
 freshness, plus ``pending`` for a shard whose worker never started
-(queued behind the process pool, or orphaned by a dead driver); the
-run-level fold is pessimistic about death and optimistic about work:
+(queued behind the process pool, or orphaned by a dead driver), or
+``finished`` for one whose directory ``runs gc`` pruned after the
+merge; the run-level fold is pessimistic about death and optimistic
+about work:
 
 * any shard ``running``            -> ``running``
 * else any shard ``stalled``       -> ``stalled``
@@ -25,6 +27,7 @@ from repro.obs.jsonl import last_advanced
 from repro.obs.live import _bar
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   read_heartbeat, run_status)
+from repro.runs.ledger import RunState
 from repro.runs.registry import RunRegistry
 from repro.dist.planner import ShardPlan, load_shard_plan
 from repro.dist.worker import replay_shard
@@ -74,9 +77,17 @@ class ShardStatus:
 def shard_statuses(run_id: str,
                    registry: RunRegistry | None = None,
                    plan: ShardPlan | None = None,
-                   stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S
-                   ) -> list[ShardStatus]:
-    """Per-shard snapshots, shard index order."""
+                   stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S,
+                   merged: RunState | None = None) -> list[ShardStatus]:
+    """Per-shard snapshots, shard index order.
+
+    A shard whose directory is gone reads ``finished`` when the run's
+    own ledger (``merged``, read from the registry if not given) says
+    the run finished: ``runs gc`` prunes the shards of merged runs,
+    and the merge proved they covered every question.  Such a row
+    counts every question done and takes the merged ledger's attempt,
+    which the merge wrote as the highest over the shards.
+    """
     registry = registry if registry is not None else RunRegistry()
     if plan is None:
         plan = load_shard_plan(registry, run_id)
@@ -86,24 +97,31 @@ def shard_statuses(run_id: str,
         state = replay_shard(ledger_path, shard)
         heartbeat = read_heartbeat(
             registry.shard_heartbeat_path(run_id, shard))
+        total = plan.shard_questions(shard)
+        # Count only records inside this shard's own task ranges —
+        # a resumed shard replays foreign cell-started events, never
+        # foreign records, so the plain sum is already scoped.
+        done, attempts = state.recorded_questions, state.attempts
         if heartbeat is None and not ledger_path.exists():
             status = "pending"
+            if not registry.shard_dir(run_id, shard).exists():
+                if merged is None:
+                    merged = registry.state(run_id)
+                if merged.finished:
+                    status, done, attempts = ("finished", total,
+                                              merged.attempts)
         else:
             status = run_status(
                 state.finished, heartbeat,
                 last_advanced(ledger_path,
                               registry.shard_spans_path(run_id, shard)),
                 stall_deadline_s=stall_deadline_s)
-        # Count only records inside this shard's own task ranges —
-        # a resumed shard replays foreign cell-started events, never
-        # foreign records, so the plain sum is already scoped.
-        done = state.recorded_questions
         statuses.append(ShardStatus(
             shard=shard, status=status,
             tasks=len(plan.shards[shard]),
             questions_done=done,
-            questions_total=plan.shard_questions(shard),
-            attempts=state.attempts))
+            questions_total=total,
+            attempts=attempts))
     return statuses
 
 

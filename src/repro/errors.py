@@ -125,5 +125,13 @@ class LedgerCorruptError(RunError):
         self.line_number = line_number
 
 
+class ManifestCorruptError(RunError):
+    """Raised when a run's manifest cannot be read or decoded.
+
+    Like a :class:`LedgerCorruptError`, it means the run's own files
+    are damaged, not that the caller asked for something wrong.
+    """
+
+
 class CalibrationError(ReproError):
     """Raised when a model profile cannot be calibrated."""

@@ -310,17 +310,20 @@ def run_attempt(session: RunSession, registry: RunRegistry,
 # ----------------------------------------------------------------------
 def load_run(run_id: str,
              registry: RunRegistry | None = None,
-             keep_records: bool = True) -> RunResult:
+             keep_records: bool = True,
+             state: RunState | None = None) -> RunResult:
     """Rebuild a run's :class:`PoolResult`s from its ledger alone.
 
     Only completed cells are returned; partially recorded cells need
     :func:`repro.runs.resume.resume_run` to finish first.  No model,
     pool or taxonomy is touched — this is a pure disk read, which is
-    what makes every paper table reconstructible offline.
+    what makes every paper table reconstructible offline.  ``state``
+    is the run's replayed ledger when the caller already holds it.
     """
     registry = registry if registry is not None else RunRegistry()
     request = registry.request(run_id)
-    state = registry.state(run_id)
+    if state is None:
+        state = registry.state(run_id)
     cells: dict[CellKey, PoolResult] = {}
     replayed = 0
     for cell_id, cell_state in state.cells.items():

@@ -191,6 +191,13 @@ class RunState:
         return bool(self.budget) and not self.finished
 
     @property
+    def sealed(self) -> bool:
+        """The ledger says the run finished or was budget-stopped: no
+        attempt is live, so no view of it reads a heartbeat, a pid or
+        the clock."""
+        return self.finished or self.budget_stopped
+
+    @property
     def completed_cells(self) -> int:
         return sum(1 for cell in self.cells.values() if cell.complete)
 

@@ -15,7 +15,10 @@ a per-session scratch directory).
 Replayed ledgers are kept in a :class:`StateCache` and reused while
 the ledger file is unchanged, so repeated reads of one run (``repro
 serve`` answering ``runs show``/``diff``/``obs trails`` for many
-clients) replay it once per version instead of once per read.
+clients) replay it once per version instead of once per read.  Each
+cached version also keeps the views :meth:`RunRegistry.view` derives
+from it while the run is sealed, so a repeat read of a finished run
+builds and encodes nothing either.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from repro.errors import RunError, UnknownRunError
+from repro.errors import ManifestCorruptError, RunError, UnknownRunError
 from repro.obs.jsonl import last_advanced, replace_text
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   HEARTBEAT_FILENAME, read_heartbeat,
@@ -63,11 +69,16 @@ TENANTS_DIRNAME = "tenants"
 #: every tenant name ``repro serve`` accepts.
 PLAIN_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
-#: Ledger bytes a :class:`StateCache` may hold.  A replayed state
-#: takes about twice its ledger's bytes in memory; two W1 trail-on
-#: ledgers (6.4 MB each) fit together, so diffing them replays
+#: Ledger bytes, plus the bytes of the views kept with them, a
+#: :class:`StateCache` may hold.  A replayed state takes about twice
+#: its ledger's bytes in memory; two W1 trail-on ledgers (6.4 MB each)
+#: and their diff (0.7 MB) fit together, so diffing them replays
 #: neither.
 STATE_CACHE_BYTES = 16 * 1024 * 1024
+
+#: ``(st_dev, st_ino, st_size, st_mtime_ns)``: what the caches compare
+#: to tell one version of a file from the next.
+FileVersion = tuple[int, int, int, int]
 
 
 def default_runs_root() -> Path:
@@ -75,6 +86,25 @@ def default_runs_root() -> Path:
     if value:
         return Path(value)
     return Path.home() / ".cache" / "repro-taxoglimpse" / "runs"
+
+
+def file_version(path: Path) -> FileVersion | None:
+    """The version of the file at ``path``, or None when it cannot be
+    stat'ed (a file that does not exist is a version too)."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def watch(files: list[tuple[Path, FileVersion | None]],
+          path: Path) -> None:
+    """Note ``path``'s version in ``files``, the list a
+    :meth:`RunRegistry.view` builder fills; call it before the file is
+    read, so a write racing the read costs a rebuild, never a stale
+    view."""
+    files.append((path, file_version(path)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +177,23 @@ class RunSummary:
         }
 
 
+@dataclass(eq=False, slots=True)
+class LedgerVersion:
+    """One ledger version, as a :class:`StateCache` holds it: the
+    state replayed from it and the views derived from that state."""
+
+    path: Path
+    #: The ledger's version when the replay began (None: no ledger).
+    version: FileVersion | None
+    state: RunState
+    #: view key -> (the other files it read, with their versions at
+    #: build time; the view; its bytes).
+    views: dict[Hashable, tuple[tuple, object, int]] = field(
+        default_factory=dict)
+    #: Ledger bytes plus the bytes of :attr:`views`.
+    bytes: int = 0
+
+
 class StateCache:
     """Replayed ledgers, reused while the ledger file is unchanged.
 
@@ -160,12 +207,18 @@ class StateCache:
     hit.  The one change it cannot see is an in-place rewrite to the
     same size within one mtime tick, which no writer here does.
 
+    Each entry also keeps views derived from its state
+    (:meth:`remember`, :meth:`recall`).  A view is reused under the
+    same rule, extended to every other file its builder read, and goes
+    with its entry when the entry is replaced or evicted.
+
     The cache is an LRU bounded by :data:`STATE_CACHE_BYTES` of ledger
-    bytes; a ledger larger than the whole budget is replayed but not
-    kept.  The lock covers lookup, insert and evict, never a replay,
-    so a cold replay of one run does not block cached reads of
-    another; two threads that miss together may both replay, and the
-    later insert wins.  Errors propagate and are never cached.
+    and view bytes; a ledger larger than the whole budget is replayed
+    but not kept.  The lock covers lookup, insert and evict, never a
+    replay or a build, so a cold replay of one run does not block
+    cached reads of another; two threads that miss together may both
+    replay (or build), and the later insert wins.  Errors propagate
+    and are never cached.
 
     A returned :class:`RunState` is shared by every caller that reads
     the same ledger version: treat it as read-only.
@@ -173,16 +226,14 @@ class StateCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: path -> ((st_dev, st_ino, st_size, st_mtime_ns), state),
-        #: least recently used first.
-        self._entries: OrderedDict[
-            Path, tuple[tuple[int, int, int, int], RunState]] = \
-            OrderedDict()
-        #: Ledger bytes behind the cached states.
+        #: path -> entry, least recently used first.
+        self._entries: OrderedDict[Path, LedgerVersion] = OrderedDict()
+        #: Ledger and view bytes of the cached entries.
         self.bytes = 0
 
-    def replay(self, path: Path) -> RunState:
-        """The ledger at ``path`` folded into a :class:`RunState`.
+    def entry(self, path: Path) -> LedgerVersion:
+        """The current version of the ledger at ``path``, folded into
+        a :class:`RunState` on a miss.
 
         Raises ``FileNotFoundError`` for a missing ledger and
         :class:`repro.errors.LedgerCorruptError` for a corrupt one.
@@ -192,21 +243,54 @@ class StateCache:
                    stat.st_mtime_ns)
         with self._lock:
             entry = self._entries.get(path)
-            if entry is not None and entry[0] == version:
+            if entry is not None and entry.version == version:
                 self._entries.move_to_end(path)
-                return entry[1]
-        state = replay_ledger(path)
+                return entry
+        entry = LedgerVersion(path, version, replay_ledger(path),
+                              bytes=stat.st_size)
         with self._lock:
             stale = self._entries.pop(path, None)
             if stale is not None:
-                self.bytes -= stale[0][2]
-            if stat.st_size <= STATE_CACHE_BYTES:
-                self._entries[path] = (version, state)
-                self.bytes += stat.st_size
-            while self.bytes > STATE_CACHE_BYTES:
-                _, (evicted, _) = self._entries.popitem(last=False)
-                self.bytes -= evicted[2]
-        return state
+                self.bytes -= stale.bytes
+            if entry.bytes <= STATE_CACHE_BYTES:
+                self._entries[path] = entry
+                self.bytes += entry.bytes
+                self._evict()
+        return entry
+
+    def recall(self, entry: LedgerVersion, key: Hashable) -> object:
+        """The view kept under ``key``, or None unless every file it
+        was built from still has the version it had then."""
+        with self._lock:
+            kept = entry.views.get(key)
+        if kept is None or any(file_version(path) != version
+                               for path, version in kept[0]):
+            return None
+        return kept[1]
+
+    def remember(self, entry: LedgerVersion, key: Hashable,
+                 files: tuple, view: object, size: int) -> None:
+        """Keep ``view`` under ``key`` while the entry is cached.
+
+        ``files`` lists the other files the view was built from, each
+        with its version taken before the build read it.  An entry
+        replaced or evicted since ``view``'s state was taken from it
+        keeps nothing.
+        """
+        with self._lock:
+            if self._entries.get(entry.path) is not entry:
+                return
+            old = entry.views.get(key)
+            grown = size - (old[2] if old is not None else 0)
+            entry.views[key] = (files, view, size)
+            entry.bytes += grown
+            self.bytes += grown
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.bytes > STATE_CACHE_BYTES:
+            _, evicted = self._entries.popitem(last=False)
+            self.bytes -= evicted.bytes
 
 
 class RunRegistry:
@@ -332,7 +416,8 @@ class RunRegistry:
         Reads without a prior existence probe: a run directory swept
         away between the probe and the read (``runs gc`` racing a
         lister) must surface as :class:`UnknownRunError`, never as an
-        unhandled ``FileNotFoundError``.
+        unhandled ``FileNotFoundError``.  A manifest that cannot be
+        read or decoded raises :class:`ManifestCorruptError`.
         """
         path = self.manifest_path(run_id)
         try:
@@ -340,13 +425,13 @@ class RunRegistry:
         except FileNotFoundError:
             raise UnknownRunError(run_id, str(self.root)) from None
         except OSError as exc:
-            raise RunError(
+            raise ManifestCorruptError(
                 f"unreadable manifest for run {run_id!r}: "
                 f"{exc}") from exc
         try:
             return json.loads(text)
         except ValueError as exc:
-            raise RunError(
+            raise ManifestCorruptError(
                 f"corrupt manifest for run {run_id!r}: {exc}") from exc
 
     def request(self, run_id: str) -> RunRequest:
@@ -361,12 +446,48 @@ class RunRegistry:
         """
         if not self.manifest_path(run_id).exists():
             raise UnknownRunError(run_id, str(self.root))
+        return self.ledger_version(run_id).state
+
+    def ledger_version(self, run_id: str) -> LedgerVersion:
+        """The run's current ledger version as :attr:`state_cache` holds
+        it; one with no ledger and an empty state if never started."""
+        path = self.ledger_path(run_id)
         try:
-            return self.state_cache.replay(self.ledger_path(run_id))
+            return self.state_cache.entry(path)
         except FileNotFoundError:
             # Never started, or the run vanished mid-read (gc race);
             # either way the ledger says nothing about the run.
-            return RunState(run_id=run_id)
+            return LedgerVersion(path, None, RunState(run_id=run_id))
+
+    def view(self, run_id: str, key: Hashable,
+             build: Callable[[RunState, list], tuple[object, bool]],
+             size: Callable[[object], int] = len) -> object:
+        """``build(state, files)``'s view of the run's current ledger
+        version, kept with that version while it may be.
+
+        ``build`` returns the view and whether it may be kept: only a
+        view that reads no heartbeat, pid or clock, which a sealed run
+        (:attr:`RunState.sealed`) vouches for.  It notes through
+        :func:`watch` each file besides the ledger and the manifest
+        that it reads.  A kept view is reused only while the ledger,
+        the manifest and each of those files still have the versions
+        they had before the build.  The ledger's entry is keyed by its
+        path, never the bare run id, so two tenants holding one run id
+        never share a view.  ``size`` gives a view's bytes, counted
+        against :data:`STATE_CACHE_BYTES`.
+        """
+        files: list[tuple[Path, FileVersion | None]] = []
+        watch(files, self.manifest_path(run_id))
+        if files[0][1] is None:
+            raise UnknownRunError(run_id, str(self.root))
+        entry = self.ledger_version(run_id)
+        view = self.state_cache.recall(entry, key)
+        if view is None:
+            view, keep = build(entry.state, files)
+            if keep:
+                self.state_cache.remember(entry, key, tuple(files), view,
+                                          size(view))
+        return view
 
     # ------------------------------------------------------------------
     def list_ids(self) -> list[str]:
@@ -449,9 +570,16 @@ class RunRegistry:
             stall_deadline_s=stall_deadline_s)
 
     def summary(self, run_id: str) -> RunSummary:
+        """The run's listing row; a sealed run's is kept with its
+        ledger version (:meth:`view`)."""
+        return self.view(run_id, "summary", partial(self._summary, run_id),
+                         size=sys.getsizeof)
+
+    def _summary(self, run_id: str, state: RunState,
+                 files: list) -> tuple[RunSummary, bool]:
+        watch(files, self.shard_plan_path(run_id))
         manifest = self.manifest(run_id)
         request = RunRequest.from_dict(manifest["request"])
-        state = self.state(run_id)
         # A budget stop is a deliberate pause, not a crash: the
         # heartbeat is gone but the ledger says why.
         if state.budget_stopped:
@@ -474,4 +602,4 @@ class RunRegistry:
             status=status,
             shards=self.shard_count(run_id),
             cost_nanos=int((state.stats or {}).get("cost_nanos", 0)),
-        )
+        ), state.sealed

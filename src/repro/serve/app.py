@@ -53,15 +53,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import (LedgerCorruptError, ReproError, RunError,
-                          UnknownRunError)
+from repro.errors import (LedgerCorruptError, ManifestCorruptError,
+                          ReproError, RunError, UnknownRunError)
 from repro.obs.jsonl import dumps_line
 from repro.runs.registry import PLAIN_NAME_RE
 from repro.serve.hub import FollowerHub
 from repro.serve.jobs import JobManager
-from repro.serve.views import (dumps_view, run_diff_payload,
-                               run_result_payload, run_show_payload,
-                               runs_list_payload)
+from repro.serve.views import (dumps_view, run_diff_body, run_result_body,
+                               run_show_body, run_trail_payload,
+                               run_trails_body, runs_list_payload)
 
 _log = logging.getLogger("repro.serve")
 
@@ -122,7 +122,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: object,
                    allow: str | None = None) -> None:
-        body = dumps_view(payload).encode("utf-8")
+        """Send ``payload``, or the body a ``*_body`` view already
+        encoded (bytes, which no JSON payload is)."""
+        body = (payload if type(payload) is bytes
+                else dumps_view(payload).encode("utf-8"))
         self.send_response(status)
         if allow is not None:
             self.send_header("Allow", allow)
@@ -199,6 +202,8 @@ class _Handler(BaseHTTPRequestHandler):
         except LedgerCorruptError as exc:
             # The run's own files are damaged: not the client's fault.
             self._send_error_json(500, "corrupt-ledger", str(exc))
+        except ManifestCorruptError as exc:
+            self._send_error_json(500, "corrupt-manifest", str(exc))
         except ReproError as exc:
             self._send_error_json(400, "bad-request", str(exc))
         except (BrokenPipeError, ConnectionResetError, TimeoutError):
@@ -266,11 +271,11 @@ class _Handler(BaseHTTPRequestHandler):
         if len(rest) == 1:
             return self._require(
                 method, "GET",
-                lambda: (200, run_show_payload(registry, run_id)))
+                lambda: (200, run_show_body(registry, run_id)))
         if len(rest) == 2 and rest[1] == "result":
             return self._require(
                 method, "GET",
-                lambda: (200, app.result_payload(registry, run_id)))
+                lambda: (200, run_result_body(registry, run_id)))
         if len(rest) == 2 and rest[1] == "progress":
             return self._require(
                 method, "GET",
@@ -288,8 +293,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(rest) == 3 and rest[1] == "diff":
             return self._require(
                 method, "GET",
-                lambda: (200, run_diff_payload(registry, run_id,
-                                               rest[2])))
+                lambda: (200, run_diff_body(registry, run_id, rest[2])))
         if len(rest) == 3 and rest[1] == "trail":
             try:
                 index = int(rest[2])
@@ -298,12 +302,12 @@ class _Handler(BaseHTTPRequestHandler):
                                    f"integer, got {rest[2]!r}")
             return self._require(
                 method, "GET",
-                lambda: (200, app.trail_payload(registry, run_id,
+                lambda: (200, run_trail_payload(registry, run_id,
                                                 index)))
         if len(rest) == 2 and rest[1] == "trails":
             return self._require(
                 method, "GET",
-                lambda: (200, app.trails_payload(registry, run_id)))
+                lambda: (200, run_trails_body(registry, run_id)))
         if len(rest) == 2 and rest[1] == "events":
             if method != "GET":
                 return self._require(method, "GET", None)
@@ -579,20 +583,6 @@ class ReproServer:
         return 202, {"job": job.to_dict(), "run_id": run_id}
 
     # -- run inspection ------------------------------------------------
-    def result_payload(self, registry, run_id: str) -> dict:
-        from repro.runs.driver import load_run
-        return run_result_payload(load_run(run_id,
-                                           registry=registry))
-
-    def trail_payload(self, registry, run_id: str,
-                      index: int) -> dict:
-        from repro.serve.views import run_trail_payload
-        return run_trail_payload(registry, run_id, index)
-
-    def trails_payload(self, registry, run_id: str) -> dict:
-        from repro.serve.views import run_trails_payload
-        return run_trails_payload(registry, run_id)
-
     def progress_payload(self, registry, run_id: str) -> dict:
         from repro.obs.live import LedgerFollower
         return LedgerFollower(run_id, registry=registry).poll() \

@@ -10,13 +10,17 @@ form of a finished :class:`repro.runs.RunResult` (the ``repro run
 --json`` summary and the server's ``GET /runs/<id>/result``).
 
 Both surfaces also share one encoder, :func:`dumps_view`: the bytes
-of ``json.dumps(payload, indent=1)``, written mostly in C.
+of ``json.dumps(payload, indent=1)``, written mostly in C.  The
+``*_body`` functions return those bytes for the views of one run; a
+sealed run's are built and encoded once per ledger version and then
+reused (:meth:`repro.runs.registry.RunRegistry.view`).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_right
 from collections.abc import Iterator
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
@@ -28,7 +32,7 @@ from repro.obs.trail import trail_summary, trail_to_dict
 from repro.runs.diff import diff_runs
 from repro.runs.driver import RunResult, load_run
 from repro.runs.ledger import RunState
-from repro.runs.registry import RunRegistry
+from repro.runs.registry import RunRegistry, watch
 
 
 #: Container levels the fast path of :func:`dumps_view` encodes.  A
@@ -164,22 +168,28 @@ def run_cell_rows(state: RunState) -> list[dict[str, object]]:
     return rows
 
 
+def _encode(payload: object) -> bytes:
+    return dumps_view(payload).encode("utf-8")
+
+
 def runs_list_payload(registry: RunRegistry) -> list[dict[str, object]]:
     """The ``runs list --json`` document: one entry per run."""
     return [summary.to_dict() for summary in registry.list_runs()]
 
 
-def run_show_payload(registry: RunRegistry,
-                     run_id: str) -> dict[str, object]:
+def run_show_payload(registry: RunRegistry, run_id: str,
+                     state: RunState | None = None) -> dict[str, object]:
     """The ``runs show <id> --json`` document.
 
     Raises :class:`repro.errors.UnknownRunError` for a bad id — the
-    CLI prints it, the server maps it to a 404.
+    CLI prints it, the server maps it to a 404.  ``state`` is the
+    run's replayed ledger when the caller already holds it.
     """
     manifest = registry.manifest(run_id)
-    state = registry.state(run_id)
+    if state is None:
+        state = registry.state(run_id)
     shards = registry.shard_count(run_id)
-    shard_rows = (shard_statuses(run_id, registry=registry)
+    shard_rows = (shard_statuses(run_id, registry=registry, merged=state)
                   if shards else [])
     return {
         "manifest": manifest,
@@ -192,11 +202,49 @@ def run_show_payload(registry: RunRegistry,
     }
 
 
+def run_show_body(registry: RunRegistry, run_id: str) -> bytes:
+    """:func:`run_show_payload`, encoded (``GET /runs/<id>``).
+
+    Kept while the run is sealed and every shard row reads
+    ``finished``; a shard row that does not reads a heartbeat and the
+    clock.
+    """
+    def build(state: RunState, files: list) -> tuple[bytes, bool]:
+        watch(files, registry.shard_plan_path(run_id))
+        for shard in range(registry.shard_count(run_id)):
+            watch(files, registry.shard_ledger_path(run_id, shard))
+        payload = run_show_payload(registry, run_id, state)
+        return _encode(payload), state.sealed and all(
+            row["status"] == "finished" for row in payload["shards"])
+
+    return registry.view(run_id, "show", build)
+
+
 def run_diff_payload(registry: RunRegistry, run_a: str,
                      run_b: str) -> dict[str, object]:
     """The ``runs diff <a> <b> --json`` document."""
     return diff_runs(load_run(run_a, registry=registry),
                      load_run(run_b, registry=registry)).to_dict()
+
+
+def run_diff_body(registry: RunRegistry, run_a: str, run_b: str) -> bytes:
+    """:func:`run_diff_payload`, encoded (``GET /runs/<a>/diff/<b>``).
+
+    Kept with ``run_a``'s ledger version, under ``run_b``'s ledger
+    path, while both runs are sealed; ``run_b``'s manifest and ledger
+    versions are among the files it was built from.
+    """
+    def build(state: RunState, files: list) -> tuple[bytes, bool]:
+        watch(files, registry.manifest_path(run_b))
+        other = registry.ledger_version(run_b)
+        files.append((other.path, other.version))
+        diff = diff_runs(load_run(run_a, registry=registry, state=state),
+                         load_run(run_b, registry=registry,
+                                  state=other.state))
+        return _encode(diff.to_dict()), state.sealed and other.state.sealed
+
+    return registry.view(run_a, ("diff", registry.ledger_path(run_b)),
+                         build)
 
 
 def iter_question_records(state: RunState) -> Iterator[
@@ -215,41 +263,68 @@ def iter_question_records(state: RunState) -> Iterator[
             ordinal += 1
 
 
+def _question_index(state: RunState, files: list) -> tuple[tuple, bool]:
+    """The global question ordinals of :func:`iter_question_records`,
+    as ``(total, starts, cells)``: ``cells[k]`` is ``(cell id, sorted
+    indices in cell, records)`` of the k-th cell with records, and
+    ``starts[k]`` the ordinal of its first question."""
+    starts: list[int] = []
+    cells: list[tuple[str, list[int], dict]] = []
+    total = 0
+    for cell_id, cell in state.cells.items():
+        if cell.records:
+            starts.append(total)
+            cells.append((cell_id, sorted(cell.records), cell.records))
+            total += len(cell.records)
+    return (total, starts, cells), state.sealed
+
+
+def _question_index_bytes(index: tuple) -> int:
+    """A pointer per question, and a few lists and tuples per cell."""
+    total, _, cells = index
+    return 8 * total + 128 * len(cells)
+
+
 def run_trail_payload(registry: RunRegistry, run_id: str,
                       index: int) -> dict[str, object]:
     """One question's provenance (``obs why --json`` and
     ``GET /runs/<id>/trail/<index>``)."""
-    state = registry.state(run_id)
-    total = sum(len(cell.records) for cell in state.cells.values())
-    for ordinal, cell_id, local, record in iter_question_records(state):
-        if ordinal != index:
-            continue
-        return {
-            "run_id": run_id,
-            "index": ordinal,
-            "cell": cell_id,
-            "cell_index": local,
-            "uid": record.question_uid,
-            "model": record.model,
-            "setting": record.setting,
-            "parsed": record.parsed.value,
-            "expected": record.expected.value,
-            "correct": record.correct,
-            "missed": record.missed,
-            "prompt_tokens": record.prompt_tokens,
-            "completion_tokens": record.completion_tokens,
-            "trail": (trail_to_dict(record.trail)
-                      if record.trail is not None else None),
-        }
-    raise RunError(f"run {run_id} has {total} recorded questions; "
-                   f"no question index {index}")
+    total, starts, cells = registry.view(run_id, "questions",
+                                         _question_index,
+                                         size=_question_index_bytes)
+    if not 0 <= index < total:
+        raise RunError(f"run {run_id} has {total} recorded questions; "
+                       f"no question index {index}")
+    k = bisect_right(starts, index) - 1
+    cell_id, locals_, records = cells[k]
+    local = locals_[index - starts[k]]
+    record = records[local]
+    return {
+        "run_id": run_id,
+        "index": index,
+        "cell": cell_id,
+        "cell_index": local,
+        "uid": record.question_uid,
+        "model": record.model,
+        "setting": record.setting,
+        "parsed": record.parsed.value,
+        "expected": record.expected.value,
+        "correct": record.correct,
+        "missed": record.missed,
+        "prompt_tokens": record.prompt_tokens,
+        "completion_tokens": record.completion_tokens,
+        "trail": (trail_to_dict(record.trail)
+                  if record.trail is not None else None),
+    }
 
 
-def run_trails_payload(registry: RunRegistry,
-                       run_id: str) -> dict[str, object]:
+def run_trails_payload(registry: RunRegistry, run_id: str,
+                       state: RunState | None = None) -> dict[str, object]:
     """Per-cell trail analytics (``obs trails --json`` and
-    ``GET /runs/<id>/trails``)."""
-    state = registry.state(run_id)
+    ``GET /runs/<id>/trails``); ``state`` as for
+    :func:`run_show_payload`."""
+    if state is None:
+        state = registry.state(run_id)
     everything: list[QuestionRecord] = []
     cells: dict[str, object] = {}
     for cell_id, cell in state.cells.items():
@@ -261,6 +336,24 @@ def run_trails_payload(registry: RunRegistry,
         "cells": cells,
         "totals": trail_summary(everything),
     }
+
+
+def run_trails_body(registry: RunRegistry, run_id: str) -> bytes:
+    """:func:`run_trails_payload`, encoded; kept while the run is
+    sealed."""
+    return registry.view(run_id, "trails", lambda state, files: (
+        _encode(run_trails_payload(registry, run_id, state)),
+        state.sealed))
+
+
+def run_result_body(registry: RunRegistry, run_id: str) -> bytes:
+    """:func:`run_result_payload` of the run as its ledger has it
+    (``GET /runs/<id>/result``), encoded; kept while the run is
+    sealed."""
+    return registry.view(run_id, "result", lambda state, files: (
+        _encode(run_result_payload(load_run(run_id, registry=registry,
+                                            state=state))),
+        state.sealed))
 
 
 def run_result_payload(result: RunResult) -> dict[str, object]:

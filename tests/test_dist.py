@@ -423,6 +423,33 @@ class TestShardStatus:
         merge_run(run_id, registry=registry)
         assert registry.summary(run_id).status == "finished"
 
+    def test_gc_leaves_merged_shards_finished(self, registry, capsys):
+        request = RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                             sample_size=6)
+        run_id = execute_run_sharded(request, 2, registry=registry,
+                                     procs=0).run_id
+        runs_dir = ["--runs-dir", str(registry.root)]
+
+        def shown() -> tuple[list, str]:
+            assert main(["runs", "show", run_id, "--json"]
+                        + runs_dir) == 0
+            rows = json.loads(capsys.readouterr().out)["shards"]
+            assert main(["runs", "show", run_id] + runs_dir) == 0
+            return rows, capsys.readouterr().out
+
+        rows, text = shown()
+        assert [(row["status"], row["questions_done"],
+                 row["questions_total"], row["attempts"])
+                for row in rows] == [("finished", 12, 12, 1)] * 2
+        report = gc_runs(registry, min_age_s=0)
+        assert [c.reason for c in report.removed] == ["merged-shards"]
+        assert not registry.shards_dir(run_id).exists()
+        # The merge proved exact cover: a pruned shard stays finished,
+        # with the merged ledger's attempt.
+        assert shown() == (rows, text)
+        assert "pending" not in text
+        assert registry.summary(run_id).status == "finished"
+
     def test_questions_done_tracks_progress(self, registry):
         from repro.dist import save_shard_plan
         request = RunRequest(**SMALL)

@@ -884,3 +884,43 @@ class TestStateCache:
         assert fresh.attempts == 101
         assert len(finals) == 8
         assert all(state == fresh for state in finals)
+
+    def test_views_count_against_the_budget(self, registry, replays,
+                                            monkeypatch):
+        import sys
+        from repro.serve.views import run_show_body, run_trails_body
+        a, b = (execute_run(RunRequest(**self.TINY, trail=True),
+                            registry=registry).run_id
+                for _ in range(2))
+        ledger_a, ledger_b = (registry.ledger_path(run_id).stat().st_size
+                              for run_id in (a, b))
+        cache = registry.state_cache
+        show = run_show_body(registry, a)
+        summary = registry.summary(a)
+        assert cache.bytes == ledger_a + len(show) + sys.getsizeof(summary)
+        assert run_show_body(registry, a) is show
+        assert registry.summary(a) is summary
+        assert len(replays) == 1
+        assert cache.bytes == ledger_a + len(show) + sys.getsizeof(summary)
+        # Room for a with its views and b's ledger, but not for a's
+        # trails body too: keeping it evicts b, the least recent.
+        budget = cache.bytes + ledger_b
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            budget)
+        registry.state(b)
+        assert cache.bytes == budget
+        run_show_body(registry, a)               # a is the most recent
+        trails = run_trails_body(registry, a)
+        assert cache.bytes == budget - ledger_b + len(trails)
+        assert cache.bytes <= budget
+        assert len(replays) == 2
+        registry.state(b)                        # replayed again
+        assert len(replays) == 3
+        assert cache.bytes <= budget
+        # A view that alone overflows the budget takes its entry with
+        # it: nothing stale stays, and the next read builds again.
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            ledger_b + 10)
+        registry.summary(b)
+        assert run_show_body(registry, b) == run_show_body(registry, b)
+        assert cache.bytes <= ledger_b + 10

@@ -11,9 +11,13 @@ every shape produce structured JSON errors instead of stack traces.
 
 from __future__ import annotations
 
+import collections
 import http.client
 import json
+import os
+import shutil
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -22,10 +26,19 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.dist import execute_run_sharded, gc_runs, merge_run
+from repro.dist.planner import plan_shards, save_shard_plan
+from repro.dist.worker import ShardLedger, run_shard
+from repro.errors import RunError
 from repro.llm.registry import get_model
-from repro.runs import RunRequest, execute_run, load_run, replay_ledger
+from repro.obs.trail import trail_to_dict
+from repro.runs import (RunRequest, create_run, execute_run, load_run,
+                        replay_ledger, resume_run)
+from repro.runs.registry import RunRegistry
 from repro.serve import (DEFAULT_TENANT, TENANT_HEADER, ReproServer,
                          run_result_payload)
+from repro.serve import views
+from repro.serve.views import iter_question_records
 
 SMALL = dict(models=("GPT-4",), taxonomy_keys=("ebay",),
              sample_size=8)
@@ -571,6 +584,391 @@ class TestStateCache:
 
 
 # ----------------------------------------------------------------------
+# A sealed run's views are built and encoded once per ledger version
+# ----------------------------------------------------------------------
+_BUILDERS = ("run_show_payload", "run_trails_payload", "diff_runs",
+             "load_run", "run_result_payload", "_question_index",
+             "dumps_view")
+
+
+@pytest.fixture()
+def builds(monkeypatch) -> collections.Counter:
+    """Calls of the ledger replay, the view builders, the listing row
+    builder and the encoder (the real ones still run)."""
+    from repro.runs import registry as registry_module
+    from repro.serve import app
+    counts: collections.Counter = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(registry_module, "replay_ledger", counting(
+        "replay_ledger", registry_module.replay_ledger))
+    monkeypatch.setattr(registry_module.RunRegistry, "_summary", counting(
+        "_summary", registry_module.RunRegistry._summary))
+    for name in _BUILDERS:
+        monkeypatch.setattr(views, name,
+                            counting(name, getattr(views, name)))
+    # The server encodes the bodies no view function encoded.
+    monkeypatch.setattr(app, "dumps_view",
+                        counting("dumps_view", app.dumps_view))
+    return counts
+
+
+def _fresh_body(server, path: str, tenant: str = DEFAULT_TENANT) -> bytes:
+    """What the view builders make of the run files now, through a
+    registry that has nothing cached, encoded by ``json.dumps``."""
+    registry = RunRegistry(server.registry_for(tenant).root)
+    parts = path.strip("/").split("/")
+    if len(parts) == 1:
+        payload = views.runs_list_payload(registry)
+    elif len(parts) == 2:
+        payload = views.run_show_payload(registry, parts[1])
+    elif parts[2] == "diff":
+        payload = views.run_diff_payload(registry, parts[1], parts[3])
+    elif parts[2] == "trails":
+        payload = views.run_trails_payload(registry, parts[1])
+    elif parts[2] == "result":
+        payload = run_result_payload(load_run(parts[1], registry=registry))
+    else:
+        payload = views.run_trail_payload(registry, parts[1],
+                                          int(parts[3]))
+    return json.dumps(payload, indent=1).encode("utf-8")
+
+
+def _reads(server, paths, headers=None) -> dict[str, bytes]:
+    """Each path's 200 body, undecoded."""
+    bodies = {}
+    for path in paths:
+        request = urllib.request.Request(server.url + path,
+                                         headers=dict(headers or {}))
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200, path
+            bodies[path] = response.read()
+    return bodies
+
+
+class _DiesAfter:
+    """A model that dies after ``budget`` answers, so its run stops
+    mid-cell and leaves this live process's heartbeat behind."""
+
+    def __init__(self, inner, budget: int):
+        self.inner = inner
+        self.name = inner.name
+        self.budget = budget
+
+    def generate(self, prompt: str) -> str:
+        if self.budget <= 0:
+            raise RuntimeError("injected worker death")
+        self.budget -= 1
+        return self.inner.generate(prompt)
+
+
+class TestViewMemo:
+    TWO_CELLS = dict(models=("GPT-4", "LLMs4OL"), taxonomy_keys=("ebay",),
+                     sample_size=8)
+
+    def test_warm_reads_replay_build_and_encode_nothing(self, server,
+                                                        builds):
+        registry = server.registry_for(DEFAULT_TENANT)
+        request = RunRequest(**SMALL, trail=True)
+        first = execute_run(request, registry=registry).run_id
+        rebuilt = _Rebuilt(get_model("Llama-2-7B"), "GPT-4")
+        second = execute_run(request, registry=registry,
+                             resolve_model=lambda name: rebuilt).run_id
+        memoized = (f"/runs/{first}", f"/runs/{first}/diff/{second}",
+                    f"/runs/{second}/diff/{first}",
+                    f"/runs/{first}/trails", f"/runs/{first}/result")
+        # The list document and a trail body are encoded per read;
+        # the rows and the question index behind them are kept.
+        encoded = ("/runs", f"/runs/{first}/trail/3")
+        for path in memoized + encoded:
+            cold = _reads(server, [path])[path]
+            builds.clear()
+            warm = _reads(server, [path])[path]
+            assert warm == cold
+            assert dict(builds) == ({"dumps_view": 1} if path in encoded
+                                    else {}), path
+            assert warm == _fresh_body(server, path)
+
+    def test_bodies_follow_a_resume(self, server):
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run(RunRequest(**self.TWO_CELLS, max_tokens=1),
+                             registry=registry).run_id
+        assert registry.state(run_id).budget_stopped       # sealed
+        paths = ("/runs", f"/runs/{run_id}", f"/runs/{run_id}/trails",
+                 f"/runs/{run_id}/result")
+        stopped = _reads(server, paths)
+        assert _reads(server, paths) == stopped
+        resume_run(run_id, registry=registry)
+        finished = _reads(server, paths)
+        for path in paths:
+            assert finished[path] != stopped[path], path
+            assert finished[path] == _fresh_body(server, path), path
+
+    def test_bodies_follow_a_forced_merge(self, server, builds):
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run_sharded(RunRequest(**SMALL), shards=2,
+                                     registry=registry, procs=0).run_id
+        paths = ("/runs", f"/runs/{run_id}", f"/runs/{run_id}/result")
+        merged = _reads(server, paths)
+        # A second attempt of shard 0 changes that shard's row ...
+        with ShardLedger(registry.shard_ledger_path(run_id, 0)) as ledger:
+            ledger.shard_started(run_id, 0, attempt=2)
+            ledger.shard_finished(0)
+        show = _reads(server, paths[1:2])[paths[1]]
+        assert show != merged[paths[1]]
+        assert show == _fresh_body(server, paths[1])
+        # ... and the re-merge, swapped in under a new inode, the run's.
+        inode = registry.ledger_path(run_id).stat().st_ino
+        merge_run(run_id, registry=registry, force=True)
+        assert registry.ledger_path(run_id).stat().st_ino != inode
+        builds.clear()
+        remerged = _reads(server, paths)
+        assert builds["replay_ledger"] == 1
+        assert builds["_summary"] == 1
+        assert builds["run_show_payload"] == 1
+        assert builds["run_result_payload"] == 1
+        assert json.loads(remerged[paths[1]])["attempts"] == 2
+        for path in paths:
+            assert remerged[path] == _fresh_body(server, path), path
+
+    def test_a_recreated_run_gets_new_bodies(self, server):
+        registry = server.registry_for(DEFAULT_TENANT)
+        request = RunRequest(**SMALL, trail=True)
+        run_id = execute_run(request, registry=registry).run_id
+        paths = ("/runs", f"/runs/{run_id}", f"/runs/{run_id}/trails",
+                 f"/runs/{run_id}/result", f"/runs/{run_id}/trail/0")
+        before = _reads(server, paths)
+        shutil.rmtree(registry.run_dir(run_id))
+        for path in paths[1:]:
+            assert _get(server, path)[0] == 404
+        rebuilt = _Rebuilt(get_model("Llama-2-7B"), "GPT-4")
+        again = execute_run(request, registry=registry,
+                            resolve_model=lambda name: rebuilt).run_id
+        assert again == run_id
+        after = _reads(server, paths)
+        for path in paths:
+            assert after[path] == _fresh_body(server, path), path
+        assert after[paths[0]] != before[paths[0]]          # created_at
+        assert after[paths[1]] != before[paths[1]]
+        assert after[paths[3]] != before[paths[3]]
+
+    def test_gc_of_merged_shards_rebuilds_show(self, server, builds):
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run_sharded(RunRequest(**SMALL), shards=2,
+                                     registry=registry, procs=0).run_id
+        path = f"/runs/{run_id}"
+        before = _reads(server, [path])[path]
+        report = gc_runs(registry, min_age_s=0)
+        assert [c.reason for c in report.removed] == ["merged-shards"]
+        builds.clear()
+        after = _reads(server, [path])[path]
+        assert builds["run_show_payload"] == 1       # the shards went
+        assert after == _fresh_body(server, path)
+        # A pruned shard of a finished run still reads finished.
+        assert json.loads(after)["shards"] == json.loads(before)["shards"]
+        builds.clear()
+        assert _reads(server, [path])[path] == after
+        assert dict(builds) == {}
+
+    def test_tenants_holding_one_run_id_get_their_own_bodies(self,
+                                                             server):
+        team = {TENANT_HEADER: "t1"}
+        request = RunRequest(**SMALL, trail=True)
+        ours = execute_run(request,
+                           registry=server.registry_for(DEFAULT_TENANT))
+        rebuilt = _Rebuilt(get_model("Llama-2-7B"), "GPT-4")
+        theirs = execute_run(request, registry=server.registry_for("t1"),
+                             resolve_model=lambda name: rebuilt)
+        assert theirs.run_id == ours.run_id        # content-addressed
+        paths = [f"/runs/{ours.run_id}{suffix}" for suffix in
+                 ("", "/trails", "/result", "/trail/0")]
+        for _ in range(2):                         # cold, then warm
+            mine = _reads(server, paths)
+            other = _reads(server, paths, headers=team)
+            for path in paths:
+                assert mine[path] == _fresh_body(server, path), path
+                assert other[path] == _fresh_body(server, path,
+                                                  "t1"), path
+            assert mine[paths[0]] != other[paths[0]]
+            assert mine[paths[2]] != other[paths[2]]
+
+    def test_live_runs_are_rebuilt_on_every_read(self, server, builds):
+        registry = server.registry_for(DEFAULT_TENANT)
+        request = RunRequest(**SMALL)
+        crashed = create_run(request, registry=registry)
+        dying = _DiesAfter(get_model("GPT-4"), 5)
+        with pytest.raises(RuntimeError):
+            execute_run(request, registry=registry, run_id=crashed,
+                        resolve_model=lambda name: dying)
+        unmerged = registry.create(RunRequest(**self.TWO_CELLS), cells=2)
+        plan = plan_shards(RunRequest(**self.TWO_CELLS), 2)
+        save_shard_plan(registry, unmerged, plan)
+        for shard in range(2):
+            run_shard(unmerged, shard, registry=registry, plan=plan)
+
+        def statuses() -> dict[str, str]:
+            return {row["run_id"]: row["status"]
+                    for row in json.loads(_reads(server, ["/runs"])
+                                          ["/runs"])}
+
+        def each_read_builds(run_id: str) -> None:
+            for _ in range(2):
+                for path, builder in (
+                        ("/runs", "_summary"),
+                        (f"/runs/{run_id}", "run_show_payload"),
+                        (f"/runs/{run_id}/trails", "run_trails_payload"),
+                        (f"/runs/{run_id}/result", "load_run")):
+                    builds.clear()
+                    body = _reads(server, [path])[path]
+                    assert builds[builder] >= 1, (path, dict(builds))
+                    if path != "/runs":    # no clock in these bodies
+                        assert body == _fresh_body(server, path), path
+
+        assert statuses() == {crashed: "running", unmerged: "unmerged"}
+        each_read_builds(crashed)
+        each_read_builds(unmerged)
+        # Age the crashed run past the stall deadline.
+        heartbeat = registry.heartbeat_path(crashed)
+        beat = json.loads(heartbeat.read_text(encoding="utf-8"))
+        old = time.time() - 3600
+        heartbeat.write_text(json.dumps({**beat, "ts": old}),
+                             encoding="utf-8")
+        for path in (registry.ledger_path(crashed),
+                     registry.spans_path(crashed)):
+            if path.exists():
+                os.utime(path, (old, old))
+        assert statuses()[crashed] == "stalled"
+        each_read_builds(crashed)
+
+    def test_readers_racing_an_appender_see_some_version(self, server):
+        """8 reader threads and one appender: every body read equals
+        the builders' output for some version of the ledger."""
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run(RunRequest(**self.TWO_CELLS, trail=True),
+                             registry=registry).run_id
+        ledger = registry.ledger_path(run_id)
+        # Re-recording question i under a fresh index keeps the run
+        # finished (sealed) and changes both bodies.
+        records = [json.loads(line) for line in
+                   ledger.read_text(encoding="utf-8").splitlines()
+                   if '"record"' in line][:24]
+        extra = [json.dumps({**event, "i": 1000 + n}) + "\n"
+                 for n, event in enumerate(records)]
+        builders = {"show": views.run_show_body,
+                    "trails": views.run_trails_body}
+        seen: dict[str, set[bytes]] = {name: set() for name in builders}
+        lock = threading.Lock()
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    for name, body in builders.items():
+                        text = body(registry, run_id)
+                        with lock:
+                            seen[name].add(text)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        def appender() -> None:
+            try:
+                with open(ledger, "a", encoding="utf-8") as out:
+                    for line in extra:
+                        out.write(line)
+                        out.flush()
+                        time.sleep(0.002)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            threads.append(threading.Thread(target=appender))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        # Each version's bodies, built from a copy of the ledger as it
+        # stood after each append.
+        copy_root = server.root.parent / "versions"
+        copy = RunRegistry(copy_root)
+        shutil.copytree(registry.run_dir(run_id), copy.run_dir(run_id))
+        base = ledger.read_bytes()[:-sum(len(line) for line in extra)]
+        expected: dict[str, list[bytes]] = {name: [] for name in builders}
+        for count in range(len(extra) + 1):
+            copy.ledger_path(run_id).write_bytes(
+                base + "".join(extra[:count]).encode("utf-8"))
+            fresh = RunRegistry(copy_root)
+            expected["show"].append(json.dumps(
+                views.run_show_payload(fresh, run_id), indent=1).encode())
+            expected["trails"].append(json.dumps(
+                views.run_trails_payload(fresh, run_id),
+                indent=1).encode())
+        for name, body in builders.items():
+            assert seen[name] and seen[name] <= set(expected[name]), name
+            assert body(registry, run_id) == expected[name][-1], name
+
+
+class TestTrailIndex:
+    @staticmethod
+    def _scanned(registry, run_id: str, index: int) -> dict:
+        """The trail payload found by walking every question up to
+        ``index``: the reference the index must match."""
+        state = registry.state(run_id)
+        for ordinal, cell_id, local, record in \
+                iter_question_records(state):
+            if ordinal == index:
+                return {
+                    "run_id": run_id, "index": ordinal, "cell": cell_id,
+                    "cell_index": local, "uid": record.question_uid,
+                    "model": record.model, "setting": record.setting,
+                    "parsed": record.parsed.value,
+                    "expected": record.expected.value,
+                    "correct": record.correct, "missed": record.missed,
+                    "prompt_tokens": record.prompt_tokens,
+                    "completion_tokens": record.completion_tokens,
+                    "trail": (trail_to_dict(record.trail)
+                              if record.trail is not None else None),
+                }
+        raise AssertionError(f"no question {index}")
+
+    def test_every_index_matches_the_scan(self, tmp_path):
+        registry = RunRegistry(tmp_path / "runs")
+        request = RunRequest(**TestViewMemo.TWO_CELLS, trail=True)
+        finished = execute_run(request, registry=registry).run_id
+        # A run that died mid-cell: unsealed, with a partial cell.
+        partial = create_run(RunRequest(**SMALL, trail=True),
+                             registry=registry)
+        dying = _DiesAfter(get_model("GPT-4"), 5)
+        with pytest.raises(RuntimeError):
+            execute_run(RunRequest(**SMALL, trail=True),
+                        registry=registry, run_id=partial,
+                        resolve_model=lambda name: dying)
+        for run_id in (finished, partial):
+            total = registry.state(run_id).recorded_questions
+            assert total > 0
+            for index in range(total):
+                assert views.run_trail_payload(registry, run_id, index) \
+                    == self._scanned(registry, run_id, index)
+            for index in (total, -1):
+                with pytest.raises(RunError, match=(
+                        f"run {run_id} has {total} recorded questions; "
+                        f"no question index {index}$")):
+                    views.run_trail_payload(registry, run_id, index)
+
+
+# ----------------------------------------------------------------------
 # Tenancy
 # ----------------------------------------------------------------------
 class TestTenancy:
@@ -733,6 +1131,40 @@ class TestHardening:
         assert status == 200
         assert {run["run_id"]: run["status"]
                 for run in listing}[first] == "invalid"
+
+    def test_corrupt_manifest_500_on_every_read(self, server):
+        first, second = (execute_run(
+            RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                       sample_size=6),
+            registry=server.registry_for(DEFAULT_TENANT)).run_id
+            for _ in range(2))
+        show = f"/runs/{first}"
+        damaged = (show, f"{show}/diff/{second}",
+                   f"/runs/{second}/diff/{first}", f"{show}/result",
+                   f"{show}/progress")
+        path = server.registry_for(DEFAULT_TENANT).manifest_path(first)
+        intact = path.read_bytes()
+
+        def check() -> None:
+            for _ in range(2):            # a failure is never cached
+                for endpoint in damaged:
+                    self._expect_error(server, endpoint, 500,
+                                       "corrupt-manifest")
+            status, listing = _get(server, "/runs")
+            assert status == 200
+            assert {run["run_id"]: run["status"]
+                    for run in listing}[first] == "invalid"
+            # These two read the ledger alone.
+            for endpoint in (f"{show}/trails", f"{show}/trail/0"):
+                assert _get(server, endpoint)[0] == 200
+
+        path.write_text("{not json", encoding="utf-8")
+        check()                                      # cold
+        path.write_bytes(intact)
+        for endpoint in damaged + ("/runs",):        # cache each body
+            assert _get(server, endpoint)[0] == 200
+        path.write_text("{not json", encoding="utf-8")
+        check()                                      # warm
 
 
 # ----------------------------------------------------------------------
