@@ -128,7 +128,7 @@ def replay_shard(path, shard: int) -> ShardState:
     """
     state = ShardState(shard=shard)
     try:
-        return fold_ledger(path, state, _apply_shard)
+        return fold_ledger(path, state, _apply_shard)[0]
     except FileNotFoundError:
         return state
 

@@ -59,8 +59,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                           "Thresholds", "append_entry", "check_entries",
                           "entry_from_result", "latest_for", "load_entry",
                           "read_history", "write_entry"),
-    "repro.obs.jsonl": ("JsonlBatch", "JsonlCorruptError", "JsonlTail",
-                        "iter_jsonl"),
+    "repro.obs.jsonl": ("JsonlBatch", "JsonlCorruptError", "iter_jsonl"),
     "repro.obs.live": ("CellProgress", "LedgerFollower", "RunProgress",
                        "render_dashboard", "watch_run"),
     "repro.obs.logs": ("configure_logging", "get_logger"),

@@ -15,12 +15,13 @@ and shard ledgers, span logs) is written through
 a log several processes append to (``history.jsonl``) is never cut,
 and :func:`append_shared` starts on a fresh line instead.
 
-Every one-shot reader goes through :func:`fold_jsonl` and a live
-follower through :class:`JsonlTail`, both over :func:`iter_jsonl`: an
-undecodable *complete* line with more lines after it is corruption
-(:class:`JsonlCorruptError`), skipped only in a shared log; the
-*final* line, torn or undecodable, is never consumed, so a one-shot
-reader drops it with a warning and a follower retries it.
+Every reader is one :func:`fold_jsonl` from a byte offset, over
+:func:`iter_jsonl`: a one-shot read folds from byte 0, and a live
+follower folds only the lines appended since the offset its last fold
+returned.  An undecodable *complete* line with more lines after it is
+corruption (:class:`JsonlCorruptError`), skipped only in a shared log;
+the *final* line, torn or undecodable, is never consumed, so a
+one-shot reader drops it with a warning and a follower retries it.
 :func:`last_advanced` is the one freshness probe of a run's logs.
 DESIGN.md tabulates every file under "Files and their crash contract".
 
@@ -223,6 +224,8 @@ class JsonlBatch:
     torn: bool = False
     #: Line number of the unconsumed tail, when ``torn``.
     torn_line: int | None = None
+    #: Byte offset where the last record's line starts.
+    last_start: int = 0
     #: Line numbers of undecodable complete lines a non-strict read
     #: skipped.
     garbled: list[int] = field(default_factory=list)
@@ -264,6 +267,7 @@ def iter_jsonl(path: str | Path, offset: int = 0,
             batch.next_line += 1
             pending = None
         line = data[position:newline]
+        start = offset + position
         end = offset + newline + 1
         position = newline + 1
         text = line.decode("utf-8", errors="replace").strip()
@@ -279,6 +283,7 @@ def iter_jsonl(path: str | Path, offset: int = 0,
                 continue
             batch.records.append((batch.next_line, payload))
             batch.lines.append(text)
+            batch.last_start = start
         batch.offset = end
         batch.next_line += 1
     if pending is not None:
@@ -295,25 +300,33 @@ def iter_jsonl(path: str | Path, offset: int = 0,
 def fold_jsonl(path: str | Path, apply: Callable[[dict, str], object],
                log: logging.Logger, dropped: str,
                corrupt: Callable[[str, int, str], Exception] | None
-               = None) -> int:
-    """Feed every line of a one-shot read of ``path`` to
-    ``apply(payload, text)`` in file order (``text`` is the line as
-    written, without its newline); returns how many lines it took.
+               = None, offset: int = 0, start_line: int = 1,
+               follow: bool = False) -> tuple[int, int, int]:
+    """Feed every line of ``path`` from byte ``offset`` (line number
+    ``start_line``) to ``apply(payload, text)`` in file order (``text``
+    is the line as written, without its newline); returns how many
+    lines it took, and the byte offset and line number a fold of the
+    lines appended since resumes from.
 
     A torn final line, or a decoded final line ``apply`` rejects with
-    ``ValueError``, ``KeyError`` or ``TypeError``, is dropped with a
-    ``<dropped> dropped`` warning.  Any earlier line that does not
-    decode or apply raises ``corrupt(path, line number, reason)``; with
-    no ``corrupt``, for a log several processes append to, it is
-    dropped with the same warning instead.
+    ``ValueError``, ``KeyError`` or ``TypeError``, is left for the next
+    fold: a one-shot read drops it with a ``<dropped> dropped``
+    warning, and a ``follow`` read, which retries it, logs nothing.
+    Any earlier line that does not decode or apply raises
+    ``corrupt(path, line number, reason)``.  With no ``corrupt``, for
+    a log several processes append to, a line that does not decode
+    before the final one, or does not apply anywhere, is skipped for
+    good with the same warning instead.
     """
     try:
-        batch = iter_jsonl(path, strict=corrupt is not None)
+        batch = iter_jsonl(path, offset, start_line,
+                           strict=corrupt is not None)
     except JsonlCorruptError as exc:
         raise corrupt(exc.path, exc.line_number, exc.reason) from exc
-    torn = [batch.torn_line] if batch.torn else []
+    torn = [batch.torn_line] if batch.torn and not follow else []
     for number in batch.garbled + torn:
         log.warning("%s dropped path=%s line=%d", dropped, path, number)
+    resume = batch.offset, batch.next_line
     last = len(batch.records) - 1
     taken = 0
     for index, (number, payload) in enumerate(batch.records):
@@ -321,38 +334,17 @@ def fold_jsonl(path: str | Path, apply: Callable[[dict, str], object],
             apply(payload, batch.lines[index])
             taken += 1
         except (ValueError, KeyError, TypeError) as exc:
-            if corrupt is not None and (index < last or batch.torn):
-                raise corrupt(str(path), number, repr(exc)) from exc
-            # Decoded but unappliable tail: the same crash signature.
+            if corrupt is not None:
+                if index < last or batch.torn:
+                    raise corrupt(str(path), number, repr(exc)) from exc
+                # Decoded but unappliable tail: the same crash
+                # signature, so a later line makes it corruption.
+                resume = batch.last_start, number
+                if follow:
+                    continue
             log.warning("%s dropped path=%s line=%d", dropped, path,
                         number)
-    return taken
-
-
-class JsonlTail:
-    """Stateful cursor over a growing JSONL log.
-
-    Each :meth:`poll` returns only the payloads appended (and
-    completed) since the previous poll; a torn tail is retried on the
-    next call once the writer finishes the line.  A missing file is
-    simply "nothing yet".
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.offset = 0
-        self.next_line = 1
-        self.torn = False
-
-    def poll(self) -> list[dict]:
-        if not self.path.exists():
-            return []
-        batch = iter_jsonl(self.path, offset=self.offset,
-                           start_line=self.next_line)
-        self.offset = batch.offset
-        self.next_line = batch.next_line
-        self.torn = batch.torn
-        return batch.payloads
+    return taken, *resume
 
 
 def last_advanced(*paths: str | Path) -> float | None:

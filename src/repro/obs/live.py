@@ -1,16 +1,15 @@
-"""Live run monitoring: tail a running run's ledger into a snapshot.
+"""Live run monitoring: follow a running run's ledger into a snapshot.
 
 ``repro.runs`` gave the stack durable *post-hoc* observability — a
 finished (or crashed) run replays from disk.  This module closes the
 remaining gap: watching a run *while it executes*.  The
-:class:`LedgerFollower` incrementally tails the run's ``ledger.jsonl``
-and ``spans.jsonl`` through the shared offset-aware
-:func:`repro.obs.jsonl.iter_jsonl` (so each poll reads only the bytes
-appended since the last one, and a torn in-flight append is simply
-retried), folds the events through the same ``_apply`` the replayer
-uses (the snapshot therefore *converges to exactly the post-hoc
-``load_run`` state*), and augments them with the heartbeat
-``execute_run``/``resume_run`` keep fresh:
+:class:`LedgerFollower` reads the run's ``ledger.jsonl`` and
+``spans.jsonl`` through the registry's one state cache (each poll
+folds only the lines appended since the last one, and a torn
+in-flight append is simply retried), folds the events through the
+same ``_apply`` the replayer uses (the snapshot therefore *converges
+to exactly the post-hoc ``load_run`` state*), and augments them with
+the heartbeat ``execute_run``/``resume_run`` keep fresh:
 
 * per-cell progress and accuracy-so-far;
 * throughput and an ETA from the span-derived per-question latency
@@ -30,18 +29,21 @@ its cost to the run is only filesystem read pressure — the
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
-from repro.errors import LedgerCorruptError
 from repro.obs.cost import call_cost_nanos
-from repro.obs.jsonl import JsonlTail
+from repro.obs.jsonl import fold_jsonl
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.tracer import Span
 from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S, read_heartbeat
-from repro.runs.ledger import RunState, _apply
-from repro.runs.registry import RunRegistry
+from repro.runs.ledger import RunState, fold_run_ledger
+from repro.runs.registry import LedgerVersion, LogFold, RunRegistry
+
+_log = logging.getLogger("repro.obs.live")
 
 #: Width of the dashboard's per-cell progress bars.
 BAR_WIDTH = 24
@@ -141,54 +143,77 @@ class RunProgress:
         return self.cost_nanos / 1e9
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "run_id": self.run_id,
-            "status": self.status,
-            "attempts": self.attempts,
-            "finished": self.finished,
-            "cells_planned": self.cells_planned,
-            "cells_started": self.cells_started,
-            "cells_done": self.cells_done,
-            "questions_done": self.questions_done,
-            "questions_planned": self.questions_planned,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "retries": self.retries,
-            "faults": self.faults,
-            "spans": self.spans,
-            "elapsed_s": self.elapsed_s,
-            "throughput": self.throughput,
-            "eta_s": self.eta_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "heartbeat_age_s": self.heartbeat_age_s,
-            "progress_age_s": self.progress_age_s,
-            "stall_deadline_s": self.stall_deadline_s,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "cost_nanos": self.cost_nanos,
-            "cost_usd": self.cost_usd,
-            "budget": self.budget,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
+        """Every field in order, a derived property after its field."""
+        payload = {name: getattr(self, name) for name in _PROGRESS_KEYS}
+        payload["cells"] = [cell.to_dict() for cell in self.cells]
+        return payload
+
+
+#: Properties :meth:`RunProgress.to_dict` writes after a field.
+_DERIVED = {"correct": ("accuracy",), "cost_nanos": ("cost_usd",)}
+_PROGRESS_KEYS = tuple(key for f in fields(RunProgress)
+                       for key in (f.name, *_DERIVED.get(f.name, ())))
+
+
+@dataclass(slots=True)
+class SpanTotals:
+    """What the follower reads from a run's span log: the finished
+    question spans' latencies, the finished retry spans (``faults``:
+    those an injected fault caused) and the spans in all."""
+
+    latency: Histogram = field(default_factory=lambda: Histogram(
+        "question_latency_s", bounds=DEFAULT_BUCKETS))
+    retries: int = 0
+    faults: int = 0
+    spans: int = 0
+
+
+def fold_span_totals(path: str | Path, base: SpanTotals | None = None,
+                     offset: int = 0, start_line: int = 1,
+                     follow: bool = False
+                     ) -> tuple[SpanTotals, int, int]:
+    """The span log's :data:`~repro.runs.registry.LogFold`, into
+    :class:`SpanTotals`.  A line that does not decode, or not to a
+    span, is skipped (``obs trace`` reads the log strictly)."""
+    totals = (SpanTotals() if base is None
+              else replace(base, latency=base.latency.copy()))
+
+    def add(payload: dict, _text: str) -> None:
+        try:
+            span = Span.from_dict(payload)
+        except (KeyError, TypeError, ValueError):
+            return                  # foreign span shape: skip, don't die
+        totals.spans += 1
+        if span.end_s is not None and span.name == "question":
+            totals.latency.observe(span.duration_s)
+        elif span.end_s is not None and span.name == "retry":
+            totals.retries += 1
+            totals.faults += bool(span.attrs.get("fault"))
+
+    _, offset, line = fold_jsonl(path, add, _log, "torn-span-line",
+                                 offset=offset, start_line=start_line,
+                                 follow=follow)
+    return totals, offset, line
 
 
 class LedgerFollower:
-    """Incremental tail over one run's ledger + span log.
+    """Incremental reader of one run's ledger + span log.
 
-    Construct once, call :meth:`poll` repeatedly: each poll consumes
-    only the bytes appended since the last one (stateful offsets per
-    file) and returns a fresh :class:`RunProgress`.  Events fold
-    through the replayer's own ``_apply``, so after the writer stops
-    the snapshot is exactly what ``replay_ledger``/``load_run`` would
-    reconstruct — the concurrent-follow tests assert that
-    convergence.  The follower is strictly read-only.
+    Construct once, call :meth:`poll` repeatedly: each poll reads the
+    two logs through :meth:`repro.runs.registry.StateCache.follow`
+    (the first takes the cache's versions, each later one folds only
+    the lines appended since) and returns a fresh
+    :class:`RunProgress`.  Events fold through the replayer's own
+    ``_apply``, so after the writer stops the snapshot is exactly what
+    ``replay_ledger``/``load_run`` would reconstruct — the
+    concurrent-follow tests assert that convergence.  The follower is
+    strictly read-only.
 
     One follower may be shared by many concurrent readers (the serve
     layer fans a single follower out to N SSE subscribers): ``poll``
-    serializes under an internal lock, so the stateful file offsets
-    and fold state never tear, and every caller sees a snapshot at
-    least as fresh as the ledger was when its poll started.
+    serializes under an internal lock, so the versions it holds never
+    tear, and every caller sees a snapshot at least as fresh as the
+    ledger was when its poll started.
     """
 
     def __init__(self, run_id: str,
@@ -208,60 +233,31 @@ class LedgerFollower:
         request = manifest.get("request", {})
         self._workers = max(1, int(request.get("workers", 1)))
         self._created_at = float(manifest.get("created_at", 0.0))
-        self._ledger = JsonlTail(self.registry.ledger_path(run_id))
-        self._spans = JsonlTail(self.registry.spans_path(run_id))
-        self.state = RunState(run_id=run_id)
-        self._started_ts: float | None = None
-        #: ``ts`` of the last run-finished or budget-exhausted event.
-        self._ended_ts: float | None = None
-        self._latency = Histogram("question_latency_s",
-                                  bounds=DEFAULT_BUCKETS)
-        self._retries = 0
-        self._faults = 0
-        self._span_count = 0
+        #: The log versions the last poll read (shared: read-only).
+        self.ledger: LedgerVersion | None = None
+        self.spans: LedgerVersion | None = None
 
-    # ------------------------------------------------------------------
-    def _ingest_ledger(self) -> None:
-        for payload in self._ledger.poll():
-            kind = payload.get("event")
-            if kind == "run-started" and self._started_ts is None:
-                self._started_ts = float(payload.get("ts") or 0.0)
-            elif kind in ("run-finished", "budget-exhausted"):
-                self._ended_ts = float(payload.get("ts") or 0.0)
-            try:
-                _apply(self.state, payload)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LedgerCorruptError(
-                    str(self._ledger.path), self._ledger.next_line,
-                    repr(exc)) from exc
-            self.state.events += 1
+    def _follow(self, path: Path, last: LedgerVersion | None,
+                fold: LogFold, empty: object) -> LedgerVersion:
+        try:
+            return self.registry.state_cache.follow(path, last, fold)
+        except FileNotFoundError:           # nothing written yet
+            return LedgerVersion(path, None, empty)
 
-    def _ingest_spans(self) -> None:
-        for payload in self._spans.poll():
-            try:
-                span = Span.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                continue            # foreign span shape: skip, don't die
-            self._span_count += 1
-            if span.end_s is None:
-                continue
-            if span.name == "question":
-                self._latency.observe(span.duration_s)
-            elif span.name == "retry":
-                self._retries += 1
-                if span.attrs.get("fault"):
-                    self._faults += 1
-
-    # ------------------------------------------------------------------
     def poll(self) -> RunProgress:
-        """Consume everything appended since the last poll and
-        snapshot the run.  Safe to call from many threads."""
+        """Fold everything appended since the last poll and snapshot
+        the run.  Safe to call from many threads."""
         with self._lock:
             return self._poll_locked()
 
     def _poll_locked(self) -> RunProgress:
-        self._ingest_ledger()
-        self._ingest_spans()
+        self.ledger = self._follow(
+            self.registry.ledger_path(self.run_id), self.ledger,
+            fold_run_ledger, RunState(run_id=self.run_id))
+        self.spans = self._follow(
+            self.registry.spans_path(self.run_id), self.spans,
+            fold_span_totals, SpanTotals())
+        state, spans = self.ledger.state, self.spans.state
         now = self._clock()
 
         cells: list[CellProgress] = []
@@ -271,7 +267,7 @@ class LedgerFollower:
         prompt_tokens = 0
         completion_tokens = 0
         cost_nanos = 0
-        for cell_id, cell_state in self.state.cells.items():
+        for cell_id, cell_state in state.cells.items():
             done = len(cell_state.records)
             cell_correct = sum(
                 1 for record in cell_state.records.values()
@@ -308,17 +304,17 @@ class LedgerFollower:
         questions_planned = int(round(
             expected_started + remaining_cells * mean_expected))
 
-        started = self._started_ts or self._created_at or now
-        settled = self.state.finished or self.state.budget_stopped
-        end = self._ended_ts if settled else now
+        started = state.started_ts or self._created_at or now
+        settled = state.sealed
+        end = state.ended_ts if settled else now
         elapsed = max(0.0, (end or now) - started)
         throughput = (questions_done / elapsed if elapsed > 0 else 0.0)
 
         eta: float | None = None
         if not settled:
             remaining = max(0, questions_planned - questions_done)
-            if self._latency.count > 0:
-                eta = (remaining * self._latency.mean
+            if spans.latency.count > 0:
+                eta = (remaining * spans.latency.mean
                        / self._workers)
             elif throughput > 0:
                 eta = remaining / throughput
@@ -331,9 +327,9 @@ class LedgerFollower:
         progress_age = (now - progress_ts
                         if progress_ts is not None else None)
 
-        if self.state.finished:
+        if state.finished:
             status = "finished"
-        elif self.state.budget_stopped:
+        elif state.budget_stopped:
             status = "budget-stopped"
         else:
             # Stalled only when *neither* the ledger nor the
@@ -347,24 +343,24 @@ class LedgerFollower:
 
         return RunProgress(
             run_id=self.run_id, status=status,
-            attempts=self.state.attempts,
-            finished=self.state.finished,
+            attempts=state.attempts,
+            finished=state.finished,
             cells_planned=self._cells_planned,
             cells_started=cells_started, cells_done=cells_done,
             questions_done=questions_done,
             questions_planned=questions_planned, correct=correct,
-            retries=self._retries, faults=self._faults,
-            spans=self._span_count, elapsed_s=elapsed,
+            retries=spans.retries, faults=spans.faults,
+            spans=spans.spans, elapsed_s=elapsed,
             throughput=throughput, eta_s=eta,
-            latency_p50_s=self._latency.quantile(0.50),
-            latency_p99_s=self._latency.quantile(0.99),
+            latency_p50_s=spans.latency.quantile(0.50),
+            latency_p99_s=spans.latency.quantile(0.99),
             heartbeat_age_s=heartbeat_age,
             progress_age_s=progress_age,
             stall_deadline_s=self.stall_deadline_s,
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             cost_nanos=cost_nanos,
-            budget=self.state.budget,
+            budget=state.budget,
             cells=sorted(cells, key=lambda cell: cell.cell_id))
 
 

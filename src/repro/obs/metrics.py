@@ -182,6 +182,12 @@ class Histogram:
                            self._max or value)
             return self._max or 0.0  # pragma: no cover - defensive
 
+    def copy(self) -> "Histogram":
+        """An independent histogram holding the same observations."""
+        twin = Histogram(self.name, self.help, self.bounds)
+        twin._load(self.to_dict())
+        return twin
+
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         with self._lock:

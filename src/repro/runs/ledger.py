@@ -28,7 +28,9 @@ events win) both converge to the same state.  A torn final line is the
 expected crash signature and is dropped; corruption anywhere else
 raises :class:`repro.errors.LedgerCorruptError`.  The writer cuts a
 torn tail off before it appends, so a resumed attempt never buries
-one mid-file.
+one mid-file.  :func:`fold_run_ledger` also folds only the lines
+appended since an earlier fold, onto a copy that leaves the earlier
+state as it was.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import TypeVar
@@ -183,6 +185,10 @@ class RunState:
     #: The budget-exhausted payload of the latest attempt (None = not
     #: stopped; a run-started or run-finished event clears it).
     budget: dict | None = None
+    #: ``ts`` of the first run-started event.
+    started_ts: float | None = None
+    #: ``ts`` of the latest run-finished or budget-exhausted event.
+    ended_ts: float | None = None
 
     @property
     def budget_stopped(self) -> bool:
@@ -214,25 +220,61 @@ def replay_ledger(path: str | Path) -> RunState:
     :class:`LedgerCorruptError`.  Unknown event types are skipped so
     old readers survive new writers.
     """
-    return fold_ledger(path, RunState(), _apply)
+    return fold_run_ledger(path)[0]
+
+
+def fold_run_ledger(path: str | Path, base: RunState | None = None,
+                    offset: int = 0, start_line: int = 1,
+                    follow: bool = False) -> tuple[RunState, int, int]:
+    """The run ledger at ``path`` folded from byte 0, or with ``base``
+    the lines from byte ``offset`` (line ``start_line``) on folded onto
+    a copy of it; returns the state and where the next fold resumes.
+
+    The copy shares every cell the new lines do not touch and copies a
+    touched one once, so ``base`` never changes.  ``follow`` is
+    :func:`repro.obs.jsonl.fold_jsonl`'s.
+    """
+    if base is None:
+        return fold_ledger(path, RunState(), _apply, offset, start_line,
+                           follow)
+    return fold_ledger(path, replace(base, cells=dict(base.cells)),
+                       partial(_apply_copying, base.cells), offset,
+                       start_line, follow)
 
 
 _State = TypeVar("_State", bound=RunState)
 
 
 def fold_ledger(path: str | Path, state: _State,
-                apply: Callable[[_State, dict, str], None]) -> _State:
+                apply: Callable[[_State, dict, str], None],
+                offset: int = 0, start_line: int = 1,
+                follow: bool = False) -> tuple[_State, int, int]:
     """The one fold over a ledger file, shared by
-    :func:`replay_ledger` and the shard replayer.
+    :func:`fold_run_ledger` and the shard replayer.
 
     ``apply(state, event, text)`` folds one decoded event; ``text`` is
-    the event's line as written, without its newline.  The torn-line
-    and corruption rules are :func:`repro.obs.jsonl.fold_jsonl`'s;
-    corruption raises :class:`LedgerCorruptError`.
+    the event's line as written, without its newline.  The offsets,
+    the torn-line and corruption rules are
+    :func:`repro.obs.jsonl.fold_jsonl`'s; corruption raises
+    :class:`LedgerCorruptError`.  Returns ``state`` and where the next
+    fold resumes.
     """
-    state.events += fold_jsonl(path, partial(apply, state), _log,
-                               "ledger-torn-line", LedgerCorruptError)
-    return state
+    taken, offset, line = fold_jsonl(
+        path, partial(apply, state), _log, "ledger-torn-line",
+        LedgerCorruptError, offset, start_line, follow)
+    state.events += taken
+    return state, offset, line
+
+
+def _apply_copying(shared: dict[str, CellState], state: RunState,
+                   event: dict, text: str = "") -> None:
+    """:func:`_apply` onto a state whose cells start out as
+    ``shared``'s: a shared cell is copied before an event touches it."""
+    cell_id = event.get("cell")
+    if cell_id in shared and state.cells[cell_id] is shared[cell_id]:
+        cell = shared[cell_id]
+        state.cells[cell_id] = replace(cell, records=dict(cell.records))
+    _apply(state, event, text)
 
 
 def _apply(state: RunState, event: dict, text: str = "") -> None:
@@ -244,6 +286,8 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         state.attempts = max(state.attempts, int(event["attempt"]))
         state.finished = False      # a new attempt reopens the run
         state.budget = None
+        if state.started_ts is None:
+            state.started_ts = float(event.get("ts") or 0.0)
     elif kind == "cell-started":
         cell = state.cells.setdefault(
             event["cell"], CellState(cell_id=event["cell"]))
@@ -260,7 +304,9 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         state.finished = True
         state.stats = event.get("stats")
         state.budget = None        # a completed run clears the stop
+        state.ended_ts = float(event.get("ts") or 0.0)
     elif kind == "budget-exhausted":
+        state.ended_ts = float(event.get("ts") or 0.0)
         budget = event.get("budget")
         state.budget = budget if isinstance(budget, dict) else {}
         if state.stats is None:

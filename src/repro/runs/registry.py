@@ -18,12 +18,15 @@ serve`` answering ``runs show``/``diff``/``obs trails`` for many
 clients) replay it once per version instead of once per read.  Each
 cached version also keeps the views :meth:`RunRegistry.view` derives
 from it while the run is sealed, so a repeat read of a finished run
-builds and encodes nothing either.
+builds and encodes nothing either.  The live follower reads the same
+cache (:meth:`StateCache.follow`) and folds only what was appended
+since its last poll.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -34,13 +37,14 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Any
 
 from repro.errors import ManifestCorruptError, RunError, UnknownRunError
 from repro.obs.jsonl import last_advanced, replace_text
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
                                   HEARTBEAT_FILENAME, read_heartbeat,
                                   run_status)
-from repro.runs.ledger import (LEDGER_FILENAME, RunState, replay_ledger)
+from repro.runs.ledger import LEDGER_FILENAME, RunState, fold_run_ledger
 from repro.runs.request import LEDGER_SCHEMA_VERSION, RunRequest
 
 #: Environment override for the default registry root.
@@ -79,6 +83,12 @@ STATE_CACHE_BYTES = 16 * 1024 * 1024
 #: ``(st_dev, st_ino, st_size, st_mtime_ns)``: what the caches compare
 #: to tell one version of a file from the next.
 FileVersion = tuple[int, int, int, int]
+
+#: ``fold(path, base=None, offset=0, start_line=1, follow=False) ->
+#: (state, offset, next_line)``: one kind of run log folded from byte 0,
+#: or from ``offset`` on onto a copy of ``base`` that leaves ``base``
+#: as it was (:func:`repro.runs.ledger.fold_run_ledger`).
+LogFold = Callable[..., tuple[Any, int, int]]
 
 
 def default_runs_root() -> Path:
@@ -179,13 +189,19 @@ class RunSummary:
 
 @dataclass(eq=False, slots=True)
 class LedgerVersion:
-    """One ledger version, as a :class:`StateCache` holds it: the
-    state replayed from it and the views derived from that state."""
+    """One version of a run log, as a :class:`StateCache` holds it: the
+    state folded from it, where a fold of the lines appended since
+    resumes, and the views derived from that state.  The log is the
+    ledger (the state a :class:`RunState`) or the span log (what the
+    live follower folds from it)."""
 
     path: Path
-    #: The ledger's version when the replay began (None: no ledger).
+    #: The log's version when the fold began (None: no log).
     version: FileVersion | None
-    state: RunState
+    state: Any
+    #: Byte offset and line number the next fold starts at.
+    offset: int = 0
+    next_line: int = 1
     #: view key -> (the other files it read, with their versions at
     #: build time; the view; its bytes).
     views: dict[Hashable, tuple[tuple, object, int]] = field(
@@ -195,17 +211,19 @@ class LedgerVersion:
 
 
 class StateCache:
-    """Replayed ledgers, reused while the ledger file is unchanged.
+    """Folded run logs, reused while the log file is unchanged.
 
-    Entries are keyed by ledger path and remember the file's
-    ``(st_dev, st_ino, st_size, st_mtime_ns)`` at replay time; a read
+    Entries are keyed by log path and remember the file's
+    ``(st_dev, st_ino, st_size, st_mtime_ns)`` at fold time; a read
     reuses an entry only when a fresh ``os.stat`` matches.  Every
     writer in the repository changes that key: ledger appends grow
     the size, merge's ``os.replace`` swaps the inode, gc deletes the
-    file.  The stat is taken *before* the replay opens the file, so a
-    write racing the read costs one extra replay later, never a stale
+    file.  The stat is taken *before* the fold opens the file, so a
+    write racing the read costs one extra fold later, never a stale
     hit.  The one change it cannot see is an in-place rewrite to the
-    same size within one mtime tick, which no writer here does.
+    same size within one mtime tick, which no writer here does.  Only
+    versions folded from byte 0 are kept; a follower's extension of
+    one (:meth:`follow`) is its own.
 
     Each entry also keeps views derived from its state
     (:meth:`remember`, :meth:`recall`).  A view is reused under the
@@ -215,13 +233,13 @@ class StateCache:
     The cache is an LRU bounded by :data:`STATE_CACHE_BYTES` of ledger
     and view bytes; a ledger larger than the whole budget is replayed
     but not kept.  The lock covers lookup, insert and evict, never a
-    replay or a build, so a cold replay of one run does not block
+    fold or a build, so a cold replay of one run does not block
     cached reads of another; two threads that miss together may both
     replay (or build), and the later insert wins.  Errors propagate
     and are never cached.
 
-    A returned :class:`RunState` is shared by every caller that reads
-    the same ledger version: treat it as read-only.
+    A returned state is shared by every caller that reads the same
+    version: treat it as read-only.
     """
 
     def __init__(self) -> None:
@@ -231,32 +249,89 @@ class StateCache:
         #: Ledger and view bytes of the cached entries.
         self.bytes = 0
 
-    def entry(self, path: Path) -> LedgerVersion:
-        """The current version of the ledger at ``path``, folded into
-        a :class:`RunState` on a miss.
+    def entry(self, path: Path, fold: LogFold,
+              follow: bool = False) -> LedgerVersion:
+        """The current version of the log at ``path``, folded from byte
+        0 by ``fold`` on a miss (``follow`` passed on).
 
-        Raises ``FileNotFoundError`` for a missing ledger and
-        :class:`repro.errors.LedgerCorruptError` for a corrupt one.
+        Raises ``FileNotFoundError`` for a missing log and what the
+        fold raises for a corrupt one
+        (:class:`repro.errors.LedgerCorruptError` for a ledger).
         """
         stat = os.stat(path)
         version = (stat.st_dev, stat.st_ino, stat.st_size,
                    stat.st_mtime_ns)
-        with self._lock:
-            entry = self._entries.get(path)
-            if entry is not None and entry.version == version:
-                self._entries.move_to_end(path)
-                return entry
-        entry = LedgerVersion(path, version, replay_ledger(path),
-                              bytes=stat.st_size)
+        entry = self._lookup(path, version)
+        if entry is not None:
+            return entry
+        state, offset, line = fold(path, follow=follow)
+        # A replayed run state costs about twice its ledger's bytes;
+        # any other fold counts its own size.
+        entry = LedgerVersion(
+            path, version, state, offset, line,
+            bytes=(stat.st_size if isinstance(state, RunState)
+                   else sys.getsizeof(state)))
         with self._lock:
             stale = self._entries.pop(path, None)
             if stale is not None:
                 self.bytes -= stale.bytes
-            if entry.bytes <= STATE_CACHE_BYTES:
+            if self.fits(entry.bytes):
                 self._entries[path] = entry
                 self.bytes += entry.bytes
                 self._evict()
         return entry
+
+    def fits(self, size: int) -> bool:
+        """Whether a version of ``size`` bytes may be kept."""
+        return size <= STATE_CACHE_BYTES
+
+    def current(self, path: Path) -> LedgerVersion | None:
+        """The cached version of the log at ``path`` while it is still
+        the file's version, else None; never folds."""
+        return self._lookup(path, file_version(path))
+
+    def follow(self, path: Path, last: LedgerVersion | None,
+               fold: LogFold) -> LedgerVersion:
+        """The current version of the log at ``path`` for a follower
+        that holds ``last`` (None before its first read).
+
+        While the file keeps ``last``'s ``(st_dev, st_ino)`` and has
+        not shrunk below where ``last``'s fold stopped, only the lines
+        appended since are folded, quietly, onto a copy of ``last``'s
+        state; ``last`` never changes, and the result is the caller's
+        alone.  Otherwise the version comes from :meth:`entry`.
+        """
+        stat = os.stat(path)
+        version = (stat.st_dev, stat.st_ino, stat.st_size,
+                   stat.st_mtime_ns)
+        if last is not None and last.version == version:
+            return last
+        if (last is None or last.version is None
+                or last.version[:2] != version[:2]
+                or stat.st_size < last.offset):
+            return self.entry(path, fold, follow=True)
+        error = None
+        try:
+            state, offset, line = fold(path, last.state, last.offset,
+                                       last.next_line, True)
+        except Exception as exc:
+            error = exc
+        # A replace between the stat and the read hands the fold the
+        # new file from the old offset.
+        if (file_version(path) or (None,))[:2] != version[:2]:
+            return self.entry(path, fold, follow=True)
+        if error is not None:
+            raise error
+        return LedgerVersion(path, version, state, offset, line)
+
+    def _lookup(self, path: Path,
+                version: FileVersion | None) -> LedgerVersion | None:
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is None or entry.version != version:
+                return None
+            self._entries.move_to_end(path)
+            return entry
 
     def recall(self, entry: LedgerVersion, key: Hashable) -> object:
         """The view kept under ``key``, or None unless every file it
@@ -417,7 +492,9 @@ class RunRegistry:
         away between the probe and the read (``runs gc`` racing a
         lister) must surface as :class:`UnknownRunError`, never as an
         unhandled ``FileNotFoundError``.  A manifest that cannot be
-        read or decoded raises :class:`ManifestCorruptError`.
+        read or decoded, or is no object with a ``request`` object and
+        finite numbers as ``cells`` and ``created_at`` when present,
+        raises :class:`ManifestCorruptError`.
         """
         path = self.manifest_path(run_id)
         try:
@@ -429,10 +506,18 @@ class RunRegistry:
                 f"unreadable manifest for run {run_id!r}: "
                 f"{exc}") from exc
         try:
-            return json.loads(text)
+            manifest = json.loads(text)
         except ValueError as exc:
             raise ManifestCorruptError(
                 f"corrupt manifest for run {run_id!r}: {exc}") from exc
+        if not (isinstance(manifest, dict)
+                and isinstance(manifest.get("request"), dict)
+                and all(type(manifest.get(key, 0)) in (int, float)
+                        and math.isfinite(manifest.get(key, 0))
+                        for key in ("cells", "created_at"))):
+            raise ManifestCorruptError(
+                f"corrupt manifest for run {run_id!r}: no run manifest")
+        return manifest
 
     def request(self, run_id: str) -> RunRequest:
         return RunRequest.from_dict(self.manifest(run_id)["request"])
@@ -453,7 +538,7 @@ class RunRegistry:
         it; one with no ledger and an empty state if never started."""
         path = self.ledger_path(run_id)
         try:
-            return self.state_cache.entry(path)
+            return self.state_cache.entry(path, fold_run_ledger)
         except FileNotFoundError:
             # Never started, or the run vanished mid-read (gc race);
             # either way the ledger says nothing about the run.
@@ -467,14 +552,17 @@ class RunRegistry:
 
         ``build`` returns the view and whether it may be kept: only a
         view that reads no heartbeat, pid or clock, which a sealed run
-        (:attr:`RunState.sealed`) vouches for.  It notes through
-        :func:`watch` each file besides the ledger and the manifest
-        that it reads.  A kept view is reused only while the ledger,
-        the manifest and each of those files still have the versions
-        they had before the build.  The ledger's entry is keyed by its
-        path, never the bare run id, so two tenants holding one run id
-        never share a view.  ``size`` gives a view's bytes, counted
-        against :data:`STATE_CACHE_BYTES`.
+        (:attr:`RunState.sealed`) vouches for.  The one exception is
+        the hub's final snapshot of a settled run, whose ages read the
+        clock: the first one kept is what every later viewer of that
+        version gets.  ``build`` notes through :func:`watch` each file
+        besides the ledger and the manifest that it reads.  A kept
+        view is reused only while the ledger, the manifest and each of
+        those files still have the versions they had before the build.
+        The ledger's entry is keyed by its path, never the bare run id,
+        so two tenants holding one run id never share a view.  ``size``
+        gives a view's bytes, counted against
+        :data:`STATE_CACHE_BYTES`.
         """
         files: list[tuple[Path, FileVersion | None]] = []
         watch(files, self.manifest_path(run_id))
@@ -488,6 +576,13 @@ class RunRegistry:
                 self.state_cache.remember(entry, key, tuple(files), view,
                                           size(view))
         return view
+
+    def kept(self, run_id: str, key: Hashable) -> object:
+        """The view :meth:`view` kept under ``key`` if the run's current
+        ledger version is cached, else None; never folds."""
+        entry = self.state_cache.current(self.ledger_path(run_id))
+        return None if entry is None else self.state_cache.recall(entry,
+                                                                   key)
 
     # ------------------------------------------------------------------
     def list_ids(self) -> list[str]:

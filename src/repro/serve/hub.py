@@ -17,18 +17,19 @@ stall the broadcaster nor starve its peers; the final (``finished``
 or ``budget-stopped``) snapshot is always delivered because it is the
 last thing enqueued before the end-of-stream sentinel.  A broadcast
 with no subscribers left shuts itself down after a grace period, and
-a settled run's final snapshot is cached (keyed by ledger size, so a
-later resume invalidates it) to serve late subscribers without
-re-tailing the ledger.
+a settled run's final snapshot is kept with its ledger version
+(:meth:`repro.runs.registry.RunRegistry.view`, so any write to the
+ledger or the span log retires it) to serve late subscribers without
+following the run again.
 """
 
 from __future__ import annotations
 
 import logging
 import queue
+import sys
 import threading
 import time
-from collections import OrderedDict
 
 from repro.errors import ReproError
 from repro.obs.alerts import AlertEvaluator
@@ -40,8 +41,8 @@ _log = logging.getLogger("repro.serve.hub")
 #: Queue slots per subscriber before drop-oldest kicks in.
 SUBSCRIBER_QUEUE_SLOTS = 64
 
-#: Cached final snapshots kept for late subscribers.
-FINAL_CACHE_SLOTS = 32
+#: The view key a settled run's final snapshot is kept under.
+FINAL_VIEW = "final"
 
 #: An end-of-stream marker (follows the final snapshot).
 _DONE = "done"
@@ -181,12 +182,13 @@ class _Broadcast:
             self._ended = True
             targets = list(self._subscribers) if drain else []
             self._subscribers.clear()
+        # Unregistered first: a client that has seen the end finds no
+        # ended broadcast to attach to.
+        self.hub._broadcast_done(self)
         for subscription in targets:
             subscription.end({"run_id": self.run_id})
-        self.hub._broadcast_done(self)
 
     def _loop(self) -> None:
-        final: dict | None = None
         try:
             while not self._stop.is_set():
                 snapshot = self.follower.poll()
@@ -198,7 +200,7 @@ class _Broadcast:
                     self._publish(_ALERT, {"run_id": self.run_id,
                                            **event.to_dict()})
                 if snapshot.settled:
-                    final = payload
+                    self._keep(payload)
                     break
                 with self._lock:
                     idle = (self._idle_since is not None
@@ -207,15 +209,27 @@ class _Broadcast:
                 if idle:
                     break
                 self._stop.wait(self.interval_s)
-        except ReproError as exc:
-            _log.warning("broadcast-error run=%s error=%r",
-                         self.run_id, exc)
+        except Exception as exc:    # a damaged run file, or a bug
+            _log.warning("broadcast-error run=%s error=%r", self.run_id,
+                         exc, exc_info=not isinstance(exc, ReproError))
             self._publish(_ERROR, {"run_id": self.run_id,
                                    "message": str(exc)})
-        if final is not None:
-            self.hub._cache_final(self.key, self.registry,
-                                  self.run_id, final)
         self._end(drain=True)
+
+    def _keep(self, final: dict) -> None:
+        """Keep the final snapshot, already sent, with the ledger and
+        span log versions it was read from, for late subscribers."""
+        if not self.registry.state_cache.fits(self.follower.ledger.offset):
+            return      # a replay would keep nothing
+        read = [(version.path, version.version)
+                for version in (self.follower.ledger, self.follower.spans)]
+
+        def build(state, files: list) -> tuple[dict, bool]:
+            files += read
+            return final, state.sealed
+
+        self.registry.view(self.run_id, FINAL_VIEW, build,
+                           size=sys.getsizeof)
 
     def stop(self) -> None:
         self._stop.set()
@@ -230,26 +244,7 @@ class FollowerHub:
         self.idle_grace_s = idle_grace_s
         self._lock = threading.Lock()
         self._broadcasts: dict[tuple[str, str], _Broadcast] = {}
-        self._finals: OrderedDict[tuple[str, str],
-                                  tuple[int, dict]] = OrderedDict()
         self._closed = False
-
-    # ------------------------------------------------------------------
-    def _ledger_size(self, registry: RunRegistry, run_id: str) -> int:
-        try:
-            return registry.ledger_path(run_id).stat().st_size
-        except OSError:
-            return -1
-
-    def _cache_final(self, key: tuple[str, str],
-                     registry: RunRegistry, run_id: str,
-                     payload: dict) -> None:
-        size = self._ledger_size(registry, run_id)
-        with self._lock:
-            self._finals[key] = (size, payload)
-            self._finals.move_to_end(key)
-            while len(self._finals) > FINAL_CACHE_SLOTS:
-                self._finals.popitem(last=False)
 
     def _broadcast_done(self, broadcast: _Broadcast) -> None:
         with self._lock:
@@ -261,36 +256,41 @@ class FollowerHub:
                   registry: RunRegistry) -> Subscription:
         """A live event stream over ``run_id`` in ``tenant``.
 
-        Raises :class:`repro.errors.UnknownRunError` for a bad id
-        (the follower validates the manifest up front).
+        A settled run whose final snapshot is kept with its current
+        ledger version gets that snapshot and the end of the stream,
+        looked up without a fold; any other run gets the one broadcast
+        that follows it.  Raises :class:`repro.errors.UnknownRunError`
+        for a bad id (the follower validates the manifest up front).
         """
         key = (tenant, run_id)
         while True:
             with self._lock:
                 if self._closed:
                     raise ReproError("server is shutting down")
-                cached = self._finals.get(key)
-                if (cached is not None and cached[0]
-                        == self._ledger_size(registry, run_id)):
-                    subscription = Subscription()
-                    subscription.publish(_SNAPSHOT, cached[1])
-                    subscription.end({"run_id": run_id})
-                    return subscription
-                if cached is not None:
-                    del self._finals[key]   # resumed: re-follow
+                final = registry.kept(run_id, FINAL_VIEW)
                 broadcast = self._broadcasts.get(key)
-                if broadcast is None:
+                if final is None and broadcast is None:
                     broadcast = _Broadcast(
                         self, key, run_id, registry,
                         interval_s=self.interval_s,
                         idle_grace_s=self.idle_grace_s)
                     self._broadcasts[key] = broadcast
+                    # Attached before its thread runs, so a settled run
+                    # whose final is not kept cannot end it unseen.
+                    subscription = Subscription(on_close=broadcast.remove)
+                    broadcast.add(subscription)
                     broadcast.start()
+                    return subscription
+            if final is not None:
+                subscription = Subscription()
+                subscription.publish(_SNAPSHOT, final)
+                subscription.end({"run_id": run_id})
+                return subscription
             subscription = Subscription(on_close=broadcast.remove)
             if broadcast.add(subscription):
                 return subscription
             # Broadcast ended between lookup and attach: retry (the
-            # final is now cached, or a fresh broadcast spins up).
+            # final is now kept, or a fresh broadcast spins up).
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:
@@ -300,7 +300,6 @@ class FollowerHub:
             "broadcasts": len(broadcasts),
             "subscribers": sum(b.subscriber_count
                                for b in broadcasts),
-            "cached_finals": len(self._finals),
         }
 
     def close(self) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 
 import pytest
 
@@ -53,6 +54,31 @@ def _hermetic_runs(tmp_path_factory):
         os.environ.pop(RUNS_ENV, None)
     else:
         os.environ[RUNS_ENV] = previous
+
+
+@pytest.fixture()
+def folds(monkeypatch) -> list:
+    """``(fold, path, start offset, end offset, thread)`` of every fold
+    of a run log that a follower or the registry makes (the real folds
+    still run)."""
+    from repro.obs import live
+    from repro.runs import registry
+    calls: list = []
+
+    def spy(name, real):
+        def fold(path, base=None, offset=0, start_line=1, follow=False):
+            state, end, line = real(path, base, offset, start_line,
+                                    follow)
+            calls.append((name, path, offset, end,
+                          threading.current_thread()))
+            return state, end, line
+        return fold
+
+    for module, name in ((live, "fold_run_ledger"),
+                         (live, "fold_span_totals"),
+                         (registry, "fold_run_ledger")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
 
 
 @pytest.fixture()

@@ -11,26 +11,33 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import threading
 import time
 
-import pytest
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
-from repro.errors import RunError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import LedgerCorruptError, RunError
 from repro.llm.registry import get_model
 from repro.obs import (AlertEvaluator, HistoryEntry, JsonlCorruptError,
-                       JsonlTail, LedgerFollower,
+                       LedgerFollower,
                        Thresholds, append_entry, check_entries,
                        entry_from_result, iter_jsonl, latest_for,
                        load_entry, read_history, render_dashboard,
                        watch_run, write_entry)
 from repro.obs import jsonl
-from repro.obs.jsonl import cut_torn_tail
+from repro.obs.jsonl import cut_torn_tail, fold_jsonl
+from repro.obs.live import SpanTotals, fold_span_totals
 from repro.runs import (HeartbeatWriter, RunLedger, RunRegistry,
                         RunRequest, create_run, execute_run, load_run,
                         pid_alive, read_heartbeat, replay_ledger,
                         resume_run, run_status)
+from repro.runs.registry import StateCache
 from repro.cli import main
 
 SMALL = dict(models=("GPT-4",), taxonomy_keys=("ebay",),
@@ -99,6 +106,42 @@ def _weighted_accuracy(result) -> float:
 # ----------------------------------------------------------------------
 # Shared offset-aware JSONL tailing
 # ----------------------------------------------------------------------
+def _fold_payloads(path, base=None, offset=0, start_line=1, follow=False):
+    """A log fold whose state is every payload so far, as a tuple."""
+    seen = list(base or ())
+    _, offset, line = fold_jsonl(
+        path, lambda payload, _: seen.append(payload), _LOG, "test-line",
+        _corrupt, offset, start_line, follow)
+    return tuple(seen), offset, line
+
+
+def _corrupt(path: str, line: int, reason: str) -> JsonlCorruptError:
+    return JsonlCorruptError(path, line, reason)
+
+
+_LOG = logging.getLogger("repro.tests.tail")
+
+
+class _Tail:
+    """One log read the way ``LedgerFollower`` reads each of its two:
+    through ``StateCache.follow``, a missing file being nothing yet.
+    Each poll returns the payloads appended since the previous one."""
+
+    def __init__(self, path):
+        self.path = path
+        self.cache = StateCache()
+        self.version = None
+
+    def poll(self) -> list[dict]:
+        before = self.version.state if self.version is not None else ()
+        try:
+            self.version = self.cache.follow(self.path, self.version,
+                                             _fold_payloads)
+        except FileNotFoundError:
+            return []
+        return list(self.version.state[len(before):])
+
+
 class TestIterJsonl:
     def test_reads_records_with_line_numbers_and_offset(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -162,7 +205,7 @@ class TestIterJsonl:
 
     def test_tail_polls_only_the_appended_bytes(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        tail = JsonlTail(path)
+        tail = _Tail(path)
         assert tail.poll() == []          # missing file: not an error
         with open(path, "a", encoding="utf-8") as stream:
             stream.write('{"a": 1}\n{"b":')
@@ -190,7 +233,7 @@ class TestIterJsonl:
 
         thread = threading.Thread(target=writer)
         thread.start()
-        tail = JsonlTail(path)
+        tail = _Tail(path)
         seen: list[dict] = []
         while thread.is_alive():
             seen.extend(tail.poll())
@@ -740,3 +783,278 @@ class TestConcurrentFollowers:
         assert all(snapshot == stable[0] for snapshot in stable[1:])
         assert stable[0]["finished"] is True
         assert stable[0]["questions_done"] == result.evaluated
+
+
+# ----------------------------------------------------------------------
+# The follower reads through the registry's one cache
+# ----------------------------------------------------------------------
+#: ``RunProgress.to_dict``'s keys, in the order every JSON view of a
+#: snapshot has always written them.
+PROGRESS_KEYS = [
+    "run_id", "status", "attempts", "finished", "cells_planned",
+    "cells_started", "cells_done", "questions_done", "questions_planned",
+    "correct", "accuracy", "retries", "faults", "spans", "elapsed_s",
+    "throughput", "eta_s", "latency_p50_s", "latency_p99_s",
+    "heartbeat_age_s", "progress_age_s", "stall_deadline_s",
+    "prompt_tokens", "completion_tokens", "cost_nanos", "cost_usd",
+    "budget", "cells"]
+CELL_KEYS = ["cell", "expected", "done", "correct", "accuracy",
+             "complete"]
+
+
+def _totals(totals: SpanTotals) -> tuple:
+    return (totals.latency.to_dict(), totals.retries, totals.faults,
+            totals.spans)
+
+
+def _append(path, data: bytes) -> None:
+    with open(path, "ab") as stream:
+        stream.write(data)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory) -> tuple[bytes, bytes, bytes]:
+    """A finished two-cell run's manifest, ledger and span log, as
+    bytes."""
+    registry = RunRegistry(tmp_path_factory.mktemp("written"))
+    run_id = execute_run(RunRequest(models=("GPT-4",),
+                                    taxonomy_keys=("ebay", "ncbi"),
+                                    sample_size=6, workers=2),
+                         registry=registry).run_id
+    return tuple(path.read_bytes() for path in (
+        registry.manifest_path(run_id), registry.ledger_path(run_id),
+        registry.spans_path(run_id)))
+
+
+class TestFollowerReadsTheCache:
+    @pytest.mark.parametrize("kind", ["live", "budget-stopped",
+                                      "finished"])
+    def test_snapshot_keys_keep_their_order(self, registry, kind):
+        if kind == "live":
+            run_id = create_run(RunRequest(**SMALL), registry=registry)
+            with pytest.raises(RuntimeError):
+                execute_run(RunRequest(**SMALL), registry=registry,
+                            run_id=run_id,
+                            resolve_model=crashing_resolver(5))
+        else:
+            request = BUDGETED if kind == "budget-stopped" else \
+                RunRequest(**SMALL)
+            run_id = execute_run(request, registry=registry).run_id
+        progress = LedgerFollower(run_id, registry=registry).poll()
+        assert progress.status == {"live": "running"}.get(kind, kind)
+        payload = progress.to_dict()
+        assert list(payload) == PROGRESS_KEYS
+        assert payload["accuracy"] == progress.accuracy
+        assert payload["cost_usd"] == progress.cost_usd
+        assert payload["cells"] and all(
+            list(cell) == CELL_KEYS for cell in payload["cells"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_polls_over_torn_chunks_equal_one_shot_folds(self, written,
+                                                         data):
+        manifest, ledger, spans = written
+        cuts = [sorted(data.draw(st.lists(
+                    st.integers(0, len(log)), max_size=6)))
+                for log in (ledger, spans)]
+        steps = max(map(len, cuts)) + 1
+        cuts = [cut + [len(log)] * (steps - len(cut))
+                for cut, log in zip(cuts, (ledger, spans))]
+        with TemporaryDirectory() as directory:
+            registry = RunRegistry(Path(directory) / "runs")
+            run_id = "0123456789ab-01"
+            registry.run_dir(run_id).mkdir(parents=True)
+            registry.manifest_path(run_id).write_bytes(manifest)
+            paths = (registry.ledger_path(run_id),
+                     registry.spans_path(run_id))
+            for path in paths:
+                path.write_bytes(b"")
+            follower = LedgerFollower(run_id, registry=registry)
+            held: list[tuple] = []
+            written_so_far = [0, 0]
+            for step in range(steps):
+                for index, (path, log) in enumerate(zip(paths,
+                                                        (ledger, spans))):
+                    cut = cuts[index][step]
+                    _append(path, log[written_so_far[index]:cut])
+                    written_so_far[index] = cut
+                follower.poll()
+                # Fresh files: truncating one is slow on some mounts.
+                scratch = [Path(directory) / f"{log}-{step}.jsonl"
+                           for log in ("ledger", "spans")]
+                cut = cuts[0][step]
+                scratch[0].write_bytes(ledger[:ledger.rfind(b"\n", 0, cut)
+                                              + 1])
+                state = replay_ledger(scratch[0])
+                assert follower.ledger.state == state
+                cut = cuts[1][step]
+                scratch[1].write_bytes(spans[:spans.rfind(b"\n", 0, cut)
+                                             + 1])
+                totals = _totals(fold_span_totals(scratch[1])[0])
+                assert _totals(follower.spans.state) == totals
+                held.append((follower.ledger.state, state,
+                             follower.spans.state, totals))
+                # No later poll changed a version an earlier one gave.
+                for kept, replayed, kept_spans, folded in held:
+                    assert kept == replayed
+                    assert _totals(kept_spans) == folded
+
+    def test_a_poll_folds_only_the_appended_lines(self, registry, folds):
+        run_id = execute_run(RunRequest(**SMALL),
+                             registry=registry).run_id
+        ledger = registry.ledger_path(run_id)
+        follower = LedgerFollower(run_id, registry=registry)
+        follower.poll()
+        assert [(name, start) for name, _, start, _, _ in folds] == [
+            ("fold_run_ledger", 0), ("fold_span_totals", 0)]
+        folds.clear()
+        follower.poll()                    # nothing appended
+        assert folds == []
+        size = ledger.stat().st_size
+        with RunLedger(ledger) as writer:
+            writer.run_started(run_id, resumed=True, attempt=2)
+        progress = follower.poll()
+        assert [(name, path, start, end)
+                for name, path, start, end, _ in folds] == [
+            ("fold_run_ledger", ledger, size, ledger.stat().st_size)]
+        assert follower.ledger.state == replay_ledger(ledger)
+        assert progress.attempts == 2 and not progress.finished
+        spans = registry.spans_path(run_id)
+        size = spans.stat().st_size
+        folds.clear()
+        _append(spans, spans.read_bytes().splitlines(keepends=True)[0])
+        assert follower.poll().spans == progress.spans + 1
+        assert [(name, start) for name, _, start, _, _ in folds] == [
+            ("fold_span_totals", size)]
+
+    def test_an_over_budget_ledger_still_folds_only_the_tail(
+            self, registry, folds, monkeypatch):
+        run_id = execute_run(RunRequest(**SMALL),
+                             registry=registry).run_id
+        ledger = registry.ledger_path(run_id)
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            ledger.stat().st_size - 1)
+        follower = LedgerFollower(run_id, registry=registry)
+        follower.poll()
+        assert registry.state_cache.current(ledger) is None  # not kept
+        for attempt in (2, 3):
+            size = ledger.stat().st_size
+            folds.clear()
+            with RunLedger(ledger) as writer:
+                writer.run_started(run_id, resumed=True, attempt=attempt)
+            assert follower.poll().attempts == attempt
+            assert [(name, start) for name, _, start, _, _ in folds] == [
+                ("fold_run_ledger", size)]
+        assert follower.ledger.state == replay_ledger(ledger)
+
+    def test_an_inode_swap_and_a_shrink_fold_from_byte_0(self, registry,
+                                                         folds):
+        from repro.dist import execute_run_sharded, merge_run
+        from repro.dist.worker import ShardLedger
+        run_id = execute_run_sharded(RunRequest(**SMALL), shards=2,
+                                     registry=registry, procs=0).run_id
+        ledger = registry.ledger_path(run_id)
+        follower = LedgerFollower(run_id, registry=registry)
+        assert follower.poll().attempts == 1
+        with ShardLedger(registry.shard_ledger_path(run_id, 0)) as shard:
+            shard.shard_started(run_id, 0, attempt=2)
+            shard.shard_finished(0)
+        merge_run(run_id, registry=registry, force=True)
+        folds.clear()
+        assert follower.poll().attempts == 2
+        assert ("fold_run_ledger", 0) in [
+            (name, start) for name, _, start, _, _ in folds]
+        assert follower.ledger.state == replay_ledger(ledger)
+        ledger.write_bytes(ledger.read_bytes()[:-17])    # same inode
+        folds.clear()
+        assert not follower.poll().finished
+        assert [(name, start) for name, _, start, _, _ in folds] == [
+            ("fold_run_ledger", 0)]
+        assert follower.ledger.state == replay_ledger(ledger)
+
+    def test_a_bad_tail_is_retried_then_refused_as_a_replay_refuses(
+            self, registry, caplog, propagating_logs):
+        run_id = execute_run(RunRequest(**SMALL),
+                             registry=registry).run_id
+        ledger = registry.ledger_path(run_id)
+        follower = LedgerFollower(run_id, registry=registry)
+        follower.poll()
+        events = follower.ledger.state.events
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            _append(ledger, b'{"event": "run-st')        # in flight
+            follower.poll()
+            _append(ledger, b'arted"}\n')            # decodes, no apply
+            follower.poll()
+        assert caplog.text == ""          # a poll logs nothing for them
+        assert follower.ledger.state.events == events
+        assert follower.ledger.state == replay_ledger(ledger)
+        _append(ledger, b'{"event": "later"}\n')
+        with pytest.raises(LedgerCorruptError) as replayed:
+            replay_ledger(ledger)
+        with pytest.raises(LedgerCorruptError) as polled:
+            follower.poll()
+        assert str(polled.value) == str(replayed.value)
+        rejected = ledger.read_bytes().count(b"\n") - 1
+        assert f"{ledger}:{rejected}:" in str(polled.value)
+
+    def test_followers_and_readers_racing_an_appender(self, registry):
+        """Private followers and cached readers share versions while a
+        writer appends: no version anyone got ever changes after."""
+        import sys
+        run_id = execute_run(RunRequest(**SMALL),
+                             registry=registry).run_id
+        ledger = registry.ledger_path(run_id)
+        stop = threading.Event()
+        seen: list[list] = [[] for _ in range(6)]
+        errors: list[BaseException] = []
+
+        def follow(slot: int) -> None:
+            follower = LedgerFollower(run_id, registry=registry)
+            try:
+                while not stop.is_set():
+                    follower.poll()
+                    state = follower.ledger.state
+                    seen[slot].append((state, state.events,
+                                       state.attempts))
+                follower.poll()
+                seen[slot].append((follower.ledger.state, None, None))
+            except BaseException as exc:
+                errors.append(exc)
+
+        def read(slot: int) -> None:
+            try:
+                while not stop.is_set():
+                    state = registry.state(run_id)
+                    seen[slot].append((state, state.events,
+                                       state.attempts))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = ([threading.Thread(target=follow, args=(slot,))
+                    for slot in range(4)]
+                   + [threading.Thread(target=read, args=(slot,))
+                      for slot in (4, 5)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            with RunLedger(ledger) as writer:
+                for attempt in range(2, 62):
+                    writer.run_started(run_id, resumed=True,
+                                       attempt=attempt)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        fresh = replay_ledger(ledger)
+        assert fresh.attempts == 61
+        for slot, records in enumerate(seen):
+            events = [state.events for state, _, _ in records]
+            assert events == sorted(events), slot   # never backwards
+            for state, count, attempts in records[:-1]:
+                assert (state.events, state.attempts) == (count, attempts)
+        assert all(records[-1][0] == fresh for records in seen[:4])

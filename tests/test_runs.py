@@ -28,6 +28,7 @@ from repro.runs import (CellKey, RunLedger, RunRegistry, RunRequest,
                         RunState, create_run, diff_runs, execute_run,
                         load_run, replay_ledger, resume_run)
 from repro.runs.diff import _flips
+from repro.runs.ledger import fold_run_ledger
 from repro.cli import main
 
 SMALL = dict(models=("GPT-4", "LLMs4OL"),
@@ -722,11 +723,11 @@ class TestStateCache:
         """Paths the registry replays (the real fold still runs)."""
         paths = []
 
-        def counting(path):
+        def counting(path, *args, **kwargs):
             paths.append(path)
-            return replay_ledger(path)
+            return fold_run_ledger(path, *args, **kwargs)
 
-        monkeypatch.setattr("repro.runs.registry.replay_ledger",
+        monkeypatch.setattr("repro.runs.registry.fold_run_ledger",
                             counting)
         return paths
 

@@ -34,10 +34,12 @@ from repro.llm.registry import get_model
 from repro.obs.trail import trail_to_dict
 from repro.runs import (RunRequest, create_run, execute_run, load_run,
                         replay_ledger, resume_run)
+from repro.runs.ledger import fold_run_ledger
 from repro.runs.registry import RunRegistry
 from repro.serve import (DEFAULT_TENANT, TENANT_HEADER, ReproServer,
                          run_result_payload)
 from repro.serve import views
+from repro.serve.hub import FINAL_VIEW
 from repro.serve.views import iter_question_records
 
 SMALL = dict(models=("GPT-4",), taxonomy_keys=("ebay",),
@@ -429,8 +431,10 @@ class TestLiveStreaming:
             final = json.loads([data for kind, data in frames
                                 if kind == "snapshot"][-1])
             assert final["finished"] is True
-        # The cached fast path costs no broadcast.
-        assert server.hub.stats()["cached_finals"] >= 1
+        # The final is kept with the ledger version, and the fast path
+        # costs no broadcast.
+        assert server.registry_for(DEFAULT_TENANT).kept(
+            run_id, FINAL_VIEW) == final
         assert server.hub.stats()["broadcasts"] == 0
 
     def test_limit_query_truncates_the_stream(self, server):
@@ -449,6 +453,123 @@ class TestLiveStreaming:
         assert snapshot["run_id"] == result.run_id
         assert snapshot["finished"] is True
         assert snapshot["questions_done"] == result.evaluated
+
+
+    def test_kept_final_serves_late_subscribers_until_a_resume(
+            self, server, monkeypatch):
+        from repro.serve import hub as hub_module
+        started: list[str] = []
+        start = hub_module._Broadcast.start
+        monkeypatch.setattr(hub_module._Broadcast, "start",
+                            lambda self: (started.append(self.run_id),
+                                          start(self)))
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run(RunRequest(models=("GPT-4", "LLMs4OL"),
+                                        taxonomy_keys=("ebay",),
+                                        sample_size=6, max_tokens=1),
+                             registry=registry).run_id
+
+        def final() -> str:
+            frames = _read_sse(server, f"/runs/{run_id}/events")
+            assert frames[-1][0] == "done"
+            return [data for kind, data in frames
+                    if kind == "snapshot"][-1]
+
+        stopped = final()
+        assert json.loads(stopped)["status"] == "budget-stopped"
+        assert final() == stopped and final() == stopped
+        assert started == [run_id]          # no broadcast for the rest
+        assert main(["runs", "resume", run_id, "--runs-dir",
+                     str(server.root)]) == 0
+        finished = final()
+        assert json.loads(finished)["status"] == "finished"
+        assert final() == finished
+        assert started == [run_id, run_id]
+
+    def test_an_over_budget_run_is_folded_once_per_subscriber(
+            self, server, folds, monkeypatch):
+        run_id = _seed_run(server).run_id
+        ledger = server.registry_for(DEFAULT_TENANT).ledger_path(run_id)
+        monkeypatch.setattr("repro.runs.registry.STATE_CACHE_BYTES",
+                            ledger.stat().st_size - 1)
+        for _ in range(2):        # nothing is kept, nothing replayed
+            folds.clear()
+            frames = _read_sse(server, f"/runs/{run_id}/events")
+            assert [kind for kind, _ in frames][-1] == "done"
+            assert [(name, path, start) for name, path, start, _, _
+                    in folds if path == ledger] == [
+                ("fold_run_ledger", ledger, 0)]
+
+    def test_a_damaged_span_log_keeps_every_live_view(self, server):
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = execute_run(RunRequest(models=("GPT-4",),
+                                        taxonomy_keys=("ebay",),
+                                        sample_size=6),
+                             registry=registry).run_id
+        path = registry.spans_path(run_id)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3] + [b"garbage{\n"]
+                                  + lines[3:]))
+        status, progress = _get(server, f"/runs/{run_id}/progress")
+        assert status == 200, progress
+        assert progress["finished"] and progress["spans"] == len(lines)
+        status, alerts = _get(server, f"/runs/{run_id}/alerts")
+        assert status == 200 and alerts["status"] == "finished"
+        for _ in range(2):        # the second is served after the first
+            frames = _read_sse(server, f"/runs/{run_id}/events",
+                               timeout_s=10.0)
+            assert [kind for kind, _ in frames][-1] == "done"
+            final = json.loads([data for kind, data in frames
+                                if kind == "snapshot"][-1])
+            assert final["finished"] and final["spans"] == len(lines)
+        assert server.hub.stats()["broadcasts"] == 0
+
+    def test_a_failing_broadcast_ends_its_stream_and_unregisters(
+            self, server, monkeypatch):
+        from repro.obs.live import LedgerFollower
+
+        def fail(self):
+            raise RuntimeError("follower broke")
+
+        run_id = _seed_run(server).run_id
+        monkeypatch.setattr(LedgerFollower, "poll", fail)
+        for _ in range(2):        # the second gets a broadcast of its own
+            frames = _read_sse(server, f"/runs/{run_id}/events",
+                               timeout_s=10.0)
+            assert [kind for kind, _ in frames] == ["error", "done"]
+            assert "follower broke" in json.loads(frames[0][1])["message"]
+            assert server.hub.stats()["broadcasts"] == 0
+
+    def test_repeat_progress_and_alerts_fold_nothing(self, server, folds):
+        run_id = _seed_run(server).run_id
+        for endpoint in ("progress", "alerts"):
+            status, first = _get(server, f"/runs/{run_id}/{endpoint}")
+            assert status == 200
+            folds.clear()
+            status, again = _get(server, f"/runs/{run_id}/{endpoint}")
+            assert status == 200 and again["status"] == first["status"]
+            assert folds == [], endpoint
+
+    def test_subscribing_to_a_live_run_folds_nothing(self, server, folds):
+        registry = server.registry_for(DEFAULT_TENANT)
+        request = RunRequest(**SMALL)
+        run_id = create_run(request, registry=registry)
+        dying = _DiesAfter(get_model("GPT-4"), 5)
+        with pytest.raises(RuntimeError):
+            execute_run(request, registry=registry, run_id=run_id,
+                        resolve_model=lambda name: dying)
+        here = threading.current_thread()
+        first = server.hub.subscribe(DEFAULT_TENANT, run_id, registry)
+        second = server.hub.subscribe(DEFAULT_TENANT, run_id, registry)
+        try:
+            kind, snapshot = next(second.events(timeout_s=10.0))
+            assert kind == "snapshot" and not snapshot["finished"]
+            assert folds and all(thread is not here
+                                 for *_, thread in folds)
+            assert server.hub.stats()["broadcasts"] == 1
+        finally:
+            first.close()
+            second.close()
 
 
 # ----------------------------------------------------------------------
@@ -561,11 +682,11 @@ class TestStateCache:
             for _ in range(2))
         replays = []
 
-        def counting(path):
+        def counting(path, *args, **kwargs):
             replays.append(path)
-            return replay_ledger(path)
+            return fold_run_ledger(path, *args, **kwargs)
 
-        monkeypatch.setattr("repro.runs.registry.replay_ledger",
+        monkeypatch.setattr("repro.runs.registry.fold_run_ledger",
                             counting)
         for path in ("/runs", f"/runs/{first}",
                      f"/runs/{first}/diff/{second}",
@@ -605,8 +726,8 @@ def builds(monkeypatch) -> collections.Counter:
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(registry_module, "replay_ledger", counting(
-        "replay_ledger", registry_module.replay_ledger))
+    monkeypatch.setattr(registry_module, "fold_run_ledger", counting(
+        "fold_run_ledger", registry_module.fold_run_ledger))
     monkeypatch.setattr(registry_module.RunRegistry, "_summary", counting(
         "_summary", registry_module.RunRegistry._summary))
     for name in _BUILDERS:
@@ -728,7 +849,7 @@ class TestViewMemo:
         assert registry.ledger_path(run_id).stat().st_ino != inode
         builds.clear()
         remerged = _reads(server, paths)
-        assert builds["replay_ledger"] == 1
+        assert builds["fold_run_ledger"] == 1
         assert builds["_summary"] == 1
         assert builds["run_show_payload"] == 1
         assert builds["run_result_payload"] == 1
@@ -1165,6 +1286,37 @@ class TestHardening:
             assert _get(server, endpoint)[0] == 200
         path.write_text("{not json", encoding="utf-8")
         check()                                      # warm
+
+
+    @pytest.mark.parametrize("document", [
+        "{}", "[]", '"x"', {"cells": "x"}, {"created_at": "x"}],
+        ids=["empty-object", "list", "string", "cells", "created_at"])
+    def test_a_document_that_is_no_manifest_500s_alone(self, server,
+                                                       document):
+        registry = server.registry_for(DEFAULT_TENANT)
+        first, second = (execute_run(
+            RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                       sample_size=6), registry=registry).run_id
+            for _ in range(2))
+        path = registry.manifest_path(first)
+        if isinstance(document, dict):
+            document = json.dumps({**json.loads(path.read_text()),
+                                   **document})
+        path.write_text(document, encoding="utf-8")
+        assert {row.run_id: row.status
+                for row in registry.list_runs()} == {
+            first: "invalid", second: "finished"}
+        status, listing = _get(server, "/runs")
+        assert status == 200
+        assert {run["run_id"]: run["status"] for run in listing} == {
+            first: "invalid", second: "finished"}
+        show = f"/runs/{first}"
+        for endpoint in (show, f"{show}/result", f"{show}/diff/{second}",
+                         f"/runs/{second}/diff/{first}",
+                         f"{show}/progress"):
+            self._expect_error(server, endpoint, 500, "corrupt-manifest")
+        for endpoint in (f"{show}/trails", f"{show}/trail/0"):
+            assert _get(server, endpoint)[0] == 200
 
 
 # ----------------------------------------------------------------------
