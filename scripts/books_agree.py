@@ -1,0 +1,60 @@
+"""Check that a finished run's three books agree.
+
+Usage (the runs root is ``REPRO_RUNS_DIR``, as for ``repro``)::
+
+    PYTHONPATH=src python scripts/books_agree.py RUN_ID
+
+``repro watch --once --json`` and ``repro obs cost --json`` sum the
+run's ledger records; the stats of ``repro runs show --json`` are what
+the run's telemetry booked as it ran.  For a sequential run with no
+cache hits and no retries all three must give the same questions,
+prompt tokens, completion tokens and cost, exactly.  Exits 1 when they
+do not.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+
+def _view(*argv: str) -> dict:
+    done = subprocess.run([sys.executable, "-m", "repro", *argv,
+                           "--json"], capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def main(run_id: str) -> int:
+    watch = _view("watch", run_id, "--once")
+    cost = _view("obs", "cost", run_id)
+    stats = _view("runs", "show", run_id)["stats"]
+    books = {
+        "watch (records)": (
+            watch["questions_done"], watch["prompt_tokens"],
+            watch["completion_tokens"], watch["cost_nanos"]),
+        "obs cost (records)": (
+            sum(cell["questions"] for cell in cost["cells"]),
+            cost["totals"]["prompt_tokens"],
+            cost["totals"]["completion_tokens"],
+            cost["totals"]["cost_nanos"]),
+        "runs show (telemetry)": (
+            stats["records"], stats["prompt_tokens"],
+            stats["completion_tokens"], stats["cost_nanos"]),
+    }
+    for name, (questions, prompt, completion, nanos) in books.items():
+        print(f"{name:<22} questions {questions:>7}  prompt tokens "
+              f"{prompt:>9}  completion tokens {completion:>9}  "
+              f"cost_nanos {nanos:>13}")
+    if len(set(books.values())) != 1:
+        print(f"books_agree: run {run_id}'s books disagree")
+        return 1
+    print(f"books_agree: run {run_id}'s three books agree")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))

@@ -3,8 +3,9 @@
 # under `python -X dev`, the perfbench harness tests, ten benchmark
 # smokes (engine throughput, engine batching, dataset pipeline, run
 # ledger, shard scaling, tracing, live follower, cost metering, serve
-# fan-out, trail capture), the `obs check` regression gate and the
-# trail analytics of its run.  A tier-1 failure stops the script; every
+# fan-out, trail capture), the `obs check` regression gate, the
+# trail analytics of its run and a check that the run's record and
+# telemetry books agree.  A tier-1 failure stops the script; every
 # later step runs even when an earlier one failed, and the script exits
 # non-zero naming each step that did.
 set -uo pipefail
@@ -73,16 +74,29 @@ gate() {
         --max-cache-hit-drop 10
 }
 
+gate_run() {
+    REPRO_RUNS_DIR="$GATE_DIR" python -m repro runs list --json \
+        | python -c 'import json,sys; print(json.load(sys.stdin)[0]["run_id"])'
+}
+
 trails() {
     local run
-    run="$(REPRO_RUNS_DIR="$GATE_DIR" python -m repro runs list --json \
-        | python -c 'import json,sys; print(json.load(sys.stdin)[0]["run_id"])')" \
-        || return
+    run="$(gate_run)" || return
     REPRO_RUNS_DIR="$GATE_DIR" python -m repro obs trails "$run"
+}
+
+books() {
+    # The gate run is sequential with no cache hits or retries, so the
+    # records (watch, obs cost) and the telemetry (runs show) must
+    # give the same questions, tokens and cost.
+    local run
+    run="$(gate_run)" || return
+    REPRO_RUNS_DIR="$GATE_DIR" python scripts/books_agree.py "$run"
 }
 
 step "regression gate (obs check vs committed baseline)" gate
 step "provenance trail analytics (gate run)" trails
+step "the gate run's three books agree (watch, obs cost, runs show)" books
 
 if ((${#FAILED[@]})); then
     echo "check.sh: ${#FAILED[@]} step(s) failed:"

@@ -87,18 +87,22 @@ class EvaluationRunner:
 
     def ask(self, model: ChatModel, question: Question,
             setting: PromptSetting = PromptSetting.ZERO_SHOT,
-            pool_questions: tuple[Question, ...] = ()) -> QuestionRecord:
-        """One question -> one scored interaction record."""
+            pool_questions: tuple[Question, ...] = (),
+            backend: ChatModel | None = None) -> QuestionRecord:
+        """One question -> one scored interaction record.  ``backend``
+        is the raw model under ``model``'s middleware (default:
+        ``model``)."""
         prompt = build_prompt(question, setting,
                               pool_questions=pool_questions,
                               variant=self.variant)
         response = model.generate(prompt)
         parsed = parse_answer(response, question)
-        # Token counts resolve by model *name* (stable through every
-        # middleware wrapper), so the stamped record is bit-identical
+        # Counted as the raw backend counts them, like the engine's
+        # CostMeter bills them, so the stamped record is bit-identical
         # whether the call ran sequentially, engined, or on a shard.
-        prompt_tokens = count_tokens(prompt, model.name)
-        completion_tokens = count_tokens(response, model.name)
+        backend = model if backend is None else backend
+        prompt_tokens = count_tokens(prompt, backend)
+        completion_tokens = count_tokens(response, backend)
         context = current_trail()
         trail = None
         if context is not None:
@@ -162,13 +166,13 @@ class EvaluationRunner:
                             model, question, setting,
                             pool_questions=pool_questions)
                 if self.telemetry is not None:
-                    self.telemetry.record_question(
-                        record.prompt_tokens,
-                        record.completion_tokens,
-                        call_cost_nanos(record.model,
-                                        record.prompt_tokens,
-                                        record.completion_tokens),
-                        time.perf_counter() - started)
+                    self.telemetry.observe(
+                        time.perf_counter() - started, calls=1,
+                        prompt_tokens=record.prompt_tokens,
+                        completion_tokens=record.completion_tokens,
+                        cost_nanos=call_cost_nanos(
+                            record.model, record.prompt_tokens,
+                            record.completion_tokens))
                 if ledger is not None:
                     ledger.record(cell, index, record)
                 out.append((index, record))
@@ -191,7 +195,8 @@ class EvaluationRunner:
                     level=question.level, uid=question.uid), \
                     call_site_scope(question=question.uid, cell=cell):
                 return self.ask(wrapped, question, setting,
-                                pool_questions=pool_questions)
+                                pool_questions=pool_questions,
+                                backend=model)
 
         records = self.engine.run(
             model, [question for _, question in indexed],

@@ -178,7 +178,7 @@ class CoalescingModel:
             trail.leader_key = prompt_key(prompt)
         if not leader:
             if self._telemetry is not None:
-                self._telemetry.record_coalesced()
+                self._telemetry.add(coalesced=1)
             with self._tracer.span("coalesced_wait", model=self.name):
                 return flight.wait()
         try:
@@ -399,8 +399,8 @@ class BatchingModel:
             if self.limiter is not None:
                 self.limiter.release(success=not transient)
                 if self._telemetry is not None:
-                    self._telemetry.record_adaptive_limit(
-                        self.limiter.limit)
+                    self._telemetry.add(
+                        adaptive_high_water=int(self.limiter.limit))
 
     async def _shared(self, call, prompts: list[str]
                       ) -> tuple[list, bool]:
@@ -417,7 +417,7 @@ class BatchingModel:
             return ([exc] * len(prompts),
                     isinstance(exc, ModelTransientError))
         if self._telemetry is not None:
-            self._telemetry.record_batch(len(prompts))
+            self._telemetry.add(batches=1)
         return responses, False
 
     async def _per_prompt(self, loop, prompts: list[str]
@@ -430,7 +430,7 @@ class BatchingModel:
         transient = any(isinstance(outcome, ModelTransientError)
                         for outcome in outcomes)
         if self._telemetry is not None:
-            self._telemetry.record_batch(len(prompts))
+            self._telemetry.add(batches=1)
         return list(outcomes), transient
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,18 +25,12 @@ from repro.engine.telemetry import Telemetry
 from repro.errors import ModelError
 from repro.llm.base import ChatModel
 from repro.obs.jsonl import replace_text
-from repro.obs.metrics import global_registry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import current_trail
 
 _FORMAT_VERSION = 1
 
 _log = logging.getLogger("repro.engine.cache")
-
-#: Global-registry counter names for cache persistence events.
-PERSIST_SAVES = "repro_cache_persist_saves_total"
-PERSIST_LOADS = "repro_cache_persist_loads_total"
-PERSIST_CORRUPT = "repro_cache_persist_corrupt_recoveries_total"
 
 
 class ResponseCache:
@@ -55,8 +49,8 @@ class ResponseCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Persistence counters (mirrored into the global registry so
-        #: silent data loss shows up in metric dumps, not just here).
+        #: Persistence counters: a corrupt file recovered as empty
+        #: is counted here, not lost silently.
         self.saves = 0
         self.loads = 0
         self.corrupt_recoveries = 0
@@ -192,8 +186,6 @@ class ResponseCache:
         """
         target = replace_text(path, json.dumps(self.to_dict(), indent=1))
         self.saves += 1
-        global_registry().counter(
-            PERSIST_SAVES, "response caches persisted").add(1)
         _log.debug("cache-saved path=%s entries=%d", target, len(self))
 
     @classmethod
@@ -204,12 +196,11 @@ class ResponseCache:
         A missing, truncated or otherwise corrupt file yields an
         *empty* cache rather than an exception: the cache is a
         performance artifact, and losing it must only cost re-queries,
-        never abort a run.  The recovery is counted (instance and
-        global-registry counters) and logged, so the data loss is
-        visible instead of silent.  (Feed :meth:`from_dict` directly
-        to get strict validation.)
+        never abort a run.  The recovery is counted
+        (``corrupt_recoveries`` on the returned cache) and logged, so
+        the data loss is visible instead of silent.  (Feed
+        :meth:`from_dict` directly to get strict validation.)
         """
-        registry = global_registry()
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             cache = cls.from_dict(payload, capacity=capacity)
@@ -217,14 +208,9 @@ class ResponseCache:
             cache = cls(capacity=capacity)
             if not isinstance(exc, FileNotFoundError):
                 cache.corrupt_recoveries += 1
-                registry.counter(
-                    PERSIST_CORRUPT,
-                    "corrupt cache files recovered as empty").add(1)
                 _log.warning("cache-corrupt recovered path=%s "
                              "error=%s", path, type(exc).__name__)
         cache.loads += 1
-        registry.counter(
-            PERSIST_LOADS, "response cache load attempts").add(1)
         return cache
 
 
@@ -262,7 +248,10 @@ class CachedModel:
             response = self.cache.get(self.name, prompt)
             span.set(hit=response is not None)
         if self._telemetry is not None:
-            self._telemetry.record_cache(hit=response is not None)
+            if response is not None:
+                self._telemetry.add(cache_hits=1)
+            else:
+                self._telemetry.add(cache_misses=1)
         trail = current_trail()
         if trail is not None:
             trail.cache_hit = response is not None

@@ -83,7 +83,7 @@ class RetryingModel:
                       ) -> tuple[str | None, ModelTransientError | None]:
         if attempt > 0:
             if self._telemetry is not None:
-                self._telemetry.record_retry()
+                self._telemetry.add(retries=1)
             delay = backoff_delay(self.policy, attempt - 1, prompt)
             _log.info("retry model=%s attempt=%d/%d fault=%s "
                       "delay=%.4fs", self.name, attempt,
@@ -94,8 +94,9 @@ class RetryingModel:
             return self.inner.generate(prompt), None
         except ModelTransientError as exc:
             if self._telemetry is not None:
-                self._telemetry.record_fault(
-                    timeout=isinstance(exc, ModelTimeoutError))
+                self._telemetry.add(
+                    faults=1,
+                    timeouts=int(isinstance(exc, ModelTimeoutError)))
             return None, exc
 
     def generate(self, prompt: str) -> str:

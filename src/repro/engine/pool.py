@@ -223,7 +223,7 @@ class BackendPool:
                     if trail is not None:
                         trail.hedged = True
                     if self._telemetry is not None:
-                        self._telemetry.record_hedge()
+                        self._telemetry.add(hedged=1)
                     with self._tracer.span(
                             "hedge", model=self.name,
                             delay_s=self.hedge_delay_s):

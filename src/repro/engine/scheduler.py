@@ -70,7 +70,7 @@ class _CountingModel:
         if inner_async is not None:
             async def agenerate_batch(
                     prompts: Sequence[str]) -> list[str]:
-                self._telemetry.record_call(n=len(prompts))
+                self._telemetry.add(calls=len(prompts))
                 with self._tracer.span("model_call", model=self.name,
                                        n=len(prompts)):
                     return await inner_async(prompts)
@@ -78,14 +78,14 @@ class _CountingModel:
         if supports_generate_batch(inner):
             def generate_batch(
                     prompts: Sequence[str]) -> list[str]:
-                self._telemetry.record_call(n=len(prompts))
+                self._telemetry.add(calls=len(prompts))
                 with self._tracer.span("model_call", model=self.name,
                                        n=len(prompts)):
                     return call_generate_batch(self.inner, prompts)
             self.generate_batch = generate_batch
 
     def generate(self, prompt: str) -> str:
-        self._telemetry.record_call()
+        self._telemetry.add(calls=1)
         # call_site() carries the question uid / cell the runner set on
         # this thread, making the span joinable to its ledger record.
         with self._tracer.span("model_call", model=self.name,
@@ -227,10 +227,14 @@ class EvaluationEngine:
             return self._fan_out(wrapped, work, fn, workers, on_result)
         finally:
             close_model_stack(wrapped)
-            self.telemetry.record_run(self._clock() - started, workers)
+            self.telemetry.add(wall_time_s=self._clock() - started,
+                               workers=workers)
 
     def stats(self) -> EngineStats:
-        """Aggregated telemetry over every run so far."""
+        """Aggregated telemetry over every run so far.  A run session
+        lends the engine its attempt's telemetry, so inside one this
+        is the attempt's alone; its counts join the engine's own when
+        the session ends."""
         return self.telemetry.snapshot()
 
     def reset_stats(self) -> None:
@@ -250,7 +254,7 @@ class EvaluationEngine:
                     return fn(model, item)
             return fn(model, item)
         finally:
-            self.telemetry.record_work(self._clock() - started)
+            self.telemetry.observe(self._clock() - started)
 
     def _fan_out(self, model: ChatModel, work: list[Any],
                  fn: Callable[[ChatModel, Any], R],

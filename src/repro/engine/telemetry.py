@@ -1,7 +1,7 @@
 """Telemetry for the execution engine.
 
 A :class:`Telemetry` collector is threaded through the middleware
-stack and the scheduler.  It is now a facade over a
+stack and the scheduler.  Its storage is a
 :class:`repro.obs.metrics.MetricsRegistry`: every model call, retry,
 injected fault and cache lookup lands in a named counter, and each
 scored question's worker time is observed into a fixed-bucket latency
@@ -9,32 +9,33 @@ histogram — so the engine reports p50/p90/p99 and exact min/max, not
 just a mean.  ``snapshot()`` freezes the registry into an
 :class:`EngineStats` value, the compatibility shape the scalability
 experiment, the run ledger and the ``repro engine-stats`` CLI consume.
+
+The registry's metrics are declared by :class:`EngineStats` itself:
+each counted field carries the metric name and help text it is
+exported under.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter, methodcaller
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
-#: Registry names of the engine's metrics (shared with exporters).
-RECORDS = "repro_engine_records_total"
-CALLS = "repro_engine_calls_total"
-RETRIES = "repro_engine_retries_total"
-FAULTS = "repro_engine_faults_total"
-TIMEOUTS = "repro_engine_timeouts_total"
-CACHE_HITS = "repro_engine_cache_hits_total"
-CACHE_MISSES = "repro_engine_cache_misses_total"
-WALL_SECONDS = "repro_engine_wall_seconds_total"
-WORKERS = "repro_engine_workers"
-LATENCY = "repro_engine_question_latency_seconds"
-BATCHES = "repro_engine_batches_total"
-COALESCED = "repro_engine_coalesced_total"
-HEDGES = "repro_engine_hedged_total"
-ADAPTIVE_HIGH_WATER = "repro_engine_adaptive_limit_high_water"
-PROMPT_TOKENS = "repro_engine_prompt_tokens_total"
-COMPLETION_TOKENS = "repro_engine_completion_tokens_total"
-COST_NANOS = "repro_engine_cost_nanos_total"
+
+def _counted(metric: str, help: str, kind: str = "counter",
+             **default):
+    """A field :class:`Telemetry` keeps as the registry metric
+    ``metric``: a ``counter`` :meth:`Telemetry.add` adds to, a
+    ``gauge`` it raises to a new high, or the question-latency
+    ``histogram`` (whose total the field reads)."""
+    return field(**default, metadata={"metric": (metric, help, kind)})
+
+
+def _from_latency(read: Callable[[Histogram], float]):
+    """A field read off the question-latency histogram."""
+    return field(default=0.0, metadata={"latency": read})
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,40 +59,66 @@ class EngineStats:
     and ``adaptive_high_water`` is the AIMD concurrency window's
     high-water mark.
 
-    The fields are the one list of run counters: :meth:`to_dict`,
-    :meth:`from_dict` and the shard merge
-    (:func:`repro.dist.merge.merge_stats`) follow from them, and
-    :func:`repro.obs.history.entry_from_result` copies each one the
-    history entry also declares.  A new counter is one field here
-    plus the :class:`Telemetry` counter :meth:`Telemetry.snapshot`
-    reads it from.
+    The fields are the one list of run counters: :class:`Telemetry`
+    builds its metrics from them (each counted field names the
+    registry metric and help text it is exported under), and
+    :meth:`to_dict`, :meth:`from_dict`, :meth:`Telemetry.snapshot`
+    and the shard merge (:func:`repro.dist.merge.merge_stats`) follow
+    from them; :func:`repro.obs.history.entry_from_result` copies each
+    one the history entry also declares.  A new counter is one field
+    here plus the code that adds to it.
     """
 
-    records: int
-    calls: int
-    retries: int
-    faults: int
-    timeouts: int
-    cache_hits: int
-    cache_misses: int
-    wall_time_s: float
-    busy_time_s: float
-    workers: int
-    latency_p50_s: float = 0.0
-    latency_p90_s: float = 0.0
-    latency_p99_s: float = 0.0
-    latency_min_s: float = 0.0
-    latency_max_s: float = 0.0
-    batches: int = 0
-    coalesced: int = 0
-    hedged: int = 0
-    adaptive_high_water: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    records: int = _counted("repro_engine_records_total",
+                            "questions scored")
+    calls: int = _counted("repro_engine_calls_total",
+                          "model invocations reaching a backend")
+    retries: int = _counted("repro_engine_retries_total",
+                            "re-attempts after faults")
+    faults: int = _counted("repro_engine_faults_total",
+                           "transient faults observed")
+    timeouts: int = _counted("repro_engine_timeouts_total",
+                             "per-call timeouts")
+    cache_hits: int = _counted("repro_engine_cache_hits_total",
+                               "response cache hits")
+    cache_misses: int = _counted("repro_engine_cache_misses_total",
+                                 "response cache misses")
+    wall_time_s: float = _counted("repro_engine_wall_seconds_total",
+                                  "scheduler wall-clock seconds")
+    busy_time_s: float = _counted(
+        "repro_engine_question_latency_seconds",
+        "per-question worker seconds", "histogram")
+    workers: int = _counted("repro_engine_workers",
+                            "peak worker threads", "gauge")
+    latency_p50_s: float = _from_latency(methodcaller("quantile", 0.50))
+    latency_p90_s: float = _from_latency(methodcaller("quantile", 0.90))
+    latency_p99_s: float = _from_latency(methodcaller("quantile", 0.99))
+    latency_min_s: float = _from_latency(attrgetter("min"))
+    latency_max_s: float = _from_latency(attrgetter("max"))
+    batches: int = _counted("repro_engine_batches_total",
+                            "backend generate_batch dispatches",
+                            default=0)
+    coalesced: int = _counted(
+        "repro_engine_coalesced_total",
+        "prompts sharing an identical in-flight call", default=0)
+    hedged: int = _counted("repro_engine_hedged_total",
+                           "hedge requests launched by a backend pool",
+                           default=0)
+    adaptive_high_water: int = _counted(
+        "repro_engine_adaptive_limit_high_water",
+        "AIMD concurrency window high water", "gauge", default=0)
+    prompt_tokens: int = _counted("repro_engine_prompt_tokens_total",
+                                  "prompt tokens sent to backends",
+                                  default=0)
+    completion_tokens: int = _counted(
+        "repro_engine_completion_tokens_total",
+        "completion tokens returned", default=0)
     #: Accumulated spend in integer nano-dollars.  Integer addition is
     #: associative, so shard-merged totals equal single-process totals
     #: bit for bit — a float dollar sum could not promise that.
-    cost_nanos: int = 0
+    cost_nanos: int = _counted("repro_engine_cost_nanos_total",
+                               "accumulated spend in nano-dollars",
+                               default=0)
 
     @property
     def total_tokens(self) -> int:
@@ -183,145 +210,93 @@ STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(EngineStats))
 _STAT_DECODE = tuple(
     (f.name, None if f.default is MISSING else type(f.default), f.default)
     for f in fields(EngineStats))
+#: ``field: (metric name, help, kind)`` of every counted field.
+_METRICS = {f.name: f.metadata["metric"] for f in fields(EngineStats)
+            if "metric" in f.metadata}
 
 
 class Telemetry:
-    """Thread-safe recorder shared by middleware and scheduler.
+    """Thread-safe book of run counters shared by middleware and
+    scheduler.
 
-    The recording API is unchanged from the counter-bag days; the
-    storage is a :class:`MetricsRegistry` (exposed as ``.registry``)
-    so the same numbers flow to the Prometheus exporter without a
-    second bookkeeping path.
+    Its metrics live in a :class:`MetricsRegistry` (exposed as
+    ``.registry``), one per counted :class:`EngineStats` field, so the
+    same numbers flow to the Prometheus exporter without a second
+    bookkeeping path.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = (registry if registry is not None
-                         else MetricsRegistry())
-        r = self.registry
-        self._records = r.counter(RECORDS, "questions scored")
-        self._calls = r.counter(CALLS,
-                                "model invocations reaching a backend")
-        self._retries = r.counter(RETRIES, "re-attempts after faults")
-        self._faults = r.counter(FAULTS, "transient faults observed")
-        self._timeouts = r.counter(TIMEOUTS, "per-call timeouts")
-        self._cache_hits = r.counter(CACHE_HITS,
-                                     "response cache hits")
-        self._cache_misses = r.counter(CACHE_MISSES,
-                                       "response cache misses")
-        self._wall = r.counter(WALL_SECONDS,
-                               "scheduler wall-clock seconds")
-        self._workers = r.gauge(WORKERS, "peak worker threads")
-        self._latency = r.histogram(
-            LATENCY, "per-question worker seconds")
-        self._batches = r.counter(
-            BATCHES, "backend generate_batch dispatches")
-        self._coalesced = r.counter(
-            COALESCED, "prompts sharing an identical in-flight call")
-        self._hedges = r.counter(
-            HEDGES, "hedge requests launched by a backend pool")
-        self._adaptive_hw = r.gauge(
-            ADAPTIVE_HIGH_WATER, "AIMD concurrency window high water")
-        self._prompt_tokens = r.counter(
-            PROMPT_TOKENS, "prompt tokens sent to backends")
-        self._completion_tokens = r.counter(
-            COMPLETION_TOKENS, "completion tokens returned")
-        self._cost_nanos = r.counter(
-            COST_NANOS, "accumulated spend in nano-dollars")
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self._metrics = {name: getattr(self.registry, kind)(metric, help)
+                         for name, (metric, help, kind) in _METRICS.items()}
+        self._adders = {name: (metric.set_max if metric.kind == "gauge"
+                               else metric.add)
+                        for name, metric in self._metrics.items()
+                        if metric.kind != "histogram"}
+        # observe() runs on every question: it holds its metrics.
+        m = self._metrics
+        self._latency: Histogram = m["busy_time_s"]
+        self._records, self._calls, self._prompt_tokens = (
+            m["records"], m["calls"], m["prompt_tokens"])
+        self._completion_tokens, self._cost_nanos = (
+            m["completion_tokens"], m["cost_nanos"])
 
     # ------------------------------------------------------------------
     # Recording (called from worker threads)
     # ------------------------------------------------------------------
-    def record_call(self, n: int = 1) -> None:
-        self._calls.add(n)
+    def add(self, **amounts: float) -> None:
+        """Add each amount to its field's counter, or raise the
+        field's gauge to it if higher (``workers``,
+        ``adaptive_high_water``)."""
+        for name, amount in amounts.items():
+            self._adders[name](amount)
 
-    def record_retry(self) -> None:
-        self._retries.add(1)
+    def observe(self, seconds: float, calls: int = 0,
+                prompt_tokens: int = 0, completion_tokens: int = 0,
+                cost_nanos: int = 0) -> None:
+        """One question scored in ``seconds`` of worker time.
 
-    def record_fault(self, timeout: bool = False) -> None:
-        self._faults.add(1)
-        if timeout:
-            self._timeouts.add(1)
-
-    def record_cache(self, hit: bool) -> None:
-        if hit:
-            self._cache_hits.add(1)
-        else:
-            self._cache_misses.add(1)
-
-    def record_work(self, seconds: float) -> None:
-        """One question scored, taking ``seconds`` of worker time."""
+        The sequential path has no middleware to book its one backend
+        call, so it passes the call and its spend here too.  This runs
+        once per question: it adds to metrics held up front instead of
+        looking fields up by name as :meth:`add` does.
+        """
         self._records.add(1)
         self._latency.observe(seconds)
+        if calls:
+            self._calls.add(calls)
+        if prompt_tokens:
+            self._prompt_tokens.add(prompt_tokens)
+        if completion_tokens:
+            self._completion_tokens.add(completion_tokens)
+        if cost_nanos:
+            self._cost_nanos.add(cost_nanos)
 
-    def record_question(self, prompt_tokens: int,
-                        completion_tokens: int, cost_nanos: int,
-                        seconds: float) -> None:
-        """One question scored by one backend call and no middleware
-        (the sequential path): :meth:`record_call`,
-        :meth:`record_tokens` and :meth:`record_work` in one call."""
-        self._calls.add(1)
-        self._prompt_tokens.add(prompt_tokens)
-        self._completion_tokens.add(completion_tokens)
-        self._cost_nanos.add(cost_nanos)
-        self._records.add(1)
-        self._latency.observe(seconds)
-
-    def record_run(self, wall_time_s: float, workers: int) -> None:
-        """Account one scheduler pass (called once per run)."""
-        self._wall.add(wall_time_s)
-        self._workers.set_max(workers)
-
-    def record_batch(self, size: int) -> None:
-        """One ``generate_batch`` dispatch of ``size`` prompts."""
-        self._batches.add(1)
-
-    def record_coalesced(self) -> None:
-        """One prompt served by an identical in-flight call."""
-        self._coalesced.add(1)
-
-    def record_hedge(self) -> None:
-        """One hedge request launched by a backend pool."""
-        self._hedges.add(1)
-
-    def record_adaptive_limit(self, limit: float) -> None:
-        """Track the AIMD window's high-water mark."""
-        self._adaptive_hw.set_max(int(limit))
-
-    def record_tokens(self, prompt_tokens: int,
-                      completion_tokens: int,
-                      cost_nanos: int) -> None:
-        """One billed backend attempt (see ``repro.obs.cost``)."""
-        self._prompt_tokens.add(prompt_tokens)
-        self._completion_tokens.add(completion_tokens)
-        self._cost_nanos.add(cost_nanos)
+    def absorb(self, other: "Telemetry") -> None:
+        """Add ``other``'s book to this one: counters add, gauges keep
+        the higher value, the latency histograms merge."""
+        for name, metric in other._metrics.items():
+            if metric.kind == "histogram":
+                self._metrics[name].merge(metric)
+            else:
+                self._adders[name](metric.value)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> EngineStats:
         """Freeze the registry into an immutable stats value."""
-        return EngineStats(
-            records=int(self._records.value),
-            calls=int(self._calls.value),
-            retries=int(self._retries.value),
-            faults=int(self._faults.value),
-            timeouts=int(self._timeouts.value),
-            cache_hits=int(self._cache_hits.value),
-            cache_misses=int(self._cache_misses.value),
-            wall_time_s=self._wall.value,
-            busy_time_s=self._latency.total,
-            workers=max(1, int(self._workers.value)),
-            latency_p50_s=self._latency.quantile(0.50),
-            latency_p90_s=self._latency.quantile(0.90),
-            latency_p99_s=self._latency.quantile(0.99),
-            latency_min_s=self._latency.min,
-            latency_max_s=self._latency.max,
-            batches=int(self._batches.value),
-            coalesced=int(self._coalesced.value),
-            hedged=int(self._hedges.value),
-            adaptive_high_water=int(self._adaptive_hw.value),
-            prompt_tokens=int(self._prompt_tokens.value),
-            completion_tokens=int(self._completion_tokens.value),
-            cost_nanos=int(self._cost_nanos.value),
-        )
+        values: dict[str, float] = {}
+        for f in fields(EngineStats):
+            read = f.metadata.get("latency")
+            if read is not None:
+                values[f.name] = read(self._latency)
+                continue
+            metric = self._metrics[f.name]
+            value = (metric.total if metric.kind == "histogram"
+                     else metric.value)
+            values[f.name] = int(value) if f.type == "int" else value
+        # A book no scheduler pass has run in yet shows one worker.
+        values["workers"] = max(1, values["workers"])
+        return EngineStats(**values)
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""

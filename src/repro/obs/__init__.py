@@ -9,8 +9,8 @@ The observability layer for the whole evaluation stack.  Four pieces:
   injectable clock.  :data:`NULL_TRACER` is the free default.
 * ``metrics`` — named counters, gauges and fixed-bucket histograms
   (p50/p90/p99 estimates, exact min/max) behind a
-  :class:`MetricsRegistry`; the engine's ``Telemetry`` is a facade
-  over one, and ``EngineStats`` is a compatibility snapshot of it.
+  :class:`MetricsRegistry`; the engine's ``Telemetry`` keeps its
+  counters in one, and ``EngineStats`` is a snapshot of it.
 * ``export`` — JSONL span logs persisted next to each run's ledger,
   Chrome ``trace_event`` JSON for chrome://tracing, Prometheus text.
 * ``report`` — per-phase wall-clock attribution and an ASCII
@@ -64,7 +64,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                        "render_dashboard", "watch_run"),
     "repro.obs.logs": ("configure_logging", "get_logger"),
     "repro.obs.metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
-                          "MetricsRegistry", "global_registry"),
+                          "MetricsRegistry"),
     "repro.obs.report": ("flame_report", "phase_chart", "phase_rows",
                          "phase_table"),
     "repro.obs.tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),

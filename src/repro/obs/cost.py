@@ -259,7 +259,7 @@ class CostMeter:
     timeout still pays for the prompt it sent.
 
     ``telemetry`` is duck-typed: any object with
-    ``record_tokens(prompt_tokens, completion_tokens, cost_nanos)``.
+    ``add(prompt_tokens=…, completion_tokens=…, cost_nanos=…)``.
     """
 
     def __init__(self, inner, telemetry,
@@ -280,15 +280,17 @@ class CostMeter:
             response = self.inner.generate(prompt)
         except Exception:
             nanos = self._price.cost_nanos(prompt_tokens, 0)
-            self._telemetry.record_tokens(prompt_tokens, 0, nanos)
+            self._telemetry.add(prompt_tokens=prompt_tokens,
+                                completion_tokens=0, cost_nanos=nanos)
             if trail is not None:
                 trail.note_cost(prompt_tokens, 0, nanos)
             raise
         completion_tokens = self._count(response)
         nanos = self._price.cost_nanos(prompt_tokens,
                                        completion_tokens)
-        self._telemetry.record_tokens(prompt_tokens,
-                                      completion_tokens, nanos)
+        self._telemetry.add(prompt_tokens=prompt_tokens,
+                            completion_tokens=completion_tokens,
+                            cost_nanos=nanos)
         if trail is not None:
             trail.note_cost(prompt_tokens, completion_tokens, nanos)
         return response
@@ -325,8 +327,8 @@ class BudgetStop:
 class BudgetGuard:
     """Per-run spend ceiling checked at cell boundaries.
 
-    The driver asks :meth:`stop_reason` with the engine's live stats
-    snapshot before starting each cell; a non-``None`` answer means
+    The driver asks :meth:`stop_reason` with the attempt's live stats
+    before starting each cell; a non-``None`` answer means
     "write a ``budget-exhausted`` event and stop here".  Stopping at
     the boundary keeps every completed cell bit-identical to an
     unbudgeted run, which is what lets ``resume_run`` finish the job
@@ -444,10 +446,7 @@ class CostLedger:
             key = CellKey.parse(cell_id)
             if key is None:
                 continue
-            prompt = completion = 0
-            for record in cell_state.records.values():
-                prompt += getattr(record, "prompt_tokens", 0)
-                completion += getattr(record, "completion_tokens", 0)
+            _, prompt, completion = cell_state.sums
             cells.append(CostCell(
                 model=key.model, taxonomy=key.taxonomy_key,
                 setting=key.setting,

@@ -158,8 +158,10 @@ _PROGRESS_KEYS = tuple(key for f in fields(RunProgress)
 @dataclass(slots=True)
 class SpanTotals:
     """What the follower reads from a run's span log: the finished
-    question spans' latencies, the finished retry spans (``faults``:
-    those an injected fault caused) and the spans in all."""
+    question spans' latencies, the finished retry spans, and the spans
+    in all.  ``faults`` counts the finished retry spans that name the
+    fault they retry — every retry the engine writes, so retried
+    faults of any kind, not only injected ones."""
 
     latency: Histogram = field(default_factory=lambda: Histogram(
         "question_latency_s", bounds=DEFAULT_BUCKETS))
@@ -269,9 +271,7 @@ class LedgerFollower:
         cost_nanos = 0
         for cell_id, cell_state in state.cells.items():
             done = len(cell_state.records)
-            cell_correct = sum(
-                1 for record in cell_state.records.values()
-                if record.correct)
+            cell_correct, cell_prompt, cell_completion = cell_state.sums
             cells.append(CellProgress(
                 cell_id=cell_id, expected=cell_state.expected_n,
                 done=done, correct=cell_correct,
@@ -279,12 +279,6 @@ class LedgerFollower:
             questions_done += done
             correct += cell_correct
             expected_started += cell_state.expected_n
-            cell_prompt = sum(record.prompt_tokens
-                              for record in
-                              cell_state.records.values())
-            cell_completion = sum(record.completion_tokens
-                                  for record in
-                                  cell_state.records.values())
             prompt_tokens += cell_prompt
             completion_tokens += cell_completion
             # Per-token pricing is linear, so pricing the cell's token

@@ -9,10 +9,8 @@ bucket-interpolated estimates while the extremes stay exact — the
 shape LITE-style cost accounting needs, at O(buckets) memory no
 matter how many observations land.
 
-``repro.engine.telemetry.Telemetry`` is now a facade over one of
-these registries; :func:`global_registry` carries process-wide
-counters (cache persistence, recovery events) that have no obvious
-single owner.
+``repro.engine.telemetry.Telemetry`` keeps its run counters in one of
+these registries, one per book; there is no process-wide registry.
 """
 
 from __future__ import annotations
@@ -182,6 +180,23 @@ class Histogram:
                            self._max or value)
             return self._max or 0.0  # pragma: no cover - defensive
 
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s observations (same bounds) to this one."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge histograms with different "
+                             "bounds")
+        theirs = other.to_dict()
+        with self._lock:
+            self._counts = [mine + extra for mine, extra
+                            in zip(self._counts, theirs["counts"])]
+            self._count += theirs["count"]
+            self._total += theirs["total"]
+            if theirs["min"] is not None:
+                self._min = (theirs["min"] if self._min is None
+                             else min(self._min, theirs["min"]))
+                self._max = (theirs["max"] if self._max is None
+                             else max(self._max, theirs["max"]))
+
     def copy(self) -> "Histogram":
         """An independent histogram holding the same observations."""
         twin = Histogram(self.name, self.help, self.bounds)
@@ -285,12 +300,3 @@ class MetricsRegistry:
     def reset(self) -> None:
         for metric in self.metrics().values():
             metric._reset()
-
-
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """Process-wide registry for ownerless counters (cache persistence,
-    corruption recoveries); tests read deltas, not absolutes."""
-    return _GLOBAL

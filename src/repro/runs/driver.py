@@ -252,7 +252,7 @@ def run_attempt(session: RunSession, registry: RunRegistry,
             for cell in cells:
                 if guard.enabled:
                     budget_stop = guard.stop_reason(
-                        session.spent(), completed_cells=len(results))
+                        session.stats(), completed_cells=len(results))
                     if budget_stop is not None:
                         break
                 pool = _pool_for(cell, pools)

@@ -149,10 +149,30 @@ class CellState:
     expected_n: int = 0
     records: dict[int, QuestionRecord] = field(default_factory=dict)
     metrics: Metrics | None = None
+    #: :attr:`sums` once read; :func:`_apply` drops it with each record
+    #: it folds in, and a copy starts without it.
+    _sums: tuple[int, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
         return self.metrics is not None
+
+    @property
+    def sums(self) -> tuple[int, int, int]:
+        """``(correct, prompt tokens, completion tokens)`` over the
+        records, summed on first use: a version of a run state shares
+        every cell a later append does not touch, and with it the sums,
+        so repeat readers (the live follower, ``obs cost``) sum each
+        cell once per version."""
+        if self._sums is None:
+            correct = prompt = completion = 0
+            for record in self.records.values():
+                correct += record.correct
+                prompt += record.prompt_tokens
+                completion += record.completion_tokens
+            self._sums = (correct, prompt, completion)
+        return self._sums
 
     @property
     def partial(self) -> bool:
@@ -296,6 +316,7 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         cell = state.cells.setdefault(
             event["cell"], CellState(cell_id=event["cell"]))
         cell.records[int(event["i"])] = record_from_dict(event)
+        cell._sums = None
     elif kind == "cell-finished":
         cell = state.cells.setdefault(
             event["cell"], CellState(cell_id=event["cell"]))

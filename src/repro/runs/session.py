@@ -2,11 +2,11 @@
 
 ``execute_run``, ``resume_run`` and :func:`repro.dist.worker.run_shard`
 each run one *attempt* against a run (or shard) directory.  An attempt
-needs the same handful of resources every time — an engine (or the
-sequential path's :class:`Telemetry`), a tracer whose finished spans
-stream to ``spans.jsonl``, a heartbeat, a ledger and the
-:class:`EvaluationRunner` that writes into it — and must release them
-in reverse order however it ends.  :class:`RunSession` owns exactly
+needs the same handful of resources every time — an engine or the
+sequential path, the attempt's own :class:`Telemetry`, a tracer whose
+finished spans stream to ``spans.jsonl``, a heartbeat, a ledger and
+the :class:`EvaluationRunner` that writes into it — and must release
+them in reverse order however it ends.  :class:`RunSession` owns exactly
 that, so the three entry points differ only in the events and cells
 they drive through it.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from repro.core.runner import EvaluationRunner
@@ -66,11 +65,14 @@ class RunSession:
     """Engine, tracer, span sink, heartbeat, ledger and runner of one
     attempt against ``directory`` (a run or shard directory).
 
-    ``engine`` defaults to :func:`engine_for` the request; a caller's
-    engine gets its own tracer back on exit.  An explicit ``tracer``
-    wins over ``trace``; a tracer without a sink gets a
-    ``spans.jsonl`` appender for the session's lifetime, and hands
-    out only ids above the largest one already in that log.
+    ``engine`` defaults to :func:`engine_for` the request.  An engine
+    books into the session's :attr:`telemetry` for the session's
+    lifetime, so :meth:`stats` are this attempt's own however many
+    runs a caller's engine has served; on exit it gets its own tracer
+    and telemetry back, with the attempt's counts added to the latter.
+    An explicit ``tracer`` wins over ``trace``; a tracer without a
+    sink gets a ``spans.jsonl`` appender for the session's lifetime,
+    and hands out only ids above the largest one already in that log.
     """
 
     def __init__(self, request: RunRequest, directory: str | Path,
@@ -86,9 +88,8 @@ class RunSession:
         if tracer is None:
             tracer = Tracer() if trace else NULL_TRACER
         self.tracer = tracer
-        #: Stats recorder for the sequential path (an engine keeps its
-        #: own), so ledgered runs always persist stats.
-        self.telemetry = Telemetry() if self.engine is None else None
+        #: This attempt's counters, on either path.
+        self.telemetry = Telemetry()
         self._durability = durability
         self.keep_records = keep_records
         self._ledger_type = ledger_type
@@ -96,10 +97,13 @@ class RunSession:
     def __enter__(self) -> "RunSession":
         with ExitStack() as stack:
             engine = self.engine
-            if (engine is not None and self.tracer.enabled
-                    and not engine.tracer.enabled):
-                stack.callback(setattr, engine, "tracer", engine.tracer)
-                engine.tracer = self.tracer
+            if engine is not None:
+                stack.callback(self._settle, engine, engine.telemetry)
+                engine.telemetry = self.telemetry
+                if self.tracer.enabled and not engine.tracer.enabled:
+                    stack.callback(setattr, engine, "tracer",
+                                   engine.tracer)
+                    engine.tracer = self.tracer
             if self.tracer.enabled and self.tracer.sink is None:
                 spans_path = self.directory / SPANS_FILENAME
                 # A resumed attempt appends to its predecessors' log:
@@ -118,12 +122,18 @@ class RunSession:
                 keep_records=self.keep_records, engine=engine,
                 ledger=self.ledger, tracer=self.tracer,
                 telemetry=self.telemetry, trail=self.request.trail)
-            self._base = self.stats()
             self._teardown = stack.pop_all()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._teardown.close()
+
+    def _settle(self, engine: EvaluationEngine,
+                own: Telemetry) -> None:
+        """Hand ``engine`` its own telemetry back, with this attempt's
+        counts added."""
+        engine.telemetry = own
+        own.absorb(self.telemetry)
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -133,23 +143,10 @@ class RunSession:
         started = time.perf_counter()
         with self.tracer.span(name, **attrs):
             yield
-        if self.telemetry is not None:
-            self.telemetry.record_run(time.perf_counter() - started, 1)
+        if self.engine is None:
+            self.telemetry.add(wall_time_s=time.perf_counter() - started,
+                               workers=1)
 
     def stats(self) -> EngineStats:
-        """Live stats of the engine, or of the sequential path."""
-        if self.engine is not None:
-            return self.engine.stats()
+        """This attempt's live stats."""
         return self.telemetry.snapshot()
-
-    def spent(self) -> EngineStats:
-        """Live stats net of the session's start: a borrowed engine
-        keeps counting across runs, and the budget guard must see
-        only *this* attempt's spend."""
-        live = self.stats()
-        return replace(
-            live,
-            prompt_tokens=live.prompt_tokens - self._base.prompt_tokens,
-            completion_tokens=(live.completion_tokens
-                               - self._base.completion_tokens),
-            cost_nanos=live.cost_nanos - self._base.cost_nanos)

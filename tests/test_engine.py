@@ -360,8 +360,8 @@ class TestTelemetry:
 
     def test_reset_zeroes_counters(self):
         telemetry = Telemetry()
-        telemetry.record_call()
-        telemetry.record_work(1.0)
+        telemetry.add(calls=1)
+        telemetry.observe(1.0)
         telemetry.reset()
         assert telemetry.snapshot().calls == 0
         assert telemetry.snapshot().records == 0

@@ -15,8 +15,7 @@ import threading
 
 import pytest
 
-from repro.engine.cache import (PERSIST_CORRUPT, PERSIST_LOADS,
-                                PERSIST_SAVES, ResponseCache)
+from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.middleware import FaultInjectingModel, RetryingModel
 from repro.engine.scheduler import EvaluationEngine
@@ -29,7 +28,7 @@ from repro.obs.export import (JsonlSpanSink, format_prometheus,
                               read_spans_jsonl, registry_from_spans,
                               span_tree, write_spans_jsonl)
 from repro.obs.logs import get_logger
-from repro.obs.metrics import Counter, Histogram, global_registry
+from repro.obs.metrics import Counter, Histogram
 from repro.obs.report import flame_report, phase_rows, phase_table
 from repro.obs.tracer import Span
 from repro.runs import (RunLedger, RunRegistry, RunRequest,
@@ -237,12 +236,16 @@ class TestMetrics:
 
         def worker(tag: int):
             for index in range(per_thread):
-                telemetry.record_call()
-                telemetry.record_work(0.001 * (index % 7 + 1))
-                telemetry.record_cache(hit=index % 2 == 0)
+                telemetry.add(calls=1)
+                telemetry.observe(0.001 * (index % 7 + 1))
+                if index % 2 == 0:
+                    telemetry.add(cache_hits=1)
+                else:
+                    telemetry.add(cache_misses=1)
                 if index % 10 == 0:
-                    telemetry.record_retry()
-                    telemetry.record_fault(timeout=index % 20 == 0)
+                    telemetry.add(retries=1)
+                    telemetry.add(faults=1,
+                                  timeouts=int(index % 20 == 0))
 
         pool = [threading.Thread(target=worker, args=(tag,))
                 for tag in range(threads)]
@@ -250,7 +253,7 @@ class TestMetrics:
             thread.start()
         for thread in pool:
             thread.join()
-        telemetry.record_run(1.0, threads)
+        telemetry.add(wall_time_s=1.0, workers=threads)
         stats = telemetry.snapshot()
         total = threads * per_thread
         assert stats.records == stats.calls == total
@@ -284,9 +287,9 @@ class TestEngineStats:
     def test_to_dict_round_trip_keeps_histogram_fields(self):
         telemetry = Telemetry()
         for value in (0.002, 0.004, 0.4):
-            telemetry.record_call()
-            telemetry.record_work(value)
-        telemetry.record_run(0.5, 4)
+            telemetry.add(calls=1)
+            telemetry.observe(value)
+        telemetry.add(wall_time_s=0.5, workers=4)
         stats = telemetry.snapshot()
         assert stats.latency_max_s == pytest.approx(0.4)
         assert stats.latency_p50_s > 0.0
@@ -561,35 +564,31 @@ class TestLogging:
 # Cache persistence counters satellite
 # ----------------------------------------------------------------------
 class TestCacheCounters:
-    def _value(self, name: str) -> float:
-        return global_registry().counter(name).value
-
-    def test_save_and_load_bump_global_counters(self, tmp_path):
-        saves, loads = self._value(PERSIST_SAVES), \
-            self._value(PERSIST_LOADS)
+    def test_save_and_load_bump_the_cache_counters(self, tmp_path):
         cache = ResponseCache()
         cache.put("GPT-4", "p", "r")
         path = tmp_path / "cache.json"
         cache.save(path)
-        assert self._value(PERSIST_SAVES) == saves + 1
-        assert len(ResponseCache.load(path)) == 1
-        ResponseCache.load(tmp_path / "missing.json")
-        assert self._value(PERSIST_LOADS) == loads + 2
+        assert cache.saves == 1
+        loaded = ResponseCache.load(path)
+        assert len(loaded) == 1
+        missing = ResponseCache.load(tmp_path / "missing.json")
+        assert loaded.loads == missing.loads == 1
+        assert loaded.corrupt_recoveries == 0
 
     def test_corrupt_load_counts_recovery_and_warns(
             self, tmp_path, caplog, propagating_logs):
-        corrupt = self._value(PERSIST_CORRUPT)
         path = tmp_path / "cache.json"
         path.write_text('{"format_version": 1, "entr',
                         encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="repro"):
             cache = ResponseCache.load(path)
         assert len(cache) == 0
-        assert self._value(PERSIST_CORRUPT) == corrupt + 1
+        assert cache.corrupt_recoveries == 1
         assert "cache-corrupt recovered" in caplog.text
         # A merely missing file is not a corruption event.
-        ResponseCache.load(tmp_path / "absent.json")
-        assert self._value(PERSIST_CORRUPT) == corrupt + 1
+        absent = ResponseCache.load(tmp_path / "absent.json")
+        assert absent.corrupt_recoveries == 0
 
 
 # ----------------------------------------------------------------------

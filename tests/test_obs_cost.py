@@ -16,9 +16,10 @@ from repro.cli import main
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
-from repro.engine.telemetry import LATENCY, Telemetry
+from repro.engine.telemetry import Telemetry
 from repro.errors import RunError
 from repro.llm.base import StaticResponder
+from repro.llm.registry import get_model
 from repro.obs import (AlertEvaluator, AlertRule, BudgetGuard,
                        CostLedger, CostMeter, Thresholds,
                        check_entries, count_tokens,
@@ -137,8 +138,7 @@ class _RecordingTelemetry:
     def __init__(self):
         self.calls = []
 
-    def record_tokens(self, prompt_tokens, completion_tokens,
-                      cost_nanos):
+    def add(self, prompt_tokens, completion_tokens, cost_nanos):
         self.calls.append((prompt_tokens, completion_tokens,
                            cost_nanos))
 
@@ -318,7 +318,66 @@ class TestSequentialStats:
                             record.completion_tokens)
             for record in records)
         [telemetry] = made
-        assert telemetry.registry.metrics()[LATENCY].count == n
+        latency = "repro_engine_question_latency_seconds"
+        assert telemetry.registry.metrics()[latency].count == n
+
+
+class WordCounting:
+    """A backend with its own tokenizer: one token per word."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def generate(self, prompt: str) -> str:
+        return self.inner.generate(prompt)
+
+    def count_tokens(self, text: str) -> int:
+        return len(text.split())
+
+
+class TestBackendTokenizer:
+    def test_records_and_stats_agree_on_every_path(self, registry):
+        """A backend's ``count_tokens`` counts the records and bills
+        the stats alike, sequentially, under the engine and on
+        shards."""
+        request = RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                             sample_size=6)
+
+        def resolve(name):
+            return WordCounting(get_model(name))
+
+        results = [execute_run(request, registry=registry,
+                               resolve_model=resolve)]
+        for workers in (1, 2):
+            results.append(execute_run(
+                request, registry=registry, resolve_model=resolve,
+                engine=EvaluationEngine(EngineConfig(
+                    max_workers=workers))))
+        results.append(execute_run_sharded(
+            request, 2, registry=registry, procs=0,
+            resolve_model=resolve))
+        recorded = []
+        for result in results:
+            records = [record for cell in load_run(
+                result.run_id, registry=registry).cells.values()
+                for record in cell.records]
+            assert all(record.completion_tokens
+                       == len(record.response.split())
+                       for record in records)
+            prompt = sum(record.prompt_tokens for record in records)
+            completion = sum(record.completion_tokens
+                             for record in records)
+            stats = result.stats
+            assert (stats.prompt_tokens, stats.completion_tokens,
+                    stats.cost_nanos) == (
+                prompt, completion,
+                call_cost_nanos("GPT-4", prompt, completion))
+            ledger = CostLedger.from_run(result.run_id,
+                                         registry=registry)
+            assert ledger.total_cost_nanos == stats.cost_nanos
+            recorded.append(records)
+        assert all(records == recorded[0] for records in recorded)
 
 
 # ----------------------------------------------------------------------

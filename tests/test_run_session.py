@@ -13,9 +13,12 @@ from repro.cli import main
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import EvaluationEngine
+from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.llm.registry import get_model
+from repro.obs.cost import usd_to_nanos
 from repro.obs.export import read_spans_jsonl
+from repro.obs.history import read_history
 from repro.obs.jsonl import iter_jsonl
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runs import (RunRegistry, RunRequest, create_run,
@@ -103,11 +106,28 @@ class TestRunSession:
 
     def test_borrowed_engine_gets_its_tracer_back(self, tmp_path):
         engine = EvaluationEngine(EngineConfig(max_workers=2))
+        own = engine.telemetry
         with RunSession(RunRequest(**SMALL), tmp_path,
                         engine=engine) as session:
             assert engine.tracer is session.tracer
-            assert session.telemetry is None
+            assert engine.telemetry is session.telemetry
+            assert session.telemetry is not own
         assert engine.tracer is NULL_TRACER
+        assert engine.telemetry is own
+
+    def test_a_raising_attempt_hands_the_engine_its_book_back(
+            self, tmp_path):
+        engine = EvaluationEngine(EngineConfig(max_workers=2))
+        own = engine.telemetry
+        own.add(calls=2)
+        with pytest.raises(RuntimeError):
+            with RunSession(RunRequest(**SMALL), tmp_path,
+                            engine=engine) as session:
+                engine.telemetry.add(calls=3)
+                raise RuntimeError("boom")
+        assert engine.telemetry is own
+        assert session.stats().calls == 3
+        assert engine.stats().calls == 5
 
     def test_untraced_session_writes_no_span_log(self, tmp_path):
         with RunSession(RunRequest(**SMALL), tmp_path,
@@ -195,6 +215,62 @@ class TestSessionFixes:
             spans = read_spans_jsonl(registry.spans_path(result.run_id))
             calls = [span for span in spans if span.name == "model_call"]
             assert len(calls) == result.evaluated > 0
+
+
+    def test_reused_engine_persists_each_run_its_own_stats(
+            self, registry):
+        engine = EvaluationEngine(EngineConfig(max_workers=2))
+        results = [execute_run(RunRequest(**SMALL), registry=registry,
+                               engine=engine) for _ in range(2)]
+        first, second = (
+            EngineStats.from_dict(registry.state(result.run_id).stats)
+            for result in results)
+        assert [result.stats for result in results] == [first, second]
+        # The second run is served whole from the engine's warm cache.
+        assert first.records == first.calls == first.cache_misses > 0
+        assert second.records == second.cache_hits == first.records
+        assert (second.calls, second.prompt_tokens, second.cost_nanos) \
+            == (0, 0, 0)
+        listed = {row.run_id: row.cost_nanos
+                  for row in registry.list_runs()}
+        assert [listed[result.run_id] for result in results] == \
+            [first.cost_nanos, 0]
+        history = {entry.run_id: entry for entry in read_history(registry)}
+        assert [history[result.run_id].cost_nanos
+                for result in results] == [first.cost_nanos, 0]
+        assert history[results[1].run_id].throughput == \
+            pytest.approx(second.throughput)
+        # The engine's own book is both runs together.
+        both = engine.stats()
+        for name in ("records", "calls", "cache_hits", "cache_misses",
+                     "prompt_tokens", "completion_tokens", "cost_nanos"):
+            assert getattr(both, name) == \
+                getattr(first, name) + getattr(second, name)
+        assert both.wall_time_s == pytest.approx(
+            first.wall_time_s + second.wall_time_s)
+        assert both.latency_max_s == max(first.latency_max_s,
+                                         second.latency_max_s)
+
+    def test_a_borrowed_engines_past_spend_does_not_stop_a_run(
+            self, registry):
+        engine = EvaluationEngine(EngineConfig(max_workers=2))
+        spent = execute_run(RunRequest(**SMALL), registry=registry,
+                            engine=engine).stats
+        request = RunRequest(models=("GPT-4",),
+                             taxonomy_keys=("google", "amazon"),
+                             sample_size=8,
+                             max_cost_usd=spent.cost_usd / 2)
+        assert engine.stats().cost_nanos >= usd_to_nanos(
+            request.max_cost_usd)
+        result = execute_run(request, registry=registry, engine=engine)
+        # The ceiling is checked before each cell against this run's
+        # own spend, so the first cell runs; the guard stops a later
+        # one once this run alone is past it.
+        assert result.evaluated > 0
+        assert result.budget is not None
+        assert result.budget["completed_cells"] == 1
+        assert result.budget["spent_cost_nanos"] == \
+            result.stats.cost_nanos
 
 
 def test_shard_attempt_keeps_the_run_layout_and_spans(registry):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
+from tempfile import TemporaryDirectory
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.results import (QuestionRecord, metrics_from_dict,
                                 metrics_to_dict, record_from_dict,
-                                record_to_dict)
+                                record_line, record_to_dict)
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import EvaluationEngine
@@ -28,7 +31,7 @@ from repro.runs import (CellKey, RunLedger, RunRegistry, RunRequest,
                         RunState, create_run, diff_runs, execute_run,
                         load_run, replay_ledger, resume_run)
 from repro.runs.diff import _flips
-from repro.runs.ledger import fold_run_ledger
+from repro.runs.ledger import _apply, fold_ledger, fold_run_ledger
 from repro.cli import main
 
 SMALL = dict(models=("GPT-4", "LLMs4OL"),
@@ -407,6 +410,126 @@ _answers = st.sampled_from(list(Answer))
 _question = st.tuples(st.booleans(), st.booleans(), _answers, _answers,
                       _answers, st.tuples(st.booleans(), st.booleans()),
                       st.tuples(st.booleans(), st.booleans()))
+
+
+#: One ledger event: a record (cell, index, parsed, expected, prompt
+#: and completion tokens), a cell start or seal, or a new attempt.
+_event = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(("c0", "c1", "c2")),
+              st.integers(0, 5), _answers, _answers,
+              st.integers(0, 50), st.integers(0, 9)),
+    st.tuples(st.just("cell-started"), st.sampled_from(("c0", "c1")),
+              st.integers(1, 6)),
+    st.tuples(st.just("cell-finished"), st.sampled_from(("c0", "c2"))),
+    st.tuples(st.just("run-started"), st.integers(1, 3)))
+
+
+def _event_line(event: tuple) -> str:
+    kind = event[0]
+    if kind == "record":
+        _, cell, index, parsed, expected, prompt, completion = event
+        return record_line(cell, index, QuestionRecord(
+            question_uid=f"q{index}", model="m", setting="zero-shot",
+            response="", parsed=parsed, expected=expected,
+            prompt_tokens=prompt, completion_tokens=completion))
+    if kind == "cell-started":
+        payload = {"event": kind, "cell": event[1], "n": event[2]}
+    elif kind == "cell-finished":
+        payload = {"event": kind, "cell": event[1], "accuracy": 1.0,
+                   "miss_rate": 0.0, "n": 1}
+    else:
+        payload = {"event": kind, "run_id": "r", "attempt": event[1]}
+    return json.dumps(payload) + "\n"
+
+
+def _recount(cell) -> tuple[int, int, int]:
+    records = cell.records.values()
+    return (sum(record.correct for record in records),
+            sum(record.prompt_tokens for record in records),
+            sum(record.completion_tokens for record in records))
+
+
+class TestCellSums:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.lists(_event, max_size=8), min_size=1,
+                    max_size=6),
+           st.lists(st.booleans(), min_size=18, max_size=18))
+    def test_sums_match_a_recount_in_every_version(self, chunks, reads):
+        """Records appended over copy-on-write extensions, an index
+        recorded again by a later attempt, sums read (and so kept) on
+        some versions and not others: every cell's sums equal a
+        recount, and no later extension changes an earlier version's."""
+        versions = []
+        with TemporaryDirectory() as directory:
+            path = Path(directory) / "ledger.jsonl"
+            path.write_bytes(b"")
+            state, offset, line = None, 0, 1
+            for step, chunk in enumerate(chunks):
+                with path.open("a", encoding="utf-8") as handle:
+                    handle.write("".join(map(_event_line, chunk)))
+                state, offset, line = fold_run_ledger(
+                    path, state, offset, line)
+                for cell_id, cell in state.cells.items():
+                    if reads[3 * step + int(cell_id[1])]:
+                        cell.sums
+                versions.append((state, {
+                    cell_id: _recount(cell)
+                    for cell_id, cell in state.cells.items()}))
+        for state, recounts in versions:
+            assert {cell_id: cell.sums for cell_id, cell
+                    in state.cells.items()} == recounts
+            assert {cell_id: _recount(cell) for cell_id, cell
+                    in state.cells.items()} == recounts
+
+
+    def test_an_in_place_fold_drops_the_sums_it_touches(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        first = _event_line(("record", "c0", 0, Answer.YES, Answer.YES,
+                             5, 1))
+        path.write_text(first, encoding="utf-8")
+        state, offset, line = fold_run_ledger(path)
+        assert state.cells["c0"].sums == (1, 5, 1)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(_event_line(("record", "c0", 1, Answer.NO,
+                                      Answer.YES, 7, 2)))
+        fold_ledger(path, state, _apply, offset, line)
+        assert state.cells["c0"].sums == (1, 12, 3)
+
+
+    def test_concurrent_readers_share_one_recount(self, tmp_path):
+        """Server threads read the sums of one shared version at once:
+        every reader sees the recount."""
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("".join(
+            _event_line(("record", f"c{index % 3}", index,
+                         Answer.YES, list(Answer)[index % 3],
+                         index, index % 5))
+            for index in range(300)), encoding="utf-8")
+        state = fold_run_ledger(path)[0]
+        expected = {cell_id: _recount(cell)
+                    for cell_id, cell in state.cells.items()}
+        seen, errors = [], []
+
+        def read() -> None:
+            try:
+                seen.append({cell_id: cell.sums
+                             for cell_id, cell in state.cells.items()})
+            except Exception as exc:        # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen == [expected] * 8
 
 
 class TestDiff:
