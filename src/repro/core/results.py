@@ -46,6 +46,15 @@ class QuestionRecord:
     #: scheduling.
     trail: Trail | None = field(default=None, compare=False)
 
+    def __reduce__(self):
+        # Pickled as its fields and rebuilt by one constructor call,
+        # which dumps and loads a shard's handed-back records faster
+        # than the dataclass's generated __getstate__/__setstate__.
+        return (QuestionRecord, (
+            self.question_uid, self.model, self.setting, self.response,
+            self.parsed, self.expected, self.prompt_tokens,
+            self.completion_tokens, self.trail))
+
     @property
     def missed(self) -> bool:
         return Answer(self.parsed).is_miss

@@ -5,8 +5,10 @@ creates the run, persists the shard plan, executes every shard (in a
 :class:`~concurrent.futures.ProcessPoolExecutor`, mirroring
 ``repro.store.parallel`` — or inline with ``procs=0`` for
 deterministic single-process tests and non-picklable model
-resolvers), and folds the shard ledgers into the top-level run with
-:func:`repro.dist.merge.merge_run`.
+resolvers), and merges the states the shards hand back — what each
+shard's ledger says — into the top-level run with
+:func:`repro.dist.merge.merge_run`, so the parent reads no shard
+ledger back.
 
 Failure semantics are deliberately partial-progress-friendly: a shard
 that dies does not abort its siblings — the driver lets every shard
@@ -17,6 +19,7 @@ completed work is already durable in the shard ledgers and
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -29,62 +32,66 @@ from repro.runs.request import RunRequest
 from repro.dist.merge import merge_run, merge_shard_caches
 from repro.dist.planner import (ShardPlan, load_shard_plan,
                                 plan_shards, save_shard_plan)
-from repro.dist.worker import run_shard, shard_entry
+from repro.dist.worker import ShardResult, run_shard, shard_entry
 
 
 def _run_shards(registry: RunRegistry, run_id: str, plan: ShardPlan,
                 procs: int | None,
                 resolve_model: ModelResolver | None,
                 durability: str, trace: bool,
-                cache_path: str | None) -> tuple[list[str], int]:
+                cache_path: str | None
+                ) -> tuple[list[ShardResult], list[str]]:
     """Execute every shard.
 
-    Returns ``(failure descriptions, questions actually evaluated)``
-    — the latter so the driver can report how much fresh model work
-    this invocation did versus what it replayed from shard ledgers.
+    Returns the results of the shards that finished, in shard order,
+    and a description of each failure.
 
     ``procs=0`` runs the shards inline in this process, one after
     another — the path for tests, debuggers and model resolvers that
     cannot cross a pickle boundary.  Any other value fans out over a
     process pool (``None`` = one process per shard, capped at the
-    machine's cores).
+    machine's cores), forked from a frozen heap (:func:`gc.freeze`):
+    a worker's collections then skip every object it inherited.
     """
+    results: dict[int, ShardResult] = {}
     failures: list[str] = []
-    evaluated = 0
     if procs == 0:
         for shard in range(plan.num_shards):
             try:
-                result = run_shard(run_id, shard, registry=registry,
-                                   resolve_model=resolve_model,
-                                   plan=plan, durability=durability,
-                                   trace=trace,
-                                   warm_cache=cache_path)
-                evaluated += result.evaluated
+                results[shard] = run_shard(
+                    run_id, shard, registry=registry,
+                    resolve_model=resolve_model, plan=plan,
+                    durability=durability, trace=trace,
+                    warm_cache=cache_path)
             except Exception as exc:
                 failures.append(f"shard {shard}: {exc}")
-        return failures, evaluated
-    if procs is None:
-        procs = min(plan.num_shards, os.cpu_count() or 1)
-    procs = max(1, procs)
-    with ProcessPoolExecutor(max_workers=procs) as executor:
-        futures = {
-            executor.submit(shard_entry, str(registry.root), run_id,
-                            shard, durability, trace, cache_path,
-                            resolve_model): shard
-            for shard in range(plan.num_shards)}
-        for future in as_completed(futures):
-            shard = futures[future]
-            try:
-                evaluated += int(future.result()["evaluated"])
-            except Exception as exc:
-                failures.append(f"shard {shard}: {exc}")
-    return failures, evaluated
+    else:
+        if procs is None:
+            procs = min(plan.num_shards, os.cpu_count() or 1)
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=max(1, procs)) as pool:
+                futures = {
+                    pool.submit(shard_entry, str(registry.root), run_id,
+                                shard, durability, trace, cache_path,
+                                resolve_model): shard
+                    for shard in range(plan.num_shards)}
+                for future in as_completed(futures):
+                    shard = futures[future]
+                    try:
+                        results[shard] = future.result()
+                    except Exception as exc:
+                        failures.append(f"shard {shard}: {exc}")
+        finally:
+            gc.unfreeze()
+    return [results[shard] for shard in sorted(results)], failures
 
 
 def _finish(registry: RunRegistry, run_id: str,
-            failures: list[str], evaluated: int, keep_records: bool,
-            cache_path: str | None) -> RunResult:
-    """Merge (or report the casualties of) one shard sweep."""
+            results: list[ShardResult], failures: list[str],
+            keep_records: bool, cache_path: str | None) -> RunResult:
+    """Merge the states the shards handed back (or report the
+    casualties of the sweep)."""
     if failures:
         raise RunError(
             f"run {run_id}: {len(failures)} shard(s) failed — "
@@ -92,9 +99,10 @@ def _finish(registry: RunRegistry, run_id: str,
             + ". Completed work is durable in the shard ledgers; "
             f"`repro runs resume {run_id}` re-enters only the holes.")
     result = merge_run(run_id, registry=registry,
-                       keep_records=keep_records)
-    result.evaluated = evaluated
-    result.replayed = max(0, result.replayed - evaluated)
+                       keep_records=keep_records,
+                       _states=[shard.state for shard in results])
+    result.evaluated = sum(shard.evaluated for shard in results)
+    result.replayed = max(0, result.replayed - result.evaluated)
     if cache_path is not None:
         merge_shard_caches(run_id, registry=registry,
                            target=cache_path)
@@ -134,11 +142,11 @@ def execute_run_sharded(request: RunRequest, shards: int,
         run_id = registry.create(request, cells=len(cells))
     plan = plan_shards(request, shards, pools)
     save_shard_plan(registry, run_id, plan)
-    failures, evaluated = _run_shards(registry, run_id, plan,
-                                      procs, resolve_model,
-                                      durability, trace, cache_path)
-    return _finish(registry, run_id, failures, evaluated,
-                   keep_records, cache_path)
+    results, failures = _run_shards(registry, run_id, plan, procs,
+                                    resolve_model, durability, trace,
+                                    cache_path)
+    return _finish(registry, run_id, results, failures, keep_records,
+                   cache_path)
 
 
 def resume_run_sharded(run_id: str,
@@ -163,8 +171,8 @@ def resume_run_sharded(run_id: str,
         return load_run(run_id, registry=registry,
                         keep_records=keep_records)
     plan = load_shard_plan(registry, run_id)
-    failures, evaluated = _run_shards(registry, run_id, plan,
-                                      procs, resolve_model,
-                                      durability, trace, cache_path)
-    return _finish(registry, run_id, failures, evaluated,
-                   keep_records, cache_path)
+    results, failures = _run_shards(registry, run_id, plan, procs,
+                                    resolve_model, durability, trace,
+                                    cache_path)
+    return _finish(registry, run_id, results, failures, keep_records,
+                   cache_path)

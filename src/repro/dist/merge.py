@@ -193,13 +193,18 @@ def _merge_spans(registry: RunRegistry, run_id: str,
 def merge_run(run_id: str,
               registry: RunRegistry | None = None,
               keep_records: bool = True,
-              force: bool = False) -> RunResult:
+              force: bool = False, *,
+              _states: list[ShardState] | None = None) -> RunResult:
     """Fold a sharded run's K shard ledgers into its run ledger.
 
     Refuses (with the unfinished cells named) while any planned
     question lacks a record; idempotent once merged — a second call
     is a pure :func:`load_run` unless ``force`` re-merges from the
     shard ledgers (e.g. after restoring a shard from backup).
+
+    ``_states`` is the sharded driver's: the states its shards handed
+    back, one per shard in shard order, merged in place of replaying
+    the shard ledgers they equal.
     """
     registry = registry if registry is not None else RunRegistry()
     request = registry.request(run_id)
@@ -207,9 +212,9 @@ def merge_run(run_id: str,
         return load_run(run_id, registry=registry,
                         keep_records=keep_records)
     plan = load_shard_plan(registry, run_id)
-    states = [replay_shard(registry.shard_ledger_path(run_id, shard),
-                           shard)
-              for shard in range(plan.num_shards)]
+    states = _states if _states is not None else [
+        replay_shard(registry.shard_ledger_path(run_id, shard), shard)
+        for shard in range(plan.num_shards)]
     merged = _fold_records(run_id, plan, states)
     attempt = max([state.attempts for state in states] + [1])
     stats = merge_stats([

@@ -21,6 +21,9 @@ have no record yet, exactly the ``resume_run`` contract scoped down to
 one shard.  Because pools, prompts and the simulated backends are pure
 functions of the request, a shard's records are bit-identical whether
 it ran clean, crashed and resumed, or ran inline in the driver.
+:func:`run_shard` hands back the state it ends with (its replayed
+ledger plus every record it wrote, with the line written for it), so
+the sharded driver merges without reading a shard ledger back.
 
 Span ids are partitioned so the merge can concatenate shard span logs
 without remapping them: shard ``k``'s tracer hands out ids from
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.core.results import QuestionRecord
 from repro.engine.cache import ResponseCache
@@ -43,7 +47,8 @@ from repro.llm.registry import get_model
 from repro.obs.tracer import NullTracer, Tracer
 from repro.runs.driver import (ModelResolver, _pool_for,
                                build_request_pools)
-from repro.runs.ledger import RunLedger, RunState, _apply, fold_ledger
+from repro.runs.ledger import (CellState, RunLedger, RunState, _apply,
+                               fold_ledger)
 from repro.runs.session import RunSession, engine_for
 from repro.dist.planner import ShardPlan, load_shard_plan
 from repro.runs.registry import RunRegistry
@@ -58,7 +63,22 @@ def shard_first_span_id(shard: int) -> int:
 
 
 class ShardLedger(RunLedger):
-    """A run ledger plus the shard attempt bracket events."""
+    """A run ledger plus the shard attempt bracket events.
+
+    :attr:`lines` keeps the line of every record it writes, for the
+    state :func:`run_shard` hands back.
+    """
+
+    def __init__(self, path: str | Path, durability: str = "cell"):
+        super().__init__(path, durability)
+        #: cell id -> question index -> record line (no newline).
+        self.lines: dict[str, dict[int, str]] = {}
+
+    def record(self, cell_id: str, index: int,
+               record: QuestionRecord) -> str:
+        line = super().record(cell_id, index, record)
+        self.lines.setdefault(cell_id, {})[index] = line
+        return line
 
     def shard_started(self, run_id: str, shard: int,
                       attempt: int = 1) -> None:
@@ -75,12 +95,12 @@ class ShardLedger(RunLedger):
 
 @dataclass
 class ShardState(RunState):
-    """One shard ledger folded back into state.
+    """What one shard ledger says: folded out of it by
+    :func:`replay_shard`, or kept by :func:`run_shard` as it writes.
 
     ``attempts``/``finished``/``stats`` follow the shard brackets.
-    :attr:`lines` keeps, for each record, the text of the line it was
-    decoded from, so the merge copies record lines instead of
-    re-encoding them.
+    :attr:`lines` keeps, for each record, the text of its line, so the
+    merge copies record lines instead of re-encoding them.
     """
 
     shard: int = 0
@@ -135,20 +155,18 @@ def replay_shard(path, shard: int) -> ShardState:
 
 @dataclass(frozen=True, slots=True)
 class ShardResult:
-    """Outcome of one :func:`run_shard` invocation."""
+    """Outcome of one :func:`run_shard` invocation.
+
+    :attr:`state` is what the shard's ledger says once the invocation
+    ends, so the merge reads no shard ledger back.
+    """
 
     run_id: str
     shard: int
     evaluated: int
     replayed: int
+    state: ShardState
     stats: EngineStats | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {"run_id": self.run_id, "shard": self.shard,
-                "evaluated": self.evaluated,
-                "replayed": self.replayed,
-                "stats": (self.stats.to_dict()
-                          if self.stats is not None else None)}
 
 
 def run_shard(run_id: str, shard: int,
@@ -164,6 +182,10 @@ def run_shard(run_id: str, shard: int,
     Idempotent: a shard whose ledger already carries a
     ``shard-finished`` event returns a pure replay summary with zero
     model calls.  A partially recorded shard re-asks only its holes.
+
+    The result's state is the replayed ledger plus every record this
+    attempt wrote, with its line: equal to :func:`replay_shard` of the
+    ledger afterwards (``events`` aside).
 
     ``warm_cache`` names a pre-existing shared cache file to seed the
     shard's response cache from (read-only — concurrent shards may
@@ -188,7 +210,7 @@ def run_shard(run_id: str, shard: int,
     if state.finished:
         return ShardResult(
             run_id=run_id, shard=shard, evaluated=0,
-            replayed=state.recorded_questions,
+            replayed=state.recorded_questions, state=state,
             stats=(EngineStats.from_dict(state.stats)
                    if state.stats else None))
     if tracer is None and trace:
@@ -220,32 +242,39 @@ def run_shard(run_id: str, shard: int,
                 done = state.done_for(task.cell.cell_id, task.indices)
                 replayed += len(done)
                 evaluated += task.size - len(done)
-                session.runner.evaluate_slice(
+                cell = state.cells.setdefault(
+                    task.cell.cell_id, CellState(task.cell.cell_id))
+                cell.expected_n = len(pool)
+                cell.records.update(session.runner.evaluate_slice(
                     resolve(task.cell.model), pool,
                     PromptSetting(task.cell.setting), task.indices,
-                    done=done)
+                    done=done))
         stats = session.stats()
         session.ledger.shard_finished(shard, stats.to_dict())
+    for cell_id, lines in session.ledger.lines.items():
+        state.lines.setdefault(cell_id, {}).update(lines)
+    state.attempts = attempt
+    state.finished = True
+    state.stats = stats.to_dict()
     if cache is not None:
         cache.save(registry.shard_cache_path(run_id, shard))
     return ShardResult(run_id=run_id, shard=shard,
                        evaluated=evaluated, replayed=replayed,
-                       stats=stats)
+                       state=state, stats=stats)
 
 
 def shard_entry(root: str, run_id: str, shard: int,
                 durability: str = "cell", trace: bool = True,
                 warm_cache: str | None = None,
                 resolve_model: ModelResolver | None = None
-                ) -> dict[str, object]:
+                ) -> ShardResult:
     """Process-pool entry point (module-level, so it pickles).
 
     ``resolve_model`` must itself be picklable when crossing a
     process boundary — a module-level function, or ``None`` for the
     model registry's resolver.
     """
-    result = run_shard(run_id, shard, registry=RunRegistry(root),
-                       resolve_model=resolve_model,
-                       durability=durability, trace=trace,
-                       warm_cache=warm_cache)
-    return result.to_dict()
+    return run_shard(run_id, shard, registry=RunRegistry(root),
+                     resolve_model=resolve_model,
+                     durability=durability, trace=trace,
+                     warm_cache=warm_cache)

@@ -46,6 +46,13 @@ class QuestionPool:
         return f"{self.taxonomy_key}/{self.dataset.value}/{scope}"
 
 
+#: Dataset -> the :class:`LevelQuestions` attribute holding its
+#: questions; only that one is read, so a store load decodes no other
+#: question kind.
+_QUESTIONS = {DatasetKind.EASY: "easy", DatasetKind.HARD: "hard",
+              DatasetKind.MCQ: "mcqs"}
+
+
 class TaxonomyPools:
     """All evaluation datasets derived from one taxonomy.
 
@@ -87,12 +94,7 @@ class TaxonomyPools:
 
     def level_pool(self, level: int, dataset: DatasetKind) -> QuestionPool:
         """The per-level dataset (one line of Table 4)."""
-        generated = self._per_level[level]
-        questions = {
-            DatasetKind.EASY: generated.easy,
-            DatasetKind.HARD: generated.hard,
-            DatasetKind.MCQ: generated.mcqs,
-        }[dataset]
+        questions = getattr(self._per_level[level], _QUESTIONS[dataset])
         return QuestionPool(self.taxonomy_key, dataset, level, questions)
 
     def total_pool(self, dataset: DatasetKind) -> QuestionPool:

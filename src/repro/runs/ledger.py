@@ -98,10 +98,13 @@ class RunLedger(JsonlAppender):
                       "n": n})
 
     def record(self, cell_id: str, index: int,
-               record: QuestionRecord) -> None:
-        if not self._put(record_line(cell_id, index, record),
-                         self.durability == "record"):
+               record: QuestionRecord) -> str:
+        """Append ``record``'s event; returns its line without the
+        newline, as :meth:`record_lines` takes it back."""
+        line = record_line(cell_id, index, record)
+        if not self._put(line, self.durability == "record"):
             raise RunError("ledger is closed")
+        return line[:-1]
 
     def record_lines(self, lines: Iterable[str]) -> None:
         """Append ``record`` events already encoded by :meth:`record`

@@ -21,7 +21,8 @@ from __future__ import annotations
 from repro.errors import ReproError
 from repro.generators.products import product_titles
 from repro.questions.generation import LevelQuestions
-from repro.questions.model import (Question, QuestionKind, QuestionType)
+from repro.questions.model import (MCQ_LETTERS, Question, QuestionKind,
+                                   QuestionType)
 from repro.questions.pools import TaxonomyPools
 from repro.store.fingerprint import SCHEMA_VERSION
 from repro.taxonomy.node import Domain, TaxonomyNode
@@ -118,6 +119,8 @@ class _Columns:
         self.names: list[str] = payload["names"]
         self.parents: list[int] = payload["parents"]
         self.domain = Domain(payload["domain"])
+        if not len(self.ids) == len(self.names) == len(self.parents):
+            raise ArtifactDecodeError("taxonomy columns disagree")
         levels: list[int] = []
         for parent_row in self.parents:
             levels.append(0 if parent_row < 0 else levels[parent_row] + 1)
@@ -180,6 +183,72 @@ def _decode_mcq(taxonomy_key: str, cols: _Columns,
     return tuple(questions)
 
 
+#: Payload column -> kind of the true/false questions it holds.
+_TF_KINDS = {"positive": QuestionKind.POSITIVE,
+             "negative_easy": QuestionKind.NEGATIVE_EASY,
+             "negative_hard": QuestionKind.NEGATIVE_HARD}
+
+
+def _rows_ok(values: list, rows: int) -> bool:
+    """Every value is an ``int`` in ``[0, rows)``."""
+    return not values or (set(map(type, values)) == {int}
+                          and min(values) >= 0 and max(values) < rows)
+
+
+def _check_level(entry: dict, rows: int) -> None:
+    """Raise :class:`ArtifactDecodeError` unless every question column
+    of ``entry`` is present, its lengths agree and each row index is in
+    range — all that could make a later decode of it fail."""
+    for name in _TF_KINDS:
+        child, asked = entry[name]["child"], entry[name]["asked"]
+        if not (len(child) == len(asked) and _rows_ok(child, rows)
+                and _rows_ok(asked, rows)):
+            raise ArtifactDecodeError(f"bad {name} column")
+    mcq = entry["mcq"]
+    child, answer, options = mcq["child"], mcq["answer"], mcq["options"]
+    if not (len(answer) == len(child)
+            and len(options) == len(MCQ_LETTERS) * len(child)
+            and _rows_ok(child, rows)
+            and _rows_ok(answer, len(MCQ_LETTERS))
+            and _rows_ok([value for value in options
+                          if type(value) is not str], rows)):
+        raise ArtifactDecodeError("bad mcq column")
+
+
+class _DecodedLevel:
+    """One level's :class:`LevelQuestions` read off its columns, each
+    question kind decoded on first use (:func:`_check_level` has
+    already vetted them)."""
+
+    __slots__ = ("taxonomy_key", "level", "_cols", "_entry", "_kinds")
+
+    easy = LevelQuestions.easy
+    hard = LevelQuestions.hard
+
+    def __init__(self, taxonomy_key: str, cols: _Columns, entry: dict):
+        self.taxonomy_key = taxonomy_key
+        self.level = entry["level"]
+        self._cols = cols
+        self._entry = entry
+        self._kinds: dict[str, tuple[Question, ...]] = {}
+
+    def _kind(self, name: str) -> tuple[Question, ...]:
+        questions = self._kinds.get(name)
+        if questions is None:
+            column = self._entry[name]
+            questions = self._kinds[name] = (
+                _decode_mcq(self.taxonomy_key, self._cols, column)
+                if name == "mcq" else
+                _decode_tf(self.taxonomy_key, self._cols,
+                           _TF_KINDS[name], column))
+        return questions
+
+    positives = property(lambda self: self._kind("positive"))
+    negatives_easy = property(lambda self: self._kind("negative_easy"))
+    negatives_hard = property(lambda self: self._kind("negative_hard"))
+    mcqs = property(lambda self: self._kind("mcq"))
+
+
 # ----------------------------------------------------------------------
 # Whole-artifact payloads
 # ----------------------------------------------------------------------
@@ -231,8 +300,10 @@ def encode_pools(pools: TaxonomyPools, fingerprint: str,
 def decode_pools(payload: dict) -> TaxonomyPools:
     """Rebuild :class:`TaxonomyPools` from :func:`encode_pools` output.
 
-    Raises :class:`ArtifactDecodeError` on any malformed payload so the
-    store can fall back to regeneration.
+    Every column is checked here, and each (level, question kind) is
+    decoded on first use, so a request reads only the kinds it asks
+    for.  Raises :class:`ArtifactDecodeError` on any malformed payload
+    so the store can fall back to regeneration.
     """
     try:
         if payload["schema"] != SCHEMA_VERSION:
@@ -241,23 +312,11 @@ def decode_pools(payload: dict) -> TaxonomyPools:
         taxonomy_key = payload["taxonomy_key"]
         taxonomy_column = payload["taxonomy"]
         cols = _Columns(taxonomy_column)
-        per_level: dict[int, LevelQuestions] = {}
+        per_level: dict[int, _DecodedLevel] = {}
         for entry in payload["levels"]:
-            level = entry["level"]
-            per_level[level] = LevelQuestions(
-                taxonomy_key=taxonomy_key,
-                level=level,
-                positives=_decode_tf(taxonomy_key, cols,
-                                     QuestionKind.POSITIVE,
-                                     entry["positive"]),
-                negatives_easy=_decode_tf(taxonomy_key, cols,
-                                          QuestionKind.NEGATIVE_EASY,
-                                          entry["negative_easy"]),
-                negatives_hard=_decode_tf(taxonomy_key, cols,
-                                          QuestionKind.NEGATIVE_HARD,
-                                          entry["negative_hard"]),
-                mcqs=_decode_mcq(taxonomy_key, cols, entry["mcq"]),
-            )
+            _check_level(entry, len(cols.ids))
+            per_level[entry["level"]] = _DecodedLevel(taxonomy_key, cols,
+                                                      entry)
         # The node graph is rebuilt only if a consumer dereferences
         # ``pools.taxonomy`` — question decoding never needs it.
         return TaxonomyPools(

@@ -8,17 +8,27 @@ to a single-process run of the same request.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dist import driver as dist_driver
+from repro.dist.worker import replay_shard
 from repro.engine.cache import ResponseCache, merge_caches
 from repro.engine.telemetry import EngineStats
 from repro.errors import LedgerCorruptError, RunError
 from repro.llm.registry import get_model
 from repro.obs.export import read_spans_jsonl
+from repro.runs import ledger as run_ledger
 from repro.runs import (RunRegistry, RunRequest, create_run,
                         execute_run, load_run, resume_run)
 from repro.runs.driver import CellKey
@@ -393,6 +403,134 @@ class TestCrashResume:
                            force=True)
         assert _events(registry, sharded.run_id) == before
         assert forced.cells.keys() == sharded.cells.keys()
+
+
+# ----------------------------------------------------------------------
+# Hand-back: the parent merges the states its shards return
+# ----------------------------------------------------------------------
+def _no_model(name: str):
+    """A model resolver (module level, so it pickles) that fails."""
+    raise RuntimeError(f"no model {name}")
+
+
+def _cells(state) -> dict:
+    return {cell_id: (cell.expected_n, cell.records)
+            for cell_id, cell in state.cells.items()}
+
+
+@pytest.fixture(scope="module")
+def fresh_roots(tmp_path_factory):
+    """A fresh runs root per call, all under one directory: removing a
+    directory per hypothesis example is slow on some mounts."""
+    directory = tmp_path_factory.mktemp("hand-back")
+    numbers = itertools.count()
+    return lambda: RunRegistry(directory / f"runs-{next(numbers)}")
+
+
+class TestHandBack:
+    @staticmethod
+    def _handed_back(call, *args, **kwargs) -> list:
+        """Run ``call`` and return the shard states it merged."""
+        states = []
+        real = dist_driver.merge_run
+
+        def spy(*spy_args, _states=None, **spy_kwargs):
+            states.extend(_states)
+            return real(*spy_args, _states=_states, **spy_kwargs)
+
+        with mock.patch.object(dist_driver, "merge_run", spy):
+            call(*args, **kwargs)
+        return states
+
+    @staticmethod
+    def _assert_replays(registry: RunRegistry, run_id: str,
+                        state) -> None:
+        replayed = replay_shard(
+            registry.shard_ledger_path(run_id, state.shard), state.shard)
+        assert _cells(state) == _cells(replayed)
+        assert state.lines == replayed.lines
+        assert (state.attempts, state.finished, state.stats) \
+            == (replayed.attempts, replayed.finished, replayed.stats)
+
+    @settings(max_examples=16, deadline=None)
+    @given(trail=st.booleans(), procs=st.sampled_from([0, 2]),
+           crash_at=st.one_of(st.none(), st.integers(0, 83)))
+    def test_handed_back_state_is_the_replayed_ledger(
+            self, fresh_roots, trail, procs, crash_at):
+        registry = fresh_roots()
+        request = RunRequest(**SMALL, trail=trail)
+        if crash_at is None:
+            states = self._handed_back(
+                execute_run_sharded, request, shards=2,
+                registry=registry, procs=procs)
+            run_id = registry.list_ids()[0]
+            assert [state.attempts for state in states] == [1, 1]
+        else:
+            # Killed at a random record (inline: the budgeted resolver
+            # does not pickle), then resumed at ``procs``: a shard that
+            # finished before the kill is re-entered as a replay.
+            run_id = create_run(request, registry=registry)
+            with pytest.raises(RunError, match="shard"):
+                execute_run_sharded(
+                    request, shards=2, registry=registry,
+                    run_id=run_id, procs=0,
+                    resolve_model=budgeted_resolver(crash_at))
+            states = self._handed_back(resume_run_sharded, run_id,
+                                       registry=registry, procs=procs)
+        assert [state.shard for state in states] == [0, 1]
+        for state in states:
+            self._assert_replays(registry, run_id, state)
+        # Re-entering a finished shard hands back its replay.
+        plan = load_shard_plan(registry, run_id)
+        for shard in range(plan.num_shards):
+            again = run_shard(run_id, shard, registry=registry,
+                              plan=plan)
+            assert again.evaluated == 0
+            self._assert_replays(registry, run_id, again.state)
+
+    def test_parent_folds_no_shard_ledger(self, registry):
+        folded = []
+        real = run_ledger.fold_jsonl
+
+        def spy(path, *args, **kwargs):
+            if "shards" in Path(path).parts:
+                folded.append(path)
+            return real(path, *args, **kwargs)
+
+        request = RunRequest(**SMALL)
+        run_id = create_run(request, registry=registry)
+        with pytest.raises(RunError, match="shard"):
+            execute_run_sharded(request, shards=2, registry=registry,
+                                run_id=run_id, procs=0,
+                                resolve_model=budgeted_resolver(50))
+        with mock.patch.object(run_ledger, "fold_jsonl", spy):
+            resume_run_sharded(run_id, registry=registry, procs=2)
+            execute_run_sharded(request, shards=2, registry=registry,
+                                procs=2)
+            assert folded == []
+            merge_run(run_id, registry=registry, force=True)
+        assert sorted(folded) == [registry.shard_ledger_path(run_id, 0),
+                                  registry.shard_ledger_path(run_id, 1)]
+
+    def test_pool_forks_from_a_frozen_heap_and_thaws_it(self, registry):
+        frozen = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                frozen.append(gc.get_freeze_count())
+                super().__init__(*args, **kwargs)
+
+        request = RunRequest(**SMALL)
+        with mock.patch.object(dist_driver, "ProcessPoolExecutor", Pool):
+            execute_run_sharded(request, shards=2, registry=registry,
+                                procs=2)
+            assert gc.get_freeze_count() == 0
+            with pytest.raises(RunError, match="no model"):
+                execute_run_sharded(request, shards=2,
+                                    registry=registry, procs=2,
+                                    resolve_model=_no_model)
+            assert gc.get_freeze_count() == 0
+        assert len(frozen) == 2 and min(frozen) > 0
 
 
 # ----------------------------------------------------------------------

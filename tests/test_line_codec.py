@@ -10,11 +10,12 @@ its line form — or an escape, number or key-order difference — fails.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
-import tempfile
-from pathlib import Path
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,24 +81,41 @@ events = st.lists(
     min_size=1, max_size=4, unique_by=lambda event: event[:2])
 
 
+@pytest.fixture(scope="module")
+def ledger_paths(tmp_path_factory):
+    """A fresh ledger path per call, all in one directory: removing a
+    directory per hypothesis example is slow on some mounts."""
+    directory = tmp_path_factory.mktemp("line-codec")
+    numbers = itertools.count()
+    return lambda: directory / f"ledger-{next(numbers)}.jsonl"
+
+
 @settings(max_examples=150, deadline=None)
 @given(events)
-def test_record_lines_equal_json_dumps_and_replay(events):
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "ledger.jsonl"
-        with RunLedger(path) as ledger:
-            for cell, index, record in events:
-                ledger.record(cell, index, record)
-        lines = path.read_text(encoding="utf-8").splitlines(True)
-        assert lines == [
-            _reference({"event": "record", "cell": cell, "i": index,
-                        **record_to_dict(record)})
-            for cell, index, record in events]
-        state = replay_ledger(path)
+def test_record_lines_equal_json_dumps_and_replay(ledger_paths, events):
+    path = ledger_paths()
+    with RunLedger(path) as ledger:
+        written = [ledger.record(cell, index, record)
+                   for cell, index, record in events]
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    assert lines == [
+        _reference({"event": "record", "cell": cell, "i": index,
+                    **record_to_dict(record)})
+        for cell, index, record in events]
+    assert [line + "\n" for line in written] == lines
+    state = replay_ledger(path)
     for cell, index, record in events:
         replayed = state.cells[cell].records[index]
         assert replayed == record
         assert replayed.trail == record.trail
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+def test_pickled_records_keep_every_field(record):
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record
+    assert again.trail == record.trail
 
 
 _TIMES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e300,

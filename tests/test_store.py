@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.cli import main
+from repro.dist.planner import plan_shards
 from repro.generators.products import products_for_node
 from repro.generators.registry import (TAXONOMY_KEYS, build_taxonomy,
                                        get_spec)
@@ -28,10 +29,13 @@ from repro.questions.instance_typing import collect_instances
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools, generate_pools
 from repro.questions.templates import render_question
+from repro.runs.driver import build_request_pools
+from repro.runs.request import RunRequest
 from repro.store import (STORE_ENV, ArtifactStore, build_all_datasets,
                          build_taxonomy_artifact, build_taxonomy_artifacts,
                          decode_pools, decode_taxonomy, encode_pools,
                          spec_fingerprint, taxonomy_fingerprint)
+from repro.store import codec
 from repro.store.codec import ArtifactDecodeError
 from repro.store.fingerprint import SCHEMA_VERSION, code_fingerprint
 
@@ -188,6 +192,81 @@ def test_missing_question_column_is_a_decode_error(store):
     del payload["levels"][0]["positive"]
     with pytest.raises(ArtifactDecodeError):
         decode_pools(payload)
+
+
+def _corrupt_index(payload: dict, column: str) -> None:
+    rows = len(payload["taxonomy"]["ids"])
+    level = payload["levels"][0]
+    if column == "asked":
+        level["negative_hard"]["asked"][0] = rows
+    elif column == "negative":
+        level["positive"]["child"][0] = -1
+    elif column == "option":
+        level["mcq"]["options"][1] = rows
+    elif column == "answer":
+        level["mcq"]["answer"][0] = 4
+    elif column == "float":
+        level["negative_easy"]["child"][0] = 1.0
+    else:                           # the lengths disagree
+        level["negative_easy"]["asked"].pop()
+
+
+@pytest.mark.parametrize("column", ["asked", "negative", "option",
+                                    "answer", "float", "lengths"])
+def test_out_of_range_row_index_is_a_decode_error(store, column):
+    pools = generate_pools("geonames", sample_size=8)
+    payload = encode_pools(pools, store.fingerprint("geonames", 8), 8, "")
+    _corrupt_index(payload, column)
+    with pytest.raises(ArtifactDecodeError):
+        decode_pools(payload)
+
+
+@pytest.fixture()
+def decoded(monkeypatch) -> list[str]:
+    """The question kind of every column the codec decodes."""
+    kinds: list[str] = []
+    real_tf, real_mcq = codec._decode_tf, codec._decode_mcq
+
+    def decode_tf(key, cols, kind, column):
+        kinds.append(kind.value)
+        return real_tf(key, cols, kind, column)
+
+    def decode_mcq(key, cols, column):
+        kinds.append("mcq")
+        return real_mcq(key, cols, column)
+
+    monkeypatch.setattr(codec, "_decode_tf", decode_tf)
+    monkeypatch.setattr(codec, "_decode_mcq", decode_mcq)
+    return kinds
+
+
+def test_a_kind_is_decoded_on_first_use_only(store, decoded):
+    pools = generate_pools("ebay", sample_size=10)
+    payload = encode_pools(pools, store.fingerprint("ebay", 10), 10, "")
+    loaded = decode_pools(payload)
+    assert decoded == []
+    levels = len(loaded.question_levels)
+    hard = loaded.total_pool(DatasetKind.HARD)
+    assert sorted(decoded) == (["negative-hard"] * levels
+                               + ["positive"] * levels)
+    assert hard.questions == pools.total_pool(DatasetKind.HARD).questions
+    decoded.clear()
+    loaded.total_pool(DatasetKind.EASY)
+    assert decoded == ["negative-easy"] * levels
+    decoded.clear()
+    loaded.total_pool(DatasetKind.MCQ)
+    assert decoded == ["mcq"] * levels
+    _assert_pools_equal(pools, loaded)
+
+
+def test_a_hard_request_decodes_no_easy_negative_or_mcq(decoded):
+    request = RunRequest(dataset="hard", models=("GPT-4",),
+                         taxonomy_keys=("ebay", "geonames"),
+                         sample_size=9, seed="hard-only")
+    build_request_pools(request)         # builds the artifacts
+    decoded.clear()
+    plan_shards(request, 2, build_request_pools(request))
+    assert set(decoded) == {"positive", "negative-hard"}
 
 
 # ----------------------------------------------------------------------
