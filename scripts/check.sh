@@ -4,8 +4,9 @@
 # smokes (engine throughput, engine batching, dataset pipeline, run
 # ledger, shard scaling, tracing, live follower, cost metering, serve
 # fan-out, trail capture), the `obs check` regression gate, the
-# trail analytics of its run and a check that the run's record and
-# telemetry books agree.  A tier-1 failure stops the script; every
+# trail analytics of its run, a check that the run's record and
+# telemetry books agree and a byte-for-byte regeneration of
+# EXPERIMENTS.md.  A tier-1 failure stops the script; every
 # later step runs even when an earlier one failed, and the script exits
 # non-zero naming each step that did.
 set -uo pipefail
@@ -94,9 +95,17 @@ books() {
     REPRO_RUNS_DIR="$GATE_DIR" python scripts/books_agree.py "$run"
 }
 
+experiments() {
+    # Every paper-scale table and figure is deterministic, so the
+    # regenerated record must equal the committed one byte for byte.
+    python scripts/generate_experiments_md.py "$GATE_DIR/EXPERIMENTS.md" \
+        && diff "$GATE_DIR/EXPERIMENTS.md" EXPERIMENTS.md
+}
+
 step "regression gate (obs check vs committed baseline)" gate
 step "provenance trail analytics (gate run)" trails
 step "the gate run's three books agree (watch, obs cost, runs show)" books
+step "EXPERIMENTS.md regenerates byte for byte" experiments
 
 if ((${#FAILED[@]})); then
     echo "check.sh: ${#FAILED[@]} step(s) failed:"

@@ -1,8 +1,11 @@
 """Regenerate EXPERIMENTS.md at paper scale.
 
 Runs every table/figure experiment with the full Cochran sample sizes
-and all eighteen models, then writes the paper-vs-measured record.
-Takes on the order of 15 minutes on a laptop.
+and all eighteen models, then writes the paper-vs-measured record and
+prints how long it took: 1.2 minutes on one core of a 2-core x86-64
+host with Python 3.11, from a cold artifact store.  The output is
+deterministic, so ``scripts/check.sh`` and CI regenerate it into a
+temporary path and ``diff`` it against the committed EXPERIMENTS.md.
 
 Usage: python scripts/generate_experiments_md.py [output-path]
 """
@@ -247,13 +250,9 @@ def main() -> None:
                  f"| {case.concepts_evaluated} |")
     lines.append("")
 
-    elapsed = time.time() - started
-    lines.append(f"_Generated in {elapsed / 60:.1f} minutes._")
-    lines.append("")
-
     with open(OUT, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
-    print(f"wrote {OUT} in {elapsed / 60:.1f} min")
+    print(f"wrote {OUT} in {(time.time() - started) / 60:.1f} min")
 
 
 if __name__ == "__main__":

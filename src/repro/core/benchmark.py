@@ -39,17 +39,14 @@ class TaxoGlimpse:
         engine: Optional :class:`repro.engine.EvaluationEngine`; every
             evaluation then runs concurrently behind its middleware
             stack with bit-identical metrics.
-        ledger: Optional :class:`repro.runs.ledger.RunLedger` sink;
-            every evaluation then streams its cell events and scored
-            questions to the ledger as they complete.
     """
 
     def __init__(self, sample_size: int | None = None, variant: int = 0,
-                 keep_records: bool = False, engine=None, ledger=None):
+                 keep_records: bool = False, engine=None):
         self.sample_size = sample_size
         self.runner = EvaluationRunner(variant=variant,
                                        keep_records=keep_records,
-                                       engine=engine, ledger=ledger)
+                                       engine=engine)
         self._pools: dict[str, TaxonomyPools] = {}
 
     # ------------------------------------------------------------------

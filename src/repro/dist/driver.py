@@ -37,8 +37,7 @@ from repro.dist.worker import ShardResult, run_shard, shard_entry
 
 def _run_shards(registry: RunRegistry, run_id: str, plan: ShardPlan,
                 procs: int | None,
-                resolve_model: ModelResolver | None,
-                durability: str, trace: bool,
+                resolve_model: ModelResolver | None, trace: bool,
                 cache_path: str | None
                 ) -> tuple[list[ShardResult], list[str]]:
     """Execute every shard.
@@ -61,8 +60,7 @@ def _run_shards(registry: RunRegistry, run_id: str, plan: ShardPlan,
                 results[shard] = run_shard(
                     run_id, shard, registry=registry,
                     resolve_model=resolve_model, plan=plan,
-                    durability=durability, trace=trace,
-                    warm_cache=cache_path)
+                    trace=trace, warm_cache=cache_path)
             except Exception as exc:
                 failures.append(f"shard {shard}: {exc}")
     else:
@@ -73,7 +71,7 @@ def _run_shards(registry: RunRegistry, run_id: str, plan: ShardPlan,
             with ProcessPoolExecutor(max_workers=max(1, procs)) as pool:
                 futures = {
                     pool.submit(shard_entry, str(registry.root), run_id,
-                                shard, durability, trace, cache_path,
+                                shard, trace, cache_path,
                                 resolve_model): shard
                     for shard in range(plan.num_shards)}
                 for future in as_completed(futures):
@@ -115,7 +113,6 @@ def execute_run_sharded(request: RunRequest, shards: int,
                         procs: int | None = None,
                         resolve_model: ModelResolver | None = None,
                         keep_records: bool = True,
-                        durability: str = "cell",
                         trace: bool = True,
                         cache_path: str | None = None) -> RunResult:
     """Run the full sweep as ``shards`` independent workers + merge.
@@ -143,8 +140,7 @@ def execute_run_sharded(request: RunRequest, shards: int,
     plan = plan_shards(request, shards, pools)
     save_shard_plan(registry, run_id, plan)
     results, failures = _run_shards(registry, run_id, plan, procs,
-                                    resolve_model, durability, trace,
-                                    cache_path)
+                                    resolve_model, trace, cache_path)
     return _finish(registry, run_id, results, failures, keep_records,
                    cache_path)
 
@@ -154,7 +150,6 @@ def resume_run_sharded(run_id: str,
                        procs: int | None = None,
                        resolve_model: ModelResolver | None = None,
                        keep_records: bool = True,
-                       durability: str = "cell",
                        trace: bool = True,
                        cache_path: str | None = None) -> RunResult:
     """Finish an interrupted sharded run, reusing all durable work.
@@ -172,7 +167,6 @@ def resume_run_sharded(run_id: str,
                         keep_records=keep_records)
     plan = load_shard_plan(registry, run_id)
     results, failures = _run_shards(registry, run_id, plan, procs,
-                                    resolve_model, durability, trace,
-                                    cache_path)
+                                    resolve_model, trace, cache_path)
     return _finish(registry, run_id, results, failures, keep_records,
                    cache_path)

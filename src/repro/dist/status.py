@@ -2,10 +2,11 @@
 
 An unmerged sharded run has no top-level ledger or heartbeat — its
 truth is spread over K shard directories — so the single-run status
-machinery (`run_status`, `repro runs list`, `repro watch`) needs this
-module to fold K liveness signals into one answer.  Each shard gets
-the standard four-state verdict from its own heartbeat + ledger
-freshness, plus ``pending`` for a shard whose worker never started
+machinery (`attempt_status`, `repro runs list`, `repro watch`) needs
+this module to fold K liveness signals into one answer.  Each shard
+gets the standard four-state verdict from its own ledger (the pid of
+its ``shard-started`` event) + heartbeat and log freshness, plus
+``pending`` for a shard whose worker never started
 (queued behind the process pool, or orphaned by a dead driver), or
 ``finished`` for one whose directory ``runs gc`` pruned after the
 merge; the run-level fold is pessimistic about death and optimistic
@@ -23,10 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.obs.jsonl import last_advanced
 from repro.obs.live import _bar
-from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
-                                  read_heartbeat, run_status)
+from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S, attempt_status
 from repro.runs.ledger import RunState
 from repro.runs.registry import RunRegistry
 from repro.dist.planner import ShardPlan, load_shard_plan
@@ -94,15 +93,14 @@ def shard_statuses(run_id: str,
     statuses: list[ShardStatus] = []
     for shard in range(plan.num_shards):
         ledger_path = registry.shard_ledger_path(run_id, shard)
+        heartbeat = registry.shard_heartbeat_path(run_id, shard)
         state = replay_shard(ledger_path, shard)
-        heartbeat = read_heartbeat(
-            registry.shard_heartbeat_path(run_id, shard))
         total = plan.shard_questions(shard)
         # Count only records inside this shard's own task ranges —
         # a resumed shard replays foreign cell-started events, never
         # foreign records, so the plain sum is already scoped.
         done, attempts = state.recorded_questions, state.attempts
-        if heartbeat is None and not ledger_path.exists():
+        if not ledger_path.exists() and not heartbeat.exists():
             status = "pending"
             if not registry.shard_dir(run_id, shard).exists():
                 if merged is None:
@@ -111,10 +109,9 @@ def shard_statuses(run_id: str,
                     status, done, attempts = ("finished", total,
                                               merged.attempts)
         else:
-            status = run_status(
-                state.finished, heartbeat,
-                last_advanced(ledger_path,
-                              registry.shard_spans_path(run_id, shard)),
+            status = attempt_status(
+                state.finished, state.pid, heartbeat, ledger_path,
+                registry.shard_spans_path(run_id, shard),
                 stall_deadline_s=stall_deadline_s)
         statuses.append(ShardStatus(
             shard=shard, status=status,

@@ -5,7 +5,8 @@ the same artifact shapes as a whole run — ``ledger.jsonl``,
 ``spans.jsonl``, ``heartbeat.json``, optionally ``cache.json`` — so
 every durability property proven for single-process runs carries over
 file for file: appends are single locked writes, a torn final line is
-the crash signature, the heartbeat separates "slow" from "gone".
+the crash signature, and the pid in each attempt's ``shard-started``
+event plus the heartbeat separate "slow" from "gone".
 
 A shard ledger speaks the run ledger's event language with two
 additions, ``shard-started`` / ``shard-finished``, bracketing each
@@ -34,6 +35,7 @@ span names :data:`MERGED_RUN_SPAN_ID`, the id of the merged run's
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,8 +71,8 @@ class ShardLedger(RunLedger):
     state :func:`run_shard` hands back.
     """
 
-    def __init__(self, path: str | Path, durability: str = "cell"):
-        super().__init__(path, durability)
+    def __init__(self, path: str | Path):
+        super().__init__(path)
         #: cell id -> question index -> record line (no newline).
         self.lines: dict[str, dict[int, str]] = {}
 
@@ -84,7 +86,8 @@ class ShardLedger(RunLedger):
                       attempt: int = 1) -> None:
         self._append({"event": "shard-started", "run_id": run_id,
                       "shard": shard, "attempt": attempt,
-                      "ts": time.time()}, sync=self._sync_boundary())
+                      "pid": os.getpid(), "ts": time.time()},
+                     sync=self._sync_boundary())
 
     def shard_finished(self, shard: int,
                        stats: dict | None = None) -> None:
@@ -126,6 +129,7 @@ def _apply_shard(state: ShardState, event: dict, text: str) -> None:
             attempt = 1
         state.attempts = max(state.attempts, attempt)
         state.finished = False      # a new attempt reopens it
+        state.pid = event.get("pid")
     elif kind == "shard-finished":
         state.finished = True
         stats = event.get("stats")
@@ -173,7 +177,6 @@ def run_shard(run_id: str, shard: int,
               registry: RunRegistry | None = None,
               resolve_model: ModelResolver | None = None,
               plan: ShardPlan | None = None,
-              durability: str = "cell",
               trace: bool = True,
               tracer: "Tracer | NullTracer | None" = None,
               warm_cache: str | None = None) -> ShardResult:
@@ -224,8 +227,7 @@ def run_shard(run_id: str, shard: int,
     replayed = 0
     with RunSession(request, registry.shard_dir(run_id, shard),
                     engine=engine_for(request, cache), tracer=tracer,
-                    trace=trace, durability=durability,
-                    keep_records=False,
+                    trace=trace, keep_records=False,
                     ledger_type=ShardLedger) as session:
         session.ledger.shard_started(run_id, shard, attempt=attempt)
         with session.span("shard", parent=MERGED_RUN_SPAN_ID,
@@ -264,8 +266,7 @@ def run_shard(run_id: str, shard: int,
 
 
 def shard_entry(root: str, run_id: str, shard: int,
-                durability: str = "cell", trace: bool = True,
-                warm_cache: str | None = None,
+                trace: bool = True, warm_cache: str | None = None,
                 resolve_model: ModelResolver | None = None
                 ) -> ShardResult:
     """Process-pool entry point (module-level, so it pickles).
@@ -275,6 +276,5 @@ def shard_entry(root: str, run_id: str, shard: int,
     model registry's resolver.
     """
     return run_shard(run_id, shard, registry=RunRegistry(root),
-                     resolve_model=resolve_model,
-                     durability=durability, trace=trace,
+                     resolve_model=resolve_model, trace=trace,
                      warm_cache=warm_cache)

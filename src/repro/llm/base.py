@@ -49,35 +49,6 @@ class ChatModel(Protocol):
         ...
 
 
-@runtime_checkable
-class BatchChatModel(Protocol):
-    """A ChatModel that can answer several prompts in one call."""
-
-    name: str
-
-    def generate(self, prompt: str) -> str:
-        ...
-
-    def generate_batch(self, prompts: Sequence[str]) -> list[str]:
-        """Responses for ``prompts``, index-aligned with the input."""
-        ...
-
-
-@runtime_checkable
-class AsyncChatModel(Protocol):
-    """A ChatModel with an asyncio-native batch entry point."""
-
-    name: str
-
-    def generate(self, prompt: str) -> str:
-        ...
-
-    async def agenerate_batch(self,
-                              prompts: Sequence[str]) -> list[str]:
-        """Awaitable batch call, index-aligned with the input."""
-        ...
-
-
 def supports_generate_batch(model: ChatModel) -> bool:
     """Whether ``model`` exposes a callable ``generate_batch``."""
     return callable(getattr(model, "generate_batch", None))

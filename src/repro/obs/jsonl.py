@@ -1,8 +1,8 @@
 """The crash contract of every file the harness writes, in one place.
 
-Whole documents (manifest, heartbeat, shard plan, response cache,
-store artifacts, merged ledger and span log, ``obs check`` baseline)
-are replaced atomically by :func:`replacing`: a temp file beside the
+Whole documents (manifest, shard plan, response cache, store
+artifacts, merged ledger and span log, ``obs check`` baseline) are
+replaced atomically by :func:`replacing`: a temp file beside the
 target, named ``*.tmp`` so ``repro runs gc`` finds a kill's debris,
 created with the mode the umask gives any new file and swapped in by
 ``os.replace`` only when the block succeeds.  Neither the temp file
@@ -22,8 +22,9 @@ returned.  An undecodable *complete* line with more lines after it is
 corruption (:class:`JsonlCorruptError`), skipped only in a shared log;
 the *final* line, torn or undecodable, is never consumed, so a
 one-shot reader drops it with a warning and a follower retries it.
-:func:`last_advanced` is the one freshness probe of a run's logs.
-DESIGN.md tabulates every file under "Files and their crash contract".
+:func:`last_advanced` is the one freshness probe of a run's logs and
+heartbeat marker.  DESIGN.md tabulates every file under "Files and
+their crash contract".
 
 :func:`dumps_line` is the one compact encoder of every log line,
 byte-equal to ``json.dumps(payload, separators=(",", ":"))`` plus a
@@ -349,7 +350,8 @@ def fold_jsonl(path: str | Path, apply: Callable[[dict, str], object],
 
 def last_advanced(*paths: str | Path) -> float | None:
     """When the newest of ``paths`` last changed (its mtime), or
-    ``None`` when none exists: how a run's logs show progress."""
+    ``None`` when none exists: how a run's logs and heartbeat marker
+    show progress and life."""
     latest: float | None = None
     for path in paths:
         try:

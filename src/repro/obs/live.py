@@ -9,7 +9,7 @@ folds only the lines appended since the last one, and a torn
 in-flight append is simply retried), folds the events through the
 same ``_apply`` the replayer uses (the snapshot therefore *converges
 to exactly the post-hoc ``load_run`` state*), and augments them with
-the heartbeat ``execute_run``/``resume_run`` keep fresh:
+the age of the run's heartbeat marker:
 
 * per-cell progress and accuracy-so-far;
 * throughput and an ETA from the span-derived per-question latency
@@ -36,10 +36,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.obs.cost import call_cost_nanos
-from repro.obs.jsonl import fold_jsonl
+from repro.obs.jsonl import fold_jsonl, last_advanced
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.tracer import Span
-from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S, read_heartbeat
+from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S
 from repro.runs.ledger import RunState, fold_run_ledger
 from repro.runs.registry import LedgerVersion, LogFold, RunRegistry
 
@@ -313,10 +313,8 @@ class LedgerFollower:
             elif throughput > 0:
                 eta = remaining / throughput
 
-        heartbeat = read_heartbeat(
-            self.registry.heartbeat_path(self.run_id))
-        heartbeat_age = (now - float(heartbeat["ts"])
-                         if heartbeat else None)
+        beat_ts = last_advanced(self.registry.heartbeat_path(self.run_id))
+        heartbeat_age = now - beat_ts if beat_ts is not None else None
         progress_ts = self.registry.progress_ts(self.run_id)
         progress_age = (now - progress_ts
                         if progress_ts is not None else None)

@@ -187,7 +187,6 @@ def execute_run(request: RunRequest,
                 engine: EvaluationEngine | None = None,
                 resolve_model: ModelResolver | None = None,
                 keep_records: bool = True,
-                durability: str = "cell",
                 tracer: "Tracer | NullTracer | None" = None,
                 trace: bool = True) -> RunResult:
     """Run the full sweep, streaming every event into the ledger.
@@ -210,7 +209,6 @@ def execute_run(request: RunRequest,
         run_id = registry.create(request, cells=len(cells))
     session = RunSession(request, registry.run_dir(run_id),
                          engine=engine, tracer=tracer, trace=trace,
-                         durability=durability,
                          keep_records=keep_records)
     return run_attempt(session, registry, run_id, pools, cells,
                        RunState(), resolve_model, resumed=False)

@@ -1,19 +1,22 @@
 """Run heartbeats: a liveness marker next to each run's ledger.
 
 The ledger records *progress*; it cannot distinguish "the process is
-between cells" from "the process is gone".  The heartbeat closes that
-gap: ``execute_run``/``resume_run`` keep a small ``heartbeat.json``
-fresh for the duration of the run (an atomically replaced document
-with the writer's pid and a monotonic-enough wall timestamp, rewritten
-every interval by a daemon thread), and readers combine three signals
-into one status:
+between cells" from "the process is gone".  So each attempt's bracket
+event (``run-started``, ``shard-started``) carries its process's pid,
+and the attempt keeps the mtime of a ``heartbeat.json`` marker fresh:
+created once, then one ``os.utime`` per beat from a daemon thread, so
+no beat writes bytes or frees blocks.  :func:`attempt_status` folds
+the signals into one status:
 
-* a ``run-finished`` event in the ledger  -> ``finished``;
-* no heartbeat, or a heartbeat whose pid is no longer alive
-  -> ``crashed``;
-* a live pid but neither the heartbeat nor the ledger advancing
-  within the stall deadline -> ``stalled``;
+* a ``run-finished`` event -> ``finished``, before any file is read;
+* no pid, or a dead one -> ``crashed``;
+* a live pid, but neither the marker nor the logs advancing within
+  the stall deadline -> ``stalled``;
 * otherwise -> ``running``.
+
+An attempt whose bracket event has no pid predates them; its pid is
+read from the JSON document its heartbeat then was
+(:func:`read_heartbeat`), so older runs read as they always did.
 
 ``repro runs list`` derives its status column this way; the live
 follower (`repro watch`) uses the same freshness signals but skips
@@ -28,39 +31,37 @@ import threading
 import time
 from pathlib import Path
 
-from repro.obs.jsonl import replace_text
+from repro.obs.jsonl import last_advanced
 
 #: File name of the liveness marker inside a run directory.
 HEARTBEAT_FILENAME = "heartbeat.json"
 
-#: Seconds between heartbeat rewrites.
+#: Seconds between heartbeat beats.
 DEFAULT_INTERVAL_S = 1.0
 
 #: How long ledger + heartbeat may both sit still before a run is
 #: considered stalled (readers can override per call).
 DEFAULT_STALL_DEADLINE_S = 30.0
 
-#: The four states ``repro runs list`` reports.
-RUN_STATUSES = ("running", "stalled", "finished", "crashed")
-
 
 class HeartbeatWriter:
-    """Keeps a run's ``heartbeat.json`` fresh from a daemon thread.
+    """Keeps a run's heartbeat marker fresh from a daemon thread.
 
-    The first beat is written synchronously in the constructor so a
-    watcher never observes a started run without a heartbeat; after
-    that a daemon thread rewrites the file every ``interval_s``.
-    ``close()`` stops the thread and leaves the last document behind
-    (its staleness is the crash/stall signal).
+    The constructor creates the marker when it is missing (never
+    truncating one that exists; a new one gets the mode the umask
+    gives an appended log) and beats once synchronously, so a watcher
+    never observes a started attempt without a fresh marker; after
+    that a daemon thread beats every ``interval_s``.  ``close()``
+    stops the thread and leaves the marker behind (its staleness is
+    the crash/stall signal).
     """
 
     def __init__(self, path: str | Path,
-                 interval_s: float = DEFAULT_INTERVAL_S,
-                 clock=time.time):
+                 interval_s: float = DEFAULT_INTERVAL_S):
         self.path = Path(path)
         self.interval_s = interval_s
-        self._clock = clock
-        self._started_ts = clock()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
         self._stop = threading.Event()
         self.beat()
         self._thread = threading.Thread(
@@ -75,14 +76,8 @@ class HeartbeatWriter:
                 return
 
     def beat(self) -> None:
-        """Atomically rewrite the heartbeat document."""
-        payload = {
-            "pid": os.getpid(),
-            "ts": self._clock(),
-            "started_ts": self._started_ts,
-            "interval_s": self.interval_s,
-        }
-        replace_text(self.path, json.dumps(payload))
+        """Set the marker's mtime to now."""
+        os.utime(self.path)
 
     def close(self) -> None:
         self._stop.set()
@@ -96,7 +91,8 @@ class HeartbeatWriter:
 
 
 def read_heartbeat(path: str | Path) -> dict | None:
-    """The heartbeat document, or ``None`` when absent/unreadable.
+    """The JSON heartbeat document of an attempt written before
+    bracket events carried a pid, or ``None`` when absent/unreadable.
 
     An unreadable file is treated as absent: the heartbeat is a
     liveness hint, never load-bearing state.
@@ -129,23 +125,40 @@ def pid_alive(pid: object) -> bool:
     return True
 
 
-def run_status(finished: bool, heartbeat: dict | None,
-               progress_ts: float | None, now: float | None = None,
+def run_status(finished: bool, pid: object, freshest: float | None,
+               now: float | None = None,
                stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S
                ) -> str:
-    """Fold the three liveness signals into one registry status.
+    """Fold the liveness signals into one registry status.
 
-    ``progress_ts`` is the last time the run's ledger (or span log)
-    visibly advanced — typically the file mtime; ``None`` when the
-    run never wrote an event.
+    ``pid`` is the latest attempt's (``None`` when unknown);
+    ``freshest`` is the last time its heartbeat marker or logs
+    visibly advanced (their newest mtime), ``None`` when none exists.
     """
     if finished:
         return "finished"
-    if heartbeat is None or not pid_alive(heartbeat.get("pid")):
+    if not pid_alive(pid):
         return "crashed"
     now = time.time() if now is None else now
-    freshest = max(float(heartbeat["ts"]),
-                   progress_ts if progress_ts is not None else 0.0)
-    if now - freshest > stall_deadline_s:
+    if now - (freshest or 0.0) > stall_deadline_s:
         return "stalled"
     return "running"
+
+
+def attempt_status(finished: bool, pid: object, heartbeat: str | Path,
+                   *logs: str | Path,
+                   stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S
+                   ) -> str:
+    """:func:`run_status` of a run's or shard's latest attempt, which
+    beats on ``heartbeat`` and writes ``logs``.
+
+    ``finished`` and ``pid`` come from the folded ledger; a finished
+    attempt reads no file.  An attempt whose bracket event has no pid
+    (``None``) takes the one in its heartbeat document.
+    """
+    if finished:
+        return "finished"
+    if pid is None:
+        pid = (read_heartbeat(heartbeat) or {}).get("pid")
+    return run_status(False, pid, last_advanced(heartbeat, *logs),
+                      stall_deadline_s=stall_deadline_s)

@@ -1,11 +1,11 @@
 """The append-only run ledger: every sweep event, durably, as JSONL.
 
 One ledger file per run.  The writer appends one JSON document per
-line — run-started, cell-started, one ``record`` per scored question,
-cell-finished with the cell's :class:`Metrics`, run-finished with the
-engine's telemetry snapshot — each as a *single* ``write()`` call
-under one lock, so concurrent engine workers can never interleave
-bytes within a line.  Durability is tiered:
+line — run-started with the attempt's pid, cell-started, a ``record``
+per scored question, cell-finished with the cell's :class:`Metrics`,
+run-finished with the engine's telemetry snapshot — each as a
+*single* ``write()`` call under one lock, so concurrent engine workers
+can never interleave bytes within a line.  Durability is tiered:
 
 * every append is flushed to the OS immediately (a crashed *process*
   loses nothing that was written);
@@ -36,6 +36,7 @@ state as it was.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
@@ -91,7 +92,8 @@ class RunLedger(JsonlAppender):
                     attempt: int = 1) -> None:
         self._append({"event": "run-started", "run_id": run_id,
                       "resumed": resumed, "attempt": attempt,
-                      "ts": time.time()}, sync=self._sync_boundary())
+                      "pid": os.getpid(), "ts": time.time()},
+                     sync=self._sync_boundary())
 
     def cell_started(self, cell_id: str, n: int) -> None:
         self._append({"event": "cell-started", "cell": cell_id,
@@ -212,6 +214,9 @@ class RunState:
     started_ts: float | None = None
     #: ``ts`` of the latest run-finished or budget-exhausted event.
     ended_ts: float | None = None
+    #: The pid in the latest attempt's bracket event (None for one
+    #: written before bracket events carried it).
+    pid: int | None = None
 
     @property
     def budget_stopped(self) -> bool:
@@ -309,6 +314,7 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         state.attempts = max(state.attempts, int(event["attempt"]))
         state.finished = False      # a new attempt reopens the run
         state.budget = None
+        state.pid = event.get("pid")
         if state.started_ts is None:
             state.started_ts = float(event.get("ts") or 0.0)
     elif kind == "cell-started":

@@ -42,8 +42,7 @@ from typing import Any
 from repro.errors import ManifestCorruptError, RunError, UnknownRunError
 from repro.obs.jsonl import last_advanced, replace_text
 from repro.runs.heartbeat import (DEFAULT_STALL_DEADLINE_S,
-                                  HEARTBEAT_FILENAME, read_heartbeat,
-                                  run_status)
+                                  HEARTBEAT_FILENAME, attempt_status)
 from repro.runs.ledger import LEDGER_FILENAME, RunState, fold_run_ledger
 from repro.runs.request import LEDGER_SCHEMA_VERSION, RunRequest
 
@@ -136,7 +135,7 @@ class RunSummary:
     #: Live status (``running``/``stalled``/``finished``/``crashed``,
     #: plus ``unmerged`` for sharded runs whose workers all finished,
     #: and ``invalid`` for undecodable run directories) derived from
-    #: the heartbeat + the run-finished event.
+    #: the ledger's run-finished event and attempt pid + the heartbeat.
     status: str = "crashed"
     #: Shard fan-out (0 = unsharded single-process run).
     shards: int = 0
@@ -641,27 +640,28 @@ class RunRegistry:
         return last_advanced(self.ledger_path(run_id),
                              self.spans_path(run_id))
 
-    def status(self, run_id: str, finished: bool | None = None,
+    def status(self, run_id: str, state: RunState | None = None,
                stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S
                ) -> str:
-        """Live status of one run (heartbeat + run-finished event).
+        """Live status of one run (:func:`attempt_status` of ``state``,
+        its replayed ledger, read from the registry if not given).
 
         For a sharded run that has not been merged yet, the top-level
         ledger and heartbeat do not exist — the truth lives in the K
         shard directories, so status aggregation is delegated to
         ``repro.dist.status``.
         """
-        if finished is None:
-            finished = self.state(run_id).finished
-        if not finished and self.shard_count(run_id) > 0:
+        if state is None:
+            state = self.state(run_id)
+        if not state.finished and self.shard_count(run_id) > 0:
             # Call-time: repro.dist.status imports this module.
             from repro.dist.status import sharded_run_status
             return sharded_run_status(
                 run_id, registry=self,
                 stall_deadline_s=stall_deadline_s)
-        return run_status(
-            finished, read_heartbeat(self.heartbeat_path(run_id)),
-            self.progress_ts(run_id),
+        return attempt_status(
+            state.finished, state.pid, self.heartbeat_path(run_id),
+            self.ledger_path(run_id), self.spans_path(run_id),
             stall_deadline_s=stall_deadline_s)
 
     def summary(self, run_id: str) -> RunSummary:
@@ -676,11 +676,11 @@ class RunRegistry:
         manifest = self.manifest(run_id)
         request = RunRequest.from_dict(manifest["request"])
         # A budget stop is a deliberate pause, not a crash: the
-        # heartbeat is gone but the ledger says why.
+        # attempt's process is gone but the ledger says why.
         if state.budget_stopped:
             status = "budget-stopped"
         else:
-            status = self.status(run_id, finished=state.finished)
+            status = self.status(run_id, state)
         return RunSummary(
             run_id=run_id,
             dataset=request.dataset,

@@ -37,7 +37,6 @@ def resume_run(run_id: str,
                engine: EvaluationEngine | None = None,
                resolve_model: ModelResolver | None = None,
                keep_records: bool = True,
-               durability: str = "cell",
                tracer: "Tracer | NullTracer | None" = None,
                trace: bool = True) -> RunResult:
     """Complete ``run_id``, reusing every record already on disk.
@@ -58,7 +57,6 @@ def resume_run(run_id: str,
     pools = build_request_pools(request)
     session = RunSession(request, registry.run_dir(run_id),
                          engine=engine, tracer=tracer, trace=trace,
-                         durability=durability,
                          keep_records=keep_records)
     return run_attempt(session, registry, run_id, pools,
                        plan_cells(request, pools), state,

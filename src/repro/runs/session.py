@@ -78,8 +78,7 @@ class RunSession:
     def __init__(self, request: RunRequest, directory: str | Path,
                  engine: EvaluationEngine | None = None,
                  tracer: "Tracer | NullTracer | None" = None,
-                 trace: bool = True, durability: str = "cell",
-                 keep_records: bool = True,
+                 trace: bool = True, keep_records: bool = True,
                  ledger_type: type[RunLedger] = RunLedger):
         self.request = request
         self.directory = Path(directory)
@@ -90,7 +89,6 @@ class RunSession:
         self.tracer = tracer
         #: This attempt's counters, on either path.
         self.telemetry = Telemetry()
-        self._durability = durability
         self.keep_records = keep_records
         self._ledger_type = ledger_type
 
@@ -114,9 +112,8 @@ class RunSession:
                 stack.callback(setattr, self.tracer, "sink", None)
             stack.enter_context(
                 HeartbeatWriter(self.directory / HEARTBEAT_FILENAME))
-            self.ledger = stack.enter_context(self._ledger_type(
-                self.directory / LEDGER_FILENAME,
-                durability=self._durability))
+            self.ledger = stack.enter_context(
+                self._ledger_type(self.directory / LEDGER_FILENAME))
             self.runner = EvaluationRunner(
                 variant=self.request.variant,
                 keep_records=self.keep_records, engine=engine,

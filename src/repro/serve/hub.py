@@ -34,7 +34,8 @@ import time
 from repro.errors import ReproError
 from repro.obs.alerts import AlertEvaluator
 from repro.obs.live import LedgerFollower
-from repro.runs.registry import RunRegistry
+from repro.runs.registry import (FileVersion, LedgerVersion, RunRegistry,
+                                 file_version)
 
 _log = logging.getLogger("repro.serve.hub")
 
@@ -221,8 +222,8 @@ class _Broadcast:
         span log versions it was read from, for late subscribers."""
         if not self.registry.state_cache.fits(self.follower.ledger.offset):
             return      # a replay would keep nothing
-        read = [(version.path, version.version)
-                for version in (self.follower.ledger, self.follower.spans)]
+        read = [(log.path, _folded_version(log))
+                for log in (self.follower.ledger, self.follower.spans)]
 
         def build(state, files: list) -> tuple[dict, bool]:
             files += read
@@ -233,6 +234,19 @@ class _Broadcast:
 
     def stop(self) -> None:
         self._stop.set()
+
+
+def _folded_version(log: LedgerVersion) -> FileVersion | None:
+    """The version of ``log``'s file that holds exactly the bytes
+    folded: its version now when it is the same file and every byte of
+    it was folded (an append that raced the fold, such as the run's
+    last line, is in the state but not in ``log.version``, taken
+    before the fold), else ``log.version``."""
+    now = file_version(log.path)
+    if (now is not None and log.version is not None
+            and now[:2] == log.version[:2] and now[2] == log.offset):
+        return now
+    return log.version
 
 
 class FollowerHub:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import logging
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,64 @@ def folds(monkeypatch) -> list:
                          (registry, "fold_run_ledger")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     return calls
+
+
+#: One attempt of a run (or, with a shard index >= 0, of one of its
+#: shards) whose process exits without any cleanup once its model has
+#: given ``answers`` answers, as a killed process does.
+_DIES_MIDWAY = """
+import os, sys
+from repro.llm.registry import get_model
+from repro.runs import RunRegistry, execute_run
+
+root, run_id, answers, shard = sys.argv[1:]
+left = [int(answers)]
+
+class Dies:
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+
+    def generate(self, prompt):
+        if left[0] == 0:
+            os._exit(3)
+        left[0] -= 1
+        return self.inner.generate(prompt)
+
+registry = RunRegistry(root)
+resolve = lambda name: Dies(get_model(name))
+if int(shard) < 0:
+    execute_run(registry.request(run_id), registry=registry,
+                run_id=run_id, resolve_model=resolve)
+else:
+    from repro.dist.worker import run_shard
+    run_shard(run_id, int(shard), registry=registry,
+              resolve_model=resolve)
+"""
+
+
+@pytest.fixture()
+def killed_attempt():
+    """``kill(registry, run_id, answers, shard=None)`` runs one attempt
+    of the run (or of its shard ``shard``) in a child process that dies
+    without cleanup after ``answers`` model answers, and returns the
+    dead child's pid: its bracket event, records and heartbeat marker
+    stay behind."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def kill(registry, run_id: str, answers: int,
+             shard: int | None = None) -> int:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _DIES_MIDWAY, str(registry.root),
+             run_id, str(answers), str(-1 if shard is None else shard)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        _, stderr = child.communicate(timeout=120)
+        assert child.returncode == 3, stderr
+        return child.pid
+
+    return kill
 
 
 @pytest.fixture()

@@ -92,22 +92,6 @@ class _Manifest:
         return _dumped(payload, indent=1)
 
 
-class _Heartbeat:
-    def __init__(self, root: Path):
-        self.target = root / "run" / "heartbeat.json"
-
-    def write(self, version: int) -> None:
-        with HeartbeatWriter(self.target, interval_s=3600.0,
-                             clock=lambda: float(version)):
-            pass
-
-    def expected(self, version: int) -> bytes:
-        return _dumped({"pid": os.getpid(),
-                        "ts": float(version),
-                        "started_ts": float(version),
-                        "interval_s": 3600.0})
-
-
 class _ShardPlan:
     def __init__(self, root: Path):
         self.registry = RunRegistry(root / "runs")
@@ -207,7 +191,6 @@ def _stable(name: str, data: bytes) -> bytes:
 
 WRITERS = {
     "manifest": _Manifest,
-    "heartbeat": _Heartbeat,
     "shard-plan": _ShardPlan,
     "cache": _Cache,
     "store-artifact": _StoreArtifact,
@@ -303,17 +286,32 @@ def test_merge_killed_before_its_ledger_stays_mergeable(tmp_path,
     assert load_run(writer.run_id, registry=writer.registry).cells
 
 
+class _Heartbeat:
+    """The heartbeat marker: created in place, never replaced."""
+
+    def __init__(self, root: Path):
+        self.target = root / "run" / "heartbeat.json"
+
+    def write(self, version: int) -> None:
+        with HeartbeatWriter(self.target, interval_s=3600.0):
+            pass
+
+
+#: The atomic-replace writers plus the heartbeat marker.
+CREATED = {**WRITERS, "heartbeat": _Heartbeat}
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077],
                          ids=["umask-022", "umask-077"])
-@pytest.mark.parametrize("name", list(WRITERS))
+@pytest.mark.parametrize("name", list(CREATED))
 def test_replaced_file_gets_the_mode_an_appended_log_gets(tmp_path,
                                                           name, umask):
     """The umask, not the temp file's creator, sets a replaced
-    document's mode, so a reader that can read a run's appended
-    ledger can read every document beside it."""
+    document's mode (and the heartbeat marker's), so a reader that can
+    read a run's appended ledger can read every file beside it."""
     previous = os.umask(umask)
     try:
-        writer = WRITERS[name](tmp_path)
+        writer = CREATED[name](tmp_path)
         writer.write(1)
         appended = tmp_path / "appended" / "ledger.jsonl"
         with RunLedger(appended) as ledger:

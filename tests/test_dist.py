@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -587,6 +588,39 @@ class TestShardStatus:
         assert shown() == (rows, text)
         assert "pending" not in text
         assert registry.summary(run_id).status == "finished"
+
+    def test_each_status_comes_from_the_shard_started_pid(
+            self, registry, killed_attempt):
+        from repro.dist import save_shard_plan
+        request = RunRequest(**SMALL)
+        run_id = registry.create(request, cells=8)
+        plan = plan_shards(request, 2)
+        save_shard_plan(registry, run_id, plan)
+
+        def status(shard: int) -> str:
+            return shard_statuses(run_id, registry=registry)[shard].status
+
+        assert [status(0), status(1)] == ["pending", "pending"]
+        run_shard(run_id, 0, registry=registry, plan=plan)
+        assert status(0) == "finished"
+        # Shard 1's worker dies: its shard-started pid is gone.
+        dead = killed_attempt(registry, run_id, answers=4, shard=1)
+        shard_ledger = registry.shard_ledger_path(run_id, 1)
+        assert replay_shard(shard_ledger, 1).pid == dead
+        assert status(1) == "crashed"
+        assert sharded_run_status(run_id, registry=registry) == "crashed"
+        # An attempt in this process, killed by an exception: its
+        # shard-started pid is alive.
+        with pytest.raises(RuntimeError):
+            run_shard(run_id, 1, registry=registry, plan=plan,
+                      resolve_model=budgeted_resolver(1))
+        assert replay_shard(shard_ledger, 1).pid == os.getpid()
+        assert status(1) == "running"
+        assert sharded_run_status(run_id, registry=registry) == "running"
+        run_shard(run_id, 1, registry=registry, plan=plan)
+        assert status(1) == "finished"
+        assert sharded_run_status(run_id, registry=registry) \
+            == "unmerged"
 
     def test_questions_done_tracks_progress(self, registry):
         from repro.dist import save_shard_plan

@@ -13,9 +13,11 @@ import dataclasses
 import json
 import logging
 import os
+import sys
 import threading
 import time
 
+from functools import partial
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -37,6 +39,8 @@ from repro.runs import (HeartbeatWriter, RunLedger, RunRegistry,
                         RunRequest, create_run, execute_run, load_run,
                         pid_alive, read_heartbeat, replay_ledger,
                         resume_run, run_status)
+from repro.runs import session as session_module
+from repro.runs.heartbeat import attempt_status
 from repro.runs.registry import StateCache
 from repro.cli import main
 
@@ -246,14 +250,36 @@ class TestIterJsonl:
 # ----------------------------------------------------------------------
 # Heartbeat and status folding
 # ----------------------------------------------------------------------
+def _brackets(ledger: Path) -> list[dict]:
+    return [event for event in iter_jsonl(ledger).payloads
+            if event["event"] == "run-started"]
+
+
+def _dead_pid_in_brackets(ledger: Path) -> None:
+    """Rewrite every bracket event's pid as one no process has."""
+    ledger.write_text(
+        ledger.read_text(encoding="utf-8").replace(
+            f'"pid":{os.getpid()},', '"pid":-5,'), encoding="utf-8")
+
+
+def _aged(*paths: Path, seconds: float = 3600.0) -> None:
+    """Set each existing file's mtime ``seconds`` into the past."""
+    old = time.time() - seconds
+    for path in paths:
+        if path.exists():
+            os.utime(path, (old, old))
+
+
 class TestHeartbeat:
     def test_first_beat_is_synchronous(self, tmp_path):
-        path = tmp_path / "heartbeat.json"
+        path = tmp_path / "run" / "heartbeat.json"
         with HeartbeatWriter(path, interval_s=60.0):
-            beat = read_heartbeat(path)
-            assert beat is not None
-            assert beat["pid"] == os.getpid()
-        assert read_heartbeat(path) is not None   # left behind
+            assert time.time() - path.stat().st_mtime < 5.0
+        assert path.read_bytes() == b""           # left behind
+        # A later attempt's first beat refreshes a stale marker.
+        _aged(path)
+        with HeartbeatWriter(path, interval_s=60.0):
+            assert time.time() - path.stat().st_mtime < 5.0
 
     def test_unreadable_heartbeat_is_treated_as_absent(self, tmp_path):
         path = tmp_path / "heartbeat.json"
@@ -267,22 +293,45 @@ class TestHeartbeat:
         assert pid_alive("not a pid") is False
         assert pid_alive(None) is False
 
-    def test_run_status_folds_the_three_signals(self):
+    def test_run_status_folds_the_three_signals(self, tmp_path):
         now = 1000.0
-        live = {"pid": os.getpid(), "ts": now - 1.0}
+        live = os.getpid()
         assert run_status(True, None, None) == "finished"
         assert run_status(False, None, now, now=now) == "crashed"
-        dead = {"pid": -5, "ts": now - 1.0}
-        assert run_status(False, dead, now, now=now) == "crashed"
-        assert run_status(False, live, now - 2.0, now=now,
+        assert run_status(False, -5, now - 1.0, now=now) == "crashed"
+        assert run_status(False, live, now - 1.0, now=now,
                           stall_deadline_s=30.0) == "running"
-        stale = {"pid": os.getpid(), "ts": now - 120.0}
-        assert run_status(False, stale, now - 120.0, now=now,
+        assert run_status(False, live, now - 120.0, now=now,
                           stall_deadline_s=30.0) == "stalled"
         # A fresh ledger keeps a stale heartbeat "running" and
         # vice versa: only both sitting still means stalled.
-        assert run_status(False, stale, now - 1.0, now=now,
-                          stall_deadline_s=30.0) == "running"
+        heartbeat = tmp_path / "heartbeat.json"
+        ledger = tmp_path / "ledger.jsonl"
+        heartbeat.touch()
+        ledger.touch()
+
+        def status(pid=live):
+            return attempt_status(False, pid, heartbeat, ledger,
+                                  stall_deadline_s=30.0)
+
+        _aged(heartbeat, seconds=120.0)
+        assert status() == "running"
+        os.utime(heartbeat)
+        _aged(ledger, seconds=120.0)
+        assert status() == "running"
+        _aged(heartbeat, seconds=120.0)
+        assert status() == "stalled"
+        assert status(pid=-5) == "crashed"
+
+    def test_a_finished_attempt_reads_no_liveness_file(self, tmp_path,
+                                                       monkeypatch):
+        def no_stat(*args, **kwargs):
+            raise AssertionError("a liveness file was read")
+
+        monkeypatch.setattr(os, "stat", no_stat)
+        monkeypatch.setattr(Path, "read_text", no_stat)
+        assert attempt_status(True, None, tmp_path / "heartbeat.json",
+                              tmp_path / "ledger.jsonl") == "finished"
 
     def test_registry_status_of_finished_and_crashed(self, registry):
         result = execute_run(RunRequest(**SMALL), registry=registry)
@@ -291,18 +340,184 @@ class TestHeartbeat:
         assert summary.status == "finished"
         assert summary.as_row()["status"] == "finished"
 
-    def test_registry_status_crashed_when_pid_is_gone(self, registry):
+    def test_registry_status_crashed_when_pid_is_gone(self, registry,
+                                                      killed_attempt):
         run_id = create_run(RunRequest(**SMALL), registry=registry)
-        crash = crashing_resolver(3)
-        with pytest.raises(RuntimeError):
-            execute_run(RunRequest(**SMALL), registry=registry,
-                        run_id=run_id, resolve_model=crash)
-        # Rewrite the heartbeat as if its writer process had died.
-        registry.heartbeat_path(run_id).write_text(
-            json.dumps({"pid": -5, "ts": time.time()}),
-            encoding="utf-8")
+        pid = killed_attempt(registry, run_id, answers=3)
+        state = registry.state(run_id)
+        assert state.pid == pid and not pid_alive(pid)
+        assert state.recorded_questions == 3
+        assert registry.heartbeat_path(run_id).exists()
         assert registry.status(run_id) == "crashed"
         assert registry.summary(run_id).status == "crashed"
+        # The ledger's pid decides, whatever the marker holds.
+        registry.heartbeat_path(run_id).write_text(
+            json.dumps({"pid": os.getpid(), "ts": time.time()}),
+            encoding="utf-8")
+        assert registry.status(run_id) == "crashed"
+
+    def test_bracket_events_carry_the_attempt_pid(self, registry):
+        request = RunRequest(**SMALL)
+        run_id = create_run(request, registry=registry)
+        with pytest.raises(RuntimeError):
+            execute_run(request, registry=registry, run_id=run_id,
+                        resolve_model=crashing_resolver(3))
+        assert registry.state(run_id).pid == os.getpid()
+        _dead_pid_in_brackets(registry.ledger_path(run_id))
+        assert registry.state(run_id).pid == -5
+        resume_run(run_id, registry=registry)
+        assert [event["pid"] for event in _brackets(
+            registry.ledger_path(run_id))] == [-5, os.getpid()]
+        assert registry.state(run_id).pid == os.getpid()
+
+    def test_no_beat_replaces_or_truncates_a_file(self, registry,
+                                                  monkeypatch):
+        request = RunRequest(**SMALL)
+        run_id = create_run(request, registry=registry)
+        beats: list[Path] = []
+
+        class Counted(HeartbeatWriter):
+            def beat(self) -> None:
+                beats.append(self.path)
+                super().beat()
+
+        replaced: list[str] = []
+        opened: list[tuple[str, int]] = []
+        real_replace, real_open = os.replace, os.open
+
+        def replace(src, dst, *args, **kwargs):
+            replaced.append(Path(dst).name)
+            return real_replace(src, dst, *args, **kwargs)
+
+        def open_(path, flags, *args, **kwargs):
+            opened.append((Path(path).name, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        # Beat every millisecond: the daemon thread beats many times.
+        monkeypatch.setattr(session_module, "HeartbeatWriter",
+                            partial(Counted, interval_s=0.001))
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "open", open_)
+        with pytest.raises(RuntimeError):
+            execute_run(request, registry=registry, run_id=run_id,
+                        resolve_model=crashing_resolver(3))
+        resume_run(run_id, registry=registry,
+                   resolve_model=slow_resolver(0.002))
+        assert registry.state(run_id).finished
+        assert len(beats) > 2
+        assert set(beats) == {registry.heartbeat_path(run_id)}
+        assert replaced == []
+        assert opened == [("heartbeat.json", os.O_WRONLY | os.O_CREAT)] * 2
+
+    def test_readers_racing_a_resume_never_see_it_crashed(self, registry):
+        request = RunRequest(**SMALL)
+        run_id = create_run(request, registry=registry)
+        with pytest.raises(RuntimeError):
+            execute_run(request, registry=registry, run_id=run_id,
+                        resolve_model=crashing_resolver(3))
+        ledger = registry.ledger_path(run_id)
+        _dead_pid_in_brackets(ledger)
+        assert registry.status(run_id) == "crashed"
+        crashed_size = ledger.stat().st_size
+        follower = LedgerFollower(run_id, registry=registry)
+        seen: list[tuple[str, str]] = []
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def bracketed() -> bool:
+            """The resume's run-started line is whole in the ledger."""
+            with open(ledger, "rb") as stream:
+                stream.seek(crashed_size)
+                return b'"run-started"' in stream.read().rpartition(
+                    b"\n")[0]
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    started = bracketed()
+                    statuses = (registry.status(run_id),
+                                follower.poll().status)
+                    if started:
+                        seen.append(statuses)
+            except BaseException as exc:  # pragma: no cover - guard
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            resume_run(run_id, registry=registry,
+                       resolve_model=slow_resolver(0.001))
+            time.sleep(0.01)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert seen
+        assert {status for pair in seen for status in pair} <= {
+            "running", "finished"}
+        assert registry.status(run_id) == "finished"
+
+
+class TestOldFormatRuns:
+    """A run whose bracket event has no pid (written before brackets
+    carried one) next to the JSON heartbeat document of that time."""
+
+    @staticmethod
+    def _run(registry, document: str | None) -> str:
+        run_id = create_run(RunRequest(**SMALL), registry=registry)
+        registry.ledger_path(run_id).write_text(json.dumps(
+            {"event": "run-started", "run_id": run_id, "resumed": False,
+             "attempt": 1, "ts": time.time()}) + "\n", encoding="utf-8")
+        if document is not None:
+            registry.heartbeat_path(run_id).write_text(document,
+                                                      encoding="utf-8")
+        return run_id
+
+    @staticmethod
+    def _document(pid: int, ts: float) -> str:
+        return json.dumps({"pid": pid, "ts": ts, "started_ts": ts,
+                           "interval_s": 1.0})
+
+    @pytest.mark.parametrize("document, status", [
+        ("live", "running"), ("dead", "crashed"), ("garbled", "crashed"),
+        (None, "crashed")])
+    def test_status_reads_the_document_pid(self, registry, document,
+                                           status):
+        text = {"live": self._document(os.getpid(), time.time()),
+                "dead": self._document(-5, time.time()),
+                "garbled": "{torn", None: None}[document]
+        run_id = self._run(registry, text)
+        assert registry.state(run_id).pid is None
+        assert registry.status(run_id) == status
+        assert registry.summary(run_id).status == status
+        assert LedgerFollower(run_id, registry=registry).poll().status \
+            == "running"
+
+    def test_live_pid_with_everything_stale_is_stalled(self, registry):
+        old = time.time() - 3600
+        run_id = self._run(registry, self._document(os.getpid(), old))
+        _aged(registry.heartbeat_path(run_id),
+              registry.ledger_path(run_id))
+        assert registry.status(run_id) == "stalled"
+        assert LedgerFollower(run_id, registry=registry).poll().status \
+            == "stalled"
+
+    def test_a_resume_writes_a_pid_and_keeps_the_document(self, registry):
+        document = self._document(-5, time.time())
+        run_id = self._run(registry, document)
+        assert registry.status(run_id) == "crashed"
+        resume_run(run_id, registry=registry)
+        assert registry.status(run_id) == "finished"
+        assert [event.get("pid") for event in _brackets(
+            registry.ledger_path(run_id))] == [None, os.getpid()]
+        assert registry.heartbeat_path(run_id).read_text(
+            encoding="utf-8") == document
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.llm.registry import get_model
 from repro.obs.trail import trail_to_dict
 from repro.runs import (RunRequest, create_run, execute_run, load_run,
                         replay_ledger, resume_run)
-from repro.runs.ledger import fold_run_ledger
+from repro.runs.ledger import RunLedger, fold_run_ledger
 from repro.runs.registry import RunRegistry
 from repro.serve import (DEFAULT_TENANT, TENANT_HEADER, ReproServer,
                          run_result_payload)
@@ -437,6 +437,36 @@ class TestLiveStreaming:
             run_id, FINAL_VIEW) == final
         assert server.hub.stats()["broadcasts"] == 0
 
+    def test_a_final_read_past_its_ledger_version_is_kept(
+            self, server, monkeypatch):
+        """The run-finished line can land between the follower's stat
+        of the ledger and its fold: the final it reads is kept all the
+        same, so a late subscriber gets the same bytes."""
+        from repro.obs import live
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = create_run(RunRequest(**SMALL), registry=registry)
+        path = registry.ledger_path(run_id)
+        with RunLedger(path) as ledger:
+            ledger.run_started(run_id)
+        real = live.fold_run_ledger
+
+        def racing(*args, **kwargs):
+            if not replay_ledger(path).finished:
+                with RunLedger(path) as ledger:
+                    ledger.run_finished(0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(live, "fold_run_ledger", racing)
+        finals = []
+        for _ in range(2):
+            frames = _read_sse(server, f"/runs/{run_id}/events")
+            finals.append([data for kind, data in frames
+                           if kind == "snapshot"][-1])
+        assert json.loads(finals[0])["finished"] is True
+        assert finals[1] == finals[0]
+        assert registry.kept(run_id, FINAL_VIEW) == json.loads(finals[0])
+        assert server.hub.stats()["broadcasts"] == 0
+
     def test_limit_query_truncates_the_stream(self, server):
         result = _seed_run(server)
         frames = _read_sse(server,
@@ -774,7 +804,7 @@ def _reads(server, paths, headers=None) -> dict[str, bytes]:
 
 class _DiesAfter:
     """A model that dies after ``budget`` answers, so its run stops
-    mid-cell and leaves this live process's heartbeat behind."""
+    mid-cell with this live process's pid in its ledger."""
 
     def __init__(self, inner, budget: int):
         self.inner = inner
@@ -954,12 +984,9 @@ class TestViewMemo:
         each_read_builds(crashed)
         each_read_builds(unmerged)
         # Age the crashed run past the stall deadline.
-        heartbeat = registry.heartbeat_path(crashed)
-        beat = json.loads(heartbeat.read_text(encoding="utf-8"))
         old = time.time() - 3600
-        heartbeat.write_text(json.dumps({**beat, "ts": old}),
-                             encoding="utf-8")
-        for path in (registry.ledger_path(crashed),
+        for path in (registry.heartbeat_path(crashed),
+                     registry.ledger_path(crashed),
                      registry.spans_path(crashed)):
             if path.exists():
                 os.utime(path, (old, old))
