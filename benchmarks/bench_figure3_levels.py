@@ -9,9 +9,8 @@ from repro.experiments.levels import run_levels
 from repro.figures.ascii import line_chart
 
 
-def test_figure3_per_level_accuracy(benchmark, report, config,
-                                    bench_harness):
-    series = once(benchmark, run_levels, config, bench=bench_harness)
+def test_figure3_per_level_accuracy(benchmark, report, config):
+    series = once(benchmark, run_levels, config)
     by_pair = {(s.model, s.taxonomy_key): s for s in series}
 
     # Root-to-leaf decline on the common taxonomies for most models.

@@ -11,10 +11,9 @@ from repro.figures.ascii import radar_table
 from repro.llm.prompting import PromptSetting
 
 
-def test_figure4_prompting_settings(benchmark, report, config,
-                                    bench_harness):
+def test_figure4_prompting_settings(benchmark, report, config):
     result = once(benchmark, run_prompting, config,
-                  REPRESENTATIVE_MODELS, bench=bench_harness)
+                  REPRESENTATIVE_MODELS)
 
     # Finding 4's shape: few-shot rescues Llama-2-7B from abstention...
     zero_miss = result.average("Llama-2-7B", PromptSetting.ZERO_SHOT,

@@ -9,8 +9,7 @@ from repro.questions.model import DatasetKind
 
 
 def test_table5_hard_overall(benchmark, report, config, bench_harness):
-    result = once(benchmark, run_overall, DatasetKind.HARD, config,
-                  bench_harness)
+    result = once(benchmark, run_overall, DatasetKind.HARD, config)
     # Shape contract: measured cells track the paper's Table 5.
     assert result.mean_abs_accuracy_delta < 0.10
     assert result.mean_abs_miss_delta < 0.08

@@ -9,8 +9,7 @@ from repro.questions.model import DatasetKind
 
 
 def test_table6_easy_overall(benchmark, report, config, bench_harness):
-    result = once(benchmark, run_overall, DatasetKind.EASY, config,
-                  bench_harness)
+    result = once(benchmark, run_overall, DatasetKind.EASY, config)
     assert result.mean_abs_accuracy_delta < 0.10
     matrix = result.matrix()
     # Easy >= hard in the paper for nearly every strong-model cell;

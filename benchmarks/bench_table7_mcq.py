@@ -11,8 +11,7 @@ from repro.questions.model import DatasetKind
 
 
 def test_table7_mcq_overall(benchmark, report, config, bench_harness):
-    result = once(benchmark, run_overall, DatasetKind.MCQ, config,
-                  bench_harness)
+    result = once(benchmark, run_overall, DatasetKind.MCQ, config)
     assert result.mean_abs_accuracy_delta < 0.10
     matrix = result.matrix()
     # Providing options slashes miss rates (Section 4.1): averaged

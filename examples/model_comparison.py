@@ -8,7 +8,7 @@ parameters help?  Does fine-tuning help?  Which kind?
 
 from __future__ import annotations
 
-from repro import DatasetKind, TaxoGlimpse
+from repro import DatasetKind
 from repro.experiments.analysis import (domain_gaps, size_scaling_steps,
                                         tuning_effect)
 from repro.experiments.config import ExperimentConfig
@@ -23,10 +23,9 @@ TAXONOMIES = ("ebay", "google", "schema", "glottolog", "ncbi")
 
 
 def main() -> None:
-    bench = TaxoGlimpse(sample_size=60)
     config = ExperimentConfig(sample_size=60, models=MODELS,
                               taxonomy_keys=TAXONOMIES)
-    matrix = run_overall(DatasetKind.HARD, config, bench=bench).matrix()
+    matrix = run_overall(DatasetKind.HARD, config).matrix()
 
     print("Common-vs-specialized gap (hard datasets, zero-shot):")
     for gap in domain_gaps(matrix):

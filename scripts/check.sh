@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI mirror: the tier-1 test suite, then the whole suite again
-# under `python -X dev`, the perfbench harness tests, ten benchmark
+# under `python -X dev`, the perfbench harness tests, the five paper
+# benches (Tables 5-7, Figures 3-4) at their fast scale, ten benchmark
 # smokes (engine throughput, engine batching, dataset pipeline, run
 # ledger, shard scaling, tracing, live follower, cost metering, serve
 # fan-out, trail capture), the `obs check` regression gate, the
@@ -32,6 +33,10 @@ step "the whole suite again in dev mode (a leaked socket or file fails)" \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 step "benchmark harness tests" python3 -m pytest perfbench -q
+step "paper benches (Tables 5-7, Figures 3-4)" \
+    python -m pytest -q benchmarks/bench_table5_hard.py \
+    benchmarks/bench_table6_easy.py benchmarks/bench_table7_mcq.py \
+    benchmarks/bench_figure3_levels.py benchmarks/bench_figure4_prompting.py
 step "engine throughput smoke" \
     python benchmarks/bench_engine_throughput.py
 step "engine batching smoke (speedup + exact-calls + identity gates)" \

@@ -16,7 +16,6 @@ import sys
 import time
 from statistics import fmean
 
-from repro.core.benchmark import TaxoGlimpse
 from repro.data.paper_tables import MODEL_ORDER, TAXONOMY_ORDER
 from repro.experiments.analysis import (domain_gaps, size_scaling_steps,
                                         tuning_effect)
@@ -34,12 +33,13 @@ from repro.hybrid.case_study import run_case_study
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import SERIES
 from repro.questions.model import DatasetKind
+from repro.questions.pools import build_pools
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
 
 
-def overall_section(lines, dataset, config, bench):
-    result = run_overall(dataset, config, bench=bench)
+def overall_section(lines, dataset, config):
+    result = run_overall(dataset, config)
     lines.append(f"### Table {dict(hard=5, easy=6, mcq=7)[dataset.value]}"
                  f" — overall results, {dataset.value} datasets")
     lines.append("")
@@ -68,7 +68,6 @@ def overall_section(lines, dataset, config, bench):
 def main() -> None:
     started = time.time()
     config = ExperimentConfig()
-    bench = TaxoGlimpse()
     lines = [
         "# EXPERIMENTS — paper vs measured",
         "",
@@ -117,7 +116,7 @@ def main() -> None:
     lines.append("| Taxonomy | Level | Easy | Hard | MCQ |")
     lines.append("|---|---|---|---|---|")
     for key in TAXONOMY_ORDER:
-        for row in bench.pools(key).statistics():
+        for row in build_pools(key).statistics():
             lines.append(f"| {key} | {row['level']} | {row['easy']} "
                          f"| {row['hard']} | {row['mcq']} |")
     lines.append("")
@@ -130,10 +129,9 @@ def main() -> None:
     # T5/T6/T7 ----------------------------------------------------------
     lines.append("## Tables 5-7 — overall results")
     lines.append("")
-    hard_result = overall_section(lines, DatasetKind.HARD, config,
-                                  bench)
-    overall_section(lines, DatasetKind.EASY, config, bench)
-    overall_section(lines, DatasetKind.MCQ, config, bench)
+    hard_result = overall_section(lines, DatasetKind.HARD, config)
+    overall_section(lines, DatasetKind.EASY, config)
+    overall_section(lines, DatasetKind.MCQ, config)
 
     matrix = hard_result.matrix()
 
@@ -169,7 +167,7 @@ def main() -> None:
     level_config = ExperimentConfig(
         models=("GPT-4", "GPT-3.5", "Llama-3-8B", "Flan-T5-11B",
                 "LLMs4OL"))
-    series = run_levels(level_config, bench=bench)
+    series = run_levels(level_config)
     lines.append("| Model | Taxonomy | Accuracy per level "
                  "(root-side first) | Declines? | Last-level uplift |")
     lines.append("|---|---|---|---|---|")
@@ -188,7 +186,7 @@ def main() -> None:
     # F4 ---------------------------------------------------------------
     lines.append("## Figure 4 — prompting settings (hard)")
     lines.append("")
-    radar = run_prompting(config, REPRESENTATIVE_MODELS, bench=bench)
+    radar = run_prompting(config, REPRESENTATIVE_MODELS)
     lines.append("| Model | Setting | Mean accuracy | Mean miss |")
     lines.append("|---|---|---|---|")
     for model in REPRESENTATIVE_MODELS:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -63,7 +62,6 @@ from repro.dist.merge import merge_run
 from repro.dist.status import (render_shard_dashboard, shard_statuses,
                                watch_shards)
 from repro.engine.cache import ResponseCache
-from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats
 from repro.data.paper_tables import MODEL_ORDER, TAXONOMY_ORDER
@@ -74,7 +72,7 @@ from repro.experiments.consistency import probe_consistency
 from repro.experiments.errors_analysis import error_breakdown
 from repro.experiments.levels import run_levels
 from repro.llm.deployment import plan_deployment
-from repro.experiments.overall import run_overall
+from repro.experiments.overall import overall_from_run, overall_request
 from repro.experiments.popularity import figure2_rows
 from repro.experiments.scalability import (efficiency_summary,
                                            figure7_rows)
@@ -95,7 +93,7 @@ from repro.obs.trail import compile_predicate, trail_env
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
 from repro.runs.diff import diff_runs
-from repro.runs.driver import execute_run, load_run
+from repro.runs.driver import evaluate_request, execute_run, load_run
 from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
 from repro.runs.resume import resume_run
@@ -539,28 +537,24 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
                               "`repro obs why` / `repro obs grep`)")
 
 
-def _engine_from_flags(args: argparse.Namespace) -> EvaluationEngine:
-    """An engine from the shared --workers/--retries/--cache flags
-    (plus the batching/coalescing knobs when present) for the
-    in-memory commands; ledgered runs use :func:`_run_engine`."""
-    cache = None
-    if args.cache and os.path.exists(args.cache):
+def _engine_shape(args: argparse.Namespace) -> dict[str, object]:
+    """The :class:`RunRequest` engine fields the shared
+    ``--workers``/``--retries``/batching/``--coalesce``/``--trail``
+    flags ask for."""
+    return {"workers": max(1, args.workers),
+            "retries": max(0, args.retries),
+            "batch_size": max(1, args.batch_size),
+            "coalesce": args.coalesce,
+            "trail": args.trail}
+
+
+def _run_engine(args: argparse.Namespace, request: RunRequest,
+                cache: ResponseCache | None = None
+                ) -> EvaluationEngine | None:
+    """:func:`engine_for` the request, backed by the ``--cache`` file
+    when one is given (any worker count), else by ``cache``."""
+    if args.cache:
         cache = ResponseCache.load(args.cache)
-    config = EngineConfig(
-        max_workers=max(1, args.workers),
-        retry=RetryPolicy(retries=max(0, args.retries)),
-        batch_size=max(1, getattr(args, "batch_size", 1)),
-        batch_linger_s=max(0.0, getattr(args, "batch_linger", 0.002)),
-        coalesce=bool(getattr(args, "coalesce", False)),
-        trail=bool(getattr(args, "trail", False)))
-    return EvaluationEngine(config, cache=cache)
-
-
-def _run_engine(args: argparse.Namespace,
-                request: RunRequest) -> EvaluationEngine | None:
-    """A ledgered run's engine: :func:`engine_for` the request, backed
-    by the ``--cache`` file when one is given (any worker count)."""
-    cache = ResponseCache.load(args.cache) if args.cache else None
     engine = engine_for(request, cache=cache)
     if engine is not None:
         # The linger is a latency knob, not part of the request.
@@ -569,9 +563,10 @@ def _run_engine(args: argparse.Namespace,
     return engine
 
 
-def _persist_cache(engine: EvaluationEngine,
+def _persist_cache(engine: EvaluationEngine | None,
                    args: argparse.Namespace) -> None:
-    if args.cache and engine.cache is not None:
+    # A --cache file always selects an engine (see _run_engine).
+    if args.cache:
         engine.cache.save(args.cache)
 
 
@@ -639,14 +634,15 @@ def _cmd_table(args: argparse.Namespace) -> str:
     config = ExperimentConfig(sample_size=args.sample,
                               models=tuple(args.models),
                               taxonomy_keys=tuple(args.taxonomies))
-    engine = _engine_from_flags(args)
-    bench = TaxoGlimpse(sample_size=args.sample, engine=engine)
-    result = run_overall(DatasetKind(args.dataset), config, bench=bench)
+    request = replace(overall_request(DatasetKind(args.dataset), config),
+                      **_engine_shape(args))
+    engine = _run_engine(args, request)
+    result = overall_from_run(evaluate_request(request, engine))
     _persist_cache(engine, args)
     title = (f"Overall results on {args.dataset} datasets "
              f"(mean |dA| vs paper = "
              f"{result.mean_abs_accuracy_delta:.3f})")
-    table = bench.format_table(result.matrix(), title=title)
+    table = TaxoGlimpse.format_table(result.matrix(), title=title)
     if args.workers > 1 or args.cache:
         table += "\n" + format_engine_stats(engine.stats())
     return table
@@ -723,12 +719,16 @@ def _cmd_errors(args: argparse.Namespace) -> str:
 
 def _cmd_engine_stats(args: argparse.Namespace) -> str:
     from repro.core.runner import EvaluationRunner
-    from repro.questions.model import DatasetKind as Kind
-    engine = _engine_from_flags(args)
+    request = RunRequest(models=(args.model,),
+                         taxonomy_keys=(args.taxonomy,),
+                         sample_size=args.sample, **_engine_shape(args))
+    # There is always an engine to report on: without --cache, a fresh
+    # in-memory cache selects one at any shape.
+    engine = _run_engine(args, request, cache=ResponseCache())
     runner = EvaluationRunner(engine=engine)
     pool = build_pools(
         args.taxonomy,
-        sample_size=args.sample).total_pool(Kind.HARD)
+        sample_size=args.sample).total_pool(DatasetKind.HARD)
     model = get_model(args.model)
     backend_pool = None
     if args.pool_replicas > 1:
@@ -772,13 +772,12 @@ def _run_result_report(result, title: str,
         } for key, pool_result in result.cells.items()]
         table = format_rows(rows, title=title)
     else:
-        bench = TaxoGlimpse()
         tables = []
         for setting in result.request.settings:
             label = (f"{title} [{setting}]"
                      if len(result.request.settings) > 1 else title)
-            tables.append(bench.format_table(result.matrix(setting),
-                                             title=label))
+            tables.append(TaxoGlimpse.format_table(
+                result.matrix(setting), title=label))
         table = "\n".join(tables)
     footer = (f"\nrun {result.run_id}: {len(result.cells)} cells, "
               f"{result.evaluated} evaluated, "
@@ -805,13 +804,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
         sample_size=args.sample,
         seed=args.seed,
         per_level=args.per_level,
-        workers=max(1, args.workers),
-        retries=max(0, args.retries),
-        batch_size=max(1, args.batch_size),
-        coalesce=args.coalesce,
-        trail=bool(getattr(args, "trail", False)),
         max_cost_usd=args.max_cost_usd,
         max_tokens=args.max_tokens,
+        **_engine_shape(args),
     )
     if args.shards > 0:
         result = execute_run_sharded(
@@ -825,8 +820,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     engine = _run_engine(args, request)
     result = execute_run(request, registry=_registry(args),
                          engine=engine)
-    if engine is not None:
-        _persist_cache(engine, args)
+    _persist_cache(engine, args)
     return _run_result_report(
         result, title=f"Ledgered run on {args.dataset} datasets",
         as_json=args.json)
@@ -982,15 +976,12 @@ def _cmd_runs_resume(args: argparse.Namespace) -> str:
     if args.workers > 1 or args.batch_size > 1 or args.coalesce:
         # Shape flags override the stored engine shape; everything
         # else (trail included) comes from the stored request.
-        request = replace(request, workers=max(1, args.workers),
-                          retries=max(0, args.retries),
-                          batch_size=max(1, args.batch_size),
-                          coalesce=args.coalesce)
+        request = replace(request, **{**_engine_shape(args),
+                                      "trail": request.trail})
     engine = _run_engine(args, request)
     result = resume_run(args.run_id, registry=registry,
                         engine=engine)
-    if engine is not None:
-        _persist_cache(engine, args)
+    _persist_cache(engine, args)
     return _run_result_report(
         result, title=f"Resumed run {args.run_id}",
         as_json=args.json)

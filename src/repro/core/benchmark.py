@@ -1,12 +1,18 @@
 """TaxoGlimpse: the public benchmark facade.
 
 One object wires together taxonomy generation, question pools, models
-and the evaluation runner, so downstream users can go from nothing to a
-Tables 5-7 style matrix in three lines:
+and the evaluation runner, so downstream users can score one model on
+one taxonomy in three lines:
 
     >>> from repro import TaxoGlimpse
     >>> bench = TaxoGlimpse(sample_size=40)
     >>> result = bench.run("GPT-4", "ebay", dataset=DatasetKind.HARD)
+
+A whole Tables 5-7 matrix is a :class:`repro.runs.RunRequest`, scored
+by :func:`repro.runs.driver.evaluate_request` (or through the run
+ledger by :func:`repro.runs.driver.execute_run`);
+:func:`repro.experiments.overall.run_overall` builds and runs it, and
+:meth:`TaxoGlimpse.format_table` renders any such matrix.
 """
 
 from __future__ import annotations
@@ -80,21 +86,8 @@ class TaxoGlimpse:
         return self.runner.evaluate(self.resolve_model(model), pool,
                                     setting)
 
-    def run_table(self, dataset: DatasetKind = DatasetKind.HARD,
-                  models: list[str] | None = None,
-                  taxonomy_keys: list[str] | None = None,
-                  setting: PromptSetting = PromptSetting.ZERO_SHOT
-                  ) -> dict[tuple[str, str], Metrics]:
-        """A Tables 5-7 matrix over models x taxonomies."""
-        model_names = list(models if models is not None else MODEL_NAMES)
-        keys = list(taxonomy_keys if taxonomy_keys is not None
-                    else TAXONOMY_KEYS)
-        pools = {key: self.pools(key).total_pool(dataset)
-                 for key in keys}
-        backends = [self.resolve_model(name) for name in model_names]
-        return self.runner.evaluate_matrix(backends, pools, setting)
-
-    def format_table(self, matrix: dict[tuple[str, str], Metrics],
+    @staticmethod
+    def format_table(matrix: dict[tuple[str, str], Metrics],
                      title: str = "") -> str:
         """Render a matrix in the paper's table layout."""
         models = sorted({model for model, _ in matrix},

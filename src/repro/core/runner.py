@@ -32,7 +32,6 @@ import time
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-from repro.core.metrics import Metrics
 from repro.core.results import (PoolResult, QuestionRecord,
                                 metrics_from_records)
 from repro.llm.base import ChatModel
@@ -296,15 +295,3 @@ class EvaluationRunner:
         """Score a bare question tuple (instance typing pools)."""
         return self._evaluate_cell(model, questions, setting,
                                    label=label)
-
-    def evaluate_matrix(self, models: list[ChatModel],
-                        pools: dict[str, QuestionPool],
-                        setting: PromptSetting = PromptSetting.ZERO_SHOT
-                        ) -> dict[tuple[str, str], Metrics]:
-        """The Tables 5-7 shape: (model, taxonomy) -> metrics."""
-        matrix: dict[tuple[str, str], Metrics] = {}
-        for model in models:
-            for taxonomy_key, pool in pools.items():
-                result = self.evaluate(model, pool, setting)
-                matrix[model.name, taxonomy_key] = result.metrics
-        return matrix

@@ -21,15 +21,13 @@ about work:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.obs.live import _bar
+from repro.obs.live import _bar, watch_loop
 from repro.runs.heartbeat import DEFAULT_STALL_DEADLINE_S, attempt_status
-from repro.runs.ledger import RunState
+from repro.runs.ledger import RunState, fold_run_ledger
 from repro.runs.registry import RunRegistry
 from repro.dist.planner import ShardPlan, load_shard_plan
-from repro.dist.worker import replay_shard
 
 #: The extra statuses sharded runs introduce beyond the standard four.
 SHARD_ONLY_STATUSES = ("pending", "unmerged")
@@ -80,7 +78,8 @@ def shard_statuses(run_id: str,
                    merged: RunState | None = None) -> list[ShardStatus]:
     """Per-shard snapshots, shard index order.
 
-    A shard whose directory is gone reads ``finished`` when the run's
+    Shard ledgers are read through the registry's state cache.  A
+    shard whose directory is gone reads ``finished`` when the run's
     own ledger (``merged``, read from the registry if not given) says
     the run finished: ``runs gc`` prunes the shards of merged runs,
     and the merge proved they covered every question.  Such a row
@@ -94,7 +93,11 @@ def shard_statuses(run_id: str,
     for shard in range(plan.num_shards):
         ledger_path = registry.shard_ledger_path(run_id, shard)
         heartbeat = registry.shard_heartbeat_path(run_id, shard)
-        state = replay_shard(ledger_path, shard)
+        try:
+            state = registry.state_cache.entry(ledger_path,
+                                               fold_run_ledger).state
+        except FileNotFoundError:       # the shard never started
+            state = RunState()
         total = plan.shard_questions(shard)
         # Count only records inside this shard's own task ranges —
         # a resumed shard replays foreign cell-started events, never
@@ -173,9 +176,9 @@ def watch_shards(run_id: str,
                  registry: RunRegistry | None = None,
                  interval_s: float = 1.0,
                  stall_deadline_s: float = DEFAULT_STALL_DEADLINE_S,
-                 emit=None,
-                 until_finished: bool = True) -> list[ShardStatus]:
-    """Poll + render the shard dashboard until every shard settles.
+                 emit=None) -> list[ShardStatus]:
+    """:func:`repro.obs.live.watch_loop` over the shard dashboard
+    until every shard settles.
 
     "Settled" means no shard is ``running`` or ``pending`` — finished,
     stalled and crashed are all terminal for a watcher (resume is an
@@ -183,18 +186,11 @@ def watch_shards(run_id: str,
     """
     registry = registry if registry is not None else RunRegistry()
     plan = load_shard_plan(registry, run_id)
-
-    def _print(frame: str) -> None:  # pragma: no cover - terminal io
-        print("\x1b[H\x1b[2J" + frame, flush=True)
-
-    emit = emit if emit is not None else _print
-    while True:
-        statuses = shard_statuses(run_id, registry=registry,
-                                  plan=plan,
-                                  stall_deadline_s=stall_deadline_s)
-        emit(render_shard_dashboard(run_id, statuses))
-        if until_finished and not any(
-                shard.status in ("running", "pending")
-                for shard in statuses):
-            return statuses
-        time.sleep(interval_s)
+    return watch_loop(
+        lambda: shard_statuses(run_id, registry=registry, plan=plan,
+                               stall_deadline_s=stall_deadline_s),
+        lambda statuses: render_shard_dashboard(run_id, statuses),
+        lambda statuses: not any(
+            shard.status in ("running", "pending")
+            for shard in statuses),
+        interval_s, emit)

@@ -101,9 +101,10 @@ class ShardState(RunState):
     """What one shard ledger says: folded out of it by
     :func:`replay_shard`, or kept by :func:`run_shard` as it writes.
 
-    ``attempts``/``finished``/``stats`` follow the shard brackets.
-    :attr:`lines` keeps, for each record, the text of its line, so the
-    merge copies record lines instead of re-encoding them.
+    The shard brackets fold as run brackets do (``attempts``,
+    ``finished``, ``pid``, ``stats``).  :attr:`lines` keeps, for each
+    record, the text of its line, so the merge copies record lines
+    instead of re-encoding them.
     """
 
     shard: int = 0
@@ -121,34 +122,19 @@ class ShardState(RunState):
 
 
 def _apply_shard(state: ShardState, event: dict, text: str) -> None:
-    kind = event["event"]
-    if kind == "shard-started":
-        try:
-            attempt = int(event.get("attempt", 1))
-        except (TypeError, ValueError):
-            attempt = 1
-        state.attempts = max(state.attempts, attempt)
-        state.finished = False      # a new attempt reopens it
-        state.pid = event.get("pid")
-    elif kind == "shard-finished":
-        state.finished = True
-        stats = event.get("stats")
-        state.stats = stats if isinstance(stats, dict) else None
-    else:
-        _apply(state, event)
-        if kind == "record":
-            state.lines.setdefault(event["cell"], {})[
-                int(event["i"])] = text
+    """:func:`~repro.runs.ledger._apply`, keeping each record's line."""
+    _apply(state, event)
+    if event["event"] == "record":
+        state.lines.setdefault(event["cell"], {})[int(event["i"])] = text
 
 
 def replay_shard(path, shard: int) -> ShardState:
     """Fold a shard ledger into :class:`ShardState` in one pass.
 
-    Cell and record events fold through the run ledger's own
+    Every event folds through the run ledger's own
     :func:`~repro.runs.ledger.fold_ledger` loop and ``_apply``, so the
-    torn-tail and corruption rules are the run ledger's; the shard
-    brackets fold in the same pass.  A missing file is simply a shard
-    that never started.
+    torn-tail and corruption rules are the run ledger's.  A missing
+    file is simply a shard that never started.
     """
     state = ShardState(shard=shard)
     try:
@@ -188,7 +174,8 @@ def run_shard(run_id: str, shard: int,
 
     The result's state is the replayed ledger plus every record this
     attempt wrote, with its line: equal to :func:`replay_shard` of the
-    ledger afterwards (``events`` aside).
+    ledger afterwards in its cells, lines, ``attempts``, ``finished``
+    and ``stats``.
 
     ``warm_cache`` names a pre-existing shared cache file to seed the
     shard's response cache from (read-only — concurrent shards may

@@ -3,18 +3,20 @@
 Reproduces Figure 3: for every taxonomy (GeoNames excluded, it has a
 single question level) the accuracy of each model per child level under
 zero-shot prompting, exposing the root-to-leaf decline, the NCBI
-species->genus uplift and the OAE leafward rise.
+species->genus uplift and the OAE leafward rise.  The sweep is
+:func:`levels_request`; :func:`levels_from_run` reads the curves off
+its result, in memory or from the run ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.benchmark import TaxoGlimpse
 from repro.engine.scheduler import EvaluationEngine
 from repro.experiments.config import ExperimentConfig
 from repro.questions.model import DatasetKind, level_label
-from repro.runs.driver import RunResult, coerce_run, execute_run
+from repro.runs.driver import (RunResult, coerce_run, evaluate_request,
+                               execute_run)
 from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
 
@@ -59,7 +61,6 @@ class LevelSeries:
 
 def run_levels(config: ExperimentConfig | None = None,
                dataset: DatasetKind = DatasetKind.HARD,
-               bench: TaxoGlimpse | None = None,
                registry: RunRegistry | None = None,
                engine: EvaluationEngine | None = None
                ) -> list[LevelSeries]:
@@ -67,31 +68,18 @@ def run_levels(config: ExperimentConfig | None = None,
 
     With ``registry`` the per-level sweep executes through the run
     ledger and :func:`levels_from_run` can rebuild the exact same
-    curves later from disk alone; both paths are bit-identical.
+    curves later from disk alone; without it the same request is
+    evaluated in memory.  Both paths are bit-identical.  Taxonomies
+    outside :data:`FIGURE3_KEYS` have no curve.
     """
     if config is None:
         config = ExperimentConfig()
-    if registry is not None:
-        run = execute_run(levels_request(config, dataset),
-                          registry=registry, engine=engine)
-        return levels_from_run(run)
-    if bench is None:
-        bench = TaxoGlimpse(sample_size=config.sample_size,
-                            variant=config.variant)
-    keys = [key for key in config.taxonomy_keys if key in FIGURE3_KEYS]
-    series: list[LevelSeries] = []
-    for key in keys:
-        levels = bench.pools(key).question_levels
-        for model in config.models:
-            accuracies = []
-            misses = []
-            for level in levels:
-                result = bench.run(model, key, dataset, level=level)
-                accuracies.append(result.metrics.accuracy)
-                misses.append(result.metrics.miss_rate)
-            series.append(LevelSeries(model, key, tuple(levels),
-                                      tuple(accuracies), tuple(misses)))
-    return series
+    if not set(config.taxonomy_keys) & set(FIGURE3_KEYS):
+        return []
+    request = levels_request(config, dataset)
+    run = (evaluate_request(request, engine) if registry is None
+           else execute_run(request, registry=registry, engine=engine))
+    return levels_from_run(run)
 
 
 def levels_request(config: ExperimentConfig,

@@ -4,23 +4,24 @@ Runs the full (models x taxonomies) matrix under zero-shot prompting
 and reports measured accuracy/miss next to the paper's numbers, plus
 the absolute deviations — the core reproduction artifact.
 
-Pass ``registry=`` to route the sweep through the durable run ledger
-(:mod:`repro.runs`): every cell and scored question then lands on disk
-as it completes, and :func:`overall_from_run` regenerates the exact
-same table later from the ledger alone — zero model calls.
+The sweep is :func:`overall_request`, run in memory or, with
+``registry=``, through the durable run ledger (:mod:`repro.runs`),
+where every scored question lands on disk as it completes;
+:func:`overall_from_run` reads the table off either result, or later
+off the ledger alone — zero model calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.benchmark import TaxoGlimpse
 from repro.core.metrics import Metrics
 from repro.data.paper_tables import paper_anchor
 from repro.engine.scheduler import EvaluationEngine
 from repro.experiments.config import ExperimentConfig
 from repro.questions.model import DatasetKind
-from repro.runs.driver import RunResult, coerce_run, execute_run
+from repro.runs.driver import (RunResult, coerce_run, evaluate_request,
+                               execute_run)
 from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
 
@@ -73,7 +74,6 @@ class OverallResult:
 
 def run_overall(dataset: DatasetKind,
                 config: ExperimentConfig | None = None,
-                bench: TaxoGlimpse | None = None,
                 registry: RunRegistry | None = None,
                 engine: EvaluationEngine | None = None
                 ) -> OverallResult:
@@ -81,21 +81,15 @@ def run_overall(dataset: DatasetKind,
 
     With ``registry`` the sweep executes through the run ledger
     (durable, resumable, reloadable via :func:`overall_from_run`);
-    without it the classic in-memory path runs.  Both produce
+    without it the same request is evaluated in memory.  Both produce
     bit-identical tables.
     """
     if config is None:
         config = ExperimentConfig()
-    if registry is not None:
-        run = execute_run(overall_request(dataset, config),
-                          registry=registry, engine=engine)
-        return overall_from_run(run)
-    if bench is None:
-        bench = TaxoGlimpse(sample_size=config.sample_size,
-                            variant=config.variant)
-    matrix = bench.run_table(dataset, models=list(config.models),
-                             taxonomy_keys=list(config.taxonomy_keys))
-    return _compare(dataset, matrix)
+    request = overall_request(dataset, config)
+    run = (evaluate_request(request, engine) if registry is None
+           else execute_run(request, registry=registry, engine=engine))
+    return overall_from_run(run)
 
 
 def overall_request(dataset: DatasetKind,
@@ -118,14 +112,9 @@ def overall_from_run(run: RunResult | str,
     is queried, so a finished sweep's table is free forever.
     """
     result = coerce_run(run, registry=registry)
-    return _compare(DatasetKind(result.request.dataset),
-                    result.matrix())
-
-
-def _compare(dataset: DatasetKind,
-             matrix: dict[tuple[str, str], Metrics]) -> OverallResult:
+    dataset = DatasetKind(result.request.dataset)
     cells = []
-    for (model, key), metrics in matrix.items():
+    for (model, key), metrics in result.matrix().items():
         accuracy, miss = paper_anchor(dataset.value, model, key)
         cells.append(CellComparison(model, key, metrics, accuracy,
                                     miss))

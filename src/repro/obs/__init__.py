@@ -30,14 +30,14 @@ The observability layer for the whole evaluation stack.  Four pieces:
 
 Quickstart::
 
-    >>> from repro.obs import Tracer, chrome_trace
-    >>> from repro.runs import RunRequest, execute_run
-    >>> tracer = Tracer()
+    >>> from repro.obs import read_spans_jsonl
+    >>> from repro.runs import RunRegistry, RunRequest, execute_run
+    >>> registry = RunRegistry()
     >>> result = execute_run(
     ...     RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
-    ...                sample_size=6), tracer=tracer)
-    >>> names = {span.name for span in tracer.spans()}
-    >>> {"run", "cell", "question"} <= names
+    ...                sample_size=6), registry=registry)
+    >>> spans = read_spans_jsonl(registry.spans_path(result.run_id))
+    >>> {"run", "cell", "question"} <= {span.name for span in spans}
     True
 """
 

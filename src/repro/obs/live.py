@@ -419,20 +419,37 @@ def render_dashboard(progress: RunProgress) -> str:
     return "\n".join(lines)
 
 
+def watch_loop(poll, render, settled, interval_s: float, emit):
+    """Poll, render and emit a frame every ``interval_s`` seconds
+    until ``settled(snapshot)``; returns the last snapshot.
+
+    ``emit`` receives each rendered frame (None: print it with an
+    ANSI home+clear prefix so the dashboard redraws in place).
+    """
+    emit = emit if emit is not None else _print_in_place
+    while True:
+        snapshot = poll()
+        emit(render(snapshot))
+        if settled(snapshot):
+            return snapshot
+        time.sleep(interval_s)
+
+
+def _print_in_place(frame: str) -> None:  # pragma: no cover - terminal io
+    print("\x1b[H\x1b[2J" + frame, flush=True)
+
+
 def watch_run(run_id: str, registry: RunRegistry | None = None,
               interval_s: float = 1.0,
               stall_deadline_s: float | None = None,
               clock=time.time,
               render=render_dashboard,
               emit=None,
-              until_finished: bool = True,
               evaluator=None) -> RunProgress:
-    """Poll + render in place until the run settles (finishes or
-    stops on its budget), or forever.
+    """:func:`watch_loop` over a :class:`LedgerFollower` until the run
+    settles (finishes or stops on its budget).
 
-    ``emit`` receives each rendered frame (defaults to printing with
-    an ANSI home+clear prefix so the dashboard redraws in place);
-    returns the final snapshot.  ``evaluator`` is an optional
+    ``evaluator`` is an optional
     :class:`repro.obs.alerts.AlertEvaluator`: each snapshot is fed
     through it and any firing rules are prepended to the frame as an
     alert banner (transitions are logged by the evaluator itself).
@@ -441,19 +458,15 @@ def watch_run(run_id: str, registry: RunRegistry | None = None,
                               stall_deadline_s=stall_deadline_s,
                               clock=clock)
 
-    def _print(frame: str) -> None:  # pragma: no cover - terminal io
-        print("\x1b[H\x1b[2J" + frame, flush=True)
-
-    emit = emit if emit is not None else _print
-    while True:
-        progress = follower.poll()
-        frame = render(progress)
+    def frame(progress: RunProgress) -> str:
+        text = render(progress)
         if evaluator is not None:
             evaluator.observe(progress)
             banner = evaluator.banner()
             if banner:
-                frame = banner + "\n" + frame
-        emit(frame)
-        if until_finished and progress.settled:
-            return progress
-        time.sleep(interval_s)
+                text = banner + "\n" + text
+        return text
+
+    return watch_loop(follower.poll, frame,
+                      lambda progress: progress.settled, interval_s,
+                      emit)

@@ -9,6 +9,8 @@ thread nests under whatever span that same thread has open), and can
 be forced explicitly with ``parent=`` when work hops threads — the
 engine's fan-out opens every ``question`` span with the cell span as
 its explicit parent, so worker interleaving never scrambles the tree.
+A finished span goes to the tracer's ``sink`` if it has one (a run
+session's ``spans.jsonl``), else to its list (:meth:`Tracer.spans`).
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span``
 call returns one shared no-op context manager — instrumented code pays
@@ -173,9 +175,10 @@ class Tracer:
     Args:
         clock: Injectable time source (defaults to wall clock so spans
             from different processes line up).
-        sink: Optional callback invoked with every *finished* span —
-            the run driver hangs a JSONL appender here so a crash
-            still leaves every completed span on disk.
+        sink: Optional callback that takes every *finished* span in
+            place of the tracer's list — a run session hangs a JSONL
+            appender here, so a crash still leaves every completed
+            span on disk and none is kept in memory.
         first_id: The first span id to hand out.
     """
 
@@ -231,10 +234,11 @@ class Tracer:
                 stack.remove(span)
             except ValueError:  # pragma: no cover - foreign thread
                 pass
-        with self._lock:
-            self._spans.append(span)
         if self.sink is not None:
             self.sink(span)
+        else:
+            with self._lock:
+                self._spans.append(span)
 
     def skip_past(self, span_id: int) -> None:
         """Hand out only ids above ``span_id`` from now on (a resumed
@@ -244,7 +248,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def spans(self) -> tuple[Span, ...]:
-        """Every finished span, in completion order."""
+        """Every span finished while the tracer had no sink, in
+        completion order."""
         with self._lock:
             return tuple(self._spans)
 
@@ -258,7 +263,8 @@ class Tracer:
 
         Ids are remapped into this tracer's id space (so batches from
         several workers can never collide) and spans without a parent
-        inside the batch are re-homed under ``parent``.
+        inside the batch are re-homed under ``parent``, then go where
+        finished spans go.
         """
         batch = [Span.from_dict(payload) for payload in payloads]
         with self._lock:
@@ -272,7 +278,8 @@ class Tracer:
                     span.parent_id = id_map[span.parent_id]
                 else:
                     span.parent_id = parent
-            self._spans.extend(batch)
+            if self.sink is None:
+                self._spans.extend(batch)
         if self.sink is not None:
             for span in batch:
                 self.sink(span)

@@ -13,8 +13,9 @@ between the experiment drivers and the evaluation runner:
   addressed via the same fingerprint machinery as the dataset store;
 * :class:`RunRegistry` — the directory of runs (``REPRO_RUNS_DIR``),
   listable and loadable;
-* :func:`execute_run` / :func:`resume_run` / :func:`load_run` —
-  run a sweep streaming into the ledger, finish an interrupted run
+* :func:`evaluate_request` / :func:`execute_run` / :func:`resume_run`
+  / :func:`load_run` — score a sweep in memory, run it streaming into
+  the ledger (the same cells and metrics), finish an interrupted run
   bit-identically (only missing question indices are re-asked), or
   rebuild every :class:`repro.core.results.PoolResult` from disk with
   zero model calls;
@@ -40,7 +41,8 @@ from repro._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.runs.diff": ("CellDiff", "QuestionFlip", "RunDiff", "diff_runs"),
     "repro.runs.driver": ("CellKey", "RunResult", "coerce_run", "create_run",
-                          "execute_run", "load_run", "plan_cells"),
+                          "evaluate_request", "execute_run", "load_run",
+                          "plan_cells"),
     "repro.runs.heartbeat": ("HEARTBEAT_FILENAME", "HeartbeatWriter",
                              "pid_alive", "read_heartbeat", "run_status"),
     "repro.runs.ledger": ("LEDGER_FILENAME", "CellState", "RunLedger",

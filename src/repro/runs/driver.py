@@ -1,14 +1,15 @@
-"""Executing, loading and resuming ledgered runs.
+"""Evaluating, executing, loading and resuming runs of a request.
 
-``execute_run`` is the durable counterpart of
-``TaxoGlimpse.run_table``: it plans the request's cell list (one cell
-per model x pool x setting, in a deterministic order), opens the run's
-ledger, and drives every cell through an
+A :class:`RunRequest` is the plan of a sweep: :func:`plan_cells` lists
+its cells (one per model x pool x setting, in a deterministic order).
+:func:`evaluate_request` scores them in memory and keeps nothing else;
+:func:`execute_run` scores the same cells through an
 :class:`repro.core.runner.EvaluationRunner` whose ledger sink streams
-each scored question to disk as it completes.  ``load_run`` is the
-inverse — it rebuilds every completed cell's :class:`PoolResult` from
-the ledger alone, with zero model calls, which is what makes a
-finished sweep free to re-report and cheap to diff.
+each scored question to disk as it completes, so the two give the same
+cells and metrics.  ``load_run`` is the inverse of ``execute_run`` — it
+rebuilds every completed cell's :class:`PoolResult` from the ledger
+alone, with zero model calls, which is what makes a finished sweep
+free to re-report and cheap to diff.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.results import PoolResult
+from repro.core.runner import EvaluationRunner
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
@@ -33,7 +35,7 @@ from repro.questions.pools import QuestionPool, build_pools
 from repro.runs.ledger import CellState, RunState
 from repro.runs.registry import RunRegistry
 from repro.runs.request import RunRequest
-from repro.runs.session import RunSession
+from repro.runs.session import RunSession, engine_for
 
 #: ``level N-M`` / ``level N-root`` scope suffix of per-level pools.
 _LEVEL_SCOPE = re.compile(r"^level (\d+)-")
@@ -88,9 +90,10 @@ class CellKey:
 
 @dataclass
 class RunResult:
-    """Outcome of one executed, resumed or loaded run."""
+    """Outcome of one evaluated, executed, resumed or loaded run."""
 
-    run_id: str
+    #: The ledgered run's id; None for a request evaluated in memory.
+    run_id: str | None
     request: RunRequest
     cells: dict[CellKey, PoolResult]
     stats: EngineStats | None = None
@@ -172,6 +175,28 @@ def _sealed_result(cell: CellKey, cell_state: CellState,
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+def evaluate_request(request: RunRequest,
+                     engine: EvaluationEngine | None = None
+                     ) -> RunResult:
+    """Score every cell of ``request`` in memory, in plan order, with
+    the runner a run session would build (variant, trail, and
+    :func:`engine_for` the request unless ``engine`` is given): the
+    cells equal :func:`execute_run`'s, but nothing is written and no
+    records are kept."""
+    pools = build_request_pools(request)
+    runner = EvaluationRunner(
+        variant=request.variant,
+        engine=engine if engine is not None else engine_for(request),
+        trail=request.trail)
+    cells = {cell: runner.evaluate(get_model(cell.model),
+                                   _pool_for(cell, pools),
+                                   PromptSetting(cell.setting))
+             for cell in plan_cells(request, pools)}
+    return RunResult(run_id=None, request=request, cells=cells,
+                     evaluated=sum(result.metrics.n
+                                   for result in cells.values()))
+
+
 def create_run(request: RunRequest,
                registry: RunRegistry | None = None) -> str:
     """Plan the request and allocate its run directory + manifest."""

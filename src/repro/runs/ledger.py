@@ -210,9 +210,10 @@ class RunState:
     #: The budget-exhausted payload of the latest attempt (None = not
     #: stopped; a run-started or run-finished event clears it).
     budget: dict | None = None
-    #: ``ts`` of the first run-started event.
+    #: ``ts`` of the first run-started (or shard-started) event.
     started_ts: float | None = None
-    #: ``ts`` of the latest run-finished or budget-exhausted event.
+    #: ``ts`` of the latest run-finished (or shard-finished) or
+    #: budget-exhausted event.
     ended_ts: float | None = None
     #: The pid in the latest attempt's bracket event (None for one
     #: written before bracket events carried it).
@@ -307,9 +308,11 @@ def _apply_copying(shared: dict[str, CellState], state: RunState,
 
 def _apply(state: RunState, event: dict, text: str = "") -> None:
     """Fold one run-ledger event (``text``, its line, is unused: a
-    run state keeps decoded records only)."""
+    run state keeps decoded records only).  A shard ledger's attempt
+    brackets, ``shard-started`` and ``shard-finished``, fold as the
+    run brackets they stand for."""
     kind = event["event"]
-    if kind == "run-started":
+    if kind in ("run-started", "shard-started"):
         state.run_id = event["run_id"]
         state.attempts = max(state.attempts, int(event["attempt"]))
         state.finished = False      # a new attempt reopens the run
@@ -330,7 +333,7 @@ def _apply(state: RunState, event: dict, text: str = "") -> None:
         cell = state.cells.setdefault(
             event["cell"], CellState(cell_id=event["cell"]))
         cell.metrics = metrics_from_dict(event)
-    elif kind == "run-finished":
+    elif kind in ("run-finished", "shard-finished"):
         state.finished = True
         state.stats = event.get("stats")
         state.budget = None        # a completed run clears the stop

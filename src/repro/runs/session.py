@@ -72,7 +72,8 @@ class RunSession:
     and telemetry back, with the attempt's counts added to the latter.
     An explicit ``tracer`` wins over ``trace``; a tracer without a
     sink gets a ``spans.jsonl`` appender for the session's lifetime,
-    and hands out only ids above the largest one already in that log.
+    and hands out only ids above the largest one already in that log;
+    its list then keeps none of the attempt's spans.
     """
 
     def __init__(self, request: RunRequest, directory: str | Path,

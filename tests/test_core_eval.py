@@ -16,6 +16,8 @@ from repro.llm.base import StaticResponder
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
 from repro.questions.model import Answer, DatasetKind
+from repro.runs.driver import evaluate_request
+from repro.runs.request import RunRequest
 
 
 class TestMetrics:
@@ -162,10 +164,10 @@ class TestRunner:
         assert result.pool_label == "adhoc"
         assert result.metrics.n == 6
 
-    def test_evaluate_matrix_shape(self, ebay_pools):
-        pools = {"ebay": ebay_pools.total_pool(DatasetKind.MCQ)}
-        matrix = EvaluationRunner().evaluate_matrix(
-            [get_model("GPT-4"), get_model("Mistral")], pools)
+    def test_evaluate_matrix_shape(self):
+        matrix = evaluate_request(RunRequest(
+            dataset=DatasetKind.MCQ.value, models=("GPT-4", "Mistral"),
+            taxonomy_keys=("ebay",), sample_size=20)).matrix()
         assert set(matrix) == {("GPT-4", "ebay"), ("Mistral", "ebay")}
 
     def test_runner_is_deterministic(self, ebay_pools):
@@ -226,9 +228,10 @@ class TestFacade:
         assert result.metrics.accuracy == pytest.approx(0.5)
 
     def test_run_table_and_format(self, fast_bench):
-        matrix = fast_bench.run_table(
-            DatasetKind.MCQ, models=["GPT-4", "Flan-T5-3B"],
-            taxonomy_keys=["ebay", "schema"])
+        matrix = evaluate_request(RunRequest(
+            dataset=DatasetKind.MCQ.value, models=("GPT-4", "Flan-T5-3B"),
+            taxonomy_keys=("ebay", "schema"),
+            sample_size=fast_bench.sample_size)).matrix()
         assert len(matrix) == 4
         text = fast_bench.format_table(matrix, title="MCQ")
         assert "GPT-4" in text

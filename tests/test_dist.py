@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist import driver as dist_driver
-from repro.dist.worker import replay_shard
+from repro.dist.worker import ShardLedger, replay_shard
 from repro.engine.cache import ResponseCache, merge_caches
 from repro.engine.telemetry import EngineStats
 from repro.errors import LedgerCorruptError, RunError
@@ -633,6 +633,76 @@ class TestShardStatus:
         assert statuses[0].questions_done \
             == plan.shard_questions(0)
         assert statuses[1].questions_done == 0
+
+
+class TestShardStateCache:
+    """Shard ledgers are read through the registry's state cache."""
+
+    @staticmethod
+    def _unmerged(registry: RunRegistry) -> str:
+        from repro.dist import save_shard_plan
+        request = RunRequest(**SMALL)
+        run_id = registry.create(request, cells=4)
+        plan = plan_shards(request, 2)
+        save_shard_plan(registry, run_id, plan)
+        for shard in range(2):
+            run_shard(run_id, shard, registry=registry, plan=plan)
+        return run_id
+
+    def test_an_unchanged_shard_ledger_is_folded_once(self, registry,
+                                                      monkeypatch):
+        from repro.dist import status
+        run_id = self._unmerged(registry)
+        shard_ledgers = {registry.shard_ledger_path(run_id, shard)
+                         for shard in range(2)}
+        folded = []
+        real = status.fold_run_ledger
+
+        def spy(path, *args, **kwargs):
+            folded.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(status, "fold_run_ledger", spy)
+        (first,) = registry.list_runs()
+        assert first.status == "unmerged"
+        assert set(folded) == shard_ledgers
+        folded.clear()
+        assert registry.list_runs() == [first]
+        assert [s.status for s in shard_statuses(
+            run_id, registry=registry)] == ["finished"] * 2
+        assert folded == []
+        # An append is a new version: only that shard folds again.
+        with ShardLedger(registry.shard_ledger_path(run_id, 1)) as ledger:
+            ledger.shard_started(run_id, 1, attempt=2)
+        assert [s.attempts for s in shard_statuses(
+            run_id, registry=registry)] == [1, 2]
+        assert folded == [registry.shard_ledger_path(run_id, 1)]
+
+    def test_shard_brackets_fold_as_run_brackets(self, registry):
+        run_id = self._unmerged(registry)
+        path = registry.shard_ledger_path(run_id, 0)
+        finished = json.loads(path.read_text().splitlines()[-1])
+        assert finished["event"] == "shard-finished"
+        stats = finished["stats"]
+        assert stats["calls"] > 0
+
+        def folded() -> tuple:
+            state = run_ledger.fold_run_ledger(path)[0]
+            shard = replay_shard(path, 0)
+            assert _cells(state) == _cells(shard) != {}
+            brackets = (state.attempts, state.finished, state.pid,
+                        state.stats)
+            assert brackets == (shard.attempts, shard.finished,
+                                shard.pid, shard.stats)
+            return brackets
+
+        assert folded() == (1, True, os.getpid(), stats)
+        with ShardLedger(path) as ledger:
+            ledger.shard_started(run_id, 0, attempt=2)
+        assert folded() == (2, False, os.getpid(), stats)
+        with ShardLedger(path) as ledger:
+            ledger.shard_finished(0)
+        assert folded() == (2, True, os.getpid(), None)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,8 @@ from repro.obs.cost import CostMeter
 from repro.llm.registry import get_model
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
+from repro.runs.driver import evaluate_request
+from repro.runs.request import RunRequest
 
 #: Zero-sleep policy for tests (no real backoff waiting).
 FAST_RETRY = RetryPolicy(retries=3, base_delay=0.0, jitter=0.0)
@@ -104,13 +106,13 @@ class TestParity:
         assert engine.stats().faults == flaky.faults_injected
 
     def test_matrix_parity(self, pool):
-        models = [get_model("GPT-4"), get_model("Flan-T5-3B")]
-        pools = {"ebay": pool}
-        sequential = EvaluationRunner().evaluate_matrix(models, pools)
+        request = RunRequest(models=("GPT-4", "Flan-T5-3B"),
+                             taxonomy_keys=("ebay",), sample_size=15)
+        sequential = evaluate_request(request).matrix()
         engine = EvaluationEngine(EngineConfig(max_workers=4))
-        parallel = EvaluationRunner(engine=engine).evaluate_matrix(
-            models, pools)
+        parallel = evaluate_request(request, engine).matrix()
         assert parallel == sequential
+        assert engine.stats().records == 2 * len(pool)
 
     def test_worker_exceptions_propagate(self):
         class Exploding:

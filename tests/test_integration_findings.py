@@ -30,9 +30,9 @@ MODELS = ("GPT-4", "GPT-3.5", "Llama-2-7B", "Llama-3-8B", "Flan-T5-3B",
 
 
 @pytest.fixture(scope="module")
-def hard_matrix(bench):
+def hard_matrix():
     config = ExperimentConfig(sample_size=60, models=MODELS)
-    return run_overall(DatasetKind.HARD, config, bench=bench).matrix()
+    return run_overall(DatasetKind.HARD, config).matrix()
 
 
 class TestCalibration:
@@ -81,12 +81,12 @@ class TestFinding2:
     """Root-to-leaf decline; NCBI uplift at the species level."""
 
     @pytest.fixture(scope="class")
-    def level_series(self, bench):
+    def level_series(self):
         config = ExperimentConfig(
             sample_size=80,
             models=("GPT-4", "Flan-T5-11B"),
             taxonomy_keys=("google", "glottolog", "ncbi", "oae"))
-        return run_levels(config, bench=bench)
+        return run_levels(config)
 
     def _series(self, level_series, model, key):
         return next(s for s in level_series
@@ -140,13 +140,12 @@ class TestFinding4:
     """Prompting settings mostly move miss rates, not knowledge."""
 
     @pytest.fixture(scope="class")
-    def radar(self, bench):
+    def radar(self):
         config = ExperimentConfig(
             sample_size=60,
             taxonomy_keys=("ebay", "google", "glottolog", "ncbi"))
         return run_prompting(
-            config, models=("GPT-4", "Llama-2-7B", "Flan-T5-11B"),
-            bench=bench)
+            config, models=("GPT-4", "Llama-2-7B", "Flan-T5-11B"))
 
     def test_fewshot_slashes_llama7b_miss(self, radar):
         zero = radar.average("Llama-2-7B", PromptSetting.ZERO_SHOT,

@@ -25,12 +25,14 @@ from repro.errors import (LedgerCorruptError, RunError,
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.levels import (levels_from_run, run_levels)
 from repro.experiments.overall import (overall_from_run, run_overall)
+from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
 from repro.questions.model import Answer, DatasetKind
 from repro.runs import (CellKey, RunLedger, RunRegistry, RunRequest,
-                        RunState, create_run, diff_runs, execute_run,
-                        load_run, replay_ledger, resume_run)
+                        RunState, create_run, diff_runs, evaluate_request,
+                        execute_run, load_run, replay_ledger, resume_run)
 from repro.runs.diff import _flips
+from repro.runs.registry import RUNS_ENV
 from repro.runs.ledger import _apply, fold_ledger, fold_run_ledger
 from repro.cli import main
 
@@ -640,6 +642,38 @@ class TestExperimentsThroughLedger:
         (run_id,) = [s.run_id for s in registry.list_runs()]
         rebuilt = levels_from_run(run_id, registry=registry)
         assert rebuilt == classic
+
+
+class TestEvaluateRequest:
+    """The in-memory route scores the ledgered route's cells."""
+
+    @pytest.mark.parametrize("shape", [
+        {"per_level": True, "variant": 1},
+        {"settings": tuple(setting.value for setting in PromptSetting),
+         "trail": True},
+        {"workers": 2},
+    ], ids=["per-level", "three-settings", "two-workers"])
+    def test_equals_execute_run_cell_for_cell(self, registry, shape):
+        request = RunRequest(models=("GPT-4", "Llama-2-7B"),
+                             taxonomy_keys=("ebay", "ncbi"),
+                             sample_size=6, **shape)
+        memory = evaluate_request(request)
+        ledgered = execute_run(request, registry=registry)
+        assert list(memory.cells) == list(ledgered.cells)
+        assert [(cell.pool_label, cell.model, cell.setting, cell.metrics)
+                for cell in memory.cells.values()] == [
+            (cell.pool_label, cell.model, cell.setting, cell.metrics)
+            for cell in ledgered.cells.values()]
+        assert memory.run_id is None
+        assert memory.evaluated == ledgered.evaluated
+
+    def test_writes_nothing_and_keeps_no_records(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv(RUNS_ENV, str(tmp_path / "runs"))
+        result = evaluate_request(RunRequest(**SMALL))
+        assert not (tmp_path / "runs").exists()
+        assert len(result.cells) == 4
+        assert all(cell.records == () for cell in result.cells.values())
 
 
 # ----------------------------------------------------------------------
