@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Local CI mirror: the tier-1 test suite, then the whole suite again
-# under `python -X dev`, the perfbench harness tests, the five paper
-# benches (Tables 5-7, Figures 3-4) at their fast scale, ten benchmark
-# smokes (engine throughput, engine batching, dataset pipeline, run
-# ledger, shard scaling, tracing, live follower, cost metering, serve
-# fan-out, trail capture), the `obs check` regression gate, the
-# trail analytics of its run, a check that the run's record and
-# telemetry books agree and a byte-for-byte regeneration of
-# EXPERIMENTS.md.  A tier-1 failure stops the script; every
-# later step runs even when an earlier one failed, and the script exits
-# non-zero naming each step that did.
+# under `python -X dev`, the perfbench harness tests, every script in
+# examples/, the five paper benches (Tables 5-7, Figures 3-4) at their
+# fast scale, ten benchmark smokes (engine throughput, engine
+# batching, dataset pipeline, run ledger, shard scaling, tracing, live
+# follower, cost metering, serve fan-out, trail capture), the `obs
+# check` regression gate, the trail analytics of its run, a check that
+# the run's record and telemetry books agree and a byte-for-byte
+# regeneration of EXPERIMENTS.md.  A tier-1 failure stops the script;
+# every later step runs even when an earlier one failed, and the
+# script exits non-zero naming each step that did.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +33,18 @@ step "the whole suite again in dev mode (a leaked socket or file fails)" \
     -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning
 step "benchmark harness tests" python3 -m pytest perfbench -q
+
+examples() {
+    # Nothing else runs them, yet they call the public API by name.
+    local example failed=0
+    for example in examples/*.py; do
+        echo "-- $example"
+        python "$example" > /dev/null || failed=1
+    done
+    return "$failed"
+}
+
+step "every example runs" examples
 step "paper benches (Tables 5-7, Figures 3-4)" \
     python -m pytest -q benchmarks/bench_table5_hard.py \
     benchmarks/bench_table6_easy.py benchmarks/bench_table7_mcq.py \

@@ -46,7 +46,7 @@ from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
 from repro.llm.prompting import PromptSetting
 from repro.llm.registry import get_model
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.tracer import Tracer
 from repro.runs.driver import (ModelResolver, _pool_for,
                                build_request_pools)
 from repro.runs.ledger import (CellState, RunLedger, RunState, _apply,
@@ -163,8 +163,6 @@ def run_shard(run_id: str, shard: int,
               registry: RunRegistry | None = None,
               resolve_model: ModelResolver | None = None,
               plan: ShardPlan | None = None,
-              trace: bool = True,
-              tracer: "Tracer | NullTracer | None" = None,
               warm_cache: str | None = None) -> ShardResult:
     """Execute (or resume) one shard of a sharded run.
 
@@ -182,9 +180,8 @@ def run_shard(run_id: str, shard: int,
     all load it); the shard's final cache (seed + its own responses)
     is persisted to the shard directory, never to the shared path.
 
-    With ``trace`` and no ``tracer``, the shard's tracer hands out ids
-    from :func:`shard_first_span_id` up; a caller's ``tracer`` keeps
-    its own ids, which the merge copies as they are.
+    The shard's tracer hands out ids from :func:`shard_first_span_id`
+    up, so the merge copies its span log as it is.
     """
     registry = registry if registry is not None else RunRegistry()
     resolve = resolve_model if resolve_model is not None else get_model
@@ -203,9 +200,6 @@ def run_shard(run_id: str, shard: int,
             replayed=state.recorded_questions, state=state,
             stats=(EngineStats.from_dict(state.stats)
                    if state.stats else None))
-    if tracer is None and trace:
-        tracer = Tracer(first_id=shard_first_span_id(shard))
-
     pools = build_request_pools(request)
     cache = (ResponseCache.load(warm_cache)
              if warm_cache is not None else None)
@@ -213,8 +207,9 @@ def run_shard(run_id: str, shard: int,
     evaluated = 0
     replayed = 0
     with RunSession(request, registry.shard_dir(run_id, shard),
-                    engine=engine_for(request, cache), tracer=tracer,
-                    trace=trace, keep_records=False,
+                    engine=engine_for(request, cache),
+                    tracer=Tracer(first_id=shard_first_span_id(shard)),
+                    keep_records=False,
                     ledger_type=ShardLedger) as session:
         session.ledger.shard_started(run_id, shard, attempt=attempt)
         with session.span("shard", parent=MERGED_RUN_SPAN_ID,
@@ -253,7 +248,7 @@ def run_shard(run_id: str, shard: int,
 
 
 def shard_entry(root: str, run_id: str, shard: int,
-                trace: bool = True, warm_cache: str | None = None,
+                warm_cache: str | None = None,
                 resolve_model: ModelResolver | None = None
                 ) -> ShardResult:
     """Process-pool entry point (module-level, so it pickles).
@@ -263,5 +258,5 @@ def shard_entry(root: str, run_id: str, shard: int,
     model registry's resolver.
     """
     return run_shard(run_id, shard, registry=RunRegistry(root),
-                     resolve_model=resolve_model, trace=trace,
+                     resolve_model=resolve_model,
                      warm_cache=warm_cache)

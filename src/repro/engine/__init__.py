@@ -11,7 +11,8 @@ The production layer between the experiment drivers and the
   deterministic exponential backoff, per-call timeout, token-bucket
   rate limiting, deterministic fault injection for tests);
 * ``batching`` — :class:`BatchingModel` groups concurrent prompts
-  into ``generate_batch`` calls under a linger deadline,
+  into ``generate_batch`` calls under a linger deadline, forming and
+  sending each batch on the calling worker threads themselves,
   :class:`CoalescingModel` makes identical in-flight prompts share
   one call, and :class:`AdaptiveLimiter` applies AIMD concurrency
   control over batch dispatch;

@@ -1,17 +1,18 @@
 """Dynamic batching, in-flight coalescing and AIMD concurrency.
 
-The asynchronous half of the engine core.  Three cooperating pieces,
+The concurrent half of the engine core.  Three cooperating pieces,
 each a plain object the scheduler composes into the middleware stack:
 
 * :class:`BatchingModel` — a ChatModel wrapper that groups concurrent
-  ``generate`` calls into ``generate_batch`` backend calls.  Worker
-  threads park their prompt on a background asyncio event loop; the
-  loop flushes a batch when ``batch_size`` prompts are pending or a
-  ``linger_s`` deadline passes, whichever comes first.  Responses are
-  routed back to each waiting thread by position, so the wrapper is
-  externally indistinguishable from per-prompt ``generate`` — which
-  is what keeps the scheduler's by-submission-index collection (and
-  therefore every metric) bit-identical to the sequential loop.
+  ``generate`` calls into ``generate_batch`` backend calls.  A batch
+  forms on the callers' own threads under one lock: its first caller
+  leads it, cuts it when ``batch_size`` prompts have joined or a
+  ``linger_s`` deadline passes, whichever comes first, and dispatches
+  it on its own thread.  Each member gets back the response at its
+  own position, so the wrapper is externally indistinguishable from
+  per-prompt ``generate`` — which is what keeps the scheduler's
+  by-submission-index collection (and therefore every metric)
+  bit-identical to the sequential loop.
 * :class:`CoalescingModel` — identical *in-flight* prompts share one
   underlying call: the first caller (the leader) issues it, followers
   block until the leader's result (or exception) lands.  This is
@@ -43,18 +44,16 @@ config's defaults satisfy by three orders of magnitude).
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 from dataclasses import dataclass, field
 
 from repro.engine.telemetry import Telemetry
 from repro.errors import ModelError, ModelTransientError
-from repro.llm.base import (ChatModel, async_batch_fn,
-                            call_generate_batch,
+from repro.llm.base import (ChatModel, call_generate_batch,
                             supports_generate_batch)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.trail import TrailContext, current_trail, prompt_key
+from repro.obs.trail import current_trail, prompt_key
 
 _log = logging.getLogger("repro.engine.batching")
 
@@ -196,36 +195,55 @@ class CoalescingModel:
         return f"CoalescingModel({self.inner!r})"
 
 
-@dataclass
-class _Pending:
-    """One parked prompt awaiting its batch."""
+#: A member's outcome before it lands (a backend may answer ``None``).
+_PENDING = object()
 
-    prompt: str
-    future: "asyncio.Future | None" = None
-    #: The parked worker thread's trail, handed across explicitly so
-    #: the loop-thread dispatcher can stamp batch placement onto it
-    #: (the worker is blocked on ``future`` while we write, so the
-    #: hand-off is race-free).
-    trail: TrailContext | None = None
+
+class _Batch:
+    """One batch: its members' prompts and, as they land, outcomes.
+
+    Fields change only under the batcher's lock, and :attr:`changed`
+    (a condition on that lock) wakes this batch's members alone.  Once
+    the batch is cut, its prompts, number and cut no longer change.
+    """
+
+    __slots__ = ("prompts", "outcomes", "seq", "cut", "running",
+                 "changed")
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self.prompts: list[str] = []
+        #: Each member's response or exception, or :data:`_PENDING`.
+        self.outcomes: list = []
+        #: Batch number and why it was cut (``size`` or ``linger``):
+        #: 0 and ``None`` while it fills, and for a batch ``close``
+        #: failed.
+        self.seq = 0
+        self.cut: str | None = None
+        #: The leader holds a dispatch slot, so the members of a
+        #: per-prompt batch may call.
+        self.running = False
+        self.changed = threading.Condition(lock)
 
 
 class BatchingModel:
     """ChatModel wrapper grouping concurrent calls into batches.
 
-    A background thread runs an asyncio event loop (started lazily on
-    the first call, joined by :meth:`close`).  ``generate`` hands its
-    prompt to the loop and blocks; the loop accumulates prompts and
-    flushes a batch when ``batch_size`` are pending or the oldest has
-    lingered ``linger_s`` seconds.  Dispatch negotiates the backend
-    protocol: a coroutine ``agenerate_batch`` is awaited on the loop
-    itself, anything else runs in an executor thread through
-    :func:`repro.llm.base.call_generate_batch` (one
-    ``generate_batch`` call when the backend has it, a per-prompt
-    loop when it does not), so the loop never blocks on inference.
+    The batch forms on the callers' own threads.  The first
+    ``generate`` of a batch leads it: it waits until ``batch_size``
+    prompts have joined or ``linger_s`` has passed, whichever comes
+    first, then dispatches the batch on its own thread while the other
+    members wait for their own outcome.  A backend with
+    ``generate_batch`` gets one
+    :func:`repro.llm.base.call_generate_batch` for the whole batch,
+    and a fault fails every member once — that is what a shared round
+    trip means.  A per-prompt backend keeps per-prompt fault isolation
+    and concurrency: each member calls its own prompt on its own
+    thread, so one poisoned prompt cannot burn its batchmates' retry
+    budgets.  Either way the leader's ``batch`` span covers the
+    dispatch and the limiter gates it.
 
-    A failed dispatch fails every prompt of that batch — per-prompt
-    recovery is the retry middleware's job, one layer up, and each
-    re-attempt re-enters the batcher independently.
+    Per-prompt recovery is the retry middleware's job, one layer up,
+    and each re-attempt re-enters the batcher independently.
     """
 
     def __init__(self, inner: ChatModel, batch_size: int,
@@ -244,66 +262,23 @@ class BatchingModel:
         self.limiter = limiter
         self._telemetry = telemetry
         self._tracer = tracer
-        self._agenerate_batch = async_batch_fn(inner)
-        self._pending: list[_Pending] = []      # loop-thread only
-        self._flush_handle = None               # loop-thread only
-        self._batch_seq = 0                     # loop-thread only
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._start_lock = threading.Lock()
+        self._shared = supports_generate_batch(inner)
+        self._lock = threading.Lock()
+        self._filling: _Batch | None = None
+        self._batch_seq = 0
         self._closed = False
 
-    # ------------------------------------------------------------------
-    # Event-loop lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is not None:
-            return self._loop
-        with self._start_lock:
-            if self._loop is not None:
-                return self._loop
-            if self._closed:
-                raise ModelError(f"{self.name}: batcher is closed")
-            loop = asyncio.new_event_loop()
-            ready = threading.Event()
-
-            def run() -> None:
-                asyncio.set_event_loop(loop)
-                ready.set()
-                loop.run_forever()
-                # Drain callbacks scheduled before stop() landed.
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-            thread = threading.Thread(target=run, name="repro-batcher",
-                                      daemon=True)
-            thread.start()
-            ready.wait()
-            self._thread = thread
-            self._loop = loop
-            return loop
-
     def close(self) -> None:
-        """Stop the dispatcher loop (idempotent; fails stragglers)."""
-        with self._start_lock:
+        """Fail the batch still filling and refuse new calls
+        (idempotent)."""
+        with self._lock:
             self._closed = True
-            loop, thread = self._loop, self._thread
-            self._loop = self._thread = None
-        if loop is None:
-            return
-
-        def shutdown() -> None:
-            for item in self._pending:
-                if item.future is not None and not item.future.done():
-                    item.future.set_exception(ModelError(
-                        f"{self.name}: batcher closed with the "
-                        f"prompt still pending"))
-            self._pending.clear()
-            loop.stop()
-
-        loop.call_soon_threadsafe(shutdown)
-        if thread is not None:
-            thread.join(timeout=5.0)
+            batch, self._filling = self._filling, None
+            if batch is not None:
+                error = ModelError(f"{self.name}: batcher closed with "
+                                   f"the prompt still pending")
+                batch.outcomes = [error] * len(batch.prompts)
+                batch.changed.notify_all()
 
     def __enter__(self) -> "BatchingModel":
         return self
@@ -312,89 +287,68 @@ class BatchingModel:
         self.close()
 
     # ------------------------------------------------------------------
-    # The ChatModel face (called from worker threads)
-    # ------------------------------------------------------------------
     def generate(self, prompt: str) -> str:
-        loop = self._ensure_loop()
-        # The ambient trail is thread-local to this worker thread, so
-        # it must cross into the loop thread by hand.
-        future = asyncio.run_coroutine_threadsafe(
-            self._park(prompt, current_trail()), loop)
-        return future.result()
+        with self._lock:
+            if self._closed:
+                raise ModelError(f"{self.name}: batcher is closed")
+            batch = self._filling
+            leader = batch is None
+            if leader:
+                batch = self._filling = _Batch(self._lock)
+            member = len(batch.prompts)
+            batch.prompts.append(prompt)
+            batch.outcomes.append(_PENDING)
+            if member + 1 >= self.batch_size:
+                self._cut(batch, "size")
+            elif leader:
+                batch.changed.wait_for(
+                    lambda: self._filling is not batch, self.linger_s)
+                if self._filling is batch:
+                    self._cut(batch, "linger")
+            if not leader:
+                # Wait for the outcome, or for a per-prompt batch to
+                # run and this member to make its own call.
+                batch.changed.wait_for(
+                    lambda: batch.outcomes[member] is not _PENDING
+                    or batch.running)
+        if leader and batch.seq:
+            self._dispatch(batch)
+        elif batch.outcomes[member] is _PENDING:
+            self._call(batch, member)
+        if batch.seq:
+            trail = current_trail()
+            if trail is not None:
+                trail.batch = batch.seq
+                trail.batch_size = len(batch.prompts)
+                trail.batch_cut = batch.cut
+        outcome = batch.outcomes[member]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
-    async def _park(self, prompt: str,
-                    trail: TrailContext | None = None) -> str:
-        item = _Pending(prompt=prompt, trail=trail)
-        item.future = asyncio.get_running_loop().create_future()
-        self._pending.append(item)
-        if len(self._pending) >= self.batch_size:
-            self._flush(cut="size")
-        elif self._flush_handle is None:
-            self._flush_handle = asyncio.get_running_loop().call_later(
-                self.linger_s, self._flush)
-        return await item.future
-
-    def _flush(self, cut: str = "linger") -> None:
-        """Cut one batch off the pending queue and dispatch it."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._pending:
-            return
-        batch = self._pending[:self.batch_size]
-        del self._pending[:self.batch_size]
-        if self._pending:
-            # Leftovers start a fresh linger window immediately.
-            self._flush_handle = asyncio.get_running_loop().call_later(
-                self.linger_s, self._flush)
+    def _cut(self, batch: _Batch, cut: str) -> None:
+        """Close ``batch`` to new members (the caller holds the
+        lock)."""
+        self._filling = None
         self._batch_seq += 1
-        batch_id = self._batch_seq
-        for item in batch:
-            if item.trail is not None:
-                item.trail.batch = batch_id
-                item.trail.batch_size = len(batch)
-                item.trail.batch_cut = cut
-        asyncio.ensure_future(self._dispatch(batch, batch_id))
+        batch.seq = self._batch_seq
+        batch.cut = cut
+        batch.changed.notify_all()
 
-    async def _dispatch(self, batch: list[_Pending],
-                        batch_id: int = 0) -> None:
-        """Serve one batch, settling each member's future.
-
-        A backend with a real batch entry point (``agenerate_batch``
-        or ``generate_batch``) is all-or-nothing: one call, and a
-        fault fails every member — that is what a shared round trip
-        means.  A per-prompt backend keeps per-prompt fault isolation:
-        the batcher fans the prompts over the executor concurrently
-        (that *is* its win for such backends) and a fault only fails
-        its own prompt, so one poisoned prompt cannot burn its
-        batchmates' retry budgets.
-        """
-        prompts = [item.prompt for item in batch]
-        loop = asyncio.get_running_loop()
+    def _dispatch(self, batch: _Batch) -> None:
+        """Serve ``batch`` from its leader's thread; returns once every
+        member has its outcome."""
         if self.limiter is not None:
-            await loop.run_in_executor(None, self.limiter.acquire)
+            self.limiter.acquire()
         transient = False
         try:
             with self._tracer.span("batch", model=self.name,
-                                   size=len(prompts), seq=batch_id):
-                if self._agenerate_batch is not None:
-                    outcomes, transient = await self._shared(
-                        self._agenerate_batch(prompts), prompts)
-                elif supports_generate_batch(self.inner):
-                    outcomes, transient = await self._shared(
-                        loop.run_in_executor(
-                            None, call_generate_batch, self.inner,
-                            prompts), prompts)
+                                   size=len(batch.prompts),
+                                   seq=batch.seq):
+                if self._shared:
+                    transient = self._call_shared(batch)
                 else:
-                    outcomes, transient = await self._per_prompt(
-                        loop, prompts)
-            for item, outcome in zip(batch, outcomes):
-                if item.future.done():
-                    continue
-                if isinstance(outcome, BaseException):
-                    item.future.set_exception(outcome)
-                else:
-                    item.future.set_result(outcome)
+                    transient = self._call_members(batch)
         finally:
             if self.limiter is not None:
                 self.limiter.release(success=not transient)
@@ -402,36 +356,50 @@ class BatchingModel:
                     self._telemetry.add(
                         adaptive_high_water=int(self.limiter.limit))
 
-    async def _shared(self, call, prompts: list[str]
-                      ) -> tuple[list, bool]:
-        """One real batch call; a fault fails every member."""
+    def _call_shared(self, batch: _Batch) -> bool:
+        """One real batch call; a fault fails every member.  Returns
+        whether the fault was transient."""
         try:
-            responses = list(await call)
-            if len(responses) != len(prompts):
-                raise ModelError(
-                    f"{self.name}: batch returned {len(responses)} "
-                    f"responses for {len(prompts)} prompts")
+            outcomes = call_generate_batch(self.inner, batch.prompts)
+            transient = False
         except BaseException as exc:
             _log.info("batch-failed model=%s size=%d fault=%s",
-                      self.name, len(prompts), type(exc).__name__)
-            return ([exc] * len(prompts),
-                    isinstance(exc, ModelTransientError))
-        if self._telemetry is not None:
-            self._telemetry.add(batches=1)
-        return responses, False
+                      self.name, len(batch.prompts), type(exc).__name__)
+            outcomes = [exc] * len(batch.prompts)
+            transient = isinstance(exc, ModelTransientError)
+        else:
+            if self._telemetry is not None:
+                self._telemetry.add(batches=1)
+        with self._lock:
+            batch.outcomes = outcomes
+            batch.changed.notify_all()
+        return transient
 
-    async def _per_prompt(self, loop, prompts: list[str]
-                          ) -> tuple[list, bool]:
-        """Concurrent per-prompt calls with per-prompt faults."""
-        outcomes = await asyncio.gather(
-            *[loop.run_in_executor(None, self.inner.generate, prompt)
-              for prompt in prompts],
-            return_exceptions=True)
-        transient = any(isinstance(outcome, ModelTransientError)
-                        for outcome in outcomes)
+    def _call_members(self, batch: _Batch) -> bool:
+        """Let every member call its own prompt, the leader's own
+        included, and wait for them all.  Returns whether any call
+        failed transiently."""
+        with self._lock:
+            batch.running = True
+            batch.changed.notify_all()
+        self._call(batch, 0)
+        with self._lock:
+            batch.changed.wait_for(
+                lambda: _PENDING not in batch.outcomes)
         if self._telemetry is not None:
             self._telemetry.add(batches=1)
-        return list(outcomes), transient
+        return any(isinstance(outcome, ModelTransientError)
+                   for outcome in batch.outcomes)
+
+    def _call(self, batch: _Batch, member: int) -> None:
+        """One member's own call of a per-prompt batch."""
+        try:
+            outcome = self.inner.generate(batch.prompts[member])
+        except BaseException as exc:
+            outcome = exc
+        with self._lock:
+            batch.outcomes[member] = outcome
+            batch.changed.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BatchingModel({self.inner!r}, "
@@ -442,8 +410,8 @@ def close_model_stack(model: ChatModel) -> None:
     """Close every closeable layer of a wrapped middleware stack.
 
     Walks the ``.inner`` chain calling ``close()`` where it exists —
-    how the scheduler tears down the batching dispatcher's event loop
-    after a run.
+    how the scheduler closes a run's batcher and a backend pool's
+    hedge executor after a run.
     """
     layer = model
     seen = 0

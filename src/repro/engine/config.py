@@ -58,10 +58,11 @@ class EngineConfig:
         batch_size: Maximum prompts grouped into one backend
             ``generate_batch`` call (1 disables the batching layer
             and reproduces the per-prompt path exactly).
-        batch_linger_s: How long a pending batch waits for company
-            before being flushed short — the classic dynamic-batching
-            deadline.  Bounds the latency a prompt can pay for
-            batching; 0 flushes on the next dispatcher tick.
+        batch_linger_s: How long a batch's first prompt waits for
+            company before the batch is sent short — the classic
+            dynamic-batching deadline.  Bounds the latency a prompt
+            can pay for batching; 0 sends each batch with only the
+            prompts already waiting to join it.
         coalesce: Whether identical *in-flight* prompts share one
             backend call (distinct from the response cache, which
             only serves calls that already completed).

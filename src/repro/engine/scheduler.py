@@ -15,12 +15,12 @@ Threads (not processes) are the right pool here: real endpoint calls
 are network-bound and the simulated backends release the GIL whenever
 they sleep, so wall-clock scales with workers while all state stays
 shared (one cache, one telemetry, one rate limiter).  Under batching
-the pool is *wider* than ``max_workers``: batches fill from prompts
-whose worker threads are concurrently parked inside the batching
-dispatcher, so the thread count must cover the in-flight window —
-parked threads cost almost nothing, and the backend concurrency is
-governed by the batch dispatch (and the AIMD limiter), not the pool
-width.
+the pool is *wider* than ``max_workers``: a batch fills from prompts
+whose worker threads wait in the batcher for their batch to be cut and
+served, and its leader dispatches it on its own worker thread, so the
+thread count must cover the in-flight window — waiting threads cost
+almost nothing, and the backend concurrency is governed by the batch
+dispatch (and the AIMD limiter), not the pool width.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from repro.engine.middleware import (Clock, RateLimitedModel,
                                      RetryingModel, TimeoutModel,
                                      TokenBucket)
 from repro.engine.telemetry import EngineStats, Telemetry
-from repro.llm.base import (ChatModel, async_batch_fn,
-                            call_generate_batch,
+from repro.llm.base import (ChatModel, call_generate_batch,
                             supports_generate_batch)
 from repro.obs.cost import (DEFAULT_TOKEN_COUNTER, CostMeter,
                             price_for)
@@ -61,20 +60,11 @@ class _CountingModel:
         self.name = inner.name
         self._telemetry = telemetry
         self._tracer = tracer
-        # Re-export the backend's batch entry points so the batching
-        # dispatcher can still negotiate them through this wrapper —
-        # and ONLY then: advertising generate_batch over a per-prompt
-        # backend would turn the batcher's per-prompt fault isolation
-        # into all-or-nothing batch failures.
-        inner_async = async_batch_fn(inner)
-        if inner_async is not None:
-            async def agenerate_batch(
-                    prompts: Sequence[str]) -> list[str]:
-                self._telemetry.add(calls=len(prompts))
-                with self._tracer.span("model_call", model=self.name,
-                                       n=len(prompts)):
-                    return await inner_async(prompts)
-            self.agenerate_batch = agenerate_batch
+        # Re-export the backend's batch entry point so the batcher
+        # can still find it through this wrapper — and ONLY then:
+        # advertising generate_batch over a per-prompt backend would
+        # turn the batcher's per-prompt fault isolation into
+        # all-or-nothing batch failures.
         if supports_generate_batch(inner):
             def generate_batch(
                     prompts: Sequence[str]) -> list[str]:
@@ -209,7 +199,7 @@ class EvaluationEngine:
         workers = max(1, min(self.config.max_workers, len(work)))
         if self.config.batch_size > 1 and len(work) > 1:
             # Batches fill from *concurrent* generate() callers, so
-            # the pool must span the in-flight window — parked
+            # the pool must span the in-flight window — waiting
             # threads are cheap, and backend concurrency is governed
             # by batch dispatch, not pool width.
             workers = max(workers, min(self.config.in_flight_window,

@@ -15,22 +15,18 @@ core negotiates at call time:
   ``generate`` calls and lands them here when the method exists;
   :func:`call_generate_batch` is the negotiation shim that falls back
   to a per-prompt loop when it does not.
-* ``agenerate_batch(prompts)`` — the asyncio-native variant, awaited
-  directly on the batching dispatcher's event loop so a coroutine
-  backend never burns an executor thread.
 * ``count_tokens(text) -> int`` — the backend's own tokenizer.  The
   cost accounting layer (:mod:`repro.obs.cost`) resolves a counter
   per model — a registered per-name override first, then this hook,
   then the deterministic chars/4 heuristic — so a backend wrapping a
   real tokenizer is billed on its true token counts.
 
-All are pure capability markers: a backend that implements none of
-them behaves exactly as before.
+Both are pure capability markers: a backend that implements neither
+behaves exactly as before.
 """
 
 from __future__ import annotations
 
-import inspect
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -52,16 +48,6 @@ class ChatModel(Protocol):
 def supports_generate_batch(model: ChatModel) -> bool:
     """Whether ``model`` exposes a callable ``generate_batch``."""
     return callable(getattr(model, "generate_batch", None))
-
-
-def async_batch_fn(model: ChatModel):
-    """``model.agenerate_batch`` if it is a coroutine function,
-    else ``None`` (the negotiation probe used by the batching
-    dispatcher's event loop)."""
-    candidate = getattr(model, "agenerate_batch", None)
-    if candidate is not None and inspect.iscoroutinefunction(candidate):
-        return candidate
-    return None
 
 
 def call_generate_batch(model: ChatModel,

@@ -24,12 +24,12 @@ from repro.obs.tracer import Span
 _FULL = "#"
 
 #: Span kinds that are always *inside* some enclosing phase but can be
-#: recorded without a resolvable parent: ``batch`` spans live on the
-#: batching dispatcher's event-loop thread and ``model_call`` spans
-#: run on executor threads under batching, where the question span
-#: sits on a different thread's stack.  They must never count as
-#: roots when attributing wall-clock, or a batched run's phase shares
-#: deflate against a wall several times the real one.
+#: recorded without a resolvable parent: an engine traced without the
+#: runner's ``question`` spans opens its ``batch`` and ``model_call``
+#: spans on worker threads whose span stacks are empty.  They must
+#: never count as roots when attributing wall-clock, or a batched
+#: run's phase shares deflate against a wall several times the real
+#: one.
 _DETACHED_KINDS = frozenset({
     "batch", "coalesced_wait", "hedge", "model_call", "retry",
     "cache_lookup", "question",

@@ -44,8 +44,8 @@ Clock = Callable[[], float]
 
 #: Span names used by the built-in instrumentation, root to leaf.
 #: ``batch``/``coalesced_wait``/``hedge`` are the engine's grouping
-#: kinds (PR 7): ``batch`` spans are emitted on the batching
-#: dispatcher's event-loop thread and so carry no parent.
+#: kinds: a ``batch`` span opens on its leader's worker thread, under
+#: the leader's ``question`` (or ``retry``) span.
 EVALUATION_SPANS = ("run", "cell", "question", "model_call", "retry",
                     "cache_lookup", "batch", "coalesced_wait",
                     "hedge")

@@ -165,7 +165,7 @@ TrailContext = make_dataclass(
 
 
 # ----------------------------------------------------------------------
-# Ambient context (thread-local; batching hands it across explicitly)
+# Ambient context (thread-local; each layer notes on the caller's thread)
 # ----------------------------------------------------------------------
 _STATE = threading.local()
 

@@ -29,7 +29,6 @@ from repro.llm.registry import get_model
 from repro.core.metrics import Metrics
 from repro.obs.cost import BudgetGuard, BudgetStop
 from repro.obs.history import append_entry, entry_from_result
-from repro.obs.tracer import NullTracer, Tracer
 from repro.questions.model import DatasetKind, level_label
 from repro.questions.pools import QuestionPool, build_pools
 from repro.runs.ledger import CellState, RunState
@@ -211,21 +210,17 @@ def execute_run(request: RunRequest,
                 run_id: str | None = None,
                 engine: EvaluationEngine | None = None,
                 resolve_model: ModelResolver | None = None,
-                keep_records: bool = True,
-                tracer: "Tracer | NullTracer | None" = None,
-                trace: bool = True) -> RunResult:
+                keep_records: bool = True) -> RunResult:
     """Run the full sweep, streaming every event into the ledger.
 
     A crash (model failure, kill, power loss) leaves the ledger with
     everything completed so far; ``resume_run`` on the same ``run_id``
     finishes the job without repeating any scored question.
 
-    Tracing is on by default: a ``run -> cell -> question`` span tree
-    is streamed to ``spans.jsonl`` next to the ledger (each finished
-    span is one flushed append, the ledger's crash contract), which is
-    what ``repro obs trace <run-id>`` exports.  Pass ``trace=False``
-    for the free no-op tracer, or an explicit ``tracer`` to aggregate
-    spans elsewhere (its own sink is then left untouched).
+    A ``run -> cell -> question`` span tree is streamed to
+    ``spans.jsonl`` next to the ledger (each finished span is one
+    flushed append, the ledger's crash contract), which is what
+    ``repro obs trace <run-id>`` exports.
     """
     registry = registry if registry is not None else RunRegistry()
     pools = build_request_pools(request)
@@ -233,8 +228,7 @@ def execute_run(request: RunRequest,
     if run_id is None:
         run_id = registry.create(request, cells=len(cells))
     session = RunSession(request, registry.run_dir(run_id),
-                         engine=engine, tracer=tracer, trace=trace,
-                         keep_records=keep_records)
+                         engine=engine, keep_records=keep_records)
     return run_attempt(session, registry, run_id, pools, cells,
                        RunState(), resolve_model, resumed=False)
 

@@ -29,7 +29,7 @@ from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.obs.export import JsonlSpanSink, last_span_id
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import Tracer
 from repro.runs.heartbeat import HEARTBEAT_FILENAME, HeartbeatWriter
 from repro.runs.ledger import LEDGER_FILENAME, RunLedger
 from repro.runs.registry import SPANS_FILENAME
@@ -70,24 +70,23 @@ class RunSession:
     lifetime, so :meth:`stats` are this attempt's own however many
     runs a caller's engine has served; on exit it gets its own tracer
     and telemetry back, with the attempt's counts added to the latter.
-    An explicit ``tracer`` wins over ``trace``; a tracer without a
-    sink gets a ``spans.jsonl`` appender for the session's lifetime,
-    and hands out only ids above the largest one already in that log;
-    its list then keeps none of the attempt's spans.
+    ``tracer`` defaults to a fresh :class:`Tracer` (a shard passes one
+    that starts in its own id range).  A tracer without a sink gets a
+    ``spans.jsonl`` appender for the session's lifetime, and hands out
+    only ids above the largest one already in that log; its list then
+    keeps none of the attempt's spans.
     """
 
     def __init__(self, request: RunRequest, directory: str | Path,
                  engine: EvaluationEngine | None = None,
-                 tracer: "Tracer | NullTracer | None" = None,
-                 trace: bool = True, keep_records: bool = True,
+                 tracer: Tracer | None = None,
+                 keep_records: bool = True,
                  ledger_type: type[RunLedger] = RunLedger):
         self.request = request
         self.directory = Path(directory)
         self.engine = (engine if engine is not None
                        else engine_for(request))
-        if tracer is None:
-            tracer = Tracer() if trace else NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         #: This attempt's counters, on either path.
         self.telemetry = Telemetry()
         self.keep_records = keep_records
@@ -99,11 +98,11 @@ class RunSession:
             if engine is not None:
                 stack.callback(self._settle, engine, engine.telemetry)
                 engine.telemetry = self.telemetry
-                if self.tracer.enabled and not engine.tracer.enabled:
+                if not engine.tracer.enabled:
                     stack.callback(setattr, engine, "tracer",
                                    engine.tracer)
                     engine.tracer = self.tracer
-            if self.tracer.enabled and self.tracer.sink is None:
+            if self.tracer.sink is None:
                 spans_path = self.directory / SPANS_FILENAME
                 # A resumed attempt appends to its predecessors' log:
                 # keep every id in it distinct.

@@ -17,9 +17,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.benchmark import TaxoGlimpse
+from repro.dist.planner import plan_shards, save_shard_plan
+from repro.dist.worker import run_shard
 from repro.generators.registry import build_taxonomy
 from repro.questions.pools import build_pools
+from repro.runs.driver import build_request_pools, create_run
 from repro.runs.registry import RUNS_ENV
+from repro.runs.request import RunRequest
 from repro.store.artifacts import STORE_ENV
 from repro.taxonomy.builder import TaxonomyBuilder
 from repro.taxonomy.node import Domain
@@ -140,6 +144,36 @@ def killed_attempt():
         return child.pid
 
     return kill
+
+
+@pytest.fixture()
+def unmerged_sharded_run():
+    """``plant(registry) -> run_id``: GPT-4 x ebay, sample 10 (40 hard
+    questions), planned as 2 shards, of which shard 0 finished and
+    shard 1 never started, so the run has no top-level ledger."""
+    def plant(registry) -> str:
+        request = RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                             sample_size=10)
+        run_id = create_run(request, registry=registry)
+        plan = plan_shards(request, 2, build_request_pools(request))
+        save_shard_plan(registry, run_id, plan)
+        assert run_shard(run_id, 0, registry=registry,
+                         plan=plan).evaluated == 20
+        return run_id
+
+    return plant
+
+
+@pytest.fixture()
+def tree_bytes():
+    """``snapshot(root)``: every file under ``root`` by relative path,
+    with its bytes."""
+    def snapshot(root) -> dict[str, bytes]:
+        return {path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(Path(root).rglob("*"))
+                if path.is_file()}
+
+    return snapshot
 
 
 @pytest.fixture()

@@ -249,25 +249,6 @@ class TestBatchingModel:
             batcher.generate("late")
         batcher.close()             # idempotent
 
-    def test_async_backend_awaited_on_loop(self):
-        class AsyncBackend(BaseChatModel):
-            def __init__(self):
-                super().__init__("native")
-                self.async_batches = 0
-
-            def _respond(self, prompt):
-                raise AssertionError("sync path must not be used")
-
-            async def agenerate_batch(self, prompts):
-                self.async_batches += 1
-                return [f"async:{prompt}" for prompt in prompts]
-
-        model = AsyncBackend()
-        with BatchingModel(model, batch_size=4,
-                           linger_s=0.001) as batcher:
-            assert batcher.generate("q") == "async:q"
-        assert model.async_batches == 1
-
 
 # ----------------------------------------------------------------------
 # CoalescingModel

@@ -123,6 +123,13 @@ print(json.dumps(first + mismatches()))
     assert _fresh(code) == []
 
 
+def test_the_cli_loads_no_asyncio():
+    # The batcher forms batches on the engine's own worker threads, so
+    # nothing in the program needs an event loop.
+    assert _fresh("import json, sys, repro.cli\n"
+                  "print(json.dumps('asyncio' in sys.modules))") is False
+
+
 @pytest.mark.parametrize("module", IMPORTS_FIRST)
 def test_module_imports_first(module):
     assert module in _fresh(f"import {module}\n" + _LOADED)

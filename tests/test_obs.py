@@ -706,18 +706,6 @@ class TestRunTraceAcceptance:
             assert all(c["args"]["parent_id"] in question_ids
                        for c in calls)
 
-    def test_trace_false_leaves_no_span_log(self, tmp_path):
-        registry = RunRegistry(tmp_path / "runs")
-        request = RunRequest(models=("GPT-4",),
-                             taxonomy_keys=("ebay",), sample_size=6,
-                             dataset="easy")
-        result = execute_run(request, registry=registry, trace=False)
-        assert not registry.spans_path(result.run_id).exists()
-        # The stats snapshot still persists for sequential runs.
-        state = registry.state(result.run_id)
-        assert state.stats["records"] == result.evaluated
-        assert state.stats["wall_time_s"] > 0
-
 
 # ----------------------------------------------------------------------
 # CLI surfacing

@@ -133,11 +133,8 @@ class TestRunSession:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_span_log_holds_every_span_and_the_tracer_none(
             self, registry, workers):
-        tracer = Tracer()
-        with tracer.span("before"):
-            pass
         result = execute_run(RunRequest(workers=workers, **SMALL),
-                             registry=registry, tracer=tracer)
+                             registry=registry)
         logged = read_spans_jsonl(registry.spans_path(result.run_id))
         names = Counter(span.name for span in logged)
         assert names["run"] == names["cell"] == 1
@@ -145,12 +142,6 @@ class TestRunSession:
         if workers > 1:
             assert names["model_call"] == result.evaluated
         assert len({span.span_id for span in logged}) == len(logged)
-        assert [span.name for span in tracer.spans()] == ["before"]
-        # Lent and given back, the tracer keeps its spans again.
-        with tracer.span("after"):
-            pass
-        assert [span.name for span in tracer.spans()] == [
-            "before", "after"]
 
     def test_a_session_tracer_keeps_no_spans(self, tmp_path):
         session = RunSession(RunRequest(**SMALL), tmp_path)
@@ -163,14 +154,6 @@ class TestRunSession:
         assert [span.name for span in read_spans_jsonl(
             tmp_path / "spans.jsonl")] == [
             "question", "question", "question", "run"]
-
-    def test_untraced_session_writes_no_span_log(self, tmp_path):
-        with RunSession(RunRequest(**SMALL), tmp_path,
-                        trace=False) as session:
-            assert session.engine is None
-            assert session.telemetry is not None
-        assert not (tmp_path / "spans.jsonl").exists()
-        assert (tmp_path / "ledger.jsonl").exists()
 
 
 # ----------------------------------------------------------------------

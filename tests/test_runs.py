@@ -349,6 +349,32 @@ class TestResumeDeterminism:
         for key, expected in result.cells.items():
             assert resumed.cells[key].records == expected.records
 
+    def test_resume_of_finished_run_writes_nothing(self, registry,
+                                                   tree_bytes):
+        request = RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                             sample_size=10)
+        result = execute_run(request, registry=registry)
+        before = tree_bytes(registry.root)
+        resumed = resume_run(result.run_id, registry=registry,
+                             resolve_model=forbidden_resolver)
+        assert tree_bytes(registry.root) == before
+        assert registry.state(result.run_id).attempts == 1
+        # The run's own stats, not those of an empty second attempt.
+        assert resumed.stats.records == result.evaluated == 40
+        assert resumed.stats.cost_nanos == result.stats.cost_nanos > 0
+        assert (resumed.evaluated, resumed.replayed) == (0, 40)
+
+    def test_resume_of_unmerged_sharded_run_is_refused(
+            self, registry, unmerged_sharded_run, tree_bytes):
+        run_id = unmerged_sharded_run(registry)
+        before = tree_bytes(registry.root)
+        with pytest.raises(RunError,
+                           match=f"`repro runs resume {run_id}`"):
+            resume_run(run_id, registry=registry,
+                       resolve_model=forbidden_resolver)
+        assert tree_bytes(registry.root) == before
+        assert not registry.ledger_path(run_id).exists()
+
 
 # ----------------------------------------------------------------------
 # Diffing

@@ -351,6 +351,20 @@ class TestSubmission:
         assert job["replayed"] == result.evaluated
         assert job["evaluated"] == 0
 
+    def test_post_resume_refuses_an_unmerged_sharded_run(
+            self, server, unmerged_sharded_run, tree_bytes):
+        registry = server.registry_for(DEFAULT_TENANT)
+        run_id = unmerged_sharded_run(registry)
+        before = tree_bytes(registry.root)
+        status, accepted = _post(server, f"/runs/{run_id}/resume")
+        assert status == 202
+        job = _wait_job(server, accepted["job"]["job_id"])
+        assert job["state"] == "failed"
+        assert job["error"].startswith("RunError: ")
+        assert f"`repro runs resume {run_id}`" in job["error"]
+        assert (job["evaluated"], job["replayed"]) == (0, 0)
+        assert tree_bytes(registry.root) == before
+
     def test_jobs_listing_tracks_submissions(self, server):
         status, jobs = _get(server, "/jobs")
         assert status == 200 and jobs == []
