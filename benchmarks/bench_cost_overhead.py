@@ -3,13 +3,16 @@
 Two gates guard the cost-accounting layer:
 
 1. **Overhead**: the same sleep-backed model answers the same prompt
-   stream bare and wrapped in a :class:`repro.obs.CostMeter` billing
-   into a real engine :class:`~repro.engine.telemetry.Telemetry`,
-   with an :class:`repro.obs.AlertEvaluator` folding a dashboard
-   snapshot every few calls (the `repro watch` cadence).  Token
-   counting is ``ceil(len/4)`` and prices are cached integers, so the
-   metered variant must stay within 5% (plus a small absolute floor
-   for OS jitter) of the bare one.
+   stream bare and booked the way each question is booked: under its
+   own :func:`repro.obs.trail.trail_scope`, its prompt and answer
+   counted with :func:`repro.obs.count_tokens`, the trail billed with
+   :func:`repro.obs.call_cost_nanos` and folded into a real engine
+   :class:`~repro.engine.telemetry.Telemetry` by ``observe`` — with
+   an :class:`repro.obs.AlertEvaluator` folding a dashboard snapshot
+   every few calls (the `repro watch` cadence).  Token counting is
+   ``ceil(len/4)`` and prices are cached integers, so the metered
+   variant must stay within 5% (plus a small absolute floor for OS
+   jitter) of the bare one.
 2. **Budget-stop determinism**: a run capped with ``--max-cost-usd``
    must stop at a cell boundary, resume to completion, and end up
    *bit-identical* — same records, same per-cell cost fold — to the
@@ -40,7 +43,8 @@ from repro.core.report import format_rows
 from repro.engine.telemetry import Telemetry
 from repro.llm.base import BaseChatModel
 from repro.llm.registry import get_model
-from repro.obs import AlertEvaluator, CostLedger, CostMeter
+from repro.obs import (AlertEvaluator, CostLedger, call_cost_nanos,
+                       count_tokens, trail_scope)
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
                         execute_run, resume_run)
 
@@ -100,15 +104,31 @@ def _time_bare(calls: int) -> float:
     return time.perf_counter() - started
 
 
+def _booked(model: _SleepingModel, telemetry: Telemetry,
+            prompt: str) -> str:
+    """One call, booked as a question is: priced on its trail, then
+    folded into the telemetry."""
+    started = time.perf_counter()
+    with trail_scope() as context:
+        answer = model.generate(prompt)
+        prompt_tokens = count_tokens(prompt, model)
+        completion_tokens = count_tokens(answer, model)
+        context.note_cost(prompt_tokens, completion_tokens,
+                          call_cost_nanos(model.name, prompt_tokens,
+                                          completion_tokens))
+    telemetry.observe(time.perf_counter() - started, context)
+    return answer
+
+
 def _time_metered(calls: int) -> float:
     telemetry = Telemetry()
-    meter = CostMeter(_SleepingModel(LATENCY_S), telemetry)
+    model = _SleepingModel(LATENCY_S)
     evaluator = AlertEvaluator()
     prompts = _prompts(calls)
-    meter.generate(prompts[0])           # warm outside the clock
+    model.generate(prompts[0])           # warm outside the clock
     started = time.perf_counter()
     for index, prompt in enumerate(prompts):
-        meter.generate(prompt)
+        _booked(model, telemetry, prompt)
         if index % OBSERVE_EVERY == 0:
             evaluator.observe(_snapshot(index + 1,
                                         time.perf_counter() - started))

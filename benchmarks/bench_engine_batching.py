@@ -166,7 +166,7 @@ def _identity_sweep() -> list[dict[str, object]]:
         if hedged:
             backend = BackendPool(
                 [get_model("GPT-4"), get_model("GPT-4")],
-                hedge_delay_s=0.005, telemetry=engine.telemetry)
+                hedge_delay_s=0.005)
         try:
             result = EvaluationRunner(
                 engine=engine, keep_records=True).evaluate(

@@ -6,7 +6,8 @@
 # batching, dataset pipeline, run ledger, shard scaling, tracing, live
 # follower, cost metering, serve fan-out, trail capture), the `obs
 # check` regression gate, the trail analytics of its run, a check that
-# the run's record and telemetry books agree and a byte-for-byte
+# the record, telemetry and trail books agree on that run and on the
+# same request run by two coalescing workers, and a byte-for-byte
 # regeneration of EXPERIMENTS.md.  A tier-1 failure stops the script;
 # every later step runs even when an earlier one failed, and the
 # script exits non-zero naming each step that did.
@@ -93,7 +94,8 @@ gate() {
 }
 
 gate_run() {
-    REPRO_RUNS_DIR="$GATE_DIR" python -m repro runs list --json \
+    # The newest run under the runs root $1 (the gate's by default).
+    REPRO_RUNS_DIR="${1:-$GATE_DIR}" python -m repro runs list --json \
         | python -c 'import json,sys; print(json.load(sys.stdin)[0]["run_id"])'
 }
 
@@ -105,11 +107,24 @@ trails() {
 
 books() {
     # The gate run is sequential with no cache hits or retries, so the
-    # records (watch, obs cost) and the telemetry (runs show) must
-    # give the same questions, tokens and cost.
+    # records (watch, obs cost), the telemetry (runs show) and the
+    # trails (obs trails) must give the same questions, tokens and
+    # cost.
     local run
     run="$(gate_run)" || return
     REPRO_RUNS_DIR="$GATE_DIR" python scripts/books_agree.py "$run"
+}
+
+books_engine() {
+    # The same request through the engine, two workers coalescing
+    # in-flight duplicates: its trails show no cache hit, follower or
+    # retry, so the same four books must agree on it too.
+    local runs="$GATE_DIR/engine" run
+    REPRO_RUNS_DIR="$runs" python -m repro run \
+        --models GPT-4 LLMs4OL --taxonomies ebay --sample 24 --trail \
+        --workers 2 --coalesce > /dev/null || return
+    run="$(gate_run "$runs")" || return
+    REPRO_RUNS_DIR="$runs" python scripts/books_agree.py "$run"
 }
 
 experiments() {
@@ -121,7 +136,9 @@ experiments() {
 
 step "regression gate (obs check vs committed baseline)" gate
 step "provenance trail analytics (gate run)" trails
-step "the gate run's three books agree (watch, obs cost, runs show)" books
+step "the gate run's books agree (watch, obs cost, runs show, obs trails)" books
+step "the books agree on the gate request run by 2 coalescing workers" \
+    books_engine
 step "EXPERIMENTS.md regenerates byte for byte" experiments
 
 if ((${#FAILED[@]})); then

@@ -735,12 +735,11 @@ def _cmd_engine_stats(args: argparse.Namespace) -> str:
         from repro.engine.pool import BackendPool
         # Replicas of one simulated model are response-equivalent by
         # construction, so hedged/fallback dispatch cannot change a
-        # record — only the telemetry shows it happened.
+        # record — only the trails, and so the telemetry, show it.
         backend_pool = BackendPool(
             [get_model(args.model)
              for _ in range(args.pool_replicas)],
-            hedge_delay_s=args.hedge_delay,
-            telemetry=engine.telemetry, tracer=engine.tracer)
+            hedge_delay_s=args.hedge_delay, tracer=engine.tracer)
         model = backend_pool
     try:
         result = runner.evaluate(model, pool)
@@ -1175,19 +1174,35 @@ def _cmd_obs_why(args: argparse.Namespace) -> str:
         spans = _load_run_spans(args)
     except RunError:
         spans = []
-    cited = [span for span in spans
-             if span.attrs.get("question") == payload["uid"]
-             and span.attrs.get("cell") == payload["cell"]]
+    cited = _cited_spans(spans, payload["uid"], payload["cell"])
     if cited:
         lines.append("  spans:")
         for span in cited:
             detail = "".join(
                 f" {key}={span.attrs[key]}"
-                for key in ("model", "attempt", "error")
+                for key in ("model", "attempt", "error", "size", "n")
                 if key in span.attrs)
             lines.append(f"    {span.name}#{span.span_id} "
                          f"{span.duration_s * 1e3:.2f}ms{detail}")
     return "\n".join(lines)
+
+
+def _cited_spans(spans, uid: str, cell: str) -> list:
+    """The spans of question ``uid`` in ``cell``: those tagged with
+    it, each ``batch`` span that names it among its members, and the
+    shared ``model_call`` such a batch made (which names no
+    question)."""
+    batches = {span.span_id for span in spans
+               if span.name == "batch"
+               and span.attrs.get("cell") == cell
+               and uid in span.attrs.get("members", "").split()}
+    return [span for span in spans
+            if span.span_id in batches
+            or (span.attrs.get("question") == uid
+                and span.attrs.get("cell") == cell)
+            or (span.name == "model_call"
+                and span.parent_id in batches
+                and "question" not in span.attrs)]
 
 
 def _why_trail_lines(trail: dict) -> list[str]:

@@ -15,6 +15,14 @@ concurrent prompts into ``generate_batch`` calls *underneath* the
 per-question fan-out, so the engine path yields bit-identical metrics
 at any worker count, batch size, or coalescing setting.
 
+Either path asks each question under its own provenance trail
+(:func:`repro.obs.trail.trail_scope`): the sequential loop installs
+it here, the engine on its worker thread.  :meth:`EvaluationRunner.ask`
+prices the question on that trail, once, and the question's counters
+are folded from it (:meth:`repro.engine.telemetry.Telemetry.observe`);
+the runner's ``trail`` flag decides only whether the record carries
+the frozen trail.
+
 A runner can also carry a ``ledger`` sink (duck-typed; see
 :class:`repro.runs.ledger.RunLedger`): each ``evaluate`` call then
 becomes one *cell* — the runner emits cell-started, streams every
@@ -75,13 +83,12 @@ class EvaluationRunner:
             self.tracer = engine.tracer
         else:
             self.tracer = NULL_TRACER
-        #: Optional stats recorder for the *sequential* path (the
-        #: engine records its own telemetry; this fills the gap when
-        #: ``engine is None`` so ledgered runs always persist stats).
+        #: Optional stats book for the *sequential* path (the engine
+        #: books into its own; this fills the gap when ``engine is
+        #: None`` so ledgered runs always persist stats).
         self.telemetry = telemetry
-        #: Capture provenance trails on the *sequential* path (under
-        #: an engine the scope is opened per item by the scheduler
-        #: when ``EngineConfig.trail`` is set).
+        #: Stamp each record with its frozen provenance trail, on
+        #: either path.
         self.trail = trail
 
     def ask(self, model: ChatModel, question: Question,
@@ -90,31 +97,37 @@ class EvaluationRunner:
             backend: ChatModel | None = None) -> QuestionRecord:
         """One question -> one scored interaction record.  ``backend``
         is the raw model under ``model``'s middleware (default:
-        ``model``)."""
+        ``model``).
+
+        The question is priced here, once, on the trail installed
+        around it: each attempt re-sent the prompt and only the
+        answering one returned a completion, so it bills
+        ``prompt_tokens × attempts`` plus the completion tokens —
+        and nothing when a cache or a coalesced leader answered.
+        """
         prompt = build_prompt(question, setting,
                               pool_questions=pool_questions,
                               variant=self.variant)
         response = model.generate(prompt)
         parsed = parse_answer(response, question)
-        # Counted as the raw backend counts them, like the engine's
-        # CostMeter bills them, so the stamped record is bit-identical
-        # whether the call ran sequentially, engined, or on a shard.
+        # Counted as the raw backend counts them, so the record is
+        # bit-identical whether the call ran sequentially, engined,
+        # or on a shard.
         backend = model if backend is None else backend
         prompt_tokens = count_tokens(prompt, backend)
         completion_tokens = count_tokens(response, backend)
         context = current_trail()
         trail = None
         if context is not None:
-            if self.engine is None and context.cost_nanos == 0:
-                # No CostMeter ran on the sequential path; bill the
-                # one call here.  (Under an engine a zero cost is
-                # legitimate — a cache hit or coalesced follower —
-                # so only the engineless path fills it in.)
+            if not (context.cache_hit
+                    or context.coalesced == "follower"):
+                billed = prompt_tokens * context.attempts
                 context.note_cost(
-                    prompt_tokens, completion_tokens,
-                    call_cost_nanos(model.name, prompt_tokens,
+                    billed, completion_tokens,
+                    call_cost_nanos(model.name, billed,
                                     completion_tokens))
-            trail = context.freeze()
+            if self.trail:
+                trail = context.freeze()
         return QuestionRecord(
             question_uid=question.uid,
             model=model.name,
@@ -148,30 +161,21 @@ class EvaluationRunner:
         if self.engine is None:
             out: list[tuple[int, QuestionRecord]] = []
             # No call_site_scope here: only the engine's model_call
-            # spans read it.
+            # and batch spans read it.  The trail is installed outside
+            # the question span, as the engine installs it, so the
+            # span times the question alone.
             for index, question in indexed:
                 started = time.perf_counter()
-                with self.tracer.span(
-                        "question", parent=parent,
-                        kind=question.kind.value,
-                        level=question.level, uid=question.uid):
-                    if self.trail:
-                        with trail_scope():
-                            record = self.ask(
-                                model, question, setting,
-                                pool_questions=pool_questions)
-                    else:
-                        record = self.ask(
-                            model, question, setting,
-                            pool_questions=pool_questions)
+                with trail_scope() as context:
+                    with self.tracer.span(
+                            "question", parent=parent,
+                            kind=question.kind.value,
+                            level=question.level, uid=question.uid):
+                        record = self.ask(model, question, setting,
+                                          pool_questions=pool_questions)
                 if self.telemetry is not None:
                     self.telemetry.observe(
-                        time.perf_counter() - started, calls=1,
-                        prompt_tokens=record.prompt_tokens,
-                        completion_tokens=record.completion_tokens,
-                        cost_nanos=call_cost_nanos(
-                            record.model, record.prompt_tokens,
-                            record.completion_tokens))
+                        time.perf_counter() - started, context)
                 if ledger is not None:
                     ledger.record(cell, index, record)
                 out.append((index, record))

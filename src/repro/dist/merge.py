@@ -247,8 +247,8 @@ def merge_run(run_id: str,
 
 def merge_shard_caches(run_id: str,
                        registry: RunRegistry | None = None,
-                       target: str | Path | None = None,
-                       capacity: int | None = None) -> ResponseCache:
+                       target: str | Path | None = None
+                       ) -> ResponseCache:
     """Fold per-shard cache files into one shared cache.
 
     The pre-existing ``target`` content is merged first (its entries
@@ -266,7 +266,7 @@ def merge_shard_caches(run_id: str,
         path = registry.shard_cache_path(run_id, shard)
         if path.exists():
             caches.append(ResponseCache.load(path))
-    merged = merge_caches(caches, capacity=capacity)
+    merged = merge_caches(caches)
     if target is not None:
         merged.save(target)
     return merged

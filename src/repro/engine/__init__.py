@@ -21,9 +21,10 @@ The production layer between the experiment drivers and the
 * ``cache`` — a content-addressed response cache keyed on
   ``(model, prompt)`` with JSON persistence, so reruns only pay for
   cold cells;
-* ``telemetry`` — per-call latency, retries, cache traffic, batches,
-  coalesced/hedged calls and worker utilization aggregated into
-  :class:`EngineStats`.
+* ``telemetry`` — the run's counter book: each question's latency,
+  calls, retries, cache traffic, coalescing, hedging and spend folded
+  from the question's provenance trail, plus batches, wall time and
+  worker utilization, aggregated into :class:`EngineStats`.
 
 Quickstart::
 

@@ -53,7 +53,7 @@ from repro.errors import ModelError, ModelTransientError
 from repro.llm.base import (ChatModel, call_generate_batch,
                             supports_generate_batch)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.trail import current_trail, prompt_key
+from repro.obs.trail import call_site, current_trail, prompt_key
 
 _log = logging.getLogger("repro.engine.batching")
 
@@ -147,15 +147,15 @@ class CoalescingModel:
     leader finishes waits on the leader's flight instead of issuing
     its own.  Exceptions propagate to every waiter — the leader's
     call already went through the retry middleware below, so a shared
-    failure is a post-retry hard failure for all of them.
+    failure is a post-retry hard failure for all of them.  Each
+    waiter's trail names it a follower, which the run's ``coalesced``
+    count is folded from.
     """
 
     def __init__(self, inner: ChatModel,
-                 telemetry: Telemetry | None = None,
                  tracer: "Tracer | NullTracer" = NULL_TRACER):
         self.inner = inner
         self.name = inner.name
-        self._telemetry = telemetry
         self._tracer = tracer
         self._flights: dict[str, _Flight] = {}
         self._lock = threading.Lock()
@@ -176,8 +176,6 @@ class CoalescingModel:
             # the join handle for "who actually made my call".
             trail.leader_key = prompt_key(prompt)
         if not leader:
-            if self._telemetry is not None:
-                self._telemetry.add(coalesced=1)
             with self._tracer.span("coalesced_wait", model=self.name):
                 return flight.wait()
         try:
@@ -207,11 +205,16 @@ class _Batch:
     the batch is cut, its prompts, number and cut no longer change.
     """
 
-    __slots__ = ("prompts", "outcomes", "seq", "cut", "running",
-                 "changed")
+    __slots__ = ("prompts", "members", "cell", "outcomes", "seq", "cut",
+                 "running", "changed")
 
-    def __init__(self, lock: threading.Lock) -> None:
+    def __init__(self, lock: threading.Lock, cell: str | None) -> None:
         self.prompts: list[str] = []
+        #: Each member's question uid, from its own thread's call
+        #: site, and the leader's cell: the ``batch`` span names them
+        #: so ``repro obs why`` finds a question's shared call.
+        self.members: list[str] = []
+        self.cell = cell
         #: Each member's response or exception, or :data:`_PENDING`.
         self.outcomes: list = []
         #: Batch number and why it was cut (``size`` or ``linger``):
@@ -240,7 +243,8 @@ class BatchingModel:
     and concurrency: each member calls its own prompt on its own
     thread, so one poisoned prompt cannot burn its batchmates' retry
     budgets.  Either way the leader's ``batch`` span covers the
-    dispatch and the limiter gates it.
+    dispatch, naming the leader's cell and its members' question
+    uids, and the limiter gates it.
 
     Per-prompt recovery is the retry middleware's job, one layer up,
     and each re-attempt re-enters the batcher independently.
@@ -288,15 +292,18 @@ class BatchingModel:
 
     # ------------------------------------------------------------------
     def generate(self, prompt: str) -> str:
+        site = call_site()
         with self._lock:
             if self._closed:
                 raise ModelError(f"{self.name}: batcher is closed")
             batch = self._filling
             leader = batch is None
             if leader:
-                batch = self._filling = _Batch(self._lock)
+                batch = self._filling = _Batch(self._lock,
+                                               site.get("cell"))
             member = len(batch.prompts)
             batch.prompts.append(prompt)
+            batch.members.append(site.get("question", ""))
             batch.outcomes.append(_PENDING)
             if member + 1 >= self.batch_size:
                 self._cut(batch, "size")
@@ -341,10 +348,14 @@ class BatchingModel:
         if self.limiter is not None:
             self.limiter.acquire()
         transient = False
+        site = {key: value for key, value in (
+            ("cell", batch.cell),
+            ("members", " ".join(filter(None, batch.members))))
+            if value}
         try:
             with self._tracer.span("batch", model=self.name,
                                    size=len(batch.prompts),
-                                   seq=batch.seq):
+                                   seq=batch.seq, **site):
                 if self._shared:
                     transient = self._call_shared(batch)
                 else:

@@ -2,15 +2,16 @@
 
 Responses are keyed on ``(model name, prompt text)`` — nothing else
 reaches a chat endpoint, so nothing else can change the answer of a
-deterministic (temperature-0) backend.  The cache is an LRU dict under
-one lock with hit/miss/eviction counters, and it round-trips through
-JSON the same way ``repro.taxonomy.io`` serializes taxonomies, so a
-finished table can be re-run for free: every warm cell is served from
-disk and only cold cells cost model calls.
+deterministic (temperature-0) backend.  The cache is an unbounded
+dict under one lock, kept in insertion order, and it round-trips
+through JSON the same way ``repro.taxonomy.io`` serializes taxonomies,
+so a finished table can be re-run for free: every warm cell is served
+from disk and only cold cells cost model calls.
 
 ``CachedModel`` is the middleware face of the cache: a ``ChatModel``
 wrapper that consults the cache before delegating to the wrapped
-backend.
+backend, and notes the hit or miss on the question's trail, from
+which the run's cache counters are folded.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from collections import OrderedDict
 from pathlib import Path
 
-from repro.engine.telemetry import Telemetry
 from repro.errors import ModelError
 from repro.llm.base import ChatModel
 from repro.obs.jsonl import replace_text
@@ -34,21 +33,15 @@ _log = logging.getLogger("repro.engine.cache")
 
 
 class ResponseCache:
-    """Thread-safe LRU of (model, prompt) -> response."""
+    """Thread-safe map of (model, prompt) -> response."""
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive or None")
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, str], str] = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: dict[tuple[str, str], str] = {}
         #: Keys whose response came from a persisted snapshot rather
         #: than a live backend call this process made — provenance
         #: trails report these hits as ``cache_source="persisted"``.
         self._persisted: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         #: Persistence counters: a corrupt file recovered as empty
         #: is counted here, not lost silently.
         self.saves = 0
@@ -60,34 +53,21 @@ class ResponseCache:
             return len(self._entries)
 
     def get(self, model_name: str, prompt: str) -> str | None:
-        """The cached response, or ``None`` (counts a hit/miss)."""
-        key = (model_name, prompt)
+        """The cached response, or ``None``."""
         with self._lock:
-            response = self._entries.get(key)
-            if response is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return response
+            return self._entries.get((model_name, prompt))
 
     def put(self, model_name: str, prompt: str, response: str) -> None:
-        """Store one response, evicting the LRU entry when full."""
+        """Store one response."""
         key = (model_name, prompt)
         with self._lock:
             self._entries[key] = response
-            self._entries.move_to_end(key)
             self._persisted.discard(key)
-            while (self.capacity is not None
-                   and len(self._entries) > self.capacity):
-                evicted, _ = self._entries.popitem(last=False)
-                self._persisted.discard(evicted)
-                self.evictions += 1
 
     def source(self, model_name: str, prompt: str) -> str | None:
-        """Where a cached response came from, without touching LRU
-        order or counters: ``"persisted"`` (disk snapshot),
-        ``"memory"`` (live call this process), or ``None``."""
+        """Where a cached response came from: ``"persisted"`` (disk
+        snapshot), ``"memory"`` (live call this process), or
+        ``None``."""
         key = (model_name, prompt)
         with self._lock:
             if key not in self._entries:
@@ -105,7 +85,8 @@ class ResponseCache:
             return set(self._persisted)
 
     def entries(self) -> list[tuple[str, str, str]]:
-        """A ``(model, prompt, response)`` snapshot, LRU order."""
+        """A ``(model, prompt, response)`` snapshot, insertion
+        order."""
         with self._lock:
             return [(model, prompt, response)
                     for (model, prompt), response
@@ -132,11 +113,6 @@ class ResponseCache:
                 if key in persisted:
                     self._persisted.add(key)
                 added += 1
-                while (self.capacity is not None
-                       and len(self._entries) > self.capacity):
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._persisted.discard(evicted)
-                    self.evictions += 1
         return added
 
     # ------------------------------------------------------------------
@@ -156,15 +132,14 @@ class ResponseCache:
             }
 
     @classmethod
-    def from_dict(cls, payload: dict,
-                  capacity: int | None = None) -> "ResponseCache":
+    def from_dict(cls, payload: dict) -> "ResponseCache":
         """Rebuild a cache from :meth:`to_dict` output."""
         try:
             raw_entries = payload["entries"]
         except (KeyError, TypeError) as exc:
             raise ModelError(
                 f"malformed response-cache payload: {exc}") from exc
-        cache = cls(capacity=capacity)
+        cache = cls()
         for raw in raw_entries:
             try:
                 cache.put(raw["model"], raw["prompt"], raw["response"])
@@ -189,8 +164,7 @@ class ResponseCache:
         _log.debug("cache-saved path=%s entries=%d", target, len(self))
 
     @classmethod
-    def load(cls, path: str | Path,
-             capacity: int | None = None) -> "ResponseCache":
+    def load(cls, path: str | Path) -> "ResponseCache":
         """Read a cache written by :meth:`save`.
 
         A missing, truncated or otherwise corrupt file yields an
@@ -203,9 +177,9 @@ class ResponseCache:
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            cache = cls.from_dict(payload, capacity=capacity)
+            cache = cls.from_dict(payload)
         except (OSError, ValueError, ModelError) as exc:
-            cache = cls(capacity=capacity)
+            cache = cls()
             if not isinstance(exc, FileNotFoundError):
                 cache.corrupt_recoveries += 1
                 _log.warning("cache-corrupt recovered path=%s "
@@ -214,8 +188,7 @@ class ResponseCache:
         return cache
 
 
-def merge_caches(caches, capacity: int | None = None
-                 ) -> ResponseCache:
+def merge_caches(caches) -> ResponseCache:
     """Fold several caches into a fresh one, earliest-first-wins.
 
     The shard-run merge path: each worker process persists its *own*
@@ -224,7 +197,7 @@ def merge_caches(caches, capacity: int | None = None
     order — into the shared cache after the run.  With ``caches``
     ordered deterministically the merged content is too.
     """
-    merged = ResponseCache(capacity=capacity)
+    merged = ResponseCache()
     for cache in caches:
         merged.merge(cache)
     return merged
@@ -234,12 +207,10 @@ class CachedModel:
     """ChatModel wrapper serving repeated prompts from the cache."""
 
     def __init__(self, inner: ChatModel, cache: ResponseCache,
-                 telemetry: Telemetry | None = None,
                  tracer: Tracer | NullTracer = NULL_TRACER):
         self.inner = inner
         self.name = inner.name
         self.cache = cache
-        self._telemetry = telemetry
         self._tracer = tracer
 
     def generate(self, prompt: str) -> str:
@@ -247,11 +218,6 @@ class CachedModel:
                                model=self.name) as span:
             response = self.cache.get(self.name, prompt)
             span.set(hit=response is not None)
-        if self._telemetry is not None:
-            if response is not None:
-                self._telemetry.add(cache_hits=1)
-            else:
-                self._telemetry.add(cache_misses=1)
         trail = current_trail()
         if trail is not None:
             trail.cache_hit = response is not None

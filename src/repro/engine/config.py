@@ -1,7 +1,7 @@
 """Configuration for the execution engine.
 
 One frozen dataclass holds every knob — worker count, in-flight
-window, retry policy, per-call timeout, rate limit, cache capacity —
+window, retry policy, per-call timeout, rate limit, cache, batching —
 so an engine can be described, logged, and rebuilt from a handful of
 CLI flags.  All defaults reproduce the sequential runner's behaviour
 exactly (one worker, no timeout, no rate limit) with caching on.
@@ -53,8 +53,6 @@ class EngineConfig:
         rate: Sustained calls/second across all workers (``None`` =
             unlimited); ``burst`` is the token-bucket capacity.
         cache: Whether responses are memoized on (model, prompt).
-        cache_capacity: LRU bound on cached entries (``None`` =
-            unbounded).
         batch_size: Maximum prompts grouped into one backend
             ``generate_batch`` call (1 disables the batching layer
             and reproduces the per-prompt path exactly).
@@ -69,10 +67,10 @@ class EngineConfig:
         adaptive: AIMD concurrency control over batch dispatch —
             additive increase per successful batch, multiplicative
             backoff on transient faults and timeouts.
-        trail: Capture a per-question provenance trail
-            (:mod:`repro.obs.trail`) annotated by every middleware
-            layer and stamped onto each record.  Off by default so
-            trail-off runs stay byte-identical to earlier releases.
+
+    Every question is booked from its provenance trail
+    (:mod:`repro.obs.trail`), which the engine always collects;
+    whether a record carries it is the runner's ``trail`` flag.
     """
 
     max_workers: int = 1
@@ -82,12 +80,10 @@ class EngineConfig:
     rate: float | None = None
     burst: int = 8
     cache: bool = True
-    cache_capacity: int | None = None
     batch_size: int = 1
     batch_linger_s: float = 0.002
     coalesce: bool = False
     adaptive: bool = False
-    trail: bool = False
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:

@@ -27,7 +27,6 @@ import time
 from collections.abc import Callable
 
 from repro.engine.config import RetryPolicy
-from repro.engine.telemetry import Telemetry
 from repro.errors import (ModelError, ModelTimeoutError,
                           ModelTransientError)
 from repro.llm.base import ChatModel
@@ -64,17 +63,17 @@ class RetryingModel:
     one backoff step and re-issues the identical prompt.  After
     ``policy.retries`` failed re-attempts the last transient error is
     wrapped in a plain :class:`ModelError` — callers see a hard
-    failure, not a retryable one.
+    failure, not a retryable one.  The question's trail gets the
+    attempt count and each fault's class, from which the run's
+    ``calls``, ``retries``, ``faults`` and ``timeouts`` are folded.
     """
 
     def __init__(self, inner: ChatModel, policy: RetryPolicy,
-                 telemetry: Telemetry | None = None,
                  sleeper: Sleeper = time.sleep,
                  tracer: Tracer | NullTracer = NULL_TRACER):
         self.inner = inner
         self.name = inner.name
         self.policy = policy
-        self._telemetry = telemetry
         self._sleep = sleeper
         self._tracer = tracer
 
@@ -82,8 +81,6 @@ class RetryingModel:
                       last: ModelTransientError | None
                       ) -> tuple[str | None, ModelTransientError | None]:
         if attempt > 0:
-            if self._telemetry is not None:
-                self._telemetry.add(retries=1)
             delay = backoff_delay(self.policy, attempt - 1, prompt)
             _log.info("retry model=%s attempt=%d/%d fault=%s "
                       "delay=%.4fs", self.name, attempt,
@@ -93,10 +90,6 @@ class RetryingModel:
         try:
             return self.inner.generate(prompt), None
         except ModelTransientError as exc:
-            if self._telemetry is not None:
-                self._telemetry.add(
-                    faults=1,
-                    timeouts=int(isinstance(exc, ModelTimeoutError)))
             return None, exc
 
     def generate(self, prompt: str) -> str:
@@ -138,8 +131,8 @@ class TimeoutModel:
     ``timeout`` seconds (a Python thread cannot be interrupted
     mid-call, and spawning a watcher thread per call would swamp the
     worker pool).  The slow response is discarded, the wrapping
-    :class:`RetryingModel` re-attempts, and telemetry counts the
-    timeout — which is exactly the externally observable behaviour of
+    :class:`RetryingModel` re-attempts, and the question's trail names
+    the timeout — which is exactly the externally observable behaviour of
     a client-side request timeout against a deterministic backend.
     """
 

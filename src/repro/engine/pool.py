@@ -21,7 +21,9 @@ deadlocking).  Two escalation mechanisms:
   completed within the delay launches a duplicate on the next
   candidate and the first successful response wins.  The loser is
   abandoned (its response is discarded), trading duplicate backend
-  work for p99 latency — the classic tail-at-scale trade.
+  work for p99 latency — the classic tail-at-scale trade.  The
+  question's trail notes the hedge, and the run's ``hedged`` count
+  is folded from it.
 
 Each backend can carry its own token bucket (``rate``/``burst``), so
 a pool can meter per-endpoint quotas independently, and the pool
@@ -40,7 +42,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, \
 from collections.abc import Callable, Sequence
 
 from repro.engine.middleware import TokenBucket
-from repro.engine.telemetry import Telemetry
 from repro.errors import ModelError
 from repro.llm.base import ChatModel, call_generate_batch
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -74,7 +75,6 @@ class BackendPool:
                  max_failures: int = 3, cooldown_s: float = 30.0,
                  rate: float | None = None, burst: int = 8,
                  name: str | None = None,
-                 telemetry: Telemetry | None = None,
                  tracer: "Tracer | NullTracer" = NULL_TRACER,
                  clock: Clock = time.monotonic):
         backends = list(backends)
@@ -93,7 +93,6 @@ class BackendPool:
         self.cooldown_s = cooldown_s
         self._buckets = ([TokenBucket(rate, burst) for _ in backends]
                          if rate is not None else None)
-        self._telemetry = telemetry
         self._tracer = tracer
         self._clock = clock
         self._health = [_Health() for _ in backends]
@@ -222,8 +221,6 @@ class BackendPool:
                     hedges.add(hedge)
                     if trail is not None:
                         trail.hedged = True
-                    if self._telemetry is not None:
-                        self._telemetry.add(hedged=1)
                     with self._tracer.span(
                             "hedge", model=self.name,
                             delay_s=self.hedge_delay_s):

@@ -21,6 +21,11 @@ served, and its leader dispatches it on its own worker thread, so the
 thread count must cover the in-flight window — waiting threads cost
 almost nothing, and the backend concurrency is governed by the batch
 dispatch (and the AIMD limiter), not the pool width.
+
+Each item runs under its own provenance trail
+(:func:`repro.obs.trail.trail_scope`), on which every layer notes what
+it did; when the item finishes, its counters are folded from that
+trail (:meth:`Telemetry.observe`).
 """
 
 from __future__ import annotations
@@ -41,24 +46,21 @@ from repro.engine.middleware import (Clock, RateLimitedModel,
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.llm.base import (ChatModel, call_generate_batch,
                             supports_generate_batch)
-from repro.obs.cost import (DEFAULT_TOKEN_COUNTER, CostMeter,
-                            price_for)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import call_site, trail_scope
 
 R = TypeVar("R")
 
 
-class _CountingModel:
-    """Innermost wrapper: counts attempts that reach the backend and
-    wraps each one in a ``model_call`` span (the backend alone — no
-    queueing, no retries, no cache)."""
+class _ModelCallSpans:
+    """Innermost wrapper: wraps each call that reaches the backend in
+    a ``model_call`` span (the backend alone — no queueing, no
+    retries, no cache)."""
 
-    def __init__(self, inner: ChatModel, telemetry: Telemetry,
+    def __init__(self, inner: ChatModel,
                  tracer: "Tracer | NullTracer" = NULL_TRACER):
         self.inner = inner
         self.name = inner.name
-        self._telemetry = telemetry
         self._tracer = tracer
         # Re-export the backend's batch entry point so the batcher
         # can still find it through this wrapper — and ONLY then:
@@ -68,14 +70,12 @@ class _CountingModel:
         if supports_generate_batch(inner):
             def generate_batch(
                     prompts: Sequence[str]) -> list[str]:
-                self._telemetry.add(calls=len(prompts))
                 with self._tracer.span("model_call", model=self.name,
                                        n=len(prompts)):
                     return call_generate_batch(self.inner, prompts)
             self.generate_batch = generate_batch
 
     def generate(self, prompt: str) -> str:
-        self._telemetry.add(calls=1)
         # call_site() carries the question uid / cell the runner set on
         # this thread, making the span joinable to its ledger record.
         with self._tracer.span("model_call", model=self.name,
@@ -114,8 +114,7 @@ class EvaluationEngine:
         if cache is not None:
             self.cache: ResponseCache | None = cache
         elif self.config.cache:
-            self.cache = ResponseCache(
-                capacity=self.config.cache_capacity)
+            self.cache = ResponseCache()
         else:
             self.cache = None
 
@@ -123,25 +122,25 @@ class EvaluationEngine:
     def wrap(self, model: ChatModel) -> ChatModel:
         """Apply the middleware stack (documented order) to a model.
 
-        Outermost to innermost: coalesce → cache → retry → cost →
-        rate limit → timeout → batch → counting → backend.  The
-        cost meter sits *inside* the retry loop, so every re-attempt
-        is billed for the prompt tokens it re-sends (exactly what a
-        real endpoint charges), and *inside* the cache, so a hit
-        never reaches it and costs zero.  The coalescer sits
-        *outside* the cache so that when a leader returns, its
-        response is already cached — a duplicate can never slip
-        between the leader finishing and the cache learning the
-        value, which is what makes "one backend call per unique
-        prompt" exact rather than probabilistic.  It also sits
-        outside retry, so followers receive the leader's post-retry
-        result (a transient fault is absorbed once, not once per
-        waiter).  The batcher sits *inside* timeout so a call's
-        budget covers linger plus batch service — configure
-        ``timeout`` comfortably above ``batch_linger_s``.
+        Outermost to innermost: coalesce → cache → retry → rate
+        limit → timeout → batch → ``model_call`` spans → backend.
+        No layer but the batcher books a counter: each notes what it
+        did on the question's trail, and the runner's ``ask`` prices
+        the question from it (``prompt_tokens × attempts`` plus the
+        answer's completion tokens; nothing for a cache hit or a
+        coalesced follower).  The coalescer sits *outside* the cache
+        so that when a leader returns, its response is already
+        cached — a duplicate can never slip between the leader
+        finishing and the cache learning the value, which is what
+        makes "one backend call per unique prompt" exact rather than
+        probabilistic.  It also sits outside retry, so followers
+        receive the leader's post-retry result (a transient fault is
+        absorbed once, not once per waiter).  The batcher sits
+        *inside* timeout so a call's budget covers linger plus batch
+        service — configure ``timeout`` comfortably above
+        ``batch_linger_s``.
         """
-        wrapped: ChatModel = _CountingModel(model, self.telemetry,
-                                            tracer=self.tracer)
+        wrapped: ChatModel = _ModelCallSpans(model, tracer=self.tracer)
         if self.config.batch_size > 1:
             limiter = (AdaptiveLimiter() if self.config.adaptive
                        else None)
@@ -156,25 +155,14 @@ class EvaluationEngine:
             wrapped = RateLimitedModel(
                 wrapped, TokenBucket(self.config.rate,
                                      self.config.burst))
-        # Counter resolved against the *raw* backend so a registered
-        # per-name override or a backend count_tokens hook is found
-        # even though this layer wraps middleware, not the backend.
-        wrapped = CostMeter(
-            wrapped, self.telemetry,
-            counter=DEFAULT_TOKEN_COUNTER.resolve(model),
-            price=price_for(model.name))
         if self.config.retry is not None:
             wrapped = RetryingModel(wrapped, self.config.retry,
-                                    telemetry=self.telemetry,
                                     tracer=self.tracer)
         if self.cache is not None:
             wrapped = CachedModel(wrapped, self.cache,
-                                  telemetry=self.telemetry,
                                   tracer=self.tracer)
         if self.config.coalesce:
-            wrapped = CoalescingModel(wrapped,
-                                      telemetry=self.telemetry,
-                                      tracer=self.tracer)
+            wrapped = CoalescingModel(wrapped, tracer=self.tracer)
         return wrapped
 
     def run(self, model: ChatModel, items: Sequence[Any],
@@ -234,17 +222,16 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     def _timed(self, fn: Callable[[ChatModel, Any], R],
                model: ChatModel, item: Any) -> R:
+        # One provenance trail per item, installed on the worker
+        # thread where the whole middleware stack runs: the layers
+        # note on it, the runner prices the item from it, and the
+        # item's counters are folded from it here.
         started = self._clock()
-        try:
-            if self.config.trail:
-                # One provenance collector per item, installed on the
-                # worker thread where the whole middleware stack runs;
-                # the runner freezes it onto the record.
-                with trail_scope():
-                    return fn(model, item)
-            return fn(model, item)
-        finally:
-            self.telemetry.observe(self._clock() - started)
+        with trail_scope() as trail:
+            try:
+                return fn(model, item)
+            finally:
+                self.telemetry.observe(self._clock() - started, trail)
 
     def _fan_out(self, model: ChatModel, work: list[Any],
                  fn: Callable[[ChatModel, Any], R],

@@ -1,14 +1,18 @@
 """Telemetry for the execution engine.
 
-A :class:`Telemetry` collector is threaded through the middleware
-stack and the scheduler.  Its storage is a
-:class:`repro.obs.metrics.MetricsRegistry`: every model call, retry,
-injected fault and cache lookup lands in a named counter, and each
-scored question's worker time is observed into a fixed-bucket latency
-histogram — so the engine reports p50/p90/p99 and exact min/max, not
-just a mean.  ``snapshot()`` freezes the registry into an
-:class:`EngineStats` value, the compatibility shape the scalability
-experiment, the run ledger and the ``repro engine-stats`` CLI consume.
+A :class:`Telemetry` book keeps a run's counters in a
+:class:`repro.obs.metrics.MetricsRegistry`.  Every per-question
+counter — calls, retries, faults, timeouts, cache traffic, coalesced
+and hedged questions, tokens and spend — is folded from the
+question's finished provenance trail (:mod:`repro.obs.trail`) by
+:meth:`Telemetry.observe`, which also observes the question's worker
+time into a fixed-bucket latency histogram, so the engine reports
+p50/p90/p99 and exact min/max, not just a mean.  Only facts that
+belong to no single question are added directly: batches and the
+AIMD high water (the batcher), wall time and workers (the scheduler
+and the run session).  ``snapshot()`` freezes the registry into an
+:class:`EngineStats` value, the shape the scalability experiment,
+the run ledger and the ``repro engine-stats`` CLI consume.
 
 The registry's metrics are declared by :class:`EngineStats` itself:
 each counted field carries the metric name and help text it is
@@ -20,8 +24,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, methodcaller
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.obs.trail import Trail, TrailContext
 
 
 def _counted(metric: str, help: str, kind: str = "counter",
@@ -42,9 +50,12 @@ def _from_latency(read: Callable[[Histogram], float]):
 class EngineStats:
     """One engine run, aggregated.
 
-    ``calls`` counts model invocations that actually reached the
-    backend (cache hits never do); ``records`` counts questions
-    scored.  ``utilization`` is busy worker-seconds over available
+    ``records`` counts questions scored; ``calls`` counts the
+    attempts of every question that reached the backend (a cache hit
+    or a coalesced follower makes none), ``retries`` the attempts
+    after the first, ``faults`` the transient errors its trail lists
+    and ``timeouts`` those named ``ModelTimeoutError``.
+    ``utilization`` is busy worker-seconds over available
     worker-seconds (``wall_time_s * workers``) — 1.0 means every
     worker computed the whole time.  The ``latency_*`` fields come
     from the per-question latency histogram: bucket-interpolated
@@ -55,9 +66,10 @@ class EngineStats:
     without it — decode and compare unchanged: ``batches`` counts
     backend ``generate_batch`` dispatches, ``coalesced`` counts
     prompts that piggybacked on an identical in-flight call,
-    ``hedged`` counts hedge requests a :class:`BackendPool` launched,
-    and ``adaptive_high_water`` is the AIMD concurrency window's
-    high-water mark.
+    ``hedged`` counts questions a :class:`BackendPool` hedged (one
+    hedge each, unless a ``timeout`` turns a hedged answer into a
+    retry), and ``adaptive_high_water`` is the AIMD concurrency
+    window's high-water mark.
 
     The fields are the one list of run counters: :class:`Telemetry`
     builds its metrics from them (each counted field names the
@@ -66,7 +78,8 @@ class EngineStats:
     and the shard merge (:func:`repro.dist.merge.merge_stats`) follow
     from them; :func:`repro.obs.history.entry_from_result` copies each
     one the history entry also declares.  A new counter is one field
-    here plus the code that adds to it.
+    here plus the line of :meth:`Telemetry.observe` (or the one
+    run-level site) that adds to it.
     """
 
     records: int = _counted("repro_engine_records_total",
@@ -216,8 +229,7 @@ _METRICS = {f.name: f.metadata["metric"] for f in fields(EngineStats)
 
 
 class Telemetry:
-    """Thread-safe book of run counters shared by middleware and
-    scheduler.
+    """Thread-safe book of run counters.
 
     Its metrics live in a :class:`MetricsRegistry` (exposed as
     ``.registry``), one per counted :class:`EngineStats` field, so the
@@ -236,10 +248,14 @@ class Telemetry:
         # observe() runs on every question: it holds its metrics.
         m = self._metrics
         self._latency: Histogram = m["busy_time_s"]
-        self._records, self._calls, self._prompt_tokens = (
-            m["records"], m["calls"], m["prompt_tokens"])
-        self._completion_tokens, self._cost_nanos = (
-            m["completion_tokens"], m["cost_nanos"])
+        (self._records, self._calls, self._retries, self._faults,
+         self._timeouts, self._cache_hits, self._cache_misses,
+         self._coalesced, self._hedged, self._prompt_tokens,
+         self._completion_tokens, self._cost_nanos) = (
+            m[name] for name in (
+                "records", "calls", "retries", "faults", "timeouts",
+                "cache_hits", "cache_misses", "coalesced", "hedged",
+                "prompt_tokens", "completion_tokens", "cost_nanos"))
 
     # ------------------------------------------------------------------
     # Recording (called from worker threads)
@@ -247,30 +263,49 @@ class Telemetry:
     def add(self, **amounts: float) -> None:
         """Add each amount to its field's counter, or raise the
         field's gauge to it if higher (``workers``,
-        ``adaptive_high_water``)."""
+        ``adaptive_high_water``): the run-level facts no single
+        question's trail holds."""
         for name, amount in amounts.items():
             self._adders[name](amount)
 
-    def observe(self, seconds: float, calls: int = 0,
-                prompt_tokens: int = 0, completion_tokens: int = 0,
-                cost_nanos: int = 0) -> None:
-        """One question scored in ``seconds`` of worker time.
+    def observe(self, seconds: float,
+                trail: "TrailContext | Trail") -> None:
+        """One question scored in ``seconds`` of worker time, booked
+        by folding its finished trail (the collecting context, or a
+        frozen trail).
 
-        The sequential path has no middleware to book its one backend
-        call, so it passes the call and its spend here too.  This runs
-        once per question: it adds to metrics held up front instead of
-        looking fields up by name as :meth:`add` does.
+        A cache hit or a coalesced follower made no backend call;
+        any other question made ``attempts`` of them.  This runs once
+        per question: it adds to metrics held up front, and skips the
+        counters the trail leaves at zero.
         """
         self._records.add(1)
         self._latency.observe(seconds)
-        if calls:
-            self._calls.add(calls)
-        if prompt_tokens:
-            self._prompt_tokens.add(prompt_tokens)
-        if completion_tokens:
-            self._completion_tokens.add(completion_tokens)
-        if cost_nanos:
-            self._cost_nanos.add(cost_nanos)
+        attempts = trail.attempts
+        follower = trail.coalesced == "follower"
+        if not (trail.cache_hit or follower):
+            self._calls.add(attempts)
+        if attempts > 1:
+            self._retries.add(attempts - 1)
+        errors = trail.errors
+        if errors:
+            self._faults.add(len(errors))
+            timeouts = errors.count("ModelTimeoutError")
+            if timeouts:
+                self._timeouts.add(timeouts)
+        if trail.cache_hit is not None:
+            (self._cache_hits if trail.cache_hit
+             else self._cache_misses).add(1)
+        if follower:
+            self._coalesced.add(1)
+        if trail.hedged:
+            self._hedged.add(1)
+        if trail.billed_prompt_tokens:
+            self._prompt_tokens.add(trail.billed_prompt_tokens)
+        if trail.billed_completion_tokens:
+            self._completion_tokens.add(trail.billed_completion_tokens)
+        if trail.cost_nanos:
+            self._cost_nanos.add(trail.cost_nanos)
 
     def absorb(self, other: "Telemetry") -> None:
         """Add ``other``'s book to this one: counters add, gauges keep

@@ -15,18 +15,20 @@ The observability layer for the whole evaluation stack.  Four pieces:
   Chrome ``trace_event`` JSON for chrome://tracing, Prometheus text.
 * ``report`` — per-phase wall-clock attribution and an ASCII
   flamegraph for terminals.
-* ``cost`` — deterministic token counting, per-model pricing, the
-  engine's :class:`CostMeter` middleware, per-run budget enforcement
-  (:class:`BudgetGuard`) and the per-cell :class:`CostLedger`.
+* ``cost`` — deterministic token counting, per-model pricing (the
+  runner prices each question once with :func:`call_cost_nanos`),
+  per-run budget enforcement (:class:`BudgetGuard`) and the per-cell
+  :class:`CostLedger`.
 * ``alerts`` — declarative SLO rules (:class:`AlertRule`) evaluated
   over live follower snapshots by an :class:`AlertEvaluator` with
   ``for_s`` debounce and firing/resolved transitions.
 * ``trail`` — per-question provenance: a :class:`TrailContext` opened
-  around each prompt that every engine layer annotates (retries,
-  cache, coalescing, batching, replicas, cost), frozen to a
-  :class:`Trail` on the question record, plus the predicate compiler
-  behind ``repro obs grep`` and the :func:`trail_summary` analytics
-  behind ``repro obs trails``.
+  around every question that each engine layer annotates (retries,
+  cache, coalescing, batching, replicas) and the runner prices — the
+  one book every per-question run counter is folded from — frozen to
+  a :class:`Trail` on the question record of a ``--trail`` run, plus
+  the predicate compiler behind ``repro obs grep`` and the
+  :func:`trail_summary` analytics behind ``repro obs trails``.
 
 Quickstart::
 
@@ -47,7 +49,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.obs.alerts": ("DEFAULT_RULES", "AlertEvaluator", "AlertEvent",
                          "AlertRule"),
     "repro.obs.cost": ("DEFAULT_TOKEN_COUNTER", "BudgetGuard", "BudgetStop",
-                       "CostCell", "CostLedger", "CostMeter", "ModelPrice",
+                       "CostCell", "CostLedger", "ModelPrice",
                        "TokenCounter", "call_cost_nanos", "count_tokens",
                        "nanos_to_usd", "price_for", "pricing_table",
                        "usd_to_nanos"),

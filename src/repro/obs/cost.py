@@ -19,9 +19,11 @@ Everything here is deterministic by construction:
   2024-era list prices; open-source models are priced from the
   paper's measured GPU-seconds (:func:`repro.llm.costs.cost_estimate`)
   amortized at a documented $/GPU-hour.
-* :class:`CostMeter` is the engine middleware billing each backend
-  attempt (it sits inside the retry loop, so re-attempts are paid
-  for, and inside the cache, so hits cost zero).
+* :func:`call_cost_nanos` prices one question.  The runner's
+  ``EvaluationRunner.ask`` bills each question once, from its record
+  and its provenance trail: ``prompt_tokens × attempts`` prompt tokens
+  (every attempt re-sends the prompt) plus the answer's completion
+  tokens, and nothing for a cache hit or a coalesced follower.
 * :class:`CostLedger` folds a run's ledger records into
   per-(model, taxonomy, setting) cost cells for ``repro obs cost``.
 * :class:`BudgetGuard` enforces per-run ``--max-cost-usd`` /
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING
 from repro.errors import ModelError
 from repro.llm.costs import cost_estimate
 from repro.obs.export import escape_label_value
-from repro.obs.trail import current_trail
 from repro.runs.registry import RunRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -243,60 +244,6 @@ def call_cost_nanos(model: str, prompt_tokens: int,
     """Exact cost of one call against the model's price card."""
     return price_for(model).cost_nanos(prompt_tokens,
                                        completion_tokens)
-
-
-# ----------------------------------------------------------------------
-# Engine middleware
-# ----------------------------------------------------------------------
-class CostMeter:
-    """ChatModel wrapper billing every attempt that passes through.
-
-    Stack position (see ``EvaluationEngine.wrap``): inside the retry
-    loop — each re-attempt pays its prompt tokens again, exactly as a
-    real endpoint would bill it — and inside the cache, so a hit never
-    reaches this layer and costs nothing.  Completion tokens are
-    billed only when the attempt returns; a transient fault or
-    timeout still pays for the prompt it sent.
-
-    ``telemetry`` is duck-typed: any object with
-    ``add(prompt_tokens=…, completion_tokens=…, cost_nanos=…)``.
-    """
-
-    def __init__(self, inner, telemetry,
-                 counter: Callable[[str], int] | None = None,
-                 price: ModelPrice | None = None):
-        self.inner = inner
-        self.name = inner.name
-        self._telemetry = telemetry
-        self._count = (counter if counter is not None
-                       else DEFAULT_TOKEN_COUNTER.resolve(inner.name))
-        self._price = price if price is not None else price_for(
-            inner.name)
-
-    def generate(self, prompt: str) -> str:
-        trail = current_trail()
-        prompt_tokens = self._count(prompt)
-        try:
-            response = self.inner.generate(prompt)
-        except Exception:
-            nanos = self._price.cost_nanos(prompt_tokens, 0)
-            self._telemetry.add(prompt_tokens=prompt_tokens,
-                                completion_tokens=0, cost_nanos=nanos)
-            if trail is not None:
-                trail.note_cost(prompt_tokens, 0, nanos)
-            raise
-        completion_tokens = self._count(response)
-        nanos = self._price.cost_nanos(prompt_tokens,
-                                       completion_tokens)
-        self._telemetry.add(prompt_tokens=prompt_tokens,
-                            completion_tokens=completion_tokens,
-                            cost_nanos=nanos)
-        if trail is not None:
-            trail.note_cost(prompt_tokens, completion_tokens, nanos)
-        return response
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CostMeter({self.inner!r})"
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Per-question provenance trails.
 
-A :class:`TrailContext` is opened around each prompt by the engine
-scheduler (or the sequential runner) and annotated by every middleware
+A :class:`TrailContext` is opened around every question by the engine
+scheduler or the sequential runner, and annotated by every middleware
 layer the prompt passes through: coalescing (leader/follower and the
 leader's prompt key), cache (hit/miss plus whether the entry came from
 a persisted snapshot), retry (attempt count, per-attempt error class,
 injected-fault flag), rate limiting and timeouts (time lost waiting),
-batching (batch id, size and why the batch was cut), the backend pool
-(replica index, fallback chain, hedging) and cost metering (billed
-tokens and nanodollars).  When the question's record is built the
-context is frozen into an immutable :class:`Trail` and stamped onto
+batching (batch id, size and why the batch was cut) and the backend
+pool (replica index, fallback chain, hedging).  The runner's ``ask``
+then prices the question on it (billed tokens and nanodollars), and
+the run's per-question counters are folded from the finished context
+(``Telemetry.observe``).  On a ``--trail`` run the context is also
+frozen into an immutable :class:`Trail` and stamped onto
 :class:`~repro.core.results.QuestionRecord`, so provenance rides the
 ledger and survives shard merges bit-identically.
 
@@ -171,7 +173,8 @@ _STATE = threading.local()
 
 
 def current_trail() -> TrailContext | None:
-    """The trail being collected on this thread, if capture is on."""
+    """The trail being collected on this thread, if a runner or an
+    engine installed one."""
     return getattr(_STATE, "trail", None)
 
 

@@ -56,8 +56,7 @@ def engine_for(request: RunRequest,
         max_workers=request.workers,
         retry=RetryPolicy(retries=max(0, request.retries)),
         batch_size=request.batch_size,
-        coalesce=request.coalesce,
-        trail=request.trail)
+        coalesce=request.coalesce)
     return EvaluationEngine(config, cache=cache)
 
 

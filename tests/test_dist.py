@@ -745,13 +745,6 @@ class TestCacheMerge:
         assert merged.get("m", "p1") == "from-a"
         assert merged.get("m", "p2") == "only-b"
 
-    def test_merge_respects_capacity(self):
-        a = ResponseCache()
-        for i in range(10):
-            a.put("m", f"p{i}", f"r{i}")
-        merged = merge_caches([a], capacity=4)
-        assert len(merged.entries()) == 4
-
     def test_sharded_run_folds_shard_caches(self, registry,
                                             tmp_path):
         cache_path = tmp_path / "shared-cache.json"

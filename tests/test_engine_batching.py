@@ -22,9 +22,9 @@ from repro.errors import ModelError, ModelTransientError
 from repro.llm.base import (BaseChatModel, StaticResponder,
                             call_generate_batch,
                             supports_generate_batch)
-from repro.obs.cost import CostMeter
 from repro.obs.export import format_prometheus
 from repro.obs.history import HistoryEntry
+from repro.obs.trail import trail_scope
 
 FAST_RETRY = RetryPolicy(retries=3, base_delay=0.0, jitter=0.0)
 
@@ -257,12 +257,14 @@ class TestCoalescingModel:
     def test_identical_inflight_prompts_share_one_call(self):
         model = BatchEcho(latency_s=0.05)
         telemetry = Telemetry()
-        coalescer = CoalescingModel(model, telemetry=telemetry)
+        coalescer = CoalescingModel(model)
         results: list[str] = []
         lock = threading.Lock()
 
         def call() -> None:
-            response = coalescer.generate("same")
+            with trail_scope() as trail:
+                response = coalescer.generate("same")
+            telemetry.observe(0.0, trail)
             with lock:
                 results.append(response)
 
@@ -399,13 +401,15 @@ class TestBackendPool:
 
         telemetry = Telemetry()
         pool = BackendPool([Slow(), StaticResponder("GPT-4", "ok")],
-                           hedge_delay_s=0.01, telemetry=telemetry)
+                           hedge_delay_s=0.01)
         try:
             started = time.perf_counter()
-            assert pool.generate("q") == "ok"
+            with trail_scope() as trail:
+                assert pool.generate("q") == "ok"
             elapsed = time.perf_counter() - started
         finally:
             pool.close()
+        telemetry.observe(elapsed, trail)
         assert elapsed < 0.4            # won by the hedge, not the primary
         assert telemetry.snapshot().hedged == 1
 
@@ -413,11 +417,13 @@ class TestBackendPool:
         telemetry = Telemetry()
         pool = BackendPool(
             [FailingBackend(), StaticResponder("GPT-4", "ok")],
-            hedge_delay_s=5.0, telemetry=telemetry)
+            hedge_delay_s=5.0)
         try:
-            assert pool.generate("q") == "ok"
+            with trail_scope() as trail:
+                assert pool.generate("q") == "ok"
         finally:
             pool.close()
+        telemetry.observe(0.0, trail)
         # The primary failed fast, so the fallback launched without
         # waiting out the hedge delay (and no hedge was recorded).
         assert telemetry.snapshot().hedged == 0
@@ -452,12 +458,11 @@ class TestStackComposition:
         wrapped = engine.wrap(BatchEcho())
         try:
             # Documented order:
-            # coalesce(cache(retry(cost(batch(count(model)))))).
+            # coalesce(cache(retry(batch(model_call spans(model))))).
             assert isinstance(wrapped, CoalescingModel)
             assert isinstance(wrapped.inner, CachedModel)
             assert isinstance(wrapped.inner.inner, RetryingModel)
-            assert isinstance(wrapped.inner.inner.inner, CostMeter)
-            batcher = wrapped.inner.inner.inner.inner
+            batcher = wrapped.inner.inner.inner
             assert isinstance(batcher, BatchingModel)
             assert isinstance(batcher.limiter, AdaptiveLimiter)
             assert wrapped.generate("hi") == "ans:hi"

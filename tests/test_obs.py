@@ -31,6 +31,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.report import flame_report, phase_rows, phase_table
 from repro.obs.tracer import Span
+from repro.obs.trail import Trail
 from repro.runs import (RunLedger, RunRegistry, RunRequest,
                         execute_run)
 from repro.store.artifacts import ArtifactStore
@@ -234,18 +235,20 @@ class TestMetrics:
         threads = 8
         per_thread = 200
 
+        def trail(index: int) -> Trail:
+            # Odd questions hit the cache; every tenth one (a miss)
+            # took a second attempt, every twentieth after a timeout.
+            faults = ()
+            if index % 10 == 0:
+                faults = ("ModelTimeoutError" if index % 20 == 0
+                          else "ModelTransientError",)
+            return Trail(cache_hit=index % 2 == 1,
+                         attempts=1 + len(faults), errors=faults)
+
         def worker(tag: int):
             for index in range(per_thread):
-                telemetry.add(calls=1)
-                telemetry.observe(0.001 * (index % 7 + 1))
-                if index % 2 == 0:
-                    telemetry.add(cache_hits=1)
-                else:
-                    telemetry.add(cache_misses=1)
-                if index % 10 == 0:
-                    telemetry.add(retries=1)
-                    telemetry.add(faults=1,
-                                  timeouts=int(index % 20 == 0))
+                telemetry.observe(0.001 * (index % 7 + 1),
+                                  trail(index))
 
         pool = [threading.Thread(target=worker, args=(tag,))
                 for tag in range(threads)]
@@ -256,7 +259,9 @@ class TestMetrics:
         telemetry.add(wall_time_s=1.0, workers=threads)
         stats = telemetry.snapshot()
         total = threads * per_thread
-        assert stats.records == stats.calls == total
+        assert stats.records == total
+        # Each miss called once, each retried miss once more.
+        assert stats.calls == total // 2 + threads * 20
         assert stats.cache_hits == stats.cache_misses == total // 2
         assert stats.retries == stats.faults == threads * 20
         assert stats.timeouts == threads * 10
@@ -287,8 +292,7 @@ class TestEngineStats:
     def test_to_dict_round_trip_keeps_histogram_fields(self):
         telemetry = Telemetry()
         for value in (0.002, 0.004, 0.4):
-            telemetry.add(calls=1)
-            telemetry.observe(value)
+            telemetry.observe(value, Trail())
         telemetry.add(wall_time_s=0.5, workers=4)
         stats = telemetry.snapshot()
         assert stats.latency_max_s == pytest.approx(0.4)

@@ -13,20 +13,25 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
+from repro.core.runner import EvaluationRunner
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
+from repro.engine.middleware import FaultInjectingModel, RetryingModel
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import Telemetry
 from repro.errors import RunError
 from repro.llm.base import StaticResponder
 from repro.llm.registry import get_model
 from repro.obs import (AlertEvaluator, AlertRule, BudgetGuard,
-                       CostLedger, CostMeter, Thresholds,
+                       CostLedger, Thresholds,
                        check_entries, count_tokens,
                        escape_label_value, price_for, usd_to_nanos)
 from repro.obs.cost import (CostCell, TokenCounter, call_cost_nanos,
                             nanos_to_usd)
 from repro.obs.history import HistoryEntry
+from repro.obs.trail import trail_scope
+from repro.questions.model import DatasetKind
+from repro.questions.pools import build_pools
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
                         execute_run, load_run, replay_ledger,
                         resume_run)
@@ -132,51 +137,63 @@ class TestPricing:
 
 
 # ----------------------------------------------------------------------
-# CostMeter middleware
+# Per-question pricing
 # ----------------------------------------------------------------------
-class _RecordingTelemetry:
-    def __init__(self):
-        self.calls = []
-
-    def add(self, prompt_tokens, completion_tokens, cost_nanos):
-        self.calls.append((prompt_tokens, completion_tokens,
-                           cost_nanos))
+def _hard_pool():
+    return build_pools("ebay", sample_size=4).total_pool(DatasetKind.HARD)
 
 
 class TestCostMeter:
+    """What an endpoint bills, priced once per question by the
+    runner's ``ask`` on the question's trail: every attempt's prompt,
+    the answering attempt's completion, and nothing for a hit."""
+
     def test_bills_prompt_and_completion(self):
-        telemetry = _RecordingTelemetry()
-        meter = CostMeter(StaticResponder("GPT-4", "Yes."), telemetry)
-        meter.generate("abcdefgh")          # 2 prompt tokens
-        assert telemetry.calls == [
-            (2, 1, call_cost_nanos("GPT-4", 2, 1))]
+        question = _hard_pool().questions[0]
+        with trail_scope():
+            record = EvaluationRunner(trail=True).ask(
+                StaticResponder("GPT-4", "Yes."), question)
+        prompt = record.prompt_tokens
+        assert prompt > 0 and record.completion_tokens == 1
+        trail = record.trail
+        assert (trail.billed_prompt_tokens,
+                trail.billed_completion_tokens, trail.cost_nanos) \
+            == (prompt, 1, call_cost_nanos("GPT-4", prompt, 1))
 
     def test_failed_attempt_still_pays_for_prompt(self):
-        class Exploding:
-            name = "GPT-4"
-
-            def generate(self, prompt):
-                raise RuntimeError("boom")
-
-        telemetry = _RecordingTelemetry()
-        meter = CostMeter(Exploding(), telemetry)
-        with pytest.raises(RuntimeError):
-            meter.generate("abcdefgh")
-        assert telemetry.calls == [
-            (2, 0, call_cost_nanos("GPT-4", 2, 0))]
+        question = _hard_pool().questions[0]
+        flaky = FaultInjectingModel(StaticResponder("GPT-4", "Yes."),
+                                    seed=1, failure_rate=1.0,
+                                    max_consecutive=1)
+        model = RetryingModel(flaky, RetryPolicy(retries=3,
+                                                 base_delay=0.0,
+                                                 jitter=0.0))
+        with trail_scope():
+            record = EvaluationRunner(trail=True).ask(model, question)
+        prompt = record.prompt_tokens
+        trail = record.trail
+        assert trail.attempts == 2 and flaky.faults_injected == 1
+        # The failed attempt sent its prompt; only the second answered.
+        assert (trail.billed_prompt_tokens,
+                trail.billed_completion_tokens, trail.cost_nanos) \
+            == (2 * prompt, 1,
+                call_cost_nanos("GPT-4", prompt, 0)
+                + call_cost_nanos("GPT-4", prompt, 1))
 
     def test_cache_hits_cost_zero_through_the_engine(self):
         engine = EvaluationEngine(EngineConfig(max_workers=1),
                                   cache=ResponseCache())
-        wrapped = engine.wrap(StaticResponder("GPT-4", "Yes."))
-        wrapped.generate("abcdefgh")
+        runner = EvaluationRunner(engine=engine)
+        model = StaticResponder("GPT-4", "Yes.")
+        pool = _hard_pool()
+        runner.evaluate(model, pool)
         first = engine.stats()
-        wrapped.generate("abcdefgh")        # served from cache
+        runner.evaluate(model, pool)        # served from cache
         second = engine.stats()
         assert first.cost_nanos > 0
         assert second.cost_nanos == first.cost_nanos
         assert second.prompt_tokens == first.prompt_tokens
-        assert second.cache_hits == first.cache_hits + 1
+        assert second.cache_hits == first.cache_hits + len(pool)
 
 
 # ----------------------------------------------------------------------

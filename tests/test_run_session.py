@@ -71,7 +71,7 @@ class TestEngineFor:
     @pytest.mark.parametrize("shape", [dict(workers=2),
                                        dict(batch_size=4),
                                        dict(coalesce=True)])
-    def test_engine_shapes_select_an_engine(self, shape):
+    def test_engine_shapes_select_an_engine(self, shape, tmp_path):
         request = RunRequest(retries=1, trail=True, **SMALL, **shape)
         engine = engine_for(request)
         assert engine is not None
@@ -79,8 +79,12 @@ class TestEngineFor:
         assert engine.config.batch_size == request.batch_size
         assert engine.config.coalesce == request.coalesce
         assert engine.config.retry.retries == 1
-        assert engine.config.trail is True
         assert engine.cache is not None
+        # The engine always collects trails; the session's runner
+        # stamps them because the request asks.
+        with RunSession(request, tmp_path, engine=engine) as session:
+            assert session.runner.engine is engine
+            assert session.runner.trail is True
 
     def test_a_cache_selects_an_engine_at_one_worker(self):
         cache = ResponseCache()

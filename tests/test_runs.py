@@ -724,9 +724,8 @@ class TestCachePersistence:
         assert len(cache) == 0
 
     def test_missing_cache_file_recovers_empty(self, tmp_path):
-        cache = ResponseCache.load(tmp_path / "nope.json",
-                                   capacity=4)
-        assert len(cache) == 0 and cache.capacity == 4
+        cache = ResponseCache.load(tmp_path / "nope.json")
+        assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------

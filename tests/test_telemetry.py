@@ -3,8 +3,10 @@
 :class:`EngineStats` declares every run counter, with the registry
 metric each is exported under; :class:`Telemetry` follows from those
 fields.  These checks pin the numbers and the Prometheus bytes a fixed
-event script produced before the book was derived from the fields,
-and that every recording site in ``src/`` names a field.
+event script produced before the book was derived from the fields
+(and before every per-question counter was folded from the question's
+trail), and that only the run-level sites in ``src/`` add to it
+directly.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from repro.engine.telemetry import STAT_FIELDS, Telemetry
 from repro.obs.export import format_prometheus
 from repro.obs.metrics import Histogram
+from repro.obs.trail import Trail
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -95,35 +98,39 @@ GOLDEN_HEADERS = """\
 """
 
 
+def _trail(i: int) -> Trail:
+    """Question ``i``'s finished trail: the even ones are plain billed
+    calls, the odd ones cache lookups — 17 billed misses and 8 hits
+    (the odd multiples of 3), six of those followers, the last five
+    with one fault each (the last two of them timeouts), and the
+    three at multiples of 9 hedged."""
+    if i % 2 == 0:
+        return Trail(billed_prompt_tokens=20 + i,
+                     billed_completion_tokens=1 + i % 3,
+                     cost_nanos=1_000 * (20 + i))
+    if i % 3:
+        return Trail(cache_hit=False, billed_prompt_tokens=20 + i,
+                     billed_completion_tokens=2, cost_nanos=1_500 * i)
+    hit = i // 6                  # 0..7 over the eight hits
+    fault = ("ModelTimeoutError" if hit >= 6
+             else "ModelTransientError")
+    return Trail(cache_hit=True,
+                 coalesced="follower" if hit < 6 else None,
+                 attempts=2 if hit >= 3 else 1,
+                 errors=(fault,) if hit >= 3 else (),
+                 hedged=i % 9 == 0)
+
+
 def _script(telemetry: Telemetry) -> Telemetry:
-    """Every kind of event, as the sequential path, the middleware
-    layers and the scheduler book them."""
+    """Fifty questions' trails, folded as the runner and the engine
+    fold them, plus the run-level facts the batcher and the scheduler
+    add."""
     for i in range(50):
-        seconds = 0.00005 * (i + 1) ** 2
-        if i % 2 == 0:
-            telemetry.observe(seconds, calls=1, prompt_tokens=20 + i,
-                              completion_tokens=1 + i % 3,
-                              cost_nanos=1_000 * (20 + i))
-            continue
-        if i % 3 == 0:
-            telemetry.add(cache_hits=1)
-        else:
-            telemetry.add(cache_misses=1)
-            telemetry.add(calls=1)
-            telemetry.add(prompt_tokens=20 + i, completion_tokens=2,
-                          cost_nanos=1_500 * i)
-        if i % 5 == 0:
-            telemetry.add(retries=1)
-            telemetry.add(faults=1, timeouts=int(i % 3 == 0))
-        if i % 7 == 0:
-            telemetry.add(batches=1)
-            telemetry.add(coalesced=1)
-        if i % 11 == 0:
-            telemetry.add(coalesced=1)
-        if i % 9 == 0:
-            telemetry.add(hedged=1)
-        telemetry.add(adaptive_high_water=int(1.5 + i / 10))
-        telemetry.observe(seconds)
+        if i % 2:
+            if i % 7 == 0:
+                telemetry.add(batches=1)
+            telemetry.add(adaptive_high_water=int(1.5 + i / 10))
+        telemetry.observe(0.00005 * (i + 1) ** 2, _trail(i))
     telemetry.add(wall_time_s=0.75, workers=3)
     telemetry.add(wall_time_s=0.5, workers=2)
     return telemetry
@@ -189,6 +196,17 @@ class TestAbsorb:
             Histogram("h").merge(Histogram("h", bounds=(1.0,)))
 
 
+#: The files that book into a :class:`Telemetry`: the sequential
+#: loop's and the scheduler's per-question fold, and the run-level
+#: facts of the batcher, the scheduler and the run session.
+BOOKING_FILES = {"repro/core/runner.py", "repro/engine/batching.py",
+                 "repro/engine/scheduler.py", "repro/runs/session.py"}
+#: The only fields added directly: no single question's trail holds
+#: them.
+RUN_LEVEL_FIELDS = {"batches", "adaptive_high_water", "wall_time_s",
+                    "workers"}
+
+
 def _recording_calls():
     """``(file, line, call)`` of every telemetry ``add``/``observe``
     call in ``src/``."""
@@ -206,14 +224,18 @@ def _recording_calls():
 class TestRecordingSites:
     def test_every_keyword_names_an_engine_stats_field(self):
         sites = list(_recording_calls())
-        # The scan sees the sites: scheduler, middleware, cache,
-        # batching, pool, cost meter, runner and session.
-        assert len({path for path, _, _ in sites}) >= 8
+        # Exactly these files book: a new booking site anywhere fails.
+        assert {path.as_posix() for path, _, _ in sites} \
+            == BOOKING_FILES
         for path, line, call in sites:
             for keyword in call.keywords:
                 assert keyword.arg in STAT_FIELDS, (
                     f"{path}:{line} books {keyword.arg!r}, which is "
                     f"not an EngineStats field")
+                # Every per-question counter is folded from a trail.
+                assert keyword.arg in RUN_LEVEL_FIELDS, (
+                    f"{path}:{line} adds {keyword.arg!r}, which "
+                    f"Telemetry.observe folds from the trail")
 
     def test_every_counted_field_is_exported(self):
         exported = {metric.name for metric
