@@ -7,8 +7,9 @@
 # follower, cost metering, serve fan-out, trail capture), the `obs
 # check` regression gate, the trail analytics of its run, a check that
 # the record, telemetry and trail books agree on that run and on the
-# same request run by two coalescing workers, and a byte-for-byte
-# regeneration of EXPERIMENTS.md.  A tier-1 failure stops the script;
+# same request run by two coalescing workers (which the same `obs
+# check` gate holds too), and a byte-for-byte regeneration of
+# EXPERIMENTS.md.  A tier-1 failure stops the script;
 # every later step runs even when an earlier one failed, and the
 # script exits non-zero naming each step that did.
 set -uo pipefail
@@ -72,6 +73,21 @@ step "trail capture smoke (overhead + bit-identity gates)" \
 GATE_DIR="$(mktemp -d)"
 trap 'rm -rf "$GATE_DIR"' EXIT
 
+obs_check() {
+    # The newest run under the runs root $1 against the committed
+    # baseline.  Accuracy and cost are deterministic (seeded pools,
+    # simulated models, fixed price cards), so the gate is tight on
+    # them; throughput/p99 are machine-dependent, so those thresholds
+    # only catch order-of-magnitude blowups.  The cache-hit-rate
+    # column fails on a >10-point drop — a silently disabled cache
+    # layer shows up here before it shows up as a cost blowup.
+    REPRO_RUNS_DIR="$1" python -m repro obs check \
+        --baseline-file benchmarks/baselines/obs_check_baseline.json \
+        --max-accuracy-drop 0.5 --max-throughput-drop 95 \
+        --max-p99-blowup 10000 --max-cost-blowup 20 \
+        --max-cache-hit-drop 10
+}
+
 gate() {
     # --trail on the gate run: trail-on records are bit-identical to
     # trail-off ones (bench_trail_overhead proves it), so the gate
@@ -80,17 +96,7 @@ gate() {
     REPRO_RUNS_DIR="$GATE_DIR" python -m repro run \
         --models GPT-4 LLMs4OL --taxonomies ebay --sample 24 --trail \
         > /dev/null || return
-    # Accuracy and cost are deterministic (seeded pools, simulated
-    # models, fixed price cards), so the gate is tight on them;
-    # throughput/p99 are machine-dependent, so those thresholds only
-    # catch order-of-magnitude blowups.  The cache-hit-rate column
-    # fails on a >10-point drop — a silently disabled cache layer
-    # shows up here before it shows up as a cost blowup.
-    REPRO_RUNS_DIR="$GATE_DIR" python -m repro obs check \
-        --baseline-file benchmarks/baselines/obs_check_baseline.json \
-        --max-accuracy-drop 0.5 --max-throughput-drop 95 \
-        --max-p99-blowup 10000 --max-cost-blowup 20 \
-        --max-cache-hit-drop 10
+    obs_check "$GATE_DIR"
 }
 
 gate_run() {
@@ -116,15 +122,17 @@ books() {
 }
 
 books_engine() {
-    # The same request through the engine, two workers coalescing
-    # in-flight duplicates: its trails show no cache hit, follower or
-    # retry, so the same four books must agree on it too.
+    # The same request, two workers coalescing in-flight duplicates:
+    # its trails show no cache hit, follower or retry, so the same
+    # four books must agree on it too, and the same baseline holds
+    # it to the gate run's accuracy and cost, whatever its shape.
     local runs="$GATE_DIR/engine" run
     REPRO_RUNS_DIR="$runs" python -m repro run \
         --models GPT-4 LLMs4OL --taxonomies ebay --sample 24 --trail \
         --workers 2 --coalesce > /dev/null || return
     run="$(gate_run "$runs")" || return
-    REPRO_RUNS_DIR="$runs" python scripts/books_agree.py "$run"
+    REPRO_RUNS_DIR="$runs" python scripts/books_agree.py "$run" \
+        && obs_check "$runs"
 }
 
 experiments() {

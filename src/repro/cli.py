@@ -549,23 +549,21 @@ def _engine_shape(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _run_engine(args: argparse.Namespace, request: RunRequest,
-                cache: ResponseCache | None = None
-                ) -> EvaluationEngine | None:
+                cache: ResponseCache | None = None) -> EvaluationEngine:
     """:func:`engine_for` the request, backed by the ``--cache`` file
     when one is given (any worker count), else by ``cache``."""
     if args.cache:
         cache = ResponseCache.load(args.cache)
     engine = engine_for(request, cache=cache)
-    if engine is not None:
-        # The linger is a latency knob, not part of the request.
-        engine.config = replace(
-            engine.config, batch_linger_s=max(0.0, args.batch_linger))
+    # The linger is a latency knob, not part of the request.
+    engine.config = replace(
+        engine.config, batch_linger_s=max(0.0, args.batch_linger))
     return engine
 
 
-def _persist_cache(engine: EvaluationEngine | None,
+def _persist_cache(engine: EvaluationEngine,
                    args: argparse.Namespace) -> None:
-    # A --cache file always selects an engine (see _run_engine).
+    # A --cache file backs the engine at any shape (see _run_engine).
     if args.cache:
         engine.cache.save(args.cache)
 
@@ -722,8 +720,8 @@ def _cmd_engine_stats(args: argparse.Namespace) -> str:
     request = RunRequest(models=(args.model,),
                          taxonomy_keys=(args.taxonomy,),
                          sample_size=args.sample, **_engine_shape(args))
-    # There is always an engine to report on: without --cache, a fresh
-    # in-memory cache selects one at any shape.
+    # The report shows cache traffic at any shape: without --cache, a
+    # fresh in-memory cache backs the engine.
     engine = _run_engine(args, request, cache=ResponseCache())
     runner = EvaluationRunner(engine=engine)
     pool = build_pools(
@@ -739,7 +737,7 @@ def _cmd_engine_stats(args: argparse.Namespace) -> str:
         backend_pool = BackendPool(
             [get_model(args.model)
              for _ in range(args.pool_replicas)],
-            hedge_delay_s=args.hedge_delay, tracer=engine.tracer)
+            hedge_delay_s=args.hedge_delay)
         model = backend_pool
     try:
         result = runner.evaluate(model, pool)
@@ -1180,7 +1178,7 @@ def _cmd_obs_why(args: argparse.Namespace) -> str:
         for span in cited:
             detail = "".join(
                 f" {key}={span.attrs[key]}"
-                for key in ("model", "attempt", "error", "size", "n")
+                for key in ("kind", "level", "model", "size")
                 if key in span.attrs)
             lines.append(f"    {span.name}#{span.span_id} "
                          f"{span.duration_s * 1e3:.2f}ms{detail}")
@@ -1188,21 +1186,20 @@ def _cmd_obs_why(args: argparse.Namespace) -> str:
 
 
 def _cited_spans(spans, uid: str, cell: str) -> list:
-    """The spans of question ``uid`` in ``cell``: those tagged with
-    it, each ``batch`` span that names it among its members, and the
-    shared ``model_call`` such a batch made (which names no
-    question)."""
-    batches = {span.span_id for span in spans
-               if span.name == "batch"
-               and span.attrs.get("cell") == cell
-               and uid in span.attrs.get("members", "").split()}
+    """The spans that stand for question ``uid`` of ``cell``: its
+    ``question`` span, found under that cell's ``cell`` span (one per
+    attempt that asked in it), and each ``batch`` span that names it
+    among its members."""
+    cells = {span.span_id for span in spans
+             if span.name == "cell"
+             and "|".join(str(span.attrs.get(key)) for key
+                          in ("model", "label", "setting")) == cell}
     return [span for span in spans
-            if span.span_id in batches
-            or (span.attrs.get("question") == uid
-                and span.attrs.get("cell") == cell)
-            or (span.name == "model_call"
-                and span.parent_id in batches
-                and "question" not in span.attrs)]
+            if (span.name == "question" and span.parent_id in cells
+                and span.attrs.get("uid") == uid)
+            or (span.name == "batch"
+                and span.attrs.get("cell") == cell
+                and uid in span.attrs.get("members", "").split())]
 
 
 def _why_trail_lines(trail: dict) -> list[str]:

@@ -27,8 +27,8 @@ class QuestionRecord:
 
     The token counts are pure functions of the prompt and response
     text (``repro.obs.cost.count_tokens``), so a record is
-    bit-identical whether it was produced sequentially, through the
-    engine, or on a shard — and records persisted before token
+    bit-identical whether it was produced at one worker, fanned out,
+    or on a shard — and records persisted before token
     accounting existed decode with both counts at 0.
     """
 

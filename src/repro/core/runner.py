@@ -6,55 +6,53 @@ send it to the model, parse the raw text response, score it.  Models
 are opaque :class:`ChatModel` objects — swap a simulated backend for a
 real API client and nothing here changes.
 
-A runner can optionally carry a
-:class:`repro.engine.EvaluationEngine`: every ``evaluate*`` call then
-fans out over the engine's worker pool behind its middleware stack
-(coalesce, cache, retry, rate limit, timeout, batch).  Records come
-back in question order either way — the batching layer groups
-concurrent prompts into ``generate_batch`` calls *underneath* the
-per-question fan-out, so the engine path yields bit-identical metrics
-at any worker count, batch size, or coalescing setting.
+Every question runs through an :class:`repro.engine.EvaluationEngine`:
+the runner's own when the caller passes one, else a one-worker engine
+with no middleware at all.  The engine asks a ``workers=1`` run's
+questions in order on the calling thread, and fans any other shape
+out over its worker pool behind its middleware stack (coalesce,
+cache, retry, rate limit, timeout, batch).  Records come back in
+question order either way — the batching layer groups concurrent
+prompts into ``generate_batch`` calls *underneath* the per-question
+fan-out — so every shape yields bit-identical metrics.
 
-Either path asks each question under its own provenance trail
-(:func:`repro.obs.trail.trail_scope`): the sequential loop installs
-it here, the engine on its worker thread.  :meth:`EvaluationRunner.ask`
-prices the question on that trail, once, and the question's counters
-are folded from it (:meth:`repro.engine.telemetry.Telemetry.observe`);
+The engine asks each question under its own provenance trail
+(:func:`repro.obs.trail.trail_scope`): :meth:`EvaluationRunner.ask`
+prices the question on it, once, and the engine folds the question's
+counters from it (:meth:`repro.engine.telemetry.Telemetry.observe`);
 the runner's ``trail`` flag decides only whether the record carries
 the frozen trail.
 
 A runner can also carry a ``ledger`` sink (duck-typed; see
 :class:`repro.runs.ledger.RunLedger`): each ``evaluate`` call then
 becomes one *cell* — the runner emits cell-started, streams every
-scored question as it completes (from the engine's collector thread
-under fan-out, so the sink only needs to be thread-safe across cells),
-and seals the cell with its metrics.  :meth:`complete_cell` is the
-resume path: given the records a previous attempt already persisted,
-it re-asks only the missing question indices and merges, producing a
-result bit-identical to an uninterrupted evaluation.
+scored question as it completes (from the engine's collecting thread,
+so the sink only needs to be thread-safe across cells), and seals the
+cell with its metrics.  :meth:`complete_cell` is the resume path:
+given the records a previous attempt already persisted, it re-asks
+only the missing question indices and merges, producing a result
+bit-identical to an uninterrupted evaluation.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from repro.core.results import (PoolResult, QuestionRecord,
                                 metrics_from_records)
+from repro.engine.config import EngineConfig
+from repro.engine.scheduler import EvaluationEngine
 from repro.llm.base import ChatModel
 from repro.llm.parsing import parse_answer
 from repro.llm.prompting import PromptSetting, build_prompt
 from repro.obs.cost import call_cost_nanos, count_tokens
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.trail import (call_site_scope, current_trail,
-                             trail_scope)
+from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.trail import current_trail
 from repro.questions.model import Question
 from repro.questions.pools import QuestionPool
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.engine.scheduler import EvaluationEngine
-    from repro.engine.telemetry import Telemetry
     from repro.runs.ledger import RunLedger
 
 
@@ -62,33 +60,25 @@ class EvaluationRunner:
     """Drives models over question pools and scores the answers."""
 
     def __init__(self, variant: int = 0, keep_records: bool = False,
-                 engine: "EvaluationEngine | None" = None,
+                 engine: EvaluationEngine | None = None,
                  ledger: "RunLedger | None" = None,
                  tracer: "Tracer | NullTracer | None" = None,
-                 telemetry: "Telemetry | None" = None,
                  trail: bool = False):
         #: Template paraphrase variant (0 is the paper's main results).
         self.variant = variant
         #: Whether PoolResults carry per-question records.
         self.keep_records = keep_records
-        #: Optional execution engine; ``None`` runs sequentially.
-        self.engine = engine
+        #: The engine every question runs through; by default one
+        #: worker and no middleware (no retry, no cache), which asks
+        #: the questions in order on the calling thread.
+        self.engine = (engine if engine is not None else
+                       EvaluationEngine(EngineConfig(retry=None,
+                                                     cache=False)))
         #: Optional run-ledger sink; ``None`` keeps results in memory.
         self.ledger = ledger
-        #: Span recorder: explicit tracer wins, else the engine's,
-        #: else the free no-op.
-        if tracer is not None:
-            self.tracer = tracer
-        elif engine is not None:
-            self.tracer = engine.tracer
-        else:
-            self.tracer = NULL_TRACER
-        #: Optional stats book for the *sequential* path (the engine
-        #: books into its own; this fills the gap when ``engine is
-        #: None`` so ledgered runs always persist stats).
-        self.telemetry = telemetry
-        #: Stamp each record with its frozen provenance trail, on
-        #: either path.
+        #: Span recorder: explicit tracer wins, else the engine's.
+        self.tracer = tracer if tracer is not None else self.engine.tracer
+        #: Stamp each record with its frozen provenance trail.
         self.trail = trail
 
     def ask(self, model: ChatModel, question: Question,
@@ -111,8 +101,8 @@ class EvaluationRunner:
         response = model.generate(prompt)
         parsed = parse_answer(response, question)
         # Counted as the raw backend counts them, so the record is
-        # bit-identical whether the call ran sequentially, engined,
-        # or on a shard.
+        # bit-identical whether the call ran at one worker, fanned
+        # out, or on a shard.
         backend = model if backend is None else backend
         prompt_tokens = count_tokens(prompt, backend)
         completion_tokens = count_tokens(response, backend)
@@ -156,47 +146,30 @@ class EvaluationRunner:
         """Score ``(original index, question)`` pairs, streaming each
         record into the ledger (keyed by its *original* index) the
         moment it exists — not when the whole batch returns."""
-        ledger = self.ledger if cell is not None else None
-        parent = self.tracer.current_id()
-        if self.engine is None:
-            out: list[tuple[int, QuestionRecord]] = []
-            # No call_site_scope here: only the engine's model_call
-            # and batch spans read it.  The trail is installed outside
-            # the question span, as the engine installs it, so the
-            # span times the question alone.
-            for index, question in indexed:
-                started = time.perf_counter()
-                with trail_scope() as context:
-                    with self.tracer.span(
-                            "question", parent=parent,
-                            kind=question.kind.value,
-                            level=question.level, uid=question.uid):
-                        record = self.ask(model, question, setting,
-                                          pool_questions=pool_questions)
-                if self.telemetry is not None:
-                    self.telemetry.observe(
-                        time.perf_counter() - started, context)
-                if ledger is not None:
-                    ledger.record(cell, index, record)
-                out.append((index, record))
-            return out
         on_result = None
-        if ledger is not None:
+        if self.ledger is not None and cell is not None:
+            ledger = self.ledger
+
             def on_result(position: int,
                           record: QuestionRecord) -> None:
                 ledger.record(cell, indexed[position][0], record)
 
+        # A fanned-out question runs on a worker thread whose span
+        # stack is empty, so the cell span is named as the parent.
+        parent = self.tracer.current_id()
+        span = self.tracer.span
+
         def ask_traced(wrapped: ChatModel,
                        question: Question) -> QuestionRecord:
-            # Runs on a worker thread whose span stack is empty, so
-            # the cell span must be named as the parent explicitly.
-            # call_site_scope makes the model_call spans issued deep
-            # in the middleware stack joinable back to this question.
-            with self.tracer.span(
-                    "question", parent=parent,
-                    kind=question.kind.value,
-                    level=question.level, uid=question.uid), \
-                    call_site_scope(question=question.uid, cell=cell):
+            # The engine installed the question's trail outside this
+            # span, so the span times the question alone; naming the
+            # question there lets the batcher's span cite it.
+            context = current_trail()
+            context.question = question.uid
+            context.cell = cell
+            with span("question", parent=parent,
+                      kind=question.kind.value,
+                      level=question.level, uid=question.uid):
                 return self.ask(wrapped, question, setting,
                                 pool_questions=pool_questions,
                                 backend=model)

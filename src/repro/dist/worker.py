@@ -212,9 +212,9 @@ def run_shard(run_id: str, shard: int,
                     keep_records=False,
                     ledger_type=ShardLedger) as session:
         session.ledger.shard_started(run_id, shard, attempt=attempt)
-        with session.span("shard", parent=MERGED_RUN_SPAN_ID,
-                          run_id=run_id, shard=shard,
-                          tasks=len(tasks), attempt=attempt):
+        with session.tracer.span("shard", parent=MERGED_RUN_SPAN_ID,
+                                 run_id=run_id, shard=shard,
+                                 tasks=len(tasks), attempt=attempt):
             for task in tasks:
                 pool = _pool_for(task.cell, pools)
                 if len(pool) != task.n:

@@ -3,10 +3,11 @@
 The production layer between the experiment drivers and the
 ``ChatModel`` backends.  Six cooperating pieces:
 
-* ``scheduler`` — :class:`EvaluationEngine`, a bounded thread pool
-  that preserves deterministic record ordering (metrics bit-identical
-  to the sequential runner at any worker count, batch size, or
-  coalescing setting);
+* ``scheduler`` — :class:`EvaluationEngine`, every question's one
+  execution path: in order on the calling thread at one worker, else
+  a bounded thread pool that preserves deterministic record ordering
+  (metrics bit-identical to the one-worker run at any worker count,
+  batch size, or coalescing setting);
 * ``middleware`` — composable resilience wrappers (retry with
   deterministic exponential backoff, per-call timeout, token-bucket
   rate limiting, deterministic fault injection for tests);

@@ -12,7 +12,7 @@ each a plain object the scheduler composes into the middleware stack:
   own position, so the wrapper is externally indistinguishable from
   per-prompt ``generate`` — which is what keeps the scheduler's
   by-submission-index collection (and therefore every metric)
-  bit-identical to the sequential loop.
+  bit-identical to the in-order one-worker loop.
 * :class:`CoalescingModel` — identical *in-flight* prompts share one
   underlying call: the first caller (the leader) issues it, followers
   block until the leader's result (or exception) lands.  This is
@@ -53,7 +53,7 @@ from repro.errors import ModelError, ModelTransientError
 from repro.llm.base import (ChatModel, call_generate_batch,
                             supports_generate_batch)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.trail import call_site, current_trail, prompt_key
+from repro.obs.trail import current_trail, prompt_key
 
 _log = logging.getLogger("repro.engine.batching")
 
@@ -152,11 +152,9 @@ class CoalescingModel:
     count is folded from.
     """
 
-    def __init__(self, inner: ChatModel,
-                 tracer: "Tracer | NullTracer" = NULL_TRACER):
+    def __init__(self, inner: ChatModel):
         self.inner = inner
         self.name = inner.name
-        self._tracer = tracer
         self._flights: dict[str, _Flight] = {}
         self._lock = threading.Lock()
 
@@ -176,8 +174,7 @@ class CoalescingModel:
             # the join handle for "who actually made my call".
             trail.leader_key = prompt_key(prompt)
         if not leader:
-            with self._tracer.span("coalesced_wait", model=self.name):
-                return flight.wait()
+            return flight.wait()
         try:
             response = self.inner.generate(prompt)
         except BaseException as exc:
@@ -210,9 +207,9 @@ class _Batch:
 
     def __init__(self, lock: threading.Lock, cell: str | None) -> None:
         self.prompts: list[str] = []
-        #: Each member's question uid, from its own thread's call
-        #: site, and the leader's cell: the ``batch`` span names them
-        #: so ``repro obs why`` finds a question's shared call.
+        #: Each member's question uid, from its own trail, and the
+        #: leader's cell: the ``batch`` span names them so ``repro
+        #: obs why`` finds a question's shared call.
         self.members: list[str] = []
         self.cell = cell
         #: Each member's response or exception, or :data:`_PENDING`.
@@ -292,18 +289,19 @@ class BatchingModel:
 
     # ------------------------------------------------------------------
     def generate(self, prompt: str) -> str:
-        site = call_site()
+        trail = current_trail()
+        question, cell = ((None, None) if trail is None
+                          else (trail.question, trail.cell))
         with self._lock:
             if self._closed:
                 raise ModelError(f"{self.name}: batcher is closed")
             batch = self._filling
             leader = batch is None
             if leader:
-                batch = self._filling = _Batch(self._lock,
-                                               site.get("cell"))
+                batch = self._filling = _Batch(self._lock, cell)
             member = len(batch.prompts)
             batch.prompts.append(prompt)
-            batch.members.append(site.get("question", ""))
+            batch.members.append(question or "")
             batch.outcomes.append(_PENDING)
             if member + 1 >= self.batch_size:
                 self._cut(batch, "size")
@@ -323,7 +321,6 @@ class BatchingModel:
         elif batch.outcomes[member] is _PENDING:
             self._call(batch, member)
         if batch.seq:
-            trail = current_trail()
             if trail is not None:
                 trail.batch = batch.seq
                 trail.batch_size = len(batch.prompts)

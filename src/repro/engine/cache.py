@@ -24,7 +24,6 @@ from pathlib import Path
 from repro.errors import ModelError
 from repro.llm.base import ChatModel
 from repro.obs.jsonl import replace_text
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import current_trail
 
 _FORMAT_VERSION = 1
@@ -206,18 +205,13 @@ def merge_caches(caches) -> ResponseCache:
 class CachedModel:
     """ChatModel wrapper serving repeated prompts from the cache."""
 
-    def __init__(self, inner: ChatModel, cache: ResponseCache,
-                 tracer: Tracer | NullTracer = NULL_TRACER):
+    def __init__(self, inner: ChatModel, cache: ResponseCache):
         self.inner = inner
         self.name = inner.name
         self.cache = cache
-        self._tracer = tracer
 
     def generate(self, prompt: str) -> str:
-        with self._tracer.span("cache_lookup",
-                               model=self.name) as span:
-            response = self.cache.get(self.name, prompt)
-            span.set(hit=response is not None)
+        response = self.cache.get(self.name, prompt)
         trail = current_trail()
         if trail is not None:
             trail.cache_hit = response is not None

@@ -3,8 +3,11 @@
 One frozen dataclass holds every knob — worker count, in-flight
 window, retry policy, per-call timeout, rate limit, cache, batching —
 so an engine can be described, logged, and rebuilt from a handful of
-CLI flags.  All defaults reproduce the sequential runner's behaviour
-exactly (one worker, no timeout, no rate limit) with caching on.
+CLI flags.  The defaults ask one question at a time, in order, on the
+calling thread (one worker, no timeout, no rate limit), retrying
+transient faults, with caching on.  Every question runs through an
+engine; ``retry=None`` and ``cache=False`` leave it no middleware at
+all, which is the runner's default.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class EngineConfig:
     """Every engine knob in one place.
 
     Args:
-        max_workers: Worker threads; 1 reproduces the sequential path.
+        max_workers: Worker threads; 1 asks the items in order on
+            the calling thread (the sequential path).
         max_in_flight: Bound on submitted-but-unfinished calls (0
             means ``2 * max_workers``, widened to ``2 * batch_size``
             under batching so batches can actually fill), so a huge
@@ -68,7 +72,7 @@ class EngineConfig:
             additive increase per successful batch, multiplicative
             backoff on transient faults and timeouts.
 
-    Every question is booked from its provenance trail
+    Every scored question is booked from its provenance trail
     (:mod:`repro.obs.trail`), which the engine always collects;
     whether a record carries it is the runner's ``trail`` flag.
     """

@@ -77,47 +77,44 @@ class RetryingModel:
         self._sleep = sleeper
         self._tracer = tracer
 
-    def _attempt_once(self, prompt: str, attempt: int,
-                      last: ModelTransientError | None
-                      ) -> tuple[str | None, ModelTransientError | None]:
-        if attempt > 0:
+    def generate(self, prompt: str) -> str:
+        # A first-try success is one plain call: its trail keeps its
+        # default of one attempt.
+        try:
+            return self.inner.generate(prompt)
+        except ModelTransientError as fault:
+            last = fault
+        trail = current_trail()
+        for attempt in range(1, self.policy.retries + 1):
+            self._note(trail, last)
             delay = backoff_delay(self.policy, attempt - 1, prompt)
             _log.info("retry model=%s attempt=%d/%d fault=%s "
                       "delay=%.4fs", self.name, attempt,
-                      self.policy.retries,
-                      type(last).__name__ if last else "?", delay)
-            self._sleep(delay)
-        try:
-            return self.inner.generate(prompt), None
-        except ModelTransientError as exc:
-            return None, exc
-
-    def generate(self, prompt: str) -> str:
-        trail = current_trail()
-        last: ModelTransientError | None = None
-        for attempt in range(self.policy.retries + 1):
-            if attempt == 0:
-                response, fault = self._attempt_once(prompt, 0, None)
-            else:
-                with self._tracer.span(
-                        "retry", model=self.name, attempt=attempt,
-                        fault=type(last).__name__):
-                    response, fault = self._attempt_once(
-                        prompt, attempt, last)
-            if fault is None:
-                if trail is not None:
-                    trail.attempts = attempt + 1
-                return response  # type: ignore[return-value]
+                      self.policy.retries, type(last).__name__, delay)
+            with self._tracer.span("retry", model=self.name,
+                                   attempt=attempt,
+                                   fault=type(last).__name__):
+                self._sleep(delay)
+                try:
+                    response = self.inner.generate(prompt)
+                except ModelTransientError as fault:
+                    last = fault
+                    continue
             if trail is not None:
-                trail.note_error(type(fault).__name__,
-                                 injected=getattr(fault, "injected",
-                                                  False))
-            last = fault
+                trail.attempts = attempt + 1
+            return response
+        self._note(trail, last)
         if trail is not None:
             trail.attempts = self.policy.retries + 1
         raise ModelError(
             f"{self.name}: gave up after {self.policy.retries + 1} "
             f"attempts ({last})") from last
+
+    @staticmethod
+    def _note(trail, fault: ModelTransientError) -> None:
+        if trail is not None:
+            trail.note_error(type(fault).__name__,
+                             injected=getattr(fault, "injected", False))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RetryingModel({self.inner!r})"

@@ -44,7 +44,6 @@ from collections.abc import Callable, Sequence
 from repro.engine.middleware import TokenBucket
 from repro.errors import ModelError
 from repro.llm.base import ChatModel, call_generate_batch
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import current_trail
 
 _log = logging.getLogger("repro.engine.pool")
@@ -75,7 +74,6 @@ class BackendPool:
                  max_failures: int = 3, cooldown_s: float = 30.0,
                  rate: float | None = None, burst: int = 8,
                  name: str | None = None,
-                 tracer: "Tracer | NullTracer" = NULL_TRACER,
                  clock: Clock = time.monotonic):
         backends = list(backends)
         if not backends:
@@ -93,7 +91,6 @@ class BackendPool:
         self.cooldown_s = cooldown_s
         self._buckets = ([TokenBucket(rate, burst) for _ in backends]
                          if rate is not None else None)
-        self._tracer = tracer
         self._clock = clock
         self._health = [_Health() for _ in backends]
         self._lock = threading.Lock()
@@ -221,10 +218,6 @@ class BackendPool:
                     hedges.add(hedge)
                     if trail is not None:
                         trail.hedged = True
-                    with self._tracer.span(
-                            "hedge", model=self.name,
-                            delay_s=self.hedge_delay_s):
-                        pass
                 timeout = None   # at most one hedge per request
                 continue
             for future in done:

@@ -1,15 +1,18 @@
-"""The engine scheduler: bounded fan-out with deterministic ordering.
+"""The engine scheduler: every question's one execution path.
 
 ``EvaluationEngine`` sits between the experiment drivers and the
-``ChatModel`` backends.  Given a model and a list of work items it (1)
-wraps the model in the configured middleware stack (coalesce → cache →
-retry → rate limit → timeout → batch, see ``engine.middleware`` and
-``engine.batching``), then (2) fans the per-item calls out over a
+``ChatModel`` backends, and every question the runner asks goes
+through it.  Given a model and a list of work items it (1) wraps the
+model in the configured middleware stack (coalesce → cache → retry →
+rate limit → timeout → batch, see ``engine.middleware`` and
+``engine.batching``), then (2) runs the per-item calls: in order on
+the calling thread at one worker — the sequential path, and the
+reference every other shape is held to — or fanned out over a
 ``ThreadPoolExecutor`` with a bounded in-flight window, collecting
-results **by submission index** — the result list is byte-for-byte the
-one the sequential loop produces, so every metric downstream is
-bit-identical regardless of worker count, batch size, coalescing or
-hedging setting.
+results **by submission index**, so the result list is byte-for-byte
+the in-order one and every metric downstream is bit-identical
+regardless of worker count, batch size, coalescing or hedging
+setting.
 
 Threads (not processes) are the right pool here: real endpoint calls
 are network-bound and the simulated backends release the GIL whenever
@@ -24,8 +27,9 @@ dispatch (and the AIMD limiter), not the pool width.
 
 Each item runs under its own provenance trail
 (:func:`repro.obs.trail.trail_scope`), on which every layer notes what
-it did; when the item finishes, its counters are folded from that
-trail (:meth:`Telemetry.observe`).
+it did; when the item's function returns, its counters are folded
+from that trail (:meth:`Telemetry.observe`).  An item whose function
+raises is not booked: it was not scored.
 """
 
 from __future__ import annotations
@@ -44,43 +48,11 @@ from repro.engine.middleware import (Clock, RateLimitedModel,
                                      RetryingModel, TimeoutModel,
                                      TokenBucket)
 from repro.engine.telemetry import EngineStats, Telemetry
-from repro.llm.base import (ChatModel, call_generate_batch,
-                            supports_generate_batch)
+from repro.llm.base import ChatModel
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.obs.trail import call_site, trail_scope
+from repro.obs.trail import trail_scope
 
 R = TypeVar("R")
-
-
-class _ModelCallSpans:
-    """Innermost wrapper: wraps each call that reaches the backend in
-    a ``model_call`` span (the backend alone — no queueing, no
-    retries, no cache)."""
-
-    def __init__(self, inner: ChatModel,
-                 tracer: "Tracer | NullTracer" = NULL_TRACER):
-        self.inner = inner
-        self.name = inner.name
-        self._tracer = tracer
-        # Re-export the backend's batch entry point so the batcher
-        # can still find it through this wrapper — and ONLY then:
-        # advertising generate_batch over a per-prompt backend would
-        # turn the batcher's per-prompt fault isolation into
-        # all-or-nothing batch failures.
-        if supports_generate_batch(inner):
-            def generate_batch(
-                    prompts: Sequence[str]) -> list[str]:
-                with self._tracer.span("model_call", model=self.name,
-                                       n=len(prompts)):
-                    return call_generate_batch(self.inner, prompts)
-            self.generate_batch = generate_batch
-
-    def generate(self, prompt: str) -> str:
-        # call_site() carries the question uid / cell the runner set on
-        # this thread, making the span joinable to its ledger record.
-        with self._tracer.span("model_call", model=self.name,
-                               **call_site()):
-            return self.inner.generate(prompt)
 
 
 class EvaluationEngine:
@@ -99,8 +71,8 @@ class EvaluationEngine:
             disk); default builds one per ``config.cache``.
         clock: Injectable time source for telemetry (tests).
         tracer: Span recorder threaded into the middleware stack
-            (``model_call``/``retry``/``cache_lookup`` spans); the
-            default :data:`repro.obs.NULL_TRACER` costs nothing.
+            (``retry`` and ``batch`` spans); the default
+            :data:`repro.obs.NULL_TRACER` costs nothing.
     """
 
     def __init__(self, config: EngineConfig | None = None,
@@ -123,24 +95,25 @@ class EvaluationEngine:
         """Apply the middleware stack (documented order) to a model.
 
         Outermost to innermost: coalesce → cache → retry → rate
-        limit → timeout → batch → ``model_call`` spans → backend.
-        No layer but the batcher books a counter: each notes what it
-        did on the question's trail, and the runner's ``ask`` prices
-        the question from it (``prompt_tokens × attempts`` plus the
-        answer's completion tokens; nothing for a cache hit or a
-        coalesced follower).  The coalescer sits *outside* the cache
-        so that when a leader returns, its response is already
-        cached — a duplicate can never slip between the leader
-        finishing and the cache learning the value, which is what
-        makes "one backend call per unique prompt" exact rather than
-        probabilistic.  It also sits outside retry, so followers
+        limit → timeout → batch → backend; a layer the config turns
+        off is left out, so a config with none returns ``model``
+        itself.  No layer but the batcher books a counter: each
+        notes what it did on the question's trail, and the runner's
+        ``ask`` prices the question from it (``prompt_tokens ×
+        attempts`` plus the answer's completion tokens; nothing for
+        a cache hit or a coalesced follower).  The coalescer sits
+        *outside* the cache so that when a leader returns, its
+        response is already cached — a duplicate can never slip
+        between the leader finishing and the cache learning the
+        value, which is what makes "one backend call per unique
+        prompt" exact rather than probabilistic.  It also sits outside retry, so followers
         receive the leader's post-retry result (a transient fault is
         absorbed once, not once per waiter).  The batcher sits
         *inside* timeout so a call's budget covers linger plus batch
         service — configure ``timeout`` comfortably above
         ``batch_linger_s``.
         """
-        wrapped: ChatModel = _ModelCallSpans(model, tracer=self.tracer)
+        wrapped = model
         if self.config.batch_size > 1:
             limiter = (AdaptiveLimiter() if self.config.adaptive
                        else None)
@@ -159,10 +132,9 @@ class EvaluationEngine:
             wrapped = RetryingModel(wrapped, self.config.retry,
                                     tracer=self.tracer)
         if self.cache is not None:
-            wrapped = CachedModel(wrapped, self.cache,
-                                  tracer=self.tracer)
+            wrapped = CachedModel(wrapped, self.cache)
         if self.config.coalesce:
-            wrapped = CoalescingModel(wrapped, tracer=self.tracer)
+            wrapped = CoalescingModel(wrapped)
         return wrapped
 
     def run(self, model: ChatModel, items: Sequence[Any],
@@ -222,16 +194,15 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     def _timed(self, fn: Callable[[ChatModel, Any], R],
                model: ChatModel, item: Any) -> R:
-        # One provenance trail per item, installed on the worker
-        # thread where the whole middleware stack runs: the layers
-        # note on it, the runner prices the item from it, and the
-        # item's counters are folded from it here.
+        # One provenance trail per item, installed on the thread
+        # where the whole middleware stack runs: the layers note on
+        # it, the runner prices the item from it, and once the item
+        # returned its counters are folded from it here.
         started = self._clock()
         with trail_scope() as trail:
-            try:
-                return fn(model, item)
-            finally:
-                self.telemetry.observe(self._clock() - started, trail)
+            result = fn(model, item)
+        self.telemetry.observe(self._clock() - started, trail)
+        return result
 
     def _fan_out(self, model: ChatModel, work: list[Any],
                  fn: Callable[[ChatModel, Any], R],

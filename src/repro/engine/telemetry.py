@@ -1,49 +1,48 @@
 """Telemetry for the execution engine.
 
-A :class:`Telemetry` book keeps a run's counters in a
-:class:`repro.obs.metrics.MetricsRegistry`.  Every per-question
-counter — calls, retries, faults, timeouts, cache traffic, coalesced
-and hedged questions, tokens and spend — is folded from the
-question's finished provenance trail (:mod:`repro.obs.trail`) by
-:meth:`Telemetry.observe`, which also observes the question's worker
-time into a fixed-bucket latency histogram, so the engine reports
+A :class:`Telemetry` book keeps a run's counters under one lock.
+Every per-question counter — calls, retries, faults, timeouts, cache
+traffic, coalesced and hedged questions, tokens and spend — is folded
+from the question's finished provenance trail (:mod:`repro.obs.trail`)
+by :meth:`Telemetry.observe`, which also observes the question's
+worker time into a fixed-bucket latency histogram
+(:class:`repro.obs.metrics.Histogram`), so the engine reports
 p50/p90/p99 and exact min/max, not just a mean.  Only facts that
 belong to no single question are added directly: batches and the
-AIMD high water (the batcher), wall time and workers (the scheduler
-and the run session).  ``snapshot()`` freezes the registry into an
-:class:`EngineStats` value, the shape the scalability experiment,
-the run ledger and the ``repro engine-stats`` CLI consume.
+AIMD high water (the batcher), wall time and workers (the
+scheduler).  ``snapshot()`` freezes the book into an
+:class:`EngineStats` value, the shape the scalability experiment, the
+run ledger and the ``repro engine-stats`` CLI consume.
 
-The registry's metrics are declared by :class:`EngineStats` itself:
-each counted field carries the metric name and help text it is
-exported under.
+The book's entries are :class:`EngineStats`'s own fields: each
+``latency_*`` field (and ``busy_time_s``, the histogram's total)
+says what it reads off the latency histogram, each gauge says it is
+one, and every other field is a counter.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, methodcaller
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.obs.trail import Trail, TrailContext
 
 
-def _counted(metric: str, help: str, kind: str = "counter",
-             **default):
-    """A field :class:`Telemetry` keeps as the registry metric
-    ``metric``: a ``counter`` :meth:`Telemetry.add` adds to, a
-    ``gauge`` it raises to a new high, or the question-latency
-    ``histogram`` (whose total the field reads)."""
-    return field(**default, metadata={"metric": (metric, help, kind)})
+def _gauge(**default):
+    """A field :meth:`Telemetry.add` raises to a new high rather than
+    adds to."""
+    return field(**default, metadata={"gauge": True})
 
 
-def _from_latency(read: Callable[[Histogram], float]):
+def _from_latency(read: Callable[[Histogram], float], **default):
     """A field read off the question-latency histogram."""
-    return field(default=0.0, metadata={"latency": read})
+    return field(**default, metadata={"latency": read})
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,66 +71,43 @@ class EngineStats:
     window's high-water mark.
 
     The fields are the one list of run counters: :class:`Telemetry`
-    builds its metrics from them (each counted field names the
-    registry metric and help text it is exported under), and
-    :meth:`to_dict`, :meth:`from_dict`, :meth:`Telemetry.snapshot`
-    and the shard merge (:func:`repro.dist.merge.merge_stats`) follow
-    from them; :func:`repro.obs.history.entry_from_result` copies each
-    one the history entry also declares.  A new counter is one field
-    here plus the line of :meth:`Telemetry.observe` (or the one
-    run-level site) that adds to it.
+    books exactly them, and :meth:`to_dict`, :meth:`from_dict`,
+    :meth:`Telemetry.snapshot` and the shard merge
+    (:func:`repro.dist.merge.merge_stats`) follow from them;
+    :func:`repro.obs.history.entry_from_result` copies each one the
+    history entry also declares.  A new counter is one field here
+    plus the line of :meth:`Telemetry.observe` (or the one run-level
+    site) that adds to it.
     """
 
-    records: int = _counted("repro_engine_records_total",
-                            "questions scored")
-    calls: int = _counted("repro_engine_calls_total",
-                          "model invocations reaching a backend")
-    retries: int = _counted("repro_engine_retries_total",
-                            "re-attempts after faults")
-    faults: int = _counted("repro_engine_faults_total",
-                           "transient faults observed")
-    timeouts: int = _counted("repro_engine_timeouts_total",
-                             "per-call timeouts")
-    cache_hits: int = _counted("repro_engine_cache_hits_total",
-                               "response cache hits")
-    cache_misses: int = _counted("repro_engine_cache_misses_total",
-                                 "response cache misses")
-    wall_time_s: float = _counted("repro_engine_wall_seconds_total",
-                                  "scheduler wall-clock seconds")
-    busy_time_s: float = _counted(
-        "repro_engine_question_latency_seconds",
-        "per-question worker seconds", "histogram")
-    workers: int = _counted("repro_engine_workers",
-                            "peak worker threads", "gauge")
-    latency_p50_s: float = _from_latency(methodcaller("quantile", 0.50))
-    latency_p90_s: float = _from_latency(methodcaller("quantile", 0.90))
-    latency_p99_s: float = _from_latency(methodcaller("quantile", 0.99))
-    latency_min_s: float = _from_latency(attrgetter("min"))
-    latency_max_s: float = _from_latency(attrgetter("max"))
-    batches: int = _counted("repro_engine_batches_total",
-                            "backend generate_batch dispatches",
-                            default=0)
-    coalesced: int = _counted(
-        "repro_engine_coalesced_total",
-        "prompts sharing an identical in-flight call", default=0)
-    hedged: int = _counted("repro_engine_hedged_total",
-                           "hedge requests launched by a backend pool",
-                           default=0)
-    adaptive_high_water: int = _counted(
-        "repro_engine_adaptive_limit_high_water",
-        "AIMD concurrency window high water", "gauge", default=0)
-    prompt_tokens: int = _counted("repro_engine_prompt_tokens_total",
-                                  "prompt tokens sent to backends",
-                                  default=0)
-    completion_tokens: int = _counted(
-        "repro_engine_completion_tokens_total",
-        "completion tokens returned", default=0)
+    records: int
+    calls: int
+    retries: int
+    faults: int
+    timeouts: int
+    cache_hits: int
+    cache_misses: int
+    wall_time_s: float
+    busy_time_s: float = _from_latency(attrgetter("total"))
+    workers: int = _gauge()
+    latency_p50_s: float = _from_latency(methodcaller("quantile", 0.50),
+                                         default=0.0)
+    latency_p90_s: float = _from_latency(methodcaller("quantile", 0.90),
+                                         default=0.0)
+    latency_p99_s: float = _from_latency(methodcaller("quantile", 0.99),
+                                         default=0.0)
+    latency_min_s: float = _from_latency(attrgetter("min"), default=0.0)
+    latency_max_s: float = _from_latency(attrgetter("max"), default=0.0)
+    batches: int = 0
+    coalesced: int = 0
+    hedged: int = 0
+    adaptive_high_water: int = _gauge(default=0)
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
     #: Accumulated spend in integer nano-dollars.  Integer addition is
     #: associative, so shard-merged totals equal single-process totals
     #: bit for bit — a float dollar sum could not promise that.
-    cost_nanos: int = _counted("repro_engine_cost_nanos_total",
-                               "accumulated spend in nano-dollars",
-                               default=0)
+    cost_nanos: int = 0
 
     @property
     def total_tokens(self) -> int:
@@ -223,50 +199,43 @@ STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(EngineStats))
 _STAT_DECODE = tuple(
     (f.name, None if f.default is MISSING else type(f.default), f.default)
     for f in fields(EngineStats))
-#: ``field: (metric name, help, kind)`` of every counted field.
-_METRICS = {f.name: f.metadata["metric"] for f in fields(EngineStats)
-            if "metric" in f.metadata}
+#: Every field :class:`Telemetry` books (none read off the histogram),
+#: at its starting value.
+_BOOK = {f.name: 0 if f.type == "int" else 0.0
+         for f in fields(EngineStats) if "latency" not in f.metadata}
+#: The booked fields :meth:`Telemetry.add` raises rather than adds to.
+_GAUGES = frozenset(f.name for f in fields(EngineStats)
+                    if "gauge" in f.metadata)
+#: ``(field, read)`` of every field read off the latency histogram.
+_LATENCY = tuple((f.name, f.metadata["latency"])
+                 for f in fields(EngineStats) if "latency" in f.metadata)
 
 
 class Telemetry:
-    """Thread-safe book of run counters.
-
-    Its metrics live in a :class:`MetricsRegistry` (exposed as
-    ``.registry``), one per counted :class:`EngineStats` field, so the
-    same numbers flow to the Prometheus exporter without a second
-    bookkeeping path.
-    """
+    """Thread-safe book of run counters: one dict of
+    :class:`EngineStats` fields and one latency histogram, both
+    changed only under one lock."""
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._metrics = {name: getattr(self.registry, kind)(metric, help)
-                         for name, (metric, help, kind) in _METRICS.items()}
-        self._adders = {name: (metric.set_max if metric.kind == "gauge"
-                               else metric.add)
-                        for name, metric in self._metrics.items()
-                        if metric.kind != "histogram"}
-        # observe() runs on every question: it holds its metrics.
-        m = self._metrics
-        self._latency: Histogram = m["busy_time_s"]
-        (self._records, self._calls, self._retries, self._faults,
-         self._timeouts, self._cache_hits, self._cache_misses,
-         self._coalesced, self._hedged, self._prompt_tokens,
-         self._completion_tokens, self._cost_nanos) = (
-            m[name] for name in (
-                "records", "calls", "retries", "faults", "timeouts",
-                "cache_hits", "cache_misses", "coalesced", "hedged",
-                "prompt_tokens", "completion_tokens", "cost_nanos"))
+        self._lock = threading.Lock()
+        self._book = dict(_BOOK)
+        self._latency = Histogram("question_latency_s")
 
     # ------------------------------------------------------------------
     # Recording (called from worker threads)
     # ------------------------------------------------------------------
     def add(self, **amounts: float) -> None:
-        """Add each amount to its field's counter, or raise the
-        field's gauge to it if higher (``workers``,
-        ``adaptive_high_water``): the run-level facts no single
-        question's trail holds."""
-        for name, amount in amounts.items():
-            self._adders[name](amount)
+        """Add each amount to its field, or raise the field to it if
+        higher (the gauges ``workers`` and ``adaptive_high_water``):
+        the run-level facts no single question's trail holds.  A name
+        that is no booked field raises ``KeyError``."""
+        with self._lock:
+            book = self._book
+            for name, amount in amounts.items():
+                if name in _GAUGES:
+                    book[name] = max(book[name], amount)
+                else:
+                    book[name] += amount
 
     def observe(self, seconds: float,
                 trail: "TrailContext | Trail") -> None:
@@ -276,63 +245,57 @@ class Telemetry:
 
         A cache hit or a coalesced follower made no backend call;
         any other question made ``attempts`` of them.  This runs once
-        per question: it adds to metrics held up front, and skips the
-        counters the trail leaves at zero.
+        per question, so it books everything under one acquisition
+        of the lock.
         """
-        self._records.add(1)
-        self._latency.observe(seconds)
         attempts = trail.attempts
-        follower = trail.coalesced == "follower"
-        if not (trail.cache_hit or follower):
-            self._calls.add(attempts)
-        if attempts > 1:
-            self._retries.add(attempts - 1)
         errors = trail.errors
-        if errors:
-            self._faults.add(len(errors))
-            timeouts = errors.count("ModelTimeoutError")
-            if timeouts:
-                self._timeouts.add(timeouts)
-        if trail.cache_hit is not None:
-            (self._cache_hits if trail.cache_hit
-             else self._cache_misses).add(1)
-        if follower:
-            self._coalesced.add(1)
-        if trail.hedged:
-            self._hedged.add(1)
-        if trail.billed_prompt_tokens:
-            self._prompt_tokens.add(trail.billed_prompt_tokens)
-        if trail.billed_completion_tokens:
-            self._completion_tokens.add(trail.billed_completion_tokens)
-        if trail.cost_nanos:
-            self._cost_nanos.add(trail.cost_nanos)
+        cache_hit = trail.cache_hit
+        follower = trail.coalesced == "follower"
+        with self._lock:
+            book = self._book
+            book["records"] += 1
+            self._latency.observe_unlocked(seconds)
+            if not (cache_hit or follower):
+                book["calls"] += attempts
+            if attempts > 1:
+                book["retries"] += attempts - 1
+            if errors:
+                book["faults"] += len(errors)
+                book["timeouts"] += errors.count("ModelTimeoutError")
+            if cache_hit is not None:
+                book["cache_hits" if cache_hit else "cache_misses"] += 1
+            if follower:
+                book["coalesced"] += 1
+            if trail.hedged:
+                book["hedged"] += 1
+            book["prompt_tokens"] += trail.billed_prompt_tokens
+            book["completion_tokens"] += trail.billed_completion_tokens
+            book["cost_nanos"] += trail.cost_nanos
 
     def absorb(self, other: "Telemetry") -> None:
         """Add ``other``'s book to this one: counters add, gauges keep
         the higher value, the latency histograms merge."""
-        for name, metric in other._metrics.items():
-            if metric.kind == "histogram":
-                self._metrics[name].merge(metric)
-            else:
-                self._adders[name](metric.value)
+        with other._lock:
+            amounts = dict(other._book)
+            latency = other._latency.copy()
+        with self._lock:
+            self._latency.merge(latency)
+        self.add(**amounts)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> EngineStats:
-        """Freeze the registry into an immutable stats value."""
-        values: dict[str, float] = {}
-        for f in fields(EngineStats):
-            read = f.metadata.get("latency")
-            if read is not None:
-                values[f.name] = read(self._latency)
-                continue
-            metric = self._metrics[f.name]
-            value = (metric.total if metric.kind == "histogram"
-                     else metric.value)
-            values[f.name] = int(value) if f.type == "int" else value
+        """Freeze the book into an immutable stats value."""
+        with self._lock:
+            values = dict(self._book)
+            for name, read in _LATENCY:
+                values[name] = read(self._latency)
         # A book no scheduler pass has run in yet shows one worker.
         values["workers"] = max(1, values["workers"])
         return EngineStats(**values)
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""
-        self.registry.reset()
+        with self._lock:
+            self._book = dict(_BOOK)
+            self._latency = Histogram("question_latency_s")

@@ -3,14 +3,15 @@
 The observability layer for the whole evaluation stack.  Four pieces:
 
 * ``tracer`` — hierarchical span tracing (``run -> cell -> question ->
-  model_call/retry/cache_lookup``; ``build -> taxonomy ->
-  encode/write`` in the dataset store) with per-thread parenting,
-  explicit cross-thread parents, cross-process span adoption and an
-  injectable clock.  :data:`NULL_TRACER` is the free default.
+  retry/batch``; ``build -> taxonomy -> encode/write`` in the dataset
+  store) with per-thread parenting, explicit cross-thread parents,
+  cross-process span adoption and an injectable clock.
+  :data:`NULL_TRACER` is the free default.
 * ``metrics`` — named counters, gauges and fixed-bucket histograms
   (p50/p90/p99 estimates, exact min/max) behind a
-  :class:`MetricsRegistry`; the engine's ``Telemetry`` keeps its
-  counters in one, and ``EngineStats`` is a snapshot of it.
+  :class:`MetricsRegistry`, which ``repro obs metrics`` folds a span
+  log into; the engine's ``Telemetry`` times questions with one
+  :class:`Histogram`.
 * ``export`` — JSONL span logs persisted next to each run's ledger,
   Chrome ``trace_event`` JSON for chrome://tracing, Prometheus text.
 * ``report`` — per-phase wall-clock attribution and an ASCII
@@ -71,8 +72,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                          "phase_table"),
     "repro.obs.tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),
     "repro.obs.trail": ("Trail", "TrailContext", "TrailQueryError",
-                        "call_site", "call_site_scope", "compile_predicate",
-                        "current_trail", "prompt_key", "trail_env",
-                        "trail_from_dict", "trail_scope", "trail_summary",
-                        "trail_to_dict"),
+                        "compile_predicate", "current_trail", "prompt_key",
+                        "trail_env", "trail_from_dict", "trail_scope",
+                        "trail_summary", "trail_to_dict"),
 })

@@ -7,8 +7,8 @@ Everything here is deterministic by construction:
 
 * :class:`TokenCounter` estimates tokens as ``ceil(len(text) / 4)`` —
   a pure function of the text, so a record's token counts are
-  bit-identical whether the question ran sequentially, through the
-  engine, or on a shard.  Backends with a real tokenizer register a
+  bit-identical whether the question ran at one worker, fanned out,
+  or on a shard.  Backends with a real tokenizer register a
   per-model override (keyed by model *name*, which survives the whole
   middleware chain) or expose an optional ``count_tokens(text)``
   method (see :mod:`repro.llm.base`).
@@ -88,10 +88,9 @@ class TokenCounter:
     The default heuristic is ``ceil(len(text) / 4)`` — the usual
     ~4-chars-per-token English rule of thumb.  Overrides are keyed by
     model *name* (the one attribute every middleware wrapper
-    preserves), so the sequential runner, the engine stack and shard
-    workers all resolve the same counter for the same model and the
-    ledger's per-record counts stay bit-identical across execution
-    shapes.
+    preserves), so every engine shape and every shard worker resolves
+    the same counter for the same model and the ledger's per-record
+    counts stay bit-identical across execution shapes.
     """
 
     def __init__(self) -> None:
@@ -372,7 +371,7 @@ class CostLedger:
 
     Record-level token counts are pure functions of the prompt and
     response text, so the fold is exact and identical no matter how
-    the run executed (sequential, engine, sharded-and-merged).
+    the run executed (one worker, fanned out, sharded-and-merged).
     Records written before token accounting existed fold to zero —
     cost unknown, reported as 0.
     """

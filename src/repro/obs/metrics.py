@@ -9,8 +9,11 @@ bucket-interpolated estimates while the extremes stay exact — the
 shape LITE-style cost accounting needs, at O(buckets) memory no
 matter how many observations land.
 
-``repro.engine.telemetry.Telemetry`` keeps its run counters in one of
-these registries, one per book; there is no process-wide registry.
+:func:`repro.obs.export.registry_from_spans` folds a span log into a
+registry for ``repro obs metrics``; there is no process-wide
+registry.  The engine's ``Telemetry`` keeps no registry: it books a
+question's counters and its :class:`Histogram` latency under one
+lock of its own (:meth:`Histogram.observe_unlocked`).
 """
 
 from __future__ import annotations
@@ -114,15 +117,19 @@ class Histogram:
         self._max: float | None = None
 
     def observe(self, value: float) -> None:
-        index = bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._total += value
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
+            self.observe_unlocked(value)
+
+    def observe_unlocked(self, value: float) -> None:
+        """:meth:`observe` without this histogram's lock, for an owner
+        that serialises every write under a lock of its own."""
+        self._counts[bisect_left(self.bounds, value)] += 1
+        self._count += 1
+        self._total += value
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
 
     # ------------------------------------------------------------------
     @property

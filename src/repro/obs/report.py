@@ -8,7 +8,7 @@ Two views of one span log:
   and the share of the run's wall clock.  This is the table
   ``repro runs show`` appends.
 * :func:`flame_report` — an ASCII flamegraph: spans aggregated by
-  their name *path* (``run > cell > question > model_call``), one
+  their name *path* (``run > cell > question > retry``), one
   indented row per path with a bar proportional to total time.  A
   terminal stand-in for the Chrome trace when all you have is ssh.
 """
@@ -25,15 +25,11 @@ _FULL = "#"
 
 #: Span kinds that are always *inside* some enclosing phase but can be
 #: recorded without a resolvable parent: an engine traced without the
-#: runner's ``question`` spans opens its ``batch`` and ``model_call``
-#: spans on worker threads whose span stacks are empty.  They must
-#: never count as roots when attributing wall-clock, or a batched
-#: run's phase shares deflate against a wall several times the real
-#: one.
-_DETACHED_KINDS = frozenset({
-    "batch", "coalesced_wait", "hedge", "model_call", "retry",
-    "cache_lookup", "question",
-})
+#: runner's ``question`` spans opens its ``batch`` and ``retry`` spans
+#: on worker threads whose span stacks are empty.  They must never
+#: count as roots when attributing wall-clock, or a batched run's
+#: phase shares deflate against a wall several times the real one.
+_DETACHED_KINDS = frozenset({"question", "batch", "retry"})
 
 
 def _closed(spans: Sequence[Span]) -> list[Span]:
@@ -72,7 +68,7 @@ def phase_rows(spans: Sequence[Span]) -> list[dict[str, object]]:
         counts[span.name] = counts.get(span.name, 0) + 1
     # The wall clock is the extent of the root spans (no parent inside
     # the log), not the sum — parallel children overlap, and detached
-    # engine spans (batch, executor-side model_call) are not roots.
+    # engine spans (batch, retry) are not roots.
     by_id = {span.span_id for span in spans}
     wall = _root_wall(spans, by_id)
     rows = []

@@ -1,9 +1,9 @@
 """Hierarchical span tracing for the evaluation stack.
 
 A :class:`Tracer` records *spans* — named, timed, attributed intervals
-arranged in a tree: ``run -> cell -> question -> model_call / retry /
-cache_lookup`` on the evaluation side, ``build -> taxonomy ->
-encode / write`` in the dataset store.  Spans are opened as context
+arranged in a tree: ``run -> cell -> question -> retry / batch`` on
+the evaluation side, ``build -> taxonomy -> encode / write`` in the
+dataset store.  Spans are opened as context
 managers; parentage is tracked per thread (a span opened on a worker
 thread nests under whatever span that same thread has open), and can
 be forced explicitly with ``parent=`` when work hops threads — the
@@ -42,13 +42,6 @@ from repro.obs.jsonl import dumps_line
 
 Clock = Callable[[], float]
 
-#: Span names used by the built-in instrumentation, root to leaf.
-#: ``batch``/``coalesced_wait``/``hedge`` are the engine's grouping
-#: kinds: a ``batch`` span opens on its leader's worker thread, under
-#: the leader's ``question`` (or ``retry``) span.
-EVALUATION_SPANS = ("run", "cell", "question", "model_call", "retry",
-                    "cache_lookup", "batch", "coalesced_wait",
-                    "hedge")
 BUILD_SPANS = ("build", "taxonomy", "encode", "write", "load")
 
 

@@ -1,10 +1,10 @@
 """Per-question provenance trails.
 
 A :class:`TrailContext` is opened around every question by the engine
-scheduler or the sequential runner, and annotated by every middleware
-layer the prompt passes through: coalescing (leader/follower and the
-leader's prompt key), cache (hit/miss plus whether the entry came from
-a persisted snapshot), retry (attempt count, per-attempt error class,
+scheduler, and annotated by every middleware layer the prompt passes
+through: coalescing (leader/follower and the leader's prompt key),
+cache (hit/miss plus whether the entry came from a persisted
+snapshot), retry (attempt count, per-attempt error class,
 injected-fault flag), rate limiting and timeouts (time lost waiting),
 batching (batch id, size and why the batch was cut) and the backend
 pool (replica index, fallback chain, hedging).  The runner's ``ask``
@@ -38,8 +38,6 @@ __all__ = [
     "Trail",
     "TrailContext",
     "TrailQueryError",
-    "call_site",
-    "call_site_scope",
     "compile_predicate",
     "current_trail",
     "prompt_key",
@@ -128,9 +126,14 @@ _LIST_POSITIONS = tuple(position for position, name
 
 class _TrailNotes:
     """What a :class:`TrailContext` does (its attributes follow from
-    :class:`Trail`'s fields)."""
+    :class:`Trail`'s fields), and where its question sits: the
+    runner names the question's ``question`` uid and ``cell``, which
+    the batcher's ``batch`` span reads.  Neither is frozen."""
 
-    __slots__ = ()
+    __slots__ = ("question", "cell")
+
+    def __post_init__(self) -> None:
+        self.question = self.cell = None
 
     def note_error(self, name: str, *, injected: bool = False) -> None:
         self.errors.append(name)
@@ -173,8 +176,8 @@ _STATE = threading.local()
 
 
 def current_trail() -> TrailContext | None:
-    """The trail being collected on this thread, if a runner or an
-    engine installed one."""
+    """The trail being collected on this thread, if an engine (or a
+    caller of the middleware) installed one."""
     return getattr(_STATE, "trail", None)
 
 
@@ -193,33 +196,6 @@ class trail_scope:
 
     def __exit__(self, *exc_info: object) -> None:
         _STATE.trail = self._previous
-
-
-def call_site() -> dict[str, Any]:
-    """Question/cell attributes for the in-flight model call, if any."""
-    return getattr(_STATE, "site", None) or {}
-
-
-class call_site_scope:
-    """``with call_site_scope(question=uid, cell=...):`` — tag spans.
-
-    Carries the question uid (and cell, when known) down to the
-    ``model_call`` spans emitted deep inside the engine, independent
-    of whether trail capture is on.
-    """
-
-    __slots__ = ("_site", "_previous")
-
-    def __init__(self, **attrs: Any) -> None:
-        self._site = {key: value for key, value in attrs.items()
-                      if value is not None}
-
-    def __enter__(self) -> None:
-        self._previous = getattr(_STATE, "site", None)
-        _STATE.site = self._site
-
-    def __exit__(self, *exc_info: object) -> None:
-        _STATE.site = self._previous
 
 
 # ----------------------------------------------------------------------

@@ -263,9 +263,10 @@ def run_attempt(session: RunSession, registry: RunRegistry,
     with session:
         session.ledger.run_started(run_id, resumed=resumed,
                                    attempt=attempt)
-        with session.span("run", run_id=run_id,
-                          dataset=request.dataset,
-                          workers=request.workers, **span_attrs):
+        with session.tracer.span("run", run_id=run_id,
+                                 dataset=request.dataset,
+                                 workers=request.workers,
+                                 **span_attrs):
             for cell in cells:
                 if guard.enabled:
                     budget_stop = guard.stop_reason(

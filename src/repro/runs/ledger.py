@@ -13,8 +13,8 @@ can never interleave bytes within a line.  Durability is tiered:
   so a power loss costs at most one in-flight cell, or on every append
   with ``durability="record"`` when each question must survive the
   machine dying (~75us per append on ext4 on a virtio disk — about
-  1.7 times the ~44us a whole question takes at p50 on the sequential
-  path — which is why it is opt-in).
+  1.7 times the ~44us a whole question takes at p50 at one worker —
+  which is why it is opt-in).
 
 A ``record`` line is written straight from the record's fields
 (:func:`repro.core.results.record_line`), byte-equal to ``json.dumps``

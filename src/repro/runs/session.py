@@ -2,25 +2,22 @@
 
 ``execute_run``, ``resume_run`` and :func:`repro.dist.worker.run_shard`
 each run one *attempt* against a run (or shard) directory.  An attempt
-needs the same handful of resources every time — an engine or the
-sequential path, the attempt's own :class:`Telemetry`, a tracer whose
-finished spans stream to ``spans.jsonl``, a heartbeat, a ledger and
-the :class:`EvaluationRunner` that writes into it — and must release
-them in reverse order however it ends.  :class:`RunSession` owns exactly
+needs the same handful of resources every time — an engine, the
+attempt's own :class:`Telemetry`, a tracer whose finished spans stream
+to ``spans.jsonl``, a heartbeat, a ledger and the
+:class:`EvaluationRunner` that writes into it — and must release them
+in reverse order however it ends.  :class:`RunSession` owns exactly
 that, so the three entry points differ only in the events and cells
 they drive through it.
 
-:func:`engine_for` is the one place that decides whether a request
-needs an engine at all: the sequential loop is the fast path for the
-paper-shaped ``workers=1`` sweep, so an engine is built only when the
-request's shape (or a response cache) asks for one.
+:func:`engine_for` is the one place that builds the engine a request's
+shape asks for; every request runs through one, the paper-shaped
+``workers=1`` sweep included.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.core.runner import EvaluationRunner
@@ -37,24 +34,22 @@ from repro.runs.request import RunRequest
 
 
 def engine_for(request: RunRequest,
-               cache: ResponseCache | None = None
-               ) -> EvaluationEngine | None:
-    """The engine a request's shape needs (``None`` = sequential).
+               cache: ResponseCache | None = None) -> EvaluationEngine:
+    """The engine a request's shape asks for.
 
-    Fan-out, batching and coalescing all live in the engine (the
-    batched path also needs its widened fan-out pool to fill
-    batches), and so does the response cache — so any of them, or an
-    explicit ``cache``, selects an engine even at one worker.  The
-    engine always carries a cache layer (a fresh in-memory one unless
-    ``cache`` is given), so the same request builds the same
-    middleware stack inline or on a shard.
+    Every shape retries with the request's policy.  Fan-out, batching
+    and coalescing also carry a response cache (a fresh in-memory one
+    unless ``cache`` is given), so the same request builds the same
+    middleware stack inline or on a shard.  The plain one-worker
+    shape — the paper's — carries a cache only when ``cache`` is
+    given, and asks its questions in order on the calling thread.
     """
-    if (request.workers <= 1 and request.batch_size <= 1
-            and not request.coalesce and cache is None):
-        return None
+    plain = (request.workers <= 1 and request.batch_size <= 1
+             and not request.coalesce)
     config = EngineConfig(
         max_workers=request.workers,
         retry=RetryPolicy(retries=max(0, request.retries)),
+        cache=not plain,
         batch_size=request.batch_size,
         coalesce=request.coalesce)
     return EvaluationEngine(config, cache=cache)
@@ -86,7 +81,7 @@ class RunSession:
         self.engine = (engine if engine is not None
                        else engine_for(request))
         self.tracer = tracer if tracer is not None else Tracer()
-        #: This attempt's counters, on either path.
+        #: This attempt's counters.
         self.telemetry = Telemetry()
         self.keep_records = keep_records
         self._ledger_type = ledger_type
@@ -94,13 +89,11 @@ class RunSession:
     def __enter__(self) -> "RunSession":
         with ExitStack() as stack:
             engine = self.engine
-            if engine is not None:
-                stack.callback(self._settle, engine, engine.telemetry)
-                engine.telemetry = self.telemetry
-                if not engine.tracer.enabled:
-                    stack.callback(setattr, engine, "tracer",
-                                   engine.tracer)
-                    engine.tracer = self.tracer
+            stack.callback(self._settle, engine, engine.telemetry)
+            engine.telemetry = self.telemetry
+            if not engine.tracer.enabled:
+                stack.callback(setattr, engine, "tracer", engine.tracer)
+                engine.tracer = self.tracer
             if self.tracer.sink is None:
                 spans_path = self.directory / SPANS_FILENAME
                 # A resumed attempt appends to its predecessors' log:
@@ -117,7 +110,7 @@ class RunSession:
                 variant=self.request.variant,
                 keep_records=self.keep_records, engine=engine,
                 ledger=self.ledger, tracer=self.tracer,
-                telemetry=self.telemetry, trail=self.request.trail)
+                trail=self.request.trail)
             self._teardown = stack.pop_all()
         return self
 
@@ -132,17 +125,6 @@ class RunSession:
         own.absorb(self.telemetry)
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[None]:
-        """The attempt's top-level span; on the sequential path its
-        wall time is the run's (an engine times its own passes)."""
-        started = time.perf_counter()
-        with self.tracer.span(name, **attrs):
-            yield
-        if self.engine is None:
-            self.telemetry.add(wall_time_s=time.perf_counter() - started,
-                               workers=1)
-
     def stats(self) -> EngineStats:
         """This attempt's live stats."""
         return self.telemetry.snapshot()

@@ -116,16 +116,24 @@ class TestSpanParents:
         return [by_id[span.parent_id].name if span.parent_id in by_id
                 else None for span in batches]
 
+    def _members_are_the_questions(self, spans) -> None:
+        """The batch spans name the cell and, among them, every
+        question of the run once: a batch span stands for its
+        backend call(s), which write no span of their own."""
+        batches = [span for span in spans if span.name == "batch"]
+        assert all(span.attrs["cell"] for span in batches)
+        assert sorted(uid for span in batches
+                      for uid in span.attrs["members"].split()) \
+            == sorted(span.attrs["uid"] for span in spans
+                      if span.name == "question")
+        assert {span.name for span in spans} == {
+            "run", "cell", "question", "batch"}
+
     def test_a_shared_batch_hangs_under_its_leaders_question(
             self, tmp_path):
         spans = _traced_batched_run(tmp_path)
         assert set(self._batch_parents(spans)) <= {"question", "retry"}
-        # The one backend call of a batch nests under its batch span.
-        by_id = {span.span_id: span for span in spans}
-        calls = [span for span in spans if span.name == "model_call"]
-        assert calls
-        assert {by_id[span.parent_id].name for span in calls} == {
-            "batch"}
+        self._members_are_the_questions(spans)
 
     def test_a_per_prompt_batch_hangs_under_its_leaders_question(
             self, tmp_path):
@@ -133,17 +141,9 @@ class TestSpanParents:
             tmp_path, lambda name: FaultInjectingModel(
                 get_model(name), failure_rate=0.0))
         assert set(self._batch_parents(spans)) <= {"question", "retry"}
-        # Every member calls on its own thread, under its own question,
-        # and its call names that question and its cell.
-        by_id = {span.span_id: span for span in spans}
-        calls = [span for span in spans if span.name == "model_call"]
-        assert len(calls) == 40
-        for call in calls:
-            question = by_id[call.parent_id]
-            while question.name != "question":
-                question = by_id[question.parent_id]
-            assert call.attrs["question"] == question.attrs["uid"]
-            assert call.attrs["cell"]
+        # Every member calls on its own thread, and its batch span
+        # names its question.
+        self._members_are_the_questions(spans)
 
 
 class Echo(BaseChatModel):

@@ -17,7 +17,7 @@ from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.errors import (ModelError, ModelTimeoutError,
                           ModelTransientError)
-from repro.llm.base import BaseChatModel
+from repro.llm.base import BaseChatModel, StaticResponder
 from repro.llm.registry import get_model
 from repro.obs.trail import Trail, trail_scope
 from repro.questions.model import DatasetKind
@@ -347,6 +347,19 @@ class TestTelemetry:
         assert stats.cache_hit_rate == 0.0
         assert stats.throughput == 0.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_item_that_raises_is_not_booked(self, workers):
+        # It was not scored, and it made no backend call.
+        engine = EvaluationEngine(EngineConfig(max_workers=workers))
+
+        def fn(model, item):
+            raise ValueError("raised before the model")
+
+        with pytest.raises(ValueError):
+            engine.run(StaticResponder("GPT-4", "Yes."), [1, 2], fn)
+        stats = engine.stats()
+        assert (stats.records, stats.calls) == (0, 0)
+
     def test_reset_zeroes_counters(self):
         telemetry = Telemetry()
         telemetry.observe(1.0, Trail())
@@ -421,11 +434,12 @@ class TestConfig:
         engine = EvaluationEngine(
             EngineConfig(max_workers=2, timeout=30.0, rate=1000.0,
                          retry=FAST_RETRY))
-        wrapped = engine.wrap(EchoModel())
-        # Documented order:
-        # cache(retry(rate(timeout(model_call spans(model))))).
+        model = EchoModel()
+        wrapped = engine.wrap(model)
+        # Documented order: cache(retry(rate(timeout(model)))).
         assert isinstance(wrapped, CachedModel)
         assert isinstance(wrapped.inner, RetryingModel)
         assert isinstance(wrapped.inner.inner, RateLimitedModel)
         assert isinstance(wrapped.inner.inner.inner, TimeoutModel)
+        assert wrapped.inner.inner.inner.inner is model
         assert wrapped.generate("hi") == "echo:2"

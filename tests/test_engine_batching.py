@@ -22,7 +22,6 @@ from repro.errors import ModelError, ModelTransientError
 from repro.llm.base import (BaseChatModel, StaticResponder,
                             call_generate_batch,
                             supports_generate_batch)
-from repro.obs.export import format_prometheus
 from repro.obs.history import HistoryEntry
 from repro.obs.trail import trail_scope
 
@@ -455,15 +454,16 @@ class TestStackComposition:
         engine = EvaluationEngine(
             EngineConfig(max_workers=2, retry=FAST_RETRY,
                          batch_size=4, coalesce=True, adaptive=True))
-        wrapped = engine.wrap(BatchEcho())
+        model = BatchEcho()
+        wrapped = engine.wrap(model)
         try:
-            # Documented order:
-            # coalesce(cache(retry(batch(model_call spans(model))))).
+            # Documented order: coalesce(cache(retry(batch(model)))).
             assert isinstance(wrapped, CoalescingModel)
             assert isinstance(wrapped.inner, CachedModel)
             assert isinstance(wrapped.inner.inner, RetryingModel)
             batcher = wrapped.inner.inner.inner
             assert isinstance(batcher, BatchingModel)
+            assert batcher.inner is model
             assert isinstance(batcher.limiter, AdaptiveLimiter)
             assert wrapped.generate("hi") == "ans:hi"
         finally:
@@ -670,16 +670,3 @@ class TestStatsCompatibility:
         assert entry.coalesced == 5
         assert entry.hedged == 1
 
-    def test_prometheus_exports_new_counters(self):
-        engine = EvaluationEngine(
-            EngineConfig(max_workers=8, batch_size=4,
-                         batch_linger_s=0.001, coalesce=True,
-                         cache=False, retry=None, adaptive=True))
-        engine.run(BatchEcho(latency_s=0.002),
-                   [f"q{i % 3}" for i in range(24)],
-                   lambda m, item: m.generate(item))
-        text = format_prometheus(engine.telemetry.registry)
-        assert "repro_engine_batches_total" in text
-        assert "repro_engine_coalesced_total" in text
-        assert "repro_engine_hedged_total" in text
-        assert "repro_engine_adaptive_limit_high_water" in text

@@ -506,6 +506,35 @@ class TestWhyNarrative:
                 checked += 1
         assert checked > 0
 
+    def test_obs_why_cites_the_question_span_at_one_worker(
+            self, capsys, tmp_path):
+        runs_dir = tmp_path / "runs"
+        registry = RunRegistry(runs_dir)
+        result = execute_run(
+            RunRequest(models=("GPT-4", "LLMs4OL"),
+                       taxonomy_keys=("ebay",), sample_size=4,
+                       trail=True),
+            registry=registry)
+        spans = read_spans_jsonl(registry.spans_path(result.run_id))
+        cells = {span.span_id: "|".join(
+            (span.attrs["model"], span.attrs["label"],
+             span.attrs["setting"]))
+            for span in spans if span.name == "cell"}
+        own = {(cells[span.parent_id], span.attrs["uid"]): span.span_id
+               for span in spans if span.name == "question"}
+        # Both models ask the same questions: only the cell tells
+        # their spans apart.
+        assert len(own) == result.evaluated
+        for index in range(result.evaluated):
+            assert main(["obs", "why", result.run_id, str(index),
+                         "--runs-dir", str(runs_dir)]) == 0
+            text = capsys.readouterr().out
+            words = text.splitlines()[1].split()
+            uid, cell = words[0], words[-1]
+            assert text.count("question#") == 1
+            assert f"question#{own[cell, uid]} " in text
+            assert "batch#" not in text
+
     def test_obs_why_cli_text_for_real_run(self, capsys, tmp_path):
         runs_dir = str(tmp_path / "runs")
         assert main(["run", "--models", "GPT-4", "--taxonomies",
@@ -523,4 +552,4 @@ class TestWhyNarrative:
         assert f"question 0 of run {run_id}" in text
         assert "cache: miss — went to the backend" in text
         assert "coalesced: led prompt" in text
-        assert "model_call#" in text           # span citation
+        assert text.count("question#") == 1     # its own span

@@ -1,7 +1,7 @@
 """One book per question.
 
-Every question runs under its own provenance trail on either path;
-``EvaluationRunner.ask`` prices it there once, and the run's
+Every question runs under its own provenance trail, which the engine
+installs; ``EvaluationRunner.ask`` prices it there once, and the run's
 per-question counters are folded from the finished trail by
 ``Telemetry.observe``.  These checks hold that book against what an
 endpoint would bill, across the execution shapes, and pin the two
@@ -110,8 +110,9 @@ class TestCallersEngine:
 class TestSequentialInstall:
     def test_a_callers_model_notes_on_the_installed_trail(
             self, tmp_path):
-        """The sequential loop installs the trail, so layers inside a
-        caller's model note on it: the pool's replica and fallbacks."""
+        """The one-worker engine installs the trail, so layers inside
+        a caller's model note on it: the pool's replica and
+        fallbacks."""
         registry = RunRegistry(tmp_path / "runs")
         pool = BackendPool([_Down(), get_model("GPT-4")])
         result = execute_run(RunRequest(**PROBE, trail=True),
@@ -212,13 +213,13 @@ class TestShapes:
             cache = ResponseCache()
             execute_run(RunRequest(**PROBE), registry=registry,
                         engine=engine_for(request, cache=cache))
-        # A cold run of the paper's shape takes the sequential loop,
-        # which has no retry layer to absorb an injected fault.
+        # Every shape, the paper's one-worker one included, retries
+        # with the request's policy, so each absorbs injected faults.
         engine = engine_for(request, cache=cache)
         inner = get_model("GPT-4")
         if pooled:
             inner = BackendPool([_Down(), inner])
-        if fault_rate and engine is not None:
+        if fault_rate:
             inner = FaultInjectingModel(inner, seed=7,
                                         failure_rate=fault_rate)
         meter = _Meter(inner, shared)
@@ -242,7 +243,7 @@ class TestShapes:
 
 
 # ----------------------------------------------------------------------
-# obs why cites a shared batch's backend call
+# obs why cites the question's own span and its batch's
 # ----------------------------------------------------------------------
 class _PerPrompt:
     """GPT-4 without ``generate_batch``: each batch member calls its
@@ -269,39 +270,48 @@ class TestWhyCitesBatchCalls:
         spans = read_spans_jsonl(registry.spans_path(result.run_id))
         return runs_dir, result, spans
 
-    def _cited_calls(self, capsys, runs_dir, run_id, n):
-        cited = []
+    def _why(self, capsys, runs_dir, run_id, n) -> list[str]:
+        """``repro obs why`` of each question of the run."""
+        texts = []
         for index in range(n):
             assert main(["obs", "why", run_id, str(index),
                          "--runs-dir", str(runs_dir)]) == 0
-            cited.append(capsys.readouterr().out.count("model_call#"))
-        return cited
+            texts.append(capsys.readouterr().out)
+        return texts
 
     def test_every_question_cites_its_shared_call(self, capsys,
                                                   tmp_path):
         runs_dir, result, spans = self._batched_run(tmp_path)
         n = result.evaluated
-        calls = [span for span in spans if span.name == "model_call"]
         batches = [span for span in spans if span.name == "batch"]
-        # A shared batch's call names no question; its batch span
-        # names the leader's cell and every member.
-        assert calls and not any("question" in span.attrs
-                                 for span in calls)
+        # A shared batch's call has no span of its own: its batch span
+        # times it, naming the leader's cell and every member.
+        assert {span.name for span in spans} == {
+            "run", "cell", "question", "batch"}
         members = [uid for span in batches
                    for uid in span.attrs["members"].split()]
         assert len(members) == n
         assert all(span.attrs["cell"] for span in batches)
-        assert all(count >= 1 for count in self._cited_calls(
-            capsys, runs_dir, result.run_id, n))
+        assert [(text.count("question#"), text.count("batch#"))
+                for text in self._why(capsys, runs_dir, result.run_id,
+                                      n)] == [(1, 1)] * n
 
     def test_per_prompt_calls_still_name_their_question(
             self, capsys, tmp_path):
         runs_dir, result, spans = self._batched_run(
             tmp_path, resolve_model=lambda _: _PerPrompt())
         n = result.evaluated
-        calls = [span for span in spans if span.name == "model_call"]
-        assert len(calls) == n
-        assert all("question" in span.attrs for span in calls)
-        # Each question cites its own call, and no batch-mate's.
-        assert self._cited_calls(capsys, runs_dir, result.run_id,
-                                 n) == [1] * n
+        questions = {span.attrs["uid"]: span.span_id for span in spans
+                     if span.name == "question"}
+        batch_of = {uid: span.span_id for span in spans
+                    if span.name == "batch"
+                    for uid in span.attrs["members"].split()}
+        assert len(questions) == len(batch_of) == n
+        # Each question cites its own span and its batch's, and no
+        # batch-mate's question span.
+        for text in self._why(capsys, runs_dir, result.run_id, n):
+            uid = text.splitlines()[1].split()[0]
+            assert (text.count("question#"), text.count("batch#")) \
+                == (1, 1)
+            assert f"question#{questions[uid]} " in text
+            assert f"batch#{batch_of[uid]} " in text

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig
+from repro.engine.middleware import FaultInjectingModel
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats
 from repro.errors import RunError
@@ -66,7 +67,14 @@ def ledger_events(registry: RunRegistry, run_id: str,
 # ----------------------------------------------------------------------
 class TestEngineFor:
     def test_paper_shape_runs_the_sequential_loop(self):
-        assert engine_for(RunRequest(**SMALL)) is None
+        # One worker asks in order on the calling thread, with the
+        # request's retry policy and, as ever, no response cache.
+        engine = engine_for(RunRequest(retries=1, **SMALL))
+        assert engine.config.max_workers == 1
+        assert engine.config.batch_size == 1
+        assert not engine.config.coalesce
+        assert engine.config.retry.retries == 1
+        assert engine.cache is None
 
     @pytest.mark.parametrize("shape", [dict(workers=2),
                                        dict(batch_size=4),
@@ -143,14 +151,13 @@ class TestRunSession:
         names = Counter(span.name for span in logged)
         assert names["run"] == names["cell"] == 1
         assert names["question"] == result.evaluated
-        if workers > 1:
-            assert names["model_call"] == result.evaluated
+        assert set(names) == {"run", "cell", "question"}
         assert len({span.span_id for span in logged}) == len(logged)
 
     def test_a_session_tracer_keeps_no_spans(self, tmp_path):
         session = RunSession(RunRequest(**SMALL), tmp_path)
         with session:
-            with session.span("run"):
+            with session.tracer.span("run"):
                 for index in range(3):
                     with session.tracer.span("question", i=index):
                         pass
@@ -190,6 +197,34 @@ class TestAttemptEvents:
 
 
 # ----------------------------------------------------------------------
+# The span census
+# ----------------------------------------------------------------------
+class TestSpanCensus:
+    """Each shape writes one ``run`` span, one ``cell`` span per cell
+    and one ``question`` span per question, and nothing else: the
+    engine's layers write no span per prompt."""
+
+    @pytest.mark.parametrize("shape,cached", [
+        (dict(), False),
+        (dict(workers=2, coalesce=True), False),
+        (dict(), True),
+    ], ids=["one-worker", "two-workers-coalescing", "supplied-cache"])
+    def test_one_span_per_question_cell_and_run(self, registry, shape,
+                                                cached):
+        request = RunRequest(models=("GPT-4",),
+                             taxonomy_keys=("ebay", "google"),
+                             sample_size=4, **shape)
+        engine = (engine_for(request, cache=ResponseCache()) if cached
+                  else None)
+        result = execute_run(request, registry=registry, engine=engine)
+        spans = read_spans_jsonl(registry.spans_path(result.run_id))
+        names = Counter(span.name for span in spans)
+        assert names == {"run": 1, "cell": len(result.cells),
+                         "question": result.evaluated}
+        assert len(result.cells) == 2 and result.evaluated > 0
+
+
+# ----------------------------------------------------------------------
 # Bugs the shared session fixes
 # ----------------------------------------------------------------------
 class TestSessionFixes:
@@ -226,17 +261,43 @@ class TestSessionFixes:
         assert len(records) > 10
         assert all(record.trail is not None for record in records)
 
+    def test_retries_hold_at_one_worker(self, registry):
+        # At most two faults in a row per prompt, under three retries:
+        # every question is answered, as in the fault-free run.
+        request = RunRequest(models=("GPT-4",), taxonomy_keys=("ebay",),
+                             sample_size=10)
+        clean = execute_run(request, registry=registry)
+        flaky = execute_run(
+            request, registry=registry,
+            resolve_model=lambda name: FaultInjectingModel(
+                get_model(name), seed=7, failure_rate=0.1))
+
+        def record_lines(run_id: str) -> list[str]:
+            with open(registry.ledger_path(run_id),
+                      encoding="utf-8") as ledger:
+                return [line for line in ledger
+                        if line.startswith('{"event":"record",')]
+
+        assert record_lines(flaky.run_id) == record_lines(clean.run_id)
+        assert len(record_lines(clean.run_id)) == 40
+        stats = flaky.stats
+        assert stats.retries == stats.faults > 0
+        assert stats.calls == stats.records + stats.retries
+
     def test_reused_engine_traces_each_run_to_its_own_log(
             self, registry):
+        # The engine's own spans (its batcher's) follow each run.
         engine = EvaluationEngine(EngineConfig(max_workers=2,
+                                               batch_size=4,
                                                cache=False))
         request = RunRequest(workers=2, **SMALL)
         for _ in range(2):
             result = execute_run(request, registry=registry,
                                  engine=engine)
             spans = read_spans_jsonl(registry.spans_path(result.run_id))
-            calls = [span for span in spans if span.name == "model_call"]
-            assert len(calls) == result.evaluated > 0
+            members = [uid for span in spans if span.name == "batch"
+                       for uid in span.attrs["members"].split()]
+            assert len(members) == result.evaluated > 0
 
 
     def test_reused_engine_persists_each_run_its_own_stats(
